@@ -42,9 +42,11 @@ from .characters import (
     DirichletChar,
     RotationNumber,
     UnitGroupBasis,
+    character_sums,
     count_even,
     enumerate_characters,
     even_characters,
+    even_mask,
     principal_character,
     unit_group_basis,
 )

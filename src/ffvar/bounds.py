@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PreconditionError
 from .fields import FieldSpec
 from .polys import DEFAULT_ENUM_BUDGET, Poly, t_power
-from .characters import unit_group_basis
+from .characters import character_sums, unit_group_basis
 from .tables import get_tables, reduce_monic_mod
 from .variance import variance_direct
 
@@ -64,14 +64,6 @@ class TrialConfig:
             raise PreconditionError(f"unknown distribution {self.distribution!r}")
 
 
-def _monic_unit_indices(field: FieldSpec, modulus: Poly, n: int):
-    """(unit index or -1) for every monic of degree n, plus the basis."""
-    basis = unit_group_basis(field, modulus)
-    q = field.q
-    codes = reduce_monic_mod(field, modulus, n, np.arange(q**n, dtype=np.int64))
-    return basis, basis.code_to_index[codes]
-
-
 def mvt_check(
     field: FieldSpec, modulus: Poly, n: int, coeffs: np.ndarray
 ) -> BoundReport:
@@ -80,15 +72,15 @@ def mvt_check(
     q = field.q
     if len(coeffs) != q**n:
         raise PreconditionError(f"need q^n = {q**n} coefficients, got {len(coeffs)}")
-    basis, idx = _monic_unit_indices(field, modulus, n)
-    mask = idx >= 0
-    folded = np.zeros(basis.phi, dtype=np.complex128)
-    np.add.at(folded, idx[mask], np.asarray(coeffs, dtype=np.complex128)[mask])
-    V = basis.value_matrix("all")
-    sums = V @ folded
-    lhs = float(np.sum(sums.real**2 + sums.imag**2))
-    diag = float(np.sum(np.abs(np.asarray(coeffs)[mask]) ** 2))
+    basis = unit_group_basis(field, modulus)
     m = modulus.degree
+    codes = reduce_monic_mod(field, modulus, n, np.arange(q**n, dtype=np.int64))
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    folded = np.zeros(q**m, dtype=np.complex128)
+    np.add.at(folded, codes, coeffs)
+    sums = character_sums(basis, folded)
+    lhs = float(np.sum(sums.real**2 + sums.imag**2))
+    diag = float(np.sum(np.abs(coeffs[basis.code_to_index[codes] >= 0]) ** 2))
     scale = q ** (n - m) if n >= m else 1.0 / q ** (m - n)
     rhs = 2.0 * basis.phi * (scale + 1.0) * diag
     report = BoundReport(
@@ -137,12 +129,10 @@ def prime_char_sum_ratio(field: FieldSpec, m: int, x: int) -> BoundReport:
         raise PreconditionError("need x >= 1")
     q = field.q
     tables = get_tables(field, x)
-    basis = unit_group_basis(field, t_power(field, m))
-    codes = reduce_monic_mod(field, t_power(field, m), x, tables.irreducibles[x])
-    idx = basis.code_to_index[codes]
-    counts = np.bincount(idx[idx >= 0], minlength=basis.phi).astype(np.complex128)
-    V = basis.value_matrix("all")
-    sums = V[1:] @ counts
+    modulus = t_power(field, m)
+    basis = unit_group_basis(field, modulus)
+    codes = reduce_monic_mod(field, modulus, x, tables.irreducibles[x])
+    sums = character_sums(basis, np.bincount(codes, minlength=q**m))[1:]
     lhs = float(np.max(np.abs(sums))) if len(sums) else 0.0
     rhs = (m / x) * q ** (x / 2)
     return BoundReport(
@@ -166,22 +156,15 @@ def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -
         raise PreconditionError(f"modulus {modulus} admits no non-principal character")
     q = field.q
     tables = get_tables(field, n_total)
-    L = basis.exponent
-    roots = np.exp(2j * np.pi * np.arange(L) / L)
-    from .characters import character_rotation_matrix, enumerate_characters
-
-    R = character_rotation_matrix(basis, enumerate_characters(basis))
+    size = q**modulus.degree
     totals = np.zeros(basis.phi, dtype=np.complex128)
     for d in range(1, n_total + 1):
         if n_total % d:
             continue
-        k = n_total // d
         codes = reduce_monic_mod(field, modulus, d, tables.irreducibles[d])
-        idx = basis.code_to_index[codes]
-        counts = np.bincount(idx[idx >= 0], minlength=basis.phi).astype(np.float64)
-        # chi(P)^k: rotate each entry k times
-        values = roots[(R * k) % L]
-        totals += d * (values @ counts)
+        counts = np.bincount(codes, minlength=size)
+        # Lambda(P^k) = d for deg P = d, and chi(P)^k = chi(P^k)
+        totals += d * character_sums(basis, counts, power=n_total // d)
     lhs = float(np.max(np.abs(totals[1:])))
     rhs = modulus.degree * q ** (n_total / 2)
     report = BoundReport(
@@ -211,8 +194,7 @@ def _masked_even_square_sum(
     codes = reduce_monic_mod(field, modulus, n, np.arange(q**n, dtype=np.int64))
     weights = np.zeros(q ** modulus.degree, dtype=np.int64)
     np.add.at(weights, codes, lam)
-    V = basis.value_matrix("even")
-    sums = V @ weights[basis.unit_codes].astype(np.complex128)
+    sums = character_sums(basis, weights, even_only=True)
     return float(np.sum(sums.real**2 + sums.imag**2))
 
 

@@ -6,7 +6,8 @@ the current quotient, adjust it by a word in the existing generators so its
 lift has that exact order, and extend the discrete-log table. Characters are
 then exponent vectors; values are rotation numbers (exact Fractions k/L with
 L the group exponent), so orthogonality sums can be tested for exact
-cancellation without touching floats.
+cancellation without touching floats. Bulk character sums go through
+character_sums: one DFT over the unit group gives every character at once.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ class UnitGroupBasis:
         ).reshape(len(unit_codes), len(generators))
         self.code_to_index = np.full(field.q**modulus.degree, -1, dtype=np.int64)
         self.code_to_index[unit_codes] = np.arange(len(unit_codes))
-        self._matrix_cache: dict[str, np.ndarray] = {}
 
     @property
     def phi(self) -> int:
@@ -141,15 +141,12 @@ class UnitGroupBasis:
             [e * (L // o) for e, o in zip(exponents, self.orders)], dtype=np.int64
         )
 
-    # cached value matrices over (characters x units); "all" rows follow
+    # dense value matrix over (characters x units), the reference that
+    # character_sums is tested against; "all" rows follow
     # enumerate_characters order, "even" rows follow even_characters order
     def value_matrix(self, kind: str) -> np.ndarray:
-        got = self._matrix_cache.get(kind)
-        if got is None:
-            chars = enumerate_characters(self) if kind == "all" else even_characters(self)
-            got = character_value_matrix(self, chars)
-            self._matrix_cache[kind] = got
-        return got
+        chars = enumerate_characters(self) if kind == "all" else even_characters(self)
+        return character_value_matrix(self, chars)
 
 
 _BASIS_CACHE: dict[tuple[FieldSpec, Poly], UnitGroupBasis] = {}
@@ -297,8 +294,42 @@ def even_characters(basis: UnitGroupBasis) -> list[DirichletChar]:
     return [chi for chi in enumerate_characters(basis) if chi.is_even]
 
 
+def even_mask(basis: UnitGroupBasis) -> np.ndarray:
+    """Boolean mask over enumerate_characters order: True where chi is trivial
+    on the nonzero constants (residue codes 1..q-1)."""
+    L = basis.exponent
+    consts = basis.dlog_matrix[basis.code_to_index[1 : basis.field.q]]
+    scaled = consts * np.array([L // o for o in basis.orders], dtype=np.int64)
+    exponents = np.indices(basis.orders).reshape(len(basis.orders), basis.phi)
+    return ~((scaled @ exponents) % L).any(axis=0)
+
+
 def count_even(basis: UnitGroupBasis) -> int:
-    return len(even_characters(basis))
+    return int(even_mask(basis).sum())
+
+
+def character_sums(
+    basis: UnitGroupBasis,
+    weights: np.ndarray,
+    *,
+    even_only: bool = False,
+    power: int = 1,
+) -> np.ndarray:
+    """sum over units u of weights[u] * chi(u)^power, for every character chi
+    at once; `weights` is indexed by residue code (non-units are ignored).
+
+    chi(u)^power = chi(u^power), so the weights are scattered at the discrete
+    logs power * dlog(u) of a grid shaped like the group; one inverse DFT over
+    Z/o_1 x ... x Z/o_r then yields all sums. Entries follow
+    enumerate_characters order, or even_characters order when even_only."""
+    w = np.asarray(weights)[basis.unit_codes].astype(np.complex128)
+    if not basis.orders:  # trivial group: the principal character only
+        return w
+    grid = np.zeros(basis.orders, dtype=np.complex128)
+    logs = (power * basis.dlog_matrix) % np.array(basis.orders, dtype=np.int64)
+    np.add.at(grid, tuple(logs.T), w)
+    sums = np.fft.ifftn(grid).ravel() * basis.phi
+    return sums[even_mask(basis)] if even_only else sums
 
 
 def character_rotation_matrix(

@@ -1,8 +1,9 @@
 """Command-line front end: variance runs, verification suites, parameter
 sweeps, and sieve-cache management.
 
-Exit codes are the machine contract: 0 ok, 1 check failure or corrupt cache,
-2 precondition violation, 3 variance gap beyond tolerance, 4 budget refusal.
+Exit codes are the machine contract: 0 ok, 1 check failure, corrupt cache or
+I/O error, 2 precondition violation, 3 variance gap beyond tolerance, 4 budget
+refusal or out of memory. main() owns the mapping from exceptions to codes.
 Identical configurations (including seeds) produce byte-identical CSV/JSON.
 """
 
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +43,15 @@ EXIT_BUDGET = 4
 
 RNG_DESCRIPTION = "numpy-default-rng"
 
+# exception -> (stderr prefix, exit code) for every command; first match wins
+ERROR_EXITS = (
+    (BudgetError, "budget", EXIT_BUDGET),
+    (MemoryError, "budget: out of memory", EXIT_BUDGET),
+    (PreconditionError, "precondition", EXIT_PRECONDITION),
+    (IrreducibleCacheError, "corrupt cache", EXIT_FAILURE),
+    (OSError, "io", EXIT_FAILURE),
+)
+
 
 @dataclass
 class RunConfig:
@@ -54,7 +63,6 @@ class RunConfig:
     mode: str = "both"  # direct | character | both
     seed: int = 0
     trials: int = 100
-    threads: int = 1
     cache_dir: str | None = None
     out: str | None = None
     fmt: str = "csv"
@@ -138,87 +146,70 @@ VARIANCE_HEADER = (
 
 
 def cmd_variance(cfg: RunConfig) -> int:
-    try:
-        fld = cfg.field()
-        if not cfg.n_values or not cfg.h_values:
-            raise PreconditionError("variance needs --N and --h")
-        if cfg.mode not in ("direct", "character", "both"):
-            raise PreconditionError(f"unknown mode {cfg.mode!r}")
-        if cfg.tolerance <= 0:
-            raise PreconditionError("tolerance must be > 0")
-        handle = variance.get_function(cfg.function)
-        room = 2 if cfg.mode == "character" else 1
-        pairs = [
-            (n, h)
-            for n in cfg.n_values
-            for h in cfg.h_values
-            if 0 <= h <= n - room
-        ]
-        if not pairs:
-            need = "0 <= h <= N-2" if cfg.mode == "character" else "0 <= h < N"
-            raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
+    fld = cfg.field()
+    if not cfg.n_values or not cfg.h_values:
+        raise PreconditionError("variance needs --N and --h")
+    if cfg.mode not in ("direct", "character", "both"):
+        raise PreconditionError(f"unknown mode {cfg.mode!r}")
+    if cfg.tolerance <= 0:
+        raise PreconditionError("tolerance must be > 0")
+    handle = variance.get_function(cfg.function)
+    room = 2 if cfg.mode == "character" else 1
+    pairs = [
+        (n, h)
+        for n in cfg.n_values
+        for h in cfg.h_values
+        if 0 <= h <= n - room
+    ]
+    if not pairs:
+        need = "0 <= h <= N-2" if cfg.mode == "character" else "0 <= h < N"
+        raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
 
-        def one(pair: tuple[int, int]):
-            n, h = pair
-            direct = charside = None
-            if cfg.mode in ("direct", "both"):
-                direct = variance.variance_direct(fld, handle, n, h, budget=cfg.budget)
-            if cfg.mode in ("character", "both") and h <= n - 2:
-                charside = variance.variance_charside(fld, handle, n, h, budget=cfg.budget)
-            return variance.VarianceReport(
-                q=fld.q, n=n, h=h, function=handle.name, direct=direct, charside=charside
-            )
+    def one(pair: tuple[int, int]):
+        n, h = pair
+        direct = charside = None
+        if cfg.mode in ("direct", "both"):
+            direct = variance.variance_direct(fld, handle, n, h, budget=cfg.budget)
+        if cfg.mode in ("character", "both") and h <= n - 2:
+            charside = variance.variance_charside(fld, handle, n, h, budget=cfg.budget)
+        return variance.VarianceReport(
+            q=fld.q, n=n, h=h, function=handle.name, direct=direct, charside=charside
+        )
 
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                reports = list(pool.map(one, pairs))
-        else:
-            reports = [one(p) for p in pairs]
-
-        rows = []
-        worst_gap: tuple[float, variance.VarianceReport] | None = None
+    reports = [one(p) for p in pairs]
+    rows = [
+        (
+            rep.q,
+            rep.n,
+            rep.h,
+            rep.function,
+            rep.direct,
+            rep.charside,
+            rep.abs_gap,
+            rep.theorem_ratio,
+        )
+        for rep in reports
+    ]
+    text = (
+        _rows_to_csv(VARIANCE_HEADER, rows)
+        if cfg.fmt == "csv"
+        else _rows_to_json(VARIANCE_HEADER, rows)
+    )
+    _emit(cfg.out, text)
+    if cfg.mode == "both":
         for rep in reports:
             gap = rep.abs_gap
-            if gap is not None and (worst_gap is None or gap > worst_gap[0]):
-                worst_gap = (gap, rep)
-            rows.append(
-                (
-                    rep.q,
-                    rep.n,
-                    rep.h,
-                    rep.function,
-                    rep.direct,
-                    rep.charside,
-                    gap,
-                    rep.theorem_ratio,
+            if gap is None:
+                continue
+            scale = max(1.0, abs(float(rep.direct)))
+            if gap > cfg.tolerance * scale:
+                print(
+                    f"gap failure: q={rep.q} N={rep.n} h={rep.h} f={rep.function} "
+                    f"direct={float(rep.direct)!r} char={rep.charside!r} gap={gap!r}",
+                    file=sys.stderr,
                 )
-            )
-        text = (
-            _rows_to_csv(VARIANCE_HEADER, rows)
-            if cfg.fmt == "csv"
-            else _rows_to_json(VARIANCE_HEADER, rows)
-        )
-        _emit(cfg.out, text)
-        if cfg.mode == "both":
-            for rep in reports:
-                gap = rep.abs_gap
-                if gap is None:
-                    continue
-                scale = max(1.0, abs(float(rep.direct)))
-                if gap > cfg.tolerance * scale:
-                    print(
-                        f"gap failure: q={rep.q} N={rep.n} h={rep.h} f={rep.function} "
-                        f"direct={float(rep.direct)!r} char={rep.charside!r} gap={gap!r}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_GAP
-        return EXIT_OK
-    except BudgetError as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+                return EXIT_GAP
+    return EXIT_OK
 
 
 SWEEP_HEADER = (
@@ -235,96 +226,72 @@ SWEEP_HEADER = (
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    try:
-        fld = cfg.field()
-        pairs = [
-            (n, h) for n in sorted(cfg.n_values) for h in sorted(cfg.h_values) if h < n
-        ]
-        if not pairs:
-            raise PreconditionError("empty sweep grid")
-        if any(h < 1 for _, h in pairs):
-            raise PreconditionError("sweep grid needs h >= 1")
+    fld = cfg.field()
+    pairs = [
+        (n, h) for n in sorted(cfg.n_values) for h in sorted(cfg.h_values) if h < n
+    ]
+    if not pairs:
+        raise PreconditionError("empty sweep grid")
+    if any(h < 1 for _, h in pairs):
+        raise PreconditionError("sweep grid needs h >= 1")
 
-        def one(pair: tuple[int, int]):
-            n, h = pair
-            tables = get_tables(fld, n, budget=cfg.budget)
-            var = variance.variance_direct(fld, "liouville", n, h, budget=cfg.budget, tables=tables)
-            bound = (n**5 / h**2) * float(fld.q) ** h
-            ratio = float(var) / bound
-            var_char = largepf = smoothpf = None
-            if h <= n - 2:
-                var_char = variance.variance_charside(
-                    fld, "liouville", n, h, budget=cfg.budget, tables=tables
-                )
-                largepf = bounds.large_factor_sum_ratio(fld, n, n, h).ratio
-                smoothpf = bounds.smooth_sum_ratio(fld, n, n, h).ratio
-            return (fld.q, n, h, var, var_char, bound, ratio, largepf, smoothpf)
+    def one(pair: tuple[int, int]):
+        n, h = pair
+        tables = get_tables(fld, n, budget=cfg.budget)
+        var = variance.variance_direct(fld, "liouville", n, h, budget=cfg.budget, tables=tables)
+        bound = (n**5 / h**2) * float(fld.q) ** h
+        ratio = float(var) / bound
+        var_char = largepf = smoothpf = None
+        if h <= n - 2:
+            var_char = variance.variance_charside(
+                fld, "liouville", n, h, budget=cfg.budget, tables=tables
+            )
+            largepf = bounds.large_factor_sum_ratio(fld, n, n, h).ratio
+            smoothpf = bounds.smooth_sum_ratio(fld, n, n, h).ratio
+        return (fld.q, n, h, var, var_char, bound, ratio, largepf, smoothpf)
 
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                rows = list(pool.map(one, pairs))
-        else:
-            rows = [one(p) for p in pairs]
-        text = (
-            _rows_to_csv(SWEEP_HEADER, rows)
-            if cfg.fmt == "csv"
-            else _rows_to_json(SWEEP_HEADER, rows)
-        )
-        _emit(cfg.out, text)
-        best = max(rows, key=lambda r: r[6])
-        where = f"(q={best[0]}, N={best[1]}, h={best[2]})"
-        print(
-            f"sweep: {len(rows)} rows"
-            + (f" -> {cfg.out}" if cfg.out else "")
-            + f"; max theorem ratio {best[6]!r} at {where}",
-            file=sys.stderr if cfg.out is None else sys.stdout,
-        )
-        return EXIT_OK
-    except BudgetError as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"io: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    rows = [one(p) for p in pairs]
+    text = (
+        _rows_to_csv(SWEEP_HEADER, rows)
+        if cfg.fmt == "csv"
+        else _rows_to_json(SWEEP_HEADER, rows)
+    )
+    _emit(cfg.out, text)
+    best = max(rows, key=lambda r: r[6])
+    where = f"(q={best[0]}, N={best[1]}, h={best[2]})"
+    print(
+        f"sweep: {len(rows)} rows"
+        + (f" -> {cfg.out}" if cfg.out else "")
+        + f"; max theorem ratio {best[6]!r} at {where}",
+        file=sys.stderr if cfg.out is None else sys.stdout,
+    )
+    return EXIT_OK
 
 
 def cmd_cache(cfg: RunConfig) -> int:
-    try:
-        fld = cfg.field()
-        cache_dir = cfg.cache_dir or os.environ.get("FFVAR_CACHE_DIR") or "."
-        path = Path(cache_dir) / arith.cache_file_name(fld)
-        if cfg.check:
-            cache = arith.load_cache(fld, path)
-            for d in range(1, cache.max_degree + 1):
-                expected = arith.pi_q(fld, d)
-                got = len(cache.by_degree[d])
-                if got != expected:
-                    print(
-                        f"count mismatch at degree {d}: file has {got}, "
-                        f"necklace formula gives {expected}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_FAILURE
-            print(f"{path}: ok ({sum(len(x) for x in cache.by_degree)} irreducibles)")
-            return EXIT_OK
-        cache = arith.sieve_irreducibles(
-            fld, cfg.max_degree, cache_dir=cache_dir, budget=cfg.budget
-        )
-        total = sum(len(x) for x in cache.by_degree)
-        print(f"{path}: {total} irreducibles up to degree {cache.max_degree}")
+    fld = cfg.field()
+    cache_dir = cfg.cache_dir or os.environ.get("FFVAR_CACHE_DIR") or "."
+    path = Path(cache_dir) / arith.cache_file_name(fld)
+    if cfg.check:
+        cache = arith.load_cache(fld, path)
+        for d in range(1, cache.max_degree + 1):
+            expected = arith.pi_q(fld, d)
+            got = len(cache.by_degree[d])
+            if got != expected:
+                print(
+                    f"count mismatch at degree {d}: file has {got}, "
+                    f"necklace formula gives {expected}",
+                    file=sys.stderr,
+                )
+                return EXIT_FAILURE
+        print(f"{path}: ok ({sum(len(x) for x in cache.by_degree)} irreducibles)")
         return EXIT_OK
-    except IrreducibleCacheError as exc:
-        print(f"corrupt cache: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except BudgetError as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    cache = arith.sieve_irreducibles(
+        fld, cfg.max_degree, cache_dir=cache_dir, budget=cfg.budget
+    )
+    total = sum(len(x) for x in cache.by_degree)
+    print(f"{path}: {total} irreducibles up to degree {cache.max_degree}")
+    return EXIT_OK
 
 
 # -- verification suites
@@ -534,34 +501,27 @@ _GLOBAL_SUITES = {"fields", "orthogonality"}
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    try:
-        if cfg.suite is not None and cfg.suite not in SUITES:
-            raise PreconditionError(
-                f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}"
-            )
-        fields = [cfg.field()] if (cfg.p, cfg.k) != (2, 1) or cfg.suite else None
-        if fields is None:
-            fields = [make_field(2, 1), make_field(3, 1)]
-        names = [cfg.suite] if cfg.suite else list(SUITES)
-        failures = 0
-        for name in names:
-            fn = SUITES[name]
-            targets = fields[:1] if name in _GLOBAL_SUITES else fields
-            for fld in targets:
-                label = f"{name}[q={fld.q}]" if name not in _GLOBAL_SUITES else name
-                try:
-                    detail = fn(cfg, fld)
-                    print(f"PASS {label}: {detail}")
-                except AssertionError as exc:
-                    print(f"FAIL {label}: {exc}")
-                    failures += 1
-        return EXIT_FAILURE if failures else EXIT_OK
-    except BudgetError as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    if cfg.suite is not None and cfg.suite not in SUITES:
+        raise PreconditionError(
+            f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}"
+        )
+    fields = [cfg.field()] if (cfg.p, cfg.k) != (2, 1) or cfg.suite else None
+    if fields is None:
+        fields = [make_field(2, 1), make_field(3, 1)]
+    names = [cfg.suite] if cfg.suite else list(SUITES)
+    failures = 0
+    for name in names:
+        fn = SUITES[name]
+        targets = fields[:1] if name in _GLOBAL_SUITES else fields
+        for fld in targets:
+            label = f"{name}[q={fld.q}]" if name not in _GLOBAL_SUITES else name
+            try:
+                detail = fn(cfg, fld)
+                print(f"PASS {label}: {detail}")
+            except AssertionError as exc:
+                print(f"FAIL {label}: {exc}")
+                failures += 1
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
     sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("verify", help="run the exact-identity verification suites")
     add_field_args(sp)
@@ -607,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
     sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("cache", help="build or validate the irreducible sieve file")
     add_field_args(sp)
@@ -646,7 +604,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": cmd_sweep,
         "cache": cmd_cache,
     }
-    return commands[args.command](cfg)
+    try:
+        return commands[args.command](cfg)
+    except Exception as exc:
+        for kind, prefix, code in ERROR_EXITS:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}" if str(exc) else prefix, file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .arith import FactorIndex, SieveCache
 from .errors import BudgetError, PreconditionError, SmoothWindowError
 from .fields import FieldSpec
 from .polys import DEFAULT_ENUM_BUDGET, Poly, monic_from_index, t_power
-from .characters import DirichletChar, even_characters, unit_group_basis
+from .characters import DirichletChar, character_sums, unit_group_basis
 from .tables import ArithTables, get_tables, mul_monic_batch, reduce_monic_mod
 
 
@@ -187,15 +187,8 @@ def weighted_char_sum(
     if tables is None:
         tables = get_tables(field, n_total)
     weights = _residue_weight_vector(field, f, basis.modulus, n_total, tables)
-    L = basis.exponent
-    roots = np.exp(2j * np.pi * np.arange(L) / L)
-    scaled = basis.scaled_exponents(chi.exponents)
-    if len(scaled):
-        rot = (basis.dlog_matrix @ scaled) % L
-    else:
-        rot = np.zeros(basis.phi, dtype=np.int64)
-    values = roots[rot]
-    return complex(values @ weights[basis.unit_codes].astype(np.complex128))
+    row = np.ravel_multi_index(chi.exponents, basis.orders)
+    return complex(character_sums(basis, weights)[row])
 
 
 def variance_charside(
@@ -221,10 +214,8 @@ def variance_charside(
     modulus = t_power(field, n - h)
     basis = unit_group_basis(field, modulus)
     weights = _residue_weight_vector(field, f, modulus, n, tables)
-    V = basis.value_matrix("even")
-    sums = V @ weights[basis.unit_codes].astype(np.complex128)
-    phi_even = V.shape[0]
-    return float(np.sum(sums.real**2 + sums.imag**2)) / phi_even**2
+    sums = character_sums(basis, weights, even_only=True)
+    return float(np.sum(sums.real**2 + sums.imag**2)) / len(sums) ** 2
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ from ffvar.arith import euler_phi, sieve_irreducibles
 from ffvar.characters import (
     DirichletChar,
     character_rotation_matrix,
+    character_sums,
     character_value_matrix,
     count_even,
     enumerate_characters,
     even_characters,
+    even_mask,
     principal_character,
     rotation_multiset_cancels,
     unit_group_basis,
@@ -163,12 +165,14 @@ def test_even_characters_ignore_constant_scaling(f3):
 
 
 def test_totient_formulas_for_t_powers():
-    for q in (2, 3, 4):
-        fld = make_field(2, 2) if q == 4 else make_field(q)
-        for m in range(1, 5):
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        p, k = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4)}.get(q, (q, 1))
+        fld = make_field(p, k)
+        m_max = 4 if q <= 4 else 3 if q == 5 else 2
+        for m in range(1, m_max + 1):
             basis = unit_group_basis(fld, t_power(fld, m))
             assert basis.phi == q ** (m - 1) * (q - 1)
-            assert count_even(basis) == q ** (m - 1)
+            assert count_even(basis) == q ** (m - 1), (q, m)
 
 
 # -- orthogonality ------------------------------------------------------------------
@@ -214,7 +218,56 @@ def test_even_value_matrix_shape(f3):
     basis = unit_group_basis(f3, t_power(f3, 3))
     assert basis.value_matrix("all").shape == (basis.phi, basis.phi)
     assert basis.value_matrix("even").shape == (count_even(basis), basis.phi)
-    assert basis.value_matrix("even") is basis.value_matrix("even")  # cached
+    assert np.array_equal(basis.value_matrix("even"), basis.value_matrix("all")[even_mask(basis)])
+
+
+# -- the FFT character-sum primitive against the dense reference ----------------
+
+FIELDS_UP_TO_9 = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+
+
+def _moduli(fld):
+    """t^m for small m, plus two moduli coprime to t."""
+    q = fld.q
+    out = [t_power(fld, m) for m in range(1, 4 if q <= 5 else 3)]
+    out.append(from_coeffs(fld, [1, 1, 1]))  # t^2 + t + 1
+    out.append(from_coeffs(fld, [1, 1]) ** 2)  # (t + 1)^2
+    return out
+
+
+@pytest.mark.parametrize("p,k", FIELDS_UP_TO_9)
+@pytest.mark.parametrize("kind", ["all", "even"])
+def test_character_sums_match_dense_value_matrix(p, k, kind):
+    fld = make_field(p, k)
+    rng = np.random.default_rng(fld.q)
+    for modulus in _moduli(fld):
+        basis = unit_group_basis(fld, modulus)
+        weights = rng.normal(size=fld.q**modulus.degree) + 1j * rng.normal(
+            size=fld.q**modulus.degree
+        )
+        V = basis.value_matrix(kind)
+        for power in (1, 2, 3):
+            got = character_sums(basis, weights, even_only=kind == "even", power=power)
+            want = V**power @ weights[basis.unit_codes]
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * basis.phi), (modulus, power)
+
+
+def test_character_sums_trivial_group(f2):
+    basis = unit_group_basis(f2, t_power(f2, 1))  # (F_2[t]/t)^* = {1}
+    assert basis.orders == () and basis.phi == 1
+    weights = np.array([5, -3])
+    assert list(character_sums(basis, weights)) == [-3]
+    assert list(character_sums(basis, weights, even_only=True, power=4)) == [-3]
+    assert list(even_mask(basis)) == [True]
+
+
+@pytest.mark.parametrize("p,k", FIELDS_UP_TO_9)
+def test_even_mask_matches_is_even(p, k):
+    fld = make_field(p, k)
+    for modulus in _moduli(fld):
+        basis = unit_group_basis(fld, modulus)
+        expected = [chi.is_even for chi in enumerate_characters(basis)]
+        assert even_mask(basis).tolist() == expected
 
 
 # -- the exact cancellation predicate ---------------------------------------------

@@ -70,11 +70,26 @@ def test_variance_budget_exit(capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_variance_out_file_and_threads_are_byte_identical(tmp_path):
+def test_variance_out_file_repeat_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["variance", "--N", "2:6", "--h", "0:2", "--out", str(a)]) == EXIT_OK
-    assert main(["variance", "--N", "2:6", "--h", "0:2", "--threads", "3", "--out", str(b)]) == EXIT_OK
+    assert main(["variance", "--N", "2:6", "--h", "0:2", "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_variance_unwritable_out_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["variance", "--N", "3", "--h", "1", "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("io: ")
+
+
+def test_variance_memory_error_exits_four(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. GiB")
+
+    monkeypatch.setattr(ffvar.variance, "variance_charside", exhausted)
+    assert main(["variance", "--N", "3", "--h", "1"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget: out of memory: Unable to allocate 512. GiB\n"
 
 
 def test_variance_json_types(capsys):
