@@ -3,8 +3,9 @@
 The unit group of F_q[t]/(Q) is decomposed into a direct product of cyclic
 subgroups by the greedy lift: repeatedly take an element of maximal order in
 the current quotient, adjust it by a word in the existing generators so its
-lift has that exact order, and extend the discrete-log table. Characters are
-then exponent vectors; values are rotation numbers (exact Fractions k/L with
+lift has that exact order, and extend the discrete-log table; each step runs on
+whole arrays of residue codes through an F_p-bilinear ring kernel. Characters
+are then exponent vectors; values are rotation numbers (exact Fractions k/L with
 L the group exponent), so orthogonality sums can be tested for exact
 cancellation without touching floats. Bulk character sums go through
 character_sums: one DFT over the unit group gives every character at once.
@@ -21,84 +22,72 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arith import factor, sieve_irreducibles
 from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec
-from .polys import Poly, poly_gcd
+from .polys import Poly, t_power
+from .tables import t_power_residues
 
 RotationNumber = Fraction
 
 DEFAULT_UNIT_BUDGET = 1 << 20
+# cap on the float64 scratch of one kernel chunk: the (rows, n^2) outer products
+_SCRATCH_BYTES = 1 << 17
 
 
-def _code_to_poly(field: FieldSpec, m: int, code: int) -> Poly:
-    q = field.q
-    coeffs = []
-    for _ in range(m):
-        coeffs.append(code % q)
-        code //= q
-    return Poly(field, tuple(coeffs))
+class _RingKernel:
+    """Batch multiplication on residue codes mod a monic Q of degree m.
 
-
-class _ResidueRing:
-    """Scalar arithmetic on residue codes mod a monic Q, via pure-python
-    table rows (fast enough for basis extraction; bulk work is numpy)."""
+    The base-p digits of a residue code are its n = k*m coordinates over F_p
+    (digit j*k + i is the x^i part of the t^j coefficient, x generating F_q
+    over F_p), and multiplication in F_q[t]/Q is F_p-bilinear. With T the
+    (n^2, n) structure tensor, row (i, j) holding the coordinates of
+    e_i * e_j, a batch product is ((a outer b) @ T) mod p. Every entry of the
+    matmul is an integer below n^2 p^2, so float64 computes it exactly."""
 
     def __init__(self, field: FieldSpec, modulus: Poly):
-        self.field = field
-        self.modulus = modulus
-        self.m = modulus.degree
-        q = field.q
-        # coefficient rows of t^j mod Q for j = m .. 2m-2
-        self.red: list[tuple[int, ...]] = []
-        for j in range(self.m, 2 * self.m - 1):
-            r = Poly(field, (0,) * j + (1,)) % modulus
-            self.red.append(tuple(r.coeff(i) for i in range(self.m)))
-        self.qpow = [q**i for i in range(self.m)]
+        p, k, m = field.p, field.k, modulus.degree
+        n = k * m
+        self.p, self.place = p, p ** np.arange(n, dtype=np.int64)
+        # prod[j1, i1, j2, i2] = coefficients of x^(i1+i2) t^(j1+j2) mod Q
+        tmod = t_power_residues(field, modulus, 2 * m - 2)
+        xpow = p ** np.arange(k)
+        scal = field.mul_table[xpow[:, None], xpow[None, :]]
+        rows = tmod[np.add.outer(np.arange(m), np.arange(m))]
+        prod = field.mul_table[scal[None, :, None, :, None], rows[:, None, :, None, :]]
+        self.T = ((prod[..., None] // xpow) % p).reshape(n * n, n).astype(np.float64)
+        self.chunk = max(1, _SCRATCH_BYTES // (8 * n * n))
 
-    def _digits(self, code: int) -> list[int]:
-        q = self.field.q
-        out = []
-        for _ in range(self.m):
-            out.append(code % q)
-            code //= q
+    def coords(self, codes: np.ndarray) -> np.ndarray:
+        return (codes[:, None] // self.place % self.p).astype(np.float64)
+
+    def mul(self, a, b) -> np.ndarray:
+        """Codes of a*b, elementwise; a length-1 operand is broadcast."""
+        a, b = np.atleast_1d(a), np.atleast_1d(b)
+        out = np.empty(max(len(a), len(b)), dtype=np.int64)
+        for start in range(0, len(out), self.chunk):
+            part = slice(start, start + self.chunk)
+            ca = self.coords(a[part] if len(a) > 1 else a)
+            cb = self.coords(b[part] if len(b) > 1 else b)
+            outer = (ca[:, :, None] * cb[:, None, :]).reshape(-1, len(self.T))
+            out[part] = ((outer @ self.T) % self.p).astype(np.int64) @ self.place
         return out
-
-    def mul(self, a: int, b: int) -> int:
-        f = self.field
-        add_rows, mul_rows = f.add_rows, f.mul_rows
-        m = self.m
-        da, db = self._digits(a), self._digits(b)
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                row = mul_rows[ai]
-                for j, bj in enumerate(db):
-                    if bj:
-                        conv[i + j] = add_rows[conv[i + j]][row[bj]]
-        acc = conv[:m]
-        for j in range(m, 2 * m - 1):
-            c = conv[j]
-            if c:
-                crow = mul_rows[c]
-                red = self.red[j - m]
-                acc = [
-                    add_rows[acc[i]][crow[red[i]]] if red[i] else acc[i]
-                    for i in range(m)
-                ]
-        return sum(d * p for d, p in zip(acc, self.qpow))
 
     def pow(self, a: int, e: int) -> int:
-        out = 1
+        out, base = np.ones(1, dtype=np.int64), np.array([a], dtype=np.int64)
         while e:
             if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
+                out = self.mul(out, base)
+            base = self.mul(base, base)
             e >>= 1
-        return out
+        return int(out[0])
 
 
 class UnitGroupBasis:
-    """Direct-product decomposition of (F_q[t]/Q)^* with discrete logs."""
+    """Direct-product decomposition of (F_q[t]/Q)^* with discrete logs:
+    row i of dlog_matrix is the exponent vector of unit_codes[i] over the
+    generators, and code_to_index maps a residue code to its row (-1 for a
+    non-unit)."""
 
     def __init__(
         self,
@@ -107,8 +96,7 @@ class UnitGroupBasis:
         generators: tuple[int, ...],
         orders: tuple[int, ...],
         unit_codes: np.ndarray,
-        dlog: dict[int, tuple[int, ...]],
-        ring: _ResidueRing,
+        dlog_matrix: np.ndarray,
     ):
         self.field = field
         self.modulus = modulus
@@ -116,13 +104,7 @@ class UnitGroupBasis:
         self.orders = orders
         self.exponent = math.lcm(*orders) if orders else 1
         self.unit_codes = unit_codes
-        self.dlog = dlog
-        self._ring = ring
-        # dlog rows aligned with unit_codes; rotation numerator of chi at a
-        # unit is dot(scaled exponents, row) mod exponent
-        self.dlog_matrix = np.array(
-            [dlog[int(c)] for c in unit_codes], dtype=np.int64
-        ).reshape(len(unit_codes), len(generators))
+        self.dlog_matrix = dlog_matrix
         self.code_to_index = np.full(field.q**modulus.degree, -1, dtype=np.int64)
         self.code_to_index[unit_codes] = np.arange(len(unit_codes))
 
@@ -152,6 +134,21 @@ class UnitGroupBasis:
 _BASIS_CACHE: dict[tuple[FieldSpec, Poly], UnitGroupBasis] = {}
 
 
+def _unit_codes(field: FieldSpec, modulus: Poly, ring: _RingKernel) -> np.ndarray:
+    """Ascending residue codes coprime to Q: clear the multiples P*M
+    (deg M < m - deg P) of each irreducible P | Q of degree below m."""
+    q, m = field.q, modulus.degree
+    codes = np.arange(q**m, dtype=np.int64)
+    if modulus == t_power(field, m):
+        return codes[codes % q != 0]
+    unit = codes != 0
+    for P, _ in factor(modulus, sieve_irreducibles(field, max(1, m // 2))):
+        if P.degree < m:
+            p_code = sum(c * q**j for j, c in enumerate(P.coeffs))
+            unit[ring.mul(p_code, codes[: q ** (m - P.degree)])] = False
+    return codes[unit]
+
+
 def unit_group_basis(
     field: FieldSpec, modulus: Poly, *, budget: int = DEFAULT_UNIT_BUDGET
 ) -> UnitGroupBasis:
@@ -165,47 +162,50 @@ def unit_group_basis(
     q, m = field.q, modulus.degree
     if q**m > budget:
         raise BudgetError(f"residue ring size q^{m} = {q**m} exceeds budget {budget}")
-    ring = _ResidueRing(field, modulus)
-    units = [
-        c
-        for c in range(q**m)
-        if c and poly_gcd(_code_to_poly(field, m, c), modulus).degree == 0
-    ]
-    phi = len(units)
+    ring = _RingKernel(field, modulus)
+    units = _unit_codes(field, modulus, ring)
 
-    dlog: dict[int, tuple[int, ...]] = {1: ()}
+    # the span of the generators so far: its codes, their discrete logs, and
+    # pos[code] = row of code in span (-1 outside the span)
+    span = np.ones(1, dtype=np.int64)
+    logs = np.zeros((1, 0), dtype=np.int64)
+    pos = np.full(q**m, -1, dtype=np.int64)
+    pos[1] = 0
     generators: list[int] = []
     orders: list[int] = []
-    while len(dlog) < phi:
-        # element of maximal order in the quotient by the current span
-        best_u, best_e = 0, 0
-        for u in units:
-            if u in dlog:
-                continue
-            w, e = u, 1
-            while w not in dlog:
-                w = ring.mul(w, u)
-                e += 1
-            if e > best_e:
-                best_u, best_e = u, e
-        e = best_e
+    while len(span) < len(units):
+        # element of maximal order in the quotient by the current span: step
+        # w <- w*u for every candidate u at once; u drops out when w lands in
+        # the span, and argmax keeps the first (smallest) u of maximal order
+        cand = units[pos[units] < 0]
+        order = np.zeros(len(cand), dtype=np.int64)
+        alive = np.arange(len(cand))
+        w, e = cand, 1
+        while len(alive):
+            w = ring.mul(w, cand[alive])
+            e += 1
+            landed = pos[w] >= 0
+            order[alive[landed]] = e
+            alive, w = alive[~landed], w[~landed]
+        best = int(np.argmax(order))
+        u, e = int(cand[best]), int(order[best])
         # adjust so the lift has order exactly e: u^e lies in the span with
         # discrete log divisible by e (the span stays a direct summand)
-        xs = dlog[ring.pow(best_u, e)]
-        y = best_u
-        for g, o, x in zip(generators, orders, xs):
+        y = u
+        for g, o, x in zip(generators, orders, logs[pos[ring.pow(u, e)]].tolist()):
             assert x % e == 0, "span lost purity; basis invariant broken"
-            y = ring.mul(y, ring.pow(g, (o - x // e) % o))
+            y = int(ring.mul(y, ring.pow(g, (o - x // e) % o))[0])
         assert ring.pow(y, e) == 1
-        new_dlog: dict[int, tuple[int, ...]] = {}
-        ypow = 1
+        blocks, ypow = [], 1
         for j in range(e):
-            for code, vec in dlog.items():
-                new_dlog[ring.mul(code, ypow)] = vec + (j,)
-            ypow = ring.mul(ypow, y)
-        if len(new_dlog) != len(dlog) * e:
+            blocks.append(ring.mul(span, ypow))
+            ypow = int(ring.mul(ypow, y)[0])
+        span = np.concatenate(blocks)
+        logs = np.column_stack((np.tile(logs, (e, 1)), np.arange(e).repeat(len(logs))))
+        # two rows with one code cannot both point back at themselves
+        pos[span] = np.arange(len(span))
+        if not np.array_equal(pos[span], np.arange(len(span))):
             raise AssertionError("span extension collided; basis invariant broken")
-        dlog = new_dlog
         generators.append(y)
         orders.append(e)
 
@@ -214,9 +214,8 @@ def unit_group_basis(
         modulus=modulus,
         generators=tuple(generators),
         orders=tuple(orders),
-        unit_codes=np.array(units, dtype=np.int64),
-        dlog=dlog,
-        ring=ring,
+        unit_codes=units,
+        dlog_matrix=logs[pos[units]],
     )
     _BASIS_CACHE[key] = basis
     return basis
@@ -246,14 +245,12 @@ class DirichletChar:
     def rotation_numerator(self, code: int) -> int:
         """k such that chi(unit) = exp(2*pi*i*k/L); unit given by residue code."""
         basis = self.basis
-        vec = basis.dlog.get(code)
-        if vec is None:
+        index = basis.code_to_index[code] if 0 <= code < len(basis.code_to_index) else -1
+        if index < 0:
             raise PreconditionError(f"residue code {code} is not a unit")
         L = basis.exponent
-        total = 0
-        for e, o, x in zip(self.exponents, basis.orders, vec):
-            total += e * (L // o) * x
-        return total % L
+        vec = basis.dlog_matrix[index].tolist()
+        return sum(e * (L // o) * x for e, o, x in zip(self.exponents, basis.orders, vec)) % L
 
     def evaluate(self, f: Poly) -> RotationNumber | None:
         """Rotation number of chi(f), or None when gcd(f, Q) != 1 (chi = 0)."""

@@ -30,16 +30,6 @@ DEFAULT_TABLE_BUDGET = 1 << 22
 _CHUNK = 1 << 15
 
 
-def _poly_coeffs_from_mantissa(field: FieldSpec, d: int, u: int) -> tuple[int, ...]:
-    q = field.q
-    out = []
-    for _ in range(d):
-        out.append(u % q)
-        u //= q
-    out.append(1)
-    return tuple(out)
-
-
 def monic_digit_matrix(field: FieldSpec, n: int, us: np.ndarray) -> np.ndarray:
     """(len(us), n+1) uint8 matrix of coefficient codes, leading 1 included."""
     q = field.q
@@ -119,7 +109,7 @@ def build_tables(
             lower_mf = mfd[m - d]
             md = m - d
             for up in irr[d]:
-                pc = _poly_coeffs_from_mantissa(field, d, int(up))
+                pc = monic_from_index(field, d, int(up)).coeffs
                 for start in range(0, q**md, _CHUNK):
                     us = np.arange(start, min(start + _CHUNK, q**md), dtype=np.int64)
                     codes = mul_monic_batch(field, pc, md, us)
@@ -166,6 +156,25 @@ def get_tables(
     return cached
 
 
+_TMOD_CACHE: dict[tuple[FieldSpec, Poly], np.ndarray] = {}
+
+
+def t_power_residues(field: FieldSpec, modulus: Poly, n: int) -> np.ndarray:
+    """(n+1, deg Q) uint8 coefficient codes of t^j mod Q for j = 0..n, read
+    from one table per (field, Q) that grows on demand."""
+    key = (field, modulus)
+    table = _TMOD_CACHE.get(key, np.eye(1, modulus.degree, dtype=np.uint8))
+    if len(table) <= n:
+        # t * r = (r shifted up) - r[m-1] * (Q - t^m) mod Q
+        neg_low = field.neg_table[np.array(modulus.coeffs[:-1], dtype=np.uint8)]
+        rows = list(table)
+        while len(rows) <= n:
+            shifted = np.concatenate((np.zeros(1, dtype=np.uint8), rows[-1][:-1]))
+            rows.append(field.add_table[shifted, field.mul_table[rows[-1][-1], neg_low]])
+        table = _TMOD_CACHE[key] = np.stack(rows)
+    return table[: n + 1]
+
+
 def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) -> np.ndarray:
     """Residue codes (mantissa-style integers in [0, q^deg(modulus))) of the
     monic degree-n polynomials with mantissas `us`, reduced mod `modulus`."""
@@ -179,13 +188,7 @@ def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) ->
             return us % q**m
         return us + q**n
     # general modulus: residue = sum_j c_j * (t^j mod Q), via per-digit tables
-    tmod: list[np.ndarray] = []
-    for j in range(n + 1):
-        r = t_power(field, j) % modulus
-        row = np.zeros(m, dtype=np.uint8)
-        for i, c in enumerate(r.coeffs):
-            row[i] = c
-        tmod.append(row)
+    tmod = t_power_residues(field, modulus, n)
     acc = np.broadcast_to(tmod[n], (len(us), m)).copy()
     add_t, mul_t = field.add_table, field.mul_table
     shifted = us.copy()

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffvar.arith import euler_phi, sieve_irreducibles
 from ffvar.characters import (
@@ -71,7 +74,109 @@ def test_order_chain_and_phi(f2, f3, f4):
         # invariant-factor chain: each order divides the previous one
         for a, b in zip(basis.orders, basis.orders[1:]):
             assert a % b == 0
-        assert len(basis.dlog) == basis.phi
+        # one discrete-log row per unit, and no two units share a row
+        assert basis.dlog_matrix.shape == (basis.phi, len(basis.orders))
+        assert len({tuple(row) for row in basis.dlog_matrix.tolist()}) == basis.phi
+
+
+# (q, modulus coefficients, generators, orders) recorded from the scalar
+# greedy basis this package used before the batched kernel; the kernel must
+# reproduce the same greedy choices, tie-breaks included
+PINNED_BASES = [
+    (2, [0] * 10 + [1], (3, 409, 865, 929, 481), (16, 4, 2, 2, 2)),
+    (2, [0] * 11 + [1], (3, 409, 2041, 1217, 961), (16, 4, 4, 2, 2)),
+    (2, [0] * 12 + [1], (3, 2457, 4089, 1217, 3009, 3457), (16, 4, 4, 2, 2, 2)),
+    (3, [0] * 5 + [1], (5, 46, 10), (18, 3, 3)),
+    (3, [0] * 6 + [1], (5, 532, 10, 721), (18, 3, 3, 3)),
+    (3, [0] * 7 + [1], (5, 4, 892, 1135), (18, 9, 3, 3)),
+    (3, [1, 0, 1], (4,), (8,)),  # t^2 + 1, irreducible
+    (3, [1, 0, 1, 0, 1], (3, 17), (6, 6)),  # (t+1)^2 (t+2)^2
+    (3, [0, 0, 1, 0, 1], (4, 2), (24, 2)),  # t^2 (t^2 + 1)
+    (4, [1, 1, 1, 1], (6, 4), (12, 4)),  # (t+1)^3
+    (4, [2, 3, 0, 1], (4, 2), (15, 3)),
+    (5, [2, 1, 2, 1], (5, 45), (20, 4)),  # (t+2)^2 (t+3)
+    (5, [1, 2, 0, 1], (6,), (124,)),  # irreducible cubic
+]
+PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+                9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4)}
+
+
+@pytest.mark.parametrize("q,coeffs,generators,orders", PINNED_BASES)
+def test_basis_matches_pinned_greedy_choices(q, coeffs, generators, orders):
+    fld = make_field(*PRIME_POWERS[q])
+    basis = unit_group_basis(fld, from_coeffs(fld, coeffs))
+    assert basis.generators == generators
+    assert basis.orders == orders
+
+
+def _primary_parts(orders):
+    """Multiset of the prime-power factors of each cyclic order."""
+    out = Counter()
+    for o in orders:
+        d = 2
+        while o > 1:
+            part = 1
+            while o % d == 0:
+                o //= d
+                part *= d
+            if part > 1:
+                out[part] += 1
+            d += 1
+    return out
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWERS))
+def test_t_power_unit_group_structure(q):
+    """(F_q[t]/t^m)^* = F_q^* x prod over 1 <= j < m, p not dividing j, of
+    (Z/p^e_j)^k, with e_j the least e such that j p^e >= m: the structure of
+    the principal units of F_q[[t]] modulo t^m."""
+    p, k = PRIME_POWERS[q]
+    fld = make_field(p, k)
+    m_max = max(m for m in range(1, 13) if q**m <= 4096)
+    for m in range(1, m_max + 1):
+        expected = _primary_parts([q - 1])
+        for j in range(1, m):
+            if j % p:
+                e = 0
+                while j * p**e < m:
+                    e += 1
+                expected[p**e] += k
+        got = _primary_parts(unit_group_basis(fld, t_power(fld, m)).orders)
+        assert got == expected, (q, m)
+
+
+def _pow_mod(f, e, modulus):
+    out = from_coeffs(f.field, [1]) % modulus
+    while e:
+        if e & 1:
+            out = (out * f) % modulus
+        f = (f * f) % modulus
+        e >>= 1
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PRIME_POWERS)), st.data())
+def test_dlog_is_a_homomorphism_by_poly_arithmetic(q, data):
+    """dlog(a b) = dlog(a) + dlog(b) mod orders, and a = prod g_i^dlog_i(a),
+    with every product taken by Poly multiplication mod Q (not the kernel)."""
+    fld = make_field(*PRIME_POWERS[q])
+    m = data.draw(st.integers(1, 3 if q <= 13 else 2), label="m")
+    lower = data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m), label="Q")
+    modulus = from_coeffs(fld, lower + [1])
+    basis = unit_group_basis(fld, modulus)
+    i = data.draw(st.integers(0, basis.phi - 1), label="a")
+    j = data.draw(st.integers(0, basis.phi - 1), label="b")
+    a, b = (_code_poly(fld, m, int(basis.unit_codes[x])) for x in (i, j))
+    ab = basis.code_to_index[basis.residue_code(a * b)]
+    assert ab >= 0
+    orders = np.array(basis.orders, dtype=np.int64)
+    want = (basis.dlog_matrix[i] + basis.dlog_matrix[j]) % orders
+    assert basis.dlog_matrix[ab].tolist() == want.tolist()
+    word = from_coeffs(fld, [1]) % modulus
+    for g, x in zip(basis.generators, basis.dlog_matrix[i].tolist()):
+        word = (word * _pow_mod(_code_poly(fld, m, g), x, modulus)) % modulus
+    assert word == a
 
 
 def test_basis_is_cached(f2):

@@ -13,6 +13,7 @@ from ffvar.tables import (
     monic_digit_matrix,
     mul_monic_batch,
     reduce_monic_mod,
+    t_power_residues,
 )
 
 # -- independent oracle: factor everything by naive trial division ------------
@@ -163,6 +164,17 @@ def test_reduce_monic_mod_general_modulus(f2, f3):
             for u in us:
                 f = monic_from_index(fld, n, int(u))
                 assert int(got[u]) == _residue_code(f % modulus, q)
+
+
+def test_t_power_residues_grow_on_demand(f2, f3, f4):
+    for fld, coeffs in ((f2, [1, 1, 0, 1]), (f3, [2, 0, 1]), (f4, [3, 1, 2, 1]), (f2, [0, 0, 1])):
+        modulus = from_coeffs(fld, coeffs)
+        short = t_power_residues(fld, modulus, 2)
+        grown = t_power_residues(fld, modulus, 9)
+        assert short.shape == (3, modulus.degree) and grown.shape == (10, modulus.degree)
+        assert np.array_equal(grown[:3], short)
+        for j, row in enumerate(grown):
+            assert row.tolist() == [(t_power(fld, j) % modulus).coeff(i) for i in range(modulus.degree)]
 
 
 # -- caching -------------------------------------------------------------------
