@@ -4,7 +4,7 @@ The unit group of F_q[t]/(Q) is decomposed into a direct product of cyclic
 subgroups by the greedy lift: repeatedly take an element of maximal order in
 the current quotient, adjust it by a word in the existing generators so its
 lift has that exact order, and extend the discrete-log table; each step runs on
-whole arrays of residue codes through an F_p-bilinear ring kernel. Characters
+whole arrays of residue codes through tables.ResidueRing. Characters
 are then exponent vectors; values are rotation numbers (exact Fractions k/L with
 L the group exponent), so orthogonality sums can be tested for exact
 cancellation without touching floats. Bulk character sums go through
@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,61 +27,11 @@ from .arith import factor, sieve_irreducibles
 from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec
 from .polys import Poly, t_power
-from .tables import t_power_residues
+from .tables import residue_ring
 
 RotationNumber = Fraction
 
 DEFAULT_UNIT_BUDGET = 1 << 20
-# cap on the float64 scratch of one kernel chunk: the (rows, n^2) outer products
-_SCRATCH_BYTES = 1 << 17
-
-
-class _RingKernel:
-    """Batch multiplication on residue codes mod a monic Q of degree m.
-
-    The base-p digits of a residue code are its n = k*m coordinates over F_p
-    (digit j*k + i is the x^i part of the t^j coefficient, x generating F_q
-    over F_p), and multiplication in F_q[t]/Q is F_p-bilinear. With T the
-    (n^2, n) structure tensor, row (i, j) holding the coordinates of
-    e_i * e_j, a batch product is ((a outer b) @ T) mod p. Every entry of the
-    matmul is an integer below n^2 p^2, so float64 computes it exactly."""
-
-    def __init__(self, field: FieldSpec, modulus: Poly):
-        p, k, m = field.p, field.k, modulus.degree
-        n = k * m
-        self.p, self.place = p, p ** np.arange(n, dtype=np.int64)
-        # prod[j1, i1, j2, i2] = coefficients of x^(i1+i2) t^(j1+j2) mod Q
-        tmod = t_power_residues(field, modulus, 2 * m - 2)
-        xpow = p ** np.arange(k)
-        scal = field.mul_table[xpow[:, None], xpow[None, :]]
-        rows = tmod[np.add.outer(np.arange(m), np.arange(m))]
-        prod = field.mul_table[scal[None, :, None, :, None], rows[:, None, :, None, :]]
-        self.T = ((prod[..., None] // xpow) % p).reshape(n * n, n).astype(np.float64)
-        self.chunk = max(1, _SCRATCH_BYTES // (8 * n * n))
-
-    def coords(self, codes: np.ndarray) -> np.ndarray:
-        return (codes[:, None] // self.place % self.p).astype(np.float64)
-
-    def mul(self, a, b) -> np.ndarray:
-        """Codes of a*b, elementwise; a length-1 operand is broadcast."""
-        a, b = np.atleast_1d(a), np.atleast_1d(b)
-        out = np.empty(max(len(a), len(b)), dtype=np.int64)
-        for start in range(0, len(out), self.chunk):
-            part = slice(start, start + self.chunk)
-            ca = self.coords(a[part] if len(a) > 1 else a)
-            cb = self.coords(b[part] if len(b) > 1 else b)
-            outer = (ca[:, :, None] * cb[:, None, :]).reshape(-1, len(self.T))
-            out[part] = ((outer @ self.T) % self.p).astype(np.int64) @ self.place
-        return out
-
-    def pow(self, a: int, e: int) -> int:
-        out, base = np.ones(1, dtype=np.int64), np.array([a], dtype=np.int64)
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return int(out[0])
 
 
 class UnitGroupBasis:
@@ -131,17 +82,14 @@ class UnitGroupBasis:
         return character_value_matrix(self, chars)
 
 
-_BASIS_CACHE: dict[tuple[FieldSpec, Poly], UnitGroupBasis] = {}
-
-
-def _unit_codes(field: FieldSpec, modulus: Poly, ring: _RingKernel) -> np.ndarray:
+def _unit_codes(field: FieldSpec, modulus: Poly) -> np.ndarray:
     """Ascending residue codes coprime to Q: clear the multiples P*M
     (deg M < m - deg P) of each irreducible P | Q of degree below m."""
     q, m = field.q, modulus.degree
     codes = np.arange(q**m, dtype=np.int64)
     if modulus == t_power(field, m):
         return codes[codes % q != 0]
-    unit = codes != 0
+    unit, ring = codes != 0, residue_ring(field, modulus)
     for P, _ in factor(modulus, sieve_irreducibles(field, max(1, m // 2))):
         if P.degree < m:
             p_code = sum(c * q**j for j, c in enumerate(P.coeffs))
@@ -154,22 +102,21 @@ def unit_group_basis(
 ) -> UnitGroupBasis:
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
-    key = (field, modulus)
-    cached = _BASIS_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     q, m = field.q, modulus.degree
     if q**m > budget:
         raise BudgetError(f"residue ring size q^{m} = {q**m} exceeds budget {budget}")
-    ring = _RingKernel(field, modulus)
-    units = _unit_codes(field, modulus, ring)
+    return _greedy_basis(field, modulus)
+
+
+@cache
+def _greedy_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
+    ring, units = residue_ring(field, modulus), _unit_codes(field, modulus)
 
     # the span of the generators so far: its codes, their discrete logs, and
     # pos[code] = row of code in span (-1 outside the span)
     span = np.ones(1, dtype=np.int64)
     logs = np.zeros((1, 0), dtype=np.int64)
-    pos = np.full(q**m, -1, dtype=np.int64)
+    pos = np.full(field.q**modulus.degree, -1, dtype=np.int64)
     pos[1] = 0
     generators: list[int] = []
     orders: list[int] = []
@@ -209,7 +156,7 @@ def unit_group_basis(
         generators.append(y)
         orders.append(e)
 
-    basis = UnitGroupBasis(
+    return UnitGroupBasis(
         field=field,
         modulus=modulus,
         generators=tuple(generators),
@@ -217,8 +164,6 @@ def unit_group_basis(
         unit_codes=units,
         dlog_matrix=logs[pos[units]],
     )
-    _BASIS_CACHE[key] = basis
-    return basis
 
 
 @dataclass(frozen=True, eq=False)

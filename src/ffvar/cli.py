@@ -149,8 +149,6 @@ def cmd_variance(cfg: RunConfig) -> int:
     fld = cfg.field()
     if not cfg.n_values or not cfg.h_values:
         raise PreconditionError("variance needs --N and --h")
-    if cfg.mode not in ("direct", "character", "both"):
-        raise PreconditionError(f"unknown mode {cfg.mode!r}")
     if cfg.tolerance <= 0:
         raise PreconditionError("tolerance must be > 0")
     handle = variance.get_function(cfg.function)
@@ -164,19 +162,10 @@ def cmd_variance(cfg: RunConfig) -> int:
     if not pairs:
         need = "0 <= h <= N-2" if cfg.mode == "character" else "0 <= h < N"
         raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
-
-    def one(pair: tuple[int, int]):
-        n, h = pair
-        direct = charside = None
-        if cfg.mode in ("direct", "both"):
-            direct = variance.variance_direct(fld, handle, n, h, budget=cfg.budget)
-        if cfg.mode in ("character", "both") and h <= n - 2:
-            charside = variance.variance_charside(fld, handle, n, h, budget=cfg.budget)
-        return variance.VarianceReport(
-            q=fld.q, n=n, h=h, function=handle.name, direct=direct, charside=charside
-        )
-
-    reports = [one(p) for p in pairs]
+    reports = [
+        variance.variance_report(fld, handle, n, h, budget=cfg.budget, mode=cfg.mode)
+        for n, h in pairs
+    ]
     rows = [
         (
             rep.q,
@@ -540,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", required=True, help="degree or inclusive range a:b")
     sp.add_argument("--h", required=True, help="interval parameter or range a:b")
     sp.add_argument("--function", default="liouville", choices=sorted(variance.FUNCTIONS))
-    sp.add_argument("--mode", default="both", choices=["direct", "character", "both"])
+    sp.add_argument("--mode", default="both", choices=variance.MODES)
     sp.add_argument("--tolerance", type=float, default=1e-6)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])

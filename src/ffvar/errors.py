@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Each maps to a CLI exit code: precondition violations exit 2, identity gaps
-exit 3, budget refusals exit 4, everything else that fails exits 1.
+cli.main maps each to an exit code: precondition violations exit 2, budget
+refusals exit 4, a corrupt sieve cache exits 1. Exit 3 (a variance gap beyond
+tolerance) is not an exception: cmd_variance returns it.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ class PreconditionError(FFVarError):
 
 class BudgetError(FFVarError):
     """An enumeration would exceed the configured size budget."""
-
-
-class GapError(FFVarError):
-    """A checked identity failed its tolerance."""
 
 
 class IrreducibleCacheError(FFVarError):

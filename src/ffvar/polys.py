@@ -54,11 +54,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def norm(self) -> int:
-        if self.is_zero:
-            raise PreconditionError("norm of 0 is undefined here")
-        return self.field.q ** (len(self.coeffs) - 1)
-
     def coeff(self, j: int) -> int:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
 
@@ -186,10 +181,6 @@ class Poly:
                 tj = "t" if j == 1 else f"t^{j}"
                 parts.append(tj if c == 1 else f"{c}*{tj}")
         return "+".join(parts)
-
-    def coeff_list(self) -> list[int]:
-        """Machine form: ascending coefficient codes, no trailing zeros."""
-        return list(self.coeffs)
 
 
 # -- constructors

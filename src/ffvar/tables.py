@@ -19,6 +19,7 @@ on digit matrices via the field's lookup tables, chunked to bound memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -156,23 +157,92 @@ def get_tables(
     return cached
 
 
-_TMOD_CACHE: dict[tuple[FieldSpec, Poly], np.ndarray] = {}
+# cap on the float64 scratch of one ResidueRing chunk
+_SCRATCH_BYTES = 1 << 17
 
 
-def t_power_residues(field: FieldSpec, modulus: Poly, n: int) -> np.ndarray:
-    """(n+1, deg Q) uint8 coefficient codes of t^j mod Q for j = 0..n, read
-    from one table per (field, Q) that grows on demand."""
-    key = (field, modulus)
-    table = _TMOD_CACHE.get(key, np.eye(1, modulus.degree, dtype=np.uint8))
-    if len(table) <= n:
-        # t * r = (r shifted up) - r[m-1] * (Q - t^m) mod Q
-        neg_low = field.neg_table[np.array(modulus.coeffs[:-1], dtype=np.uint8)]
-        rows = list(table)
-        while len(rows) <= n:
-            shifted = np.concatenate((np.zeros(1, dtype=np.uint8), rows[-1][:-1]))
-            rows.append(field.add_table[shifted, field.mul_table[rows[-1][-1], neg_low]])
-        table = _TMOD_CACHE[key] = np.stack(rows)
-    return table[: n + 1]
+class ResidueRing:
+    """Arithmetic on residue codes mod a monic Q of degree m.
+
+    The base-p digits of a residue code are its n = k*m coordinates over F_p:
+    digit j*k + i is the x^i part of the t^j coefficient, x generating F_q
+    over F_p. A mantissa of a monic degree-d polynomial has the same layout
+    over x^i t^j, j < d. Row j*k + i of `table` holds the coordinates of
+    x^i t^j mod Q (the one t^j mod Q table, grown on demand), so reduction
+    mod Q is the F_p-affine map digits @ rows[:dk] + rows[dk]. Products are
+    F_p-bilinear: with T the (n^2, n) structure tensor, row (a, b) holding
+    the coordinates of e_a * e_b, a batch product is ((a outer b) @ T) mod p.
+    Every matmul entry is an integer below n^2 p^2, so float64 is exact."""
+
+    def __init__(self, field: FieldSpec, modulus: Poly):
+        p, k, m = field.p, field.k, modulus.degree
+        n = k * m
+        self.p, self.k, self.place = p, k, p ** np.arange(n)
+        xpow = p ** np.arange(k)
+        # x^i t^m = -x^i (Q - t^m); under the identity, rows k..n+k-1 are
+        # then the coordinates of t * e_a, the step that grows the table
+        top = field.neg_table[field.mul_table[xpow[:, None], np.array(modulus.coeffs[:-1])]]
+        self.table = np.vstack((np.eye(n), (top[..., None] // xpow % p).reshape(k, n)))
+        # x^(i1+i2) = sum_l s[i1, i2, l] x^l, so e_a * e_b combines k rows
+        s = field.mul_table[xpow[:, None], xpow][..., None] // xpow % p
+        rows = self.rows((2 * m - 1) * k).reshape(2 * m - 1, k, n)
+        prod = np.einsum("abl,jJlc->jaJbc", s, rows[np.add.outer(np.arange(m), np.arange(m))])
+        self.T = (prod % p).reshape(n * n, n)
+
+    def rows(self, count: int) -> np.ndarray:
+        """The first `count` rows of the table, stepping it by t as needed."""
+        k = self.k
+        while len(self.table) < count:
+            step = self.table[k : len(self.place) + k]
+            self.table = np.vstack((self.table, self.table[-k:] @ step % self.p))
+        return self.table[:count]
+
+    def _digits(self, values: np.ndarray, place: np.ndarray) -> np.ndarray:
+        return (values[:, None] // place % self.p).astype(np.float64)
+
+    def _batched(self, count: int, width: int, coords_of) -> np.ndarray:
+        """Codes of the coordinate rows coords_of(part), over chunks of
+        range(count) sized so their `width`-float rows stay in the cap."""
+        out = np.empty(count, dtype=np.int64)
+        step = max(1, _SCRATCH_BYTES // (8 * width))
+        for part in (slice(i, i + step) for i in range(0, count, step)):
+            out[part] = coords_of(part) % self.p @ self.place
+        return out
+
+    def reduce(self, d: int, us: np.ndarray) -> np.ndarray:
+        """Codes of the monic degree-d polynomials with mantissas `us`."""
+        k, rows = self.k, self.rows((d + 1) * self.k)
+        place = self.p ** np.arange(d * k)
+        return self._batched(
+            len(us), len(rows), lambda s: self._digits(us[s], place) @ rows[:-k] + rows[-k]
+        )
+
+    def mul(self, a, b) -> np.ndarray:
+        """Codes of a*b, elementwise; a length-1 operand is broadcast."""
+        a, b = np.atleast_1d(a), np.atleast_1d(b)
+        n = len(self.place)
+
+        def outer(part):
+            ca = self._digits(a[part] if len(a) > 1 else a, self.place)
+            cb = self._digits(b[part] if len(b) > 1 else b, self.place)
+            return (ca[:, :, None] * cb[:, None, :]).reshape(-1, n * n) @ self.T
+
+        return self._batched(max(len(a), len(b)), n * n, outer)
+
+    def pow(self, a: int, e: int) -> int:
+        out, base = np.ones(1, dtype=np.int64), np.array([a], dtype=np.int64)
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return int(out[0])
+
+
+@cache
+def residue_ring(field: FieldSpec, modulus: Poly) -> ResidueRing:
+    """The ResidueRing of (field, Q), one instance per pair."""
+    return ResidueRing(field, modulus)
 
 
 def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) -> np.ndarray:
@@ -180,24 +250,8 @@ def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) ->
     monic degree-n polynomials with mantissas `us`, reduced mod `modulus`."""
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
-    q = field.q
-    m = modulus.degree
+    q, m = field.q, modulus.degree
     us = np.asarray(us, dtype=np.int64)
-    if modulus == t_power(field, m):
-        if n >= m:
-            return us % q**m
-        return us + q**n
-    # general modulus: residue = sum_j c_j * (t^j mod Q), via per-digit tables
-    tmod = t_power_residues(field, modulus, n)
-    acc = np.broadcast_to(tmod[n], (len(us), m)).copy()
-    add_t, mul_t = field.add_table, field.mul_table
-    shifted = us.copy()
-    for j in range(n):
-        cj = (shifted % q).astype(np.uint8)
-        shifted //= q
-        row = tmod[j]
-        if not row.any():
-            continue
-        acc = add_t[acc, mul_t[cj[:, None], row[None, :]]]
-    qpow = q ** np.arange(m, dtype=np.int64)
-    return acc.astype(np.int64) @ qpow
+    if modulus != t_power(field, m):
+        return residue_ring(field, modulus).reduce(n, us)
+    return us % q**m if n >= m else us + q**n

@@ -94,35 +94,21 @@ def interval_sums(
     n: int,
     h: int,
     *,
-    splits: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
     tables: ArithTables | None = None,
 ) -> np.ndarray:
-    """S_I for every interval I, indexed by packed upper coefficients.
-
-    `splits` chops the mantissa range into that many chunks accumulated
-    separately; integer addition makes the result identical for any split
-    count, which the tests pin down.
-    """
+    """S_I for every interval I, indexed by packed upper coefficients: an
+    interval is a contiguous block of q^(h+1) mantissas."""
     f = _as_handle(f)
     if not 0 <= h < n:
         raise PreconditionError(f"need 0 <= h < n; got h={h}, n={n}")
     q = field.q
     if q**n > budget:
         raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
-    if splits < 1:
-        raise PreconditionError("splits must be >= 1")
     if tables is None:
         tables = get_tables(field, n)
     values = f.degree_values(tables, n).astype(np.int64)
-    block = q ** (h + 1)
-    acc = np.zeros(q ** (n - h - 1), dtype=np.int64)
-    bounds = np.linspace(0, q**n, splits + 1, dtype=np.int64)
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            keys = np.arange(lo, hi, dtype=np.int64) // block
-            np.add.at(acc, keys, values[lo:hi])
-    return acc
+    return values.reshape(-1, q ** (h + 1)).sum(axis=1)
 
 
 def variance_direct(
@@ -131,13 +117,12 @@ def variance_direct(
     n: int,
     h: int,
     *,
-    splits: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
     tables: ArithTables | None = None,
 ) -> Fraction:
     """Exact mean square of interval sums: (q^(h+1)/q^n) * sum_I S_I^2."""
     q = field.q
-    acc = interval_sums(field, f, n, h, splits=splits, budget=budget, tables=tables)
+    acc = interval_sums(field, f, n, h, budget=budget, tables=tables)
     ssq = int(acc @ acc)
     return Fraction(q ** (h + 1) * ssq, q**n)
 
@@ -242,6 +227,9 @@ class VarianceReport:
         return float(self.direct * self.h**2 / (self.n**5 * Fraction(self.q) ** self.h))
 
 
+MODES = ("direct", "character", "both")
+
+
 def variance_report(
     field: FieldSpec,
     f: ArithmeticFunctionHandle | str,
@@ -249,14 +237,18 @@ def variance_report(
     h: int,
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
-    with_charside: bool = True,
+    mode: str = "both",
 ) -> VarianceReport:
+    """One grid cell by the routes `mode` names (one of MODES); the
+    character route needs h <= n-2 and is left out above that."""
+    if mode not in MODES:
+        raise PreconditionError(f"unknown mode {mode!r}")
     f = _as_handle(f)
-    tables = get_tables(field, n)
-    direct = variance_direct(field, f, n, h, budget=budget, tables=tables)
-    charside = None
-    if with_charside and h <= n - 2:
-        charside = variance_charside(field, f, n, h, budget=budget, tables=tables)
+    direct = charside = None
+    if mode != "character":
+        direct = variance_direct(field, f, n, h, budget=budget)
+    if mode != "direct" and h <= n - 2:
+        charside = variance_charside(field, f, n, h, budget=budget)
     return VarianceReport(
         q=field.q, n=n, h=h, function=f.name, direct=direct, charside=charside
     )

@@ -1,0 +1,47 @@
+"""Golden guard: three of the benchmark's commands run in-process and are
+checked against the outputs stored in perfbench/golden with the benchmark's
+own checker, so output drift fails here before it fails the benchmark.
+
+FFVAR_CACHE_DIR is unset because a sieve cache file changes the necklace
+suite's line; verify lines must match the stored ones byte for byte.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import charsums  # noqa: E402
+from checker import Golden  # noqa: E402
+from workloads import Command, charsums_command, verify_command  # noqa: E402
+
+from ffvar import cli  # noqa: E402
+
+VARIANCE = Command(
+    "variance",
+    ("variance", "--mode", "both", "--p", "3", "--N", "8", "--h", "1:3", "--function", "liouville"),
+)
+
+
+@pytest.fixture(scope="module")
+def golden() -> Golden:
+    return Golden()
+
+
+@pytest.mark.parametrize(
+    "cmd, run",
+    [
+        (verify_command(0), cli.main),
+        (VARIANCE, cli.main),
+        (charsums_command([(4, 0), (5, 7)]), charsums.main),
+    ],
+    ids=["verify", "variance", "charsums"],
+)
+def test_matches_golden_output(golden, cmd, run, capsys, monkeypatch):
+    monkeypatch.delenv("FFVAR_CACHE_DIR", raising=False)
+    returncode = run(list(cmd.args))
+    assert golden.check(cmd, returncode, capsys.readouterr().out) is None

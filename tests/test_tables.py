@@ -12,8 +12,9 @@ from ffvar.tables import (
     get_tables,
     monic_digit_matrix,
     mul_monic_batch,
+    ResidueRing,
     reduce_monic_mod,
-    t_power_residues,
+    residue_ring,
 )
 
 # -- independent oracle: factor everything by naive trial division ------------
@@ -149,32 +150,57 @@ def test_reduce_monic_mod_t_power(q):
                 assert int(got[u]) == _residue_code(f % modulus, q)
 
 
-def test_reduce_monic_mod_general_modulus(f2, f3):
-    cases = [
-        (f2, from_coeffs(f2, [1, 1, 1])),
-        (f2, from_coeffs(f2, [0, 1, 0, 1])),  # t^3 + t = t(t+1)^2
-        (f3, from_coeffs(f3, [1, 0, 1])),
-        (f3, from_coeffs(f3, [0, 2, 1])),
-    ]
-    for fld, modulus in cases:
+# every F_q with q <= 16, as (p, k)
+ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+
+
+def test_reduce_monic_mod_general_modulus():
+    # the ring path for every q <= 16: for k > 1 the F_p coordinates of each
+    # coefficient must be carried correctly through the affine map
+    rng = np.random.default_rng(5)
+    for p, k in ALL_FIELDS:
+        fld = make_field(p, k)
         q = fld.q
-        for n in range(1, 6):
-            us = np.arange(q**n, dtype=np.int64)
-            got = reduce_monic_mod(fld, modulus, n, us)
-            for u in us:
-                f = monic_from_index(fld, n, int(u))
-                assert int(got[u]) == _residue_code(f % modulus, q)
+        moduli = [
+            from_coeffs(fld, [1, 1]),
+            from_coeffs(fld, [q - 1, 1]) ** 2,
+            from_coeffs(fld, [0, 1]) * from_coeffs(fld, [1, 1]),
+            from_coeffs(fld, [*rng.integers(1, q, size=1), *rng.integers(0, q, size=2), 1]),
+        ]
+        if q <= 3:
+            moduli += [from_coeffs(fld, [1, 1, 1]), from_coeffs(fld, [0, 1, 0, 1])]
+        for modulus in moduli:
+            for n in range(0, 7):
+                if q**n > 600:
+                    break
+                us = np.arange(q**n, dtype=np.int64)
+                got = reduce_monic_mod(fld, modulus, n, us)
+                for u in us:
+                    f = monic_from_index(fld, n, int(u))
+                    assert int(got[u]) == _residue_code(f % modulus, q), (q, modulus, n, u)
 
 
-def test_t_power_residues_grow_on_demand(f2, f3, f4):
-    for fld, coeffs in ((f2, [1, 1, 0, 1]), (f3, [2, 0, 1]), (f4, [3, 1, 2, 1]), (f2, [0, 0, 1])):
+def _coordinates(fld, f: Poly, m: int) -> list[int]:
+    """F_p coordinates of a residue: digit j*k + i is the x^i part of t^j."""
+    return [(f.coeff(j) // fld.p**i) % fld.p for j in range(m) for i in range(fld.k)]
+
+
+def test_residue_ring_table_grows_on_demand(f2, f3, f4):
+    f9 = make_field(3, 2)
+    cases = ((f2, [1, 1, 0, 1]), (f3, [2, 0, 1]), (f4, [3, 1, 2, 1]), (f2, [0, 0, 1]), (f9, [5, 0, 1]))
+    for fld, coeffs in cases:
         modulus = from_coeffs(fld, coeffs)
-        short = t_power_residues(fld, modulus, 2)
-        grown = t_power_residues(fld, modulus, 9)
-        assert short.shape == (3, modulus.degree) and grown.shape == (10, modulus.degree)
-        assert np.array_equal(grown[:3], short)
-        for j, row in enumerate(grown):
-            assert row.tolist() == [(t_power(fld, j) % modulus).coeff(i) for i in range(modulus.degree)]
+        assert residue_ring(fld, modulus) is residue_ring(fld, modulus)
+        ring, k, m = ResidueRing(fld, modulus), fld.k, modulus.degree
+        built = ring.rows(len(ring.table)).copy()
+        grown = ring.rows(len(built) + 4 * k)
+        assert grown.shape == (len(built) + 4 * k, k * m) and len(ring.table) == len(grown)
+        assert np.array_equal(grown[: len(built)], built)
+        for j in range(len(grown) // k):
+            for i in range(k):
+                x_i = from_coeffs(fld, [fld.p**i])
+                expected = _coordinates(fld, (x_i * t_power(fld, j)) % modulus, m)
+                assert grown[j * k + i].tolist() == expected
 
 
 # -- caching -------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from ffvar.arith import liouville, moebius
 from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError
 from ffvar.fields import make_field
-from ffvar.polys import enumerate_monic, from_coeffs, monic_from_index, t_power
+from ffvar.polys import enumerate_monic, from_coeffs, interval_key, monic_from_index, t_power
 from ffvar.variance import (
     FUNCTIONS,
     decomposition_check,
@@ -56,17 +56,21 @@ def test_interval_sums_pinned(f2):
     assert acc.tolist() == [-2, -2]
 
 
-def test_interval_sums_split_invariance(f3):
-    base = interval_sums(f3, "liouville", 4, 1)
-    for splits in (2, 3, 5, 7, 81):
-        assert (interval_sums(f3, "liouville", 4, 1, splits=splits) == base).all()
+def test_interval_sums_match_brute_interval_keys(f3, cache3):
+    # independent of the mantissa layout: group every monic G of degree 4 by
+    # its interval key and add up pointwise values from trial division
+    for name in ("liouville", "moebius", "unit"):
+        handle = get_function(name)
+        for h in range(0, 4):
+            brute = [0] * 3 ** (4 - h - 1)
+            for g in enumerate_monic(f3, 4):
+                brute[interval_key(g, h).packed] += handle.pointwise(g, cache3)
+            assert interval_sums(f3, name, 4, h).tolist() == brute
 
 
 def test_interval_sums_preconditions(f2):
     with pytest.raises(PreconditionError):
         interval_sums(f2, "liouville", 3, 3)
-    with pytest.raises(PreconditionError):
-        interval_sums(f2, "liouville", 3, 1, splits=0)
     with pytest.raises(BudgetError):
         interval_sums(f2, "liouville", 24, 1, budget=1 << 10)
 
@@ -145,8 +149,13 @@ def test_variance_report_edges(f2):
     rep = variance_report(f2, "liouville", 3, 0)
     assert rep.theorem_ratio is None  # the monitored bound divides by h
     assert rep.abs_gap == pytest.approx(0.0)
-    top = variance_report(f2, "liouville", 3, 1, with_charside=False)
+    top = variance_report(f2, "liouville", 3, 1, mode="direct")
     assert top.charside is None and top.abs_gap is None
+    char = variance_report(f2, "liouville", 3, 1, mode="character")
+    assert char.direct is None and char.charside == pytest.approx(4.0)
+    assert variance_report(f2, "liouville", 3, 2, mode="character").charside is None
+    with pytest.raises(PreconditionError, match="unknown mode"):
+        variance_report(f2, "liouville", 3, 1, mode="dual")
 
 
 # -- exact identity checks ------------------------------------------------------------
