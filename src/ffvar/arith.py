@@ -1,16 +1,17 @@
 """Factorization over F_q[t] and the classical multiplicative functions.
 
 All functions are defined on nonzero polynomials via the monic associate, so
-liouville(c*F) == liouville(F) for any unit c. Factorization is trial
-division against a cached table of irreducibles; the cache can be persisted
-in a small line-oriented text format (FFSIEVE) so repeated runs skip the
-sieve.
+liouville(c*F) == liouville(F) for any unit c. Factorization follows the
+factor links of the sieve tables (tables.ArithTables.factor_links), one
+lookup per prime factor. The irreducible lists can be persisted in a small
+line-oriented text format (FFSIEVE) so repeated runs skip the sieve.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import IrreducibleCacheError, PreconditionError
 from .fields import FieldSpec
-from .polys import Poly, monic_index, one
+from .polys import Poly, monic_from_index, monic_index, one
 from .tables import DEFAULT_TABLE_BUDGET, get_tables
 
 log = logging.getLogger(__name__)
@@ -187,36 +188,30 @@ class Factorization:
 
 
 def factor(f: Poly, cache: SieveCache) -> Factorization:
+    """Factor by walking the sieve's factor links, one lookup per prime factor.
+    The tables must cover deg f: past the table budget, BudgetError."""
     if f.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
-    unit = f.lead
-    g = f.monic()
-    n = g.degree
+    n = f.degree
     if n == 0:
-        return Factorization(unit=unit, factors=())
+        return Factorization(unit=f.lead, factors=())
     if cache.max_degree < n // 2:
         raise PreconditionError(
             f"cache depth {cache.max_degree} insufficient for degree {n} (needs {n // 2})"
         )
-    factors: list[tuple[Poly, int]] = []
-    for d in range(1, n // 2 + 1):
-        if g.degree < 2 * d:
+    tables = get_tables(f.field, n)
+    found: Counter[tuple[int, int]] = Counter()
+    u = monic_index(f.monic())
+    while n:
+        deg, fac, cof = tables.factor_links(n)
+        d = int(deg[u])
+        if d == 0:
+            found[n, u] += 1
             break
-        for p in cache.by_degree[d]:
-            e = 0
-            q, r = divmod(g, p)
-            while r.is_zero:
-                g = q
-                e += 1
-                q, r = divmod(g, p)
-            if e:
-                factors.append((p, e))
-            if g.degree < 2 * d:
-                break
-    if g.degree >= 1:
-        # residual cofactor has no factor of degree <= n//2, hence irreducible
-        factors.append((g, 1))
-    return Factorization(unit=unit, factors=tuple(factors))
+        found[d, int(fac[u])] += 1
+        n, u = n - d, int(cof[u])
+    factors = tuple((monic_from_index(f.field, d, u), e) for (d, u), e in sorted(found.items()))
+    return Factorization(unit=f.lead, factors=factors)
 
 
 class FactorIndex:

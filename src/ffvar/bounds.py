@@ -246,6 +246,11 @@ def smooth_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundRep
     )
 
 
+def theorem_rhs(q: int, n: int, h: int) -> float:
+    """N^5 q^h / h^2 in floats: the monitored variance bound of a sweep row."""
+    return (n**5 / h**2) * float(q) ** h
+
+
 def theorem_ratio_sweep(
     field: FieldSpec,
     n_values: Sequence[int],
@@ -263,12 +268,11 @@ def theorem_ratio_sweep(
             if not h < n_total:
                 raise PreconditionError(f"need h < N; got h={h}, N={n_total}")
             var = variance_direct(field, "liouville", n_total, h, budget=budget)
-            rhs = (n_total**5 / h**2) * float(q) ** h
             yield BoundReport(
                 bound="theorem_ratio",
                 params={"q": q, "N": n_total, "h": h},
                 lhs=float(var),
-                rhs=rhs,
+                rhs=theorem_rhs(q, n_total, h),
                 hard=False,
                 passed=None,
             )

@@ -226,18 +226,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     def one(pair: tuple[int, int]):
         n, h = pair
-        tables = get_tables(fld, n, budget=cfg.budget)
-        var = variance.variance_direct(fld, "liouville", n, h, budget=cfg.budget, tables=tables)
-        bound = (n**5 / h**2) * float(fld.q) ** h
-        ratio = float(var) / bound
-        var_char = largepf = smoothpf = None
-        if h <= n - 2:
-            var_char = variance.variance_charside(
-                fld, "liouville", n, h, budget=cfg.budget, tables=tables
-            )
+        rep = variance.variance_report(fld, "liouville", n, h, budget=cfg.budget)
+        bound = bounds.theorem_rhs(fld.q, n, h)
+        largepf = smoothpf = None
+        if rep.charside is not None:
             largepf = bounds.large_factor_sum_ratio(fld, n, n, h).ratio
             smoothpf = bounds.smooth_sum_ratio(fld, n, n, h).ratio
-        return (fld.q, n, h, var, var_char, bound, ratio, largepf, smoothpf)
+        ratio = float(rep.direct) / bound
+        return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 
     rows = [one(p) for p in pairs]
     text = (
@@ -339,20 +335,14 @@ def _suite_fullsum(cfg: RunConfig, fld: FieldSpec):
     q = fld.q
     n_hi = min(cfg.n_max + 2, {2: 16, 3: 10}.get(q, 8))
     for n in range(0, n_hi + 1):
-        got = arith.liouville_full_sum(fld, n)
+        got, note = arith.liouville_full_sum(fld, n), ""
         if cfg.self_test_fault and n == n_hi:
-            culprit = monic_from_index(fld, n, q**n - 1)
-            lam = int(get_tables(fld, n).liouville_values(n)[q**n - 1])
-            got -= 2 * lam  # injected fault: one lambda value flipped
-            expected = (-1) ** n * q ** ((n + 1) // 2)
-            if got != expected:
-                raise AssertionError(
-                    f"full sum q={q} n={n}: got {got}, expected {expected} "
-                    f"(injected fault at G = {culprit})"
-                )
+            # injected fault: one lambda value flipped
+            got -= 2 * int(get_tables(fld, n).liouville_values(n)[q**n - 1])
+            note = f" (injected fault at G = {monic_from_index(fld, n, q**n - 1)})"
         expected = (-1) ** n * q ** ((n + 1) // 2)
         if got != expected:
-            raise AssertionError(f"full sum q={q} n={n}: got {got}, expected {expected}")
+            raise AssertionError(f"full sum q={q} n={n}: got {got}, expected {expected}{note}")
     return f"closed form matches for q={q}, n <= {n_hi}"
 
 

@@ -14,11 +14,15 @@ irreducible divisor P of G produces the same value: overwrites are
 consistent). Whatever is never written is irreducible. Squarefree-ness is
 killed separately by marking P^2 * M products. Products are computed in bulk
 on digit matrices via the field's lookup tables, chunked to bound memory.
+
+The same product pass, run again on demand for one degree, records a factor
+link per mantissa: one irreducible P | G and the cofactor G/P. Following the
+links from G factors it in Omega(G) lookups (ArithTables.factor_links).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cache
 
 import numpy as np
@@ -64,6 +68,20 @@ def mul_monic_batch(
     return acc.astype(np.int64) @ qpow
 
 
+def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: int = 1):
+    """Every product P^power * M of degree m, P monic irreducible of degree
+    d <= m/2 and M monic, as chunks (d, P's mantissa, the slice of M's
+    mantissas, the products' mantissas)."""
+    q = field.q
+    for d in range(1, m // 2 + 1):
+        md = m - power * d
+        for up in irreducibles[d]:
+            pc = (monic_from_index(field, d, int(up)) ** power).coeffs
+            for start in range(0, q**md, _CHUNK):
+                part = slice(start, min(start + _CHUNK, q**md))
+                yield d, up, part, mul_monic_batch(field, pc, md, np.arange(part.start, part.stop))
+
+
 @dataclass
 class ArithTables:
     field: FieldSpec
@@ -72,6 +90,23 @@ class ArithTables:
     squarefree: list[np.ndarray]
     max_factor_degree: list[np.ndarray]
     irreducibles: list[np.ndarray]
+    _links: dict[int, tuple[np.ndarray, ...]] = dc_field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def factor_links(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(deg P, mantissa of P, mantissa of G/P) for one irreducible P | G
+        per monic G of degree m <= max_degree, mantissa-indexed; deg P is 0
+        where G is irreducible. Built by one product pass on first use."""
+        links = self._links.get(m)
+        if links is None:
+            size = self.field.q**m
+            links = (np.zeros(size, np.int8), np.zeros(size, np.int32), np.zeros(size, np.int32))
+            deg, fac, cof = links
+            for d, up, part, codes in _products(self.field, self.irreducibles, m):
+                deg[codes], fac[codes], cof[codes] = d, up, np.arange(part.start, part.stop)
+            self._links[m] = links
+        return links
 
     def liouville_values(self, n: int) -> np.ndarray:
         """(-1)^Omega over all monic of degree n, int8, mantissa-indexed."""
@@ -105,26 +140,11 @@ def build_tables(
         om = np.full(size, -1, dtype=np.int8)
         sf = np.ones(size, dtype=bool)
         mf = np.zeros(size, dtype=np.int8)
-        for d in range(1, m // 2 + 1):
-            lower_om = big_omega[m - d]
-            lower_mf = mfd[m - d]
-            md = m - d
-            for up in irr[d]:
-                pc = monic_from_index(field, d, int(up)).coeffs
-                for start in range(0, q**md, _CHUNK):
-                    us = np.arange(start, min(start + _CHUNK, q**md), dtype=np.int64)
-                    codes = mul_monic_batch(field, pc, md, us)
-                    om[codes] = lower_om[us] + 1
-                    mf[codes] = np.maximum(lower_mf[us], d)
-            if 2 * d <= m:
-                md2 = m - 2 * d
-                for up in irr[d]:
-                    p = monic_from_index(field, d, int(up))
-                    p2 = (p * p).coeffs
-                    for start in range(0, q**md2, _CHUNK):
-                        us = np.arange(start, min(start + _CHUNK, q**md2), dtype=np.int64)
-                        codes = mul_monic_batch(field, p2, md2, us)
-                        sf[codes] = False
+        for d, _, part, codes in _products(field, irr, m):
+            om[codes] = big_omega[m - d][part] + 1
+            mf[codes] = np.maximum(mfd[m - d][part], d)
+        for *_, codes in _products(field, irr, m, power=2):
+            sf[codes] = False
         fresh = np.nonzero(om < 0)[0]
         om[fresh] = 1
         mf[fresh] = m

@@ -25,12 +25,13 @@ checked in exact rational arithmetic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import FactorIndex, SieveCache
+from .arith import SieveCache, factor, omega_in_window
 from .errors import BudgetError, PreconditionError, SmoothWindowError
 from .fields import FieldSpec
 from .polys import DEFAULT_ENUM_BUDGET, Poly, monic_from_index, t_power
@@ -257,6 +258,10 @@ def variance_report(
 # -- identity checks (exact rationals; defects must be literally zero)
 
 
+def _liouville(factors) -> int:
+    return -1 if sum(e for _, e in factors) & 1 else 1
+
+
 def ramare_identity_check(
     field: FieldSpec, g: Poly, h: int, n: int, *, cache: SieveCache
 ) -> Fraction:
@@ -270,22 +275,17 @@ def ramare_identity_check(
         raise PreconditionError(f"deg G = {g.degree} but n = {n}")
     if not 1 <= h < n:
         raise PreconditionError(f"need 1 <= h < n; got h={h}, n={n}")
-    idx = FactorIndex(field, cache)
-    fac = idx.factor(g).factors
-    window = [(p, e) for p, e in fac if h < p.degree <= n]
+    fac = factor(g, cache).factors
+    window = [p for p, _ in fac if h < p.degree <= n]
     if not window:
         raise SmoothWindowError(f"{g} has no prime factor of degree in ({h}, {n}]")
-    lam_g = -1 if sum(e for _, e in fac) & 1 else 1
     total = Fraction(0)
-    for p, e in window:
-        cofactor = g // p
-        cfac = idx.factor(cofactor).factors
-        lam_c = -1 if sum(ce for _, ce in cfac) & 1 else 1
+    for p in window:
+        cfac = factor(g // p, cache).factors
         omega_c = sum(1 for cp, _ in cfac if h < cp.degree <= n)
-        divides = any(cp == p for cp, _ in cfac)
-        omega_full = omega_c + (0 if divides else 1)
-        total += Fraction(-lam_c, omega_full)
-    return total - lam_g
+        omega_full = omega_c + all(cp != p for cp, _ in cfac)
+        total -= Fraction(_liouville(cfac), omega_full)
+    return total - _liouville(fac)
 
 
 def decomposition_check(
@@ -313,12 +313,8 @@ def decomposition_check(
         raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
     if tables is None:
         tables = get_tables(field, n)
-    idx = FactorIndex(field, cache)
 
-    def window_omega(f: Poly) -> int:
-        return sum(1 for p, _ in idx.factor(f).factors if h < p.degree <= n)
-
-    weights: dict[int, Fraction] = {}
+    weights: defaultdict[int, Fraction] = defaultdict(Fraction)
     for x in range(h + 1, n + 1):
         for p in tables.irreducible_polys(x):
             md = n - x
@@ -328,9 +324,8 @@ def decomposition_check(
             lam = tables.liouville_values(md)
             for u in range(q**md):
                 m_poly = monic_from_index(field, md, u)
-                a = Fraction(-int(lam[u]), window_omega(m_poly) + 1)
-                g_code = int(codes[u])
-                weights[g_code] = weights.get(g_code, Fraction(0)) + a
+                a = Fraction(-int(lam[u]), omega_in_window(m_poly, h, n, cache) + 1)
+                weights[int(codes[u])] += a
             if 2 * x <= n:
                 md2 = n - 2 * x
                 p2 = (p * p).coeffs
@@ -340,19 +335,11 @@ def decomposition_check(
                 for u in range(q**md2):
                     m2 = monic_from_index(field, md2, u)
                     pm = p * m2
-                    w = window_omega(pm)
-                    lam_pm = -1 if sum(e for _, e in idx.factor(pm).factors) & 1 else 1
-                    b = Fraction(-lam_pm, w * (w + 1))
-                    g_code = int(codes2[u])
-                    weights[g_code] = weights.get(g_code, Fraction(0)) + b
+                    w = omega_in_window(pm, h, n, cache)
+                    lam_pm = _liouville(factor(pm, cache))
+                    weights[int(codes2[u])] += Fraction(-lam_pm, w * (w + 1))
 
     lam_n = tables.liouville_values(n)
     rough = tables.max_factor_degree[n] > h
-    worst = Fraction(0)
-    for u in range(q**n):
-        expected = Fraction(int(lam_n[u])) if rough[u] else Fraction(0)
-        defect = abs(weights.get(u, Fraction(0)) - expected)
-        if defect > worst:
-            worst = defect
-    return worst
+    return max(abs(weights[u] - (int(lam_n[u]) if rough[u] else 0)) for u in range(q**n))
 

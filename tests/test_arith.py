@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from ffvar.arith import (
     von_mangoldt,
     write_cache,
 )
-from ffvar.errors import IrreducibleCacheError, PreconditionError
+from ffvar.errors import BudgetError, IrreducibleCacheError, PreconditionError
 from ffvar.fields import make_field
 from ffvar.polys import enumerate_monic, from_coeffs, one, poly_gcd, t_power, zero
 from ffvar.tables import get_tables
@@ -166,6 +167,20 @@ def test_factor_needs_enough_cache_depth(f2):
         factor(t_power(f2, 9), shallow)
 
 
+def test_factor_past_table_budget_raises_before_allocating():
+    # 16^6 mantissas exceed DEFAULT_TABLE_BUDGET: refused before any table
+    f16 = make_field(2, 4)
+    cache = sieve_irreducibles(f16, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="table budget"):
+            factor(t_power(f16, 6), cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_factor_index_memoizes(f3, cache3):
     idx = FactorIndex(f3, cache3)
     f = from_coeffs(f3, [1, 0, 1, 1])
@@ -224,9 +239,13 @@ def test_smoothness_predicates(f2, cache2):
 # -- aggregate identities -----------------------------------------------------------
 
 
-def test_liouville_full_sum_closed_form(f2, f3):
-    for fld, top in ((f2, 10), (f3, 6)):
-        for n in range(0, top + 1):
+def test_liouville_full_sum_closed_form():
+    # every q <= 16 up to q^n <= 2^14; the deepest degree first, so one
+    # table build serves every n
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)):
+        fld = make_field(p, k)
+        top = max(n for n in range(1, 15) if fld.q**n <= 1 << 14)
+        for n in range(top, -1, -1):
             assert liouville_full_sum(fld, n) == (-1) ** n * fld.q ** ((n + 1) // 2)
 
 

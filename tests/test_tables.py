@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from ffvar.arith import pi_q
+from ffvar.arith import factor, pi_q, sieve_irreducibles
 from ffvar.errors import BudgetError
 from ffvar.fields import make_field
-from ffvar.polys import Poly, enumerate_monic, from_coeffs, monic_from_index, t_power
+from ffvar.polys import (
+    Poly,
+    enumerate_monic,
+    from_coeffs,
+    monic_from_index,
+    monic_index,
+    t_power,
+)
 from ffvar.tables import (
     build_tables,
     get_tables,
@@ -20,30 +29,25 @@ from ffvar.tables import (
 # -- independent oracle: factor everything by naive trial division ------------
 #
 # Completely separate route from the sieve: a monic polynomial is divided by
-# every smaller monic polynomial in ascending (degree, mantissa) order, so the
-# divisors found are automatically irreducible.
+# the smaller monic irreducibles in ascending (degree, mantissa) order, where
+# a polynomial is irreducible when this same search finds no divisor; the
+# cofactor is factored the same way. Memoized, so sweeping all monic of a
+# degree reuses the lower degrees.
 
 
-def _brute_factor(f: Poly) -> list[Poly]:
-    fld = f.field
-    out: list[Poly] = []
-    rest = f
-    d = 1
-    while rest.degree >= 1:
-        if d > rest.degree // 2:
-            out.append(rest)
-            break
-        hit = False
-        for g in enumerate_monic(fld, d):
-            q, r = divmod(rest, g)
-            if r.is_zero:
-                out.append(g)
-                rest = q
-                hit = True
-                break
-        if not hit:
-            d += 1
-    return out
+@functools.cache
+def _brute_factor(f: Poly) -> tuple[Poly, ...]:
+    for d in range(1, f.degree // 2 + 1):
+        for g in _brute_irreducibles(f.field, d):
+            quo, rem = divmod(f, g)
+            if rem.is_zero:
+                return (g, *_brute_factor(quo))
+    return (f,) if f.degree >= 1 else ()
+
+
+@functools.cache
+def _brute_irreducibles(fld, d: int) -> tuple[Poly, ...]:
+    return tuple(g for g in enumerate_monic(fld, d) if len(_brute_factor(g)) == 1)
 
 
 @pytest.mark.parametrize("q,max_deg", [(2, 6), (3, 5)])
@@ -66,11 +70,16 @@ def test_sieve_tables_match_trial_division(q, max_deg):
             assert mu[u] == ((-1) ** omega if sqfree else 0)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_sieve_irreducible_counts_match_necklace_formula(q):
-    fld = make_field(2, 2) if q == 4 else make_field(q)
-    tab = build_tables(fld, 6)
-    for n in range(1, 7):
+# every F_q with q <= 16, as (p, k)
+ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_sieve_irreducible_counts_match_necklace_formula(p, k):
+    fld = make_field(p, k)
+    top = max(n for n in range(1, 15) if fld.q**n <= 1 << 14)
+    tab = build_tables(fld, top)
+    for n in range(1, top + 1):
         assert len(tab.irreducibles[n]) == pi_q(fld, n)
 
 
@@ -98,6 +107,26 @@ def test_moebius_column_sums_vanish(f2, f3):
         assert int(tab.moebius_values(1).sum()) == -fld.q
         for n in range(2, 7):
             assert int(tab.moebius_values(n).sum()) == 0
+
+
+def test_factor_matches_brute_factor():
+    # every monic G with q^deg G <= 4096 for every q <= 16, and every unit
+    # multiple of it for q <= 5: the same primes with the same exponents,
+    # ascending by (degree, mantissa), and the leading coefficient as unit
+    for p, k in ALL_FIELDS:
+        fld = make_field(p, k)
+        q = fld.q
+        top = max(n for n in range(1, 13) if q**n <= 4096)
+        cache = sieve_irreducibles(fld, top // 2)
+        for n in range(top + 1):
+            for g in enumerate_monic(fld, n):
+                primes = _brute_factor(g)
+                expected = [(P, primes.count(P)) for P in dict.fromkeys(primes)]
+                for c in range(1, q if q <= 5 else 2):
+                    fac = factor(g.scale(c), cache)
+                    assert fac.unit == c and list(fac.factors) == expected, (q, g, c)
+                keys = [(P.degree, monic_index(P)) for P, _ in fac]
+                assert keys == sorted(set(keys))
 
 
 # -- batched monic multiplication ---------------------------------------------
@@ -148,10 +177,6 @@ def test_reduce_monic_mod_t_power(q):
             for u in us:
                 f = monic_from_index(fld, n, int(u))
                 assert int(got[u]) == _residue_code(f % modulus, q)
-
-
-# every F_q with q <= 16, as (p, k)
-ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
 
 
 def test_reduce_monic_mod_general_modulus():
