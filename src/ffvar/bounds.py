@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec
 from .polys import DEFAULT_ENUM_BUDGET, Poly, t_power
 from .characters import character_sums, unit_group_basis
@@ -106,7 +106,7 @@ def mvt_trial(
     """Seeded random coefficient draws; every report must pass."""
     q = field.q
     if q**n > budget:
-        raise PreconditionError(f"q^n = {q**n} exceeds budget {budget}")
+        raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
     rng = np.random.default_rng(cfg.seed)
     size = q**n
     for trial in range(cfg.trials):

@@ -1,12 +1,14 @@
 """Dirichlet characters mod a monic Q, built on an explicit unit-group basis.
 
-The unit group of F_q[t]/(Q) is decomposed into a direct product of cyclic
-subgroups by the greedy lift: repeatedly take an element of maximal order in
-the current quotient, adjust it by a word in the existing generators so its
-lift has that exact order, and extend the discrete-log table; each step runs on
-whole arrays of residue codes through tables.ResidueRing. Characters
-are then exponent vectors; values are rotation numbers (exact Fractions k/L with
-L the group exponent), so orthogonality sums can be tested for exact
+The unit group of F_q[t]/(Q) has a closed form (Neukirch, ch. II, sec. 5):
+by CRT, the product over P^e || Q (d = deg P, R = Q/P^e) of a cyclic group of
+order q^d - 1 and the principal units mod P^e, which 1 + w P^j R generate
+independently for 1 <= j < e, p not dividing j, and w over an F_p-basis of
+the polynomials of degree < d; each has order p^s, s least with j p^s >= e.
+The discrete-log table is the span of the generators, built block by block
+on arrays of residue codes through tables.ResidueRing. Characters are then
+exponent vectors; values are rotation numbers (exact Fractions k/L with L
+the group exponent), so orthogonality sums can be tested for exact
 cancellation without touching floats. Bulk character sums go through
 character_sums: one DFT over the unit group gives every character at once.
 """
@@ -26,12 +28,18 @@ import numpy as np
 from .arith import factor, sieve_irreducibles
 from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec
-from .polys import Poly, t_power
+from .polys import Poly, constant, from_coeffs, t_power
 from .tables import residue_ring
 
 RotationNumber = Fraction
 
 DEFAULT_UNIT_BUDGET = 1 << 20
+
+
+def residue_code(f: Poly, modulus: Poly) -> int:
+    """Code of f mod Q: the coefficients of the remainder as base-q digits."""
+    q = f.field.q
+    return sum(c * q**j for j, c in enumerate((f % modulus).coeffs))
 
 
 class UnitGroupBasis:
@@ -64,9 +72,7 @@ class UnitGroupBasis:
         return len(self.unit_codes)
 
     def residue_code(self, f: Poly) -> int:
-        r = f % self.modulus
-        q = self.field.q
-        return sum(c * q**j for j, c in enumerate(r.coeffs))
+        return residue_code(f, self.modulus)
 
     def scaled_exponents(self, exponents: Sequence[int]) -> np.ndarray:
         L = self.exponent
@@ -82,21 +88,6 @@ class UnitGroupBasis:
         return character_value_matrix(self, chars)
 
 
-def _unit_codes(field: FieldSpec, modulus: Poly) -> np.ndarray:
-    """Ascending residue codes coprime to Q: clear the multiples P*M
-    (deg M < m - deg P) of each irreducible P | Q of degree below m."""
-    q, m = field.q, modulus.degree
-    codes = np.arange(q**m, dtype=np.int64)
-    if modulus == t_power(field, m):
-        return codes[codes % q != 0]
-    unit, ring = codes != 0, residue_ring(field, modulus)
-    for P, _ in factor(modulus, sieve_irreducibles(field, max(1, m // 2))):
-        if P.degree < m:
-            p_code = sum(c * q**j for j, c in enumerate(P.coeffs))
-            unit[ring.mul(p_code, codes[: q ** (m - P.degree)])] = False
-    return codes[unit]
-
-
 def unit_group_basis(
     field: FieldSpec, modulus: Poly, *, budget: int = DEFAULT_UNIT_BUDGET
 ) -> UnitGroupBasis:
@@ -105,64 +96,81 @@ def unit_group_basis(
     q, m = field.q, modulus.degree
     if q**m > budget:
         raise BudgetError(f"residue ring size q^{m} = {q**m} exceeds budget {budget}")
-    return _greedy_basis(field, modulus)
+    return _structural_basis(field, modulus)
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """By trial division up to sqrt(n)."""
+    out = []
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+    return out + [n] if n > 1 else out
+
+
+def _generators(field: FieldSpec, modulus: Poly):
+    """(code, order) of each generator, factor by factor P^e || Q."""
+    q, p, m = field.q, field.p, modulus.degree
+    ring, one = residue_ring(field, modulus), constant(field, 1)
+    if modulus == t_power(field, m):
+        factors = [(t_power(field, 1), m)]
+    else:
+        factors = factor(modulus, sieve_irreducibles(field, max(1, m // 2)))
+    for P, e in factors:
+        d, R = P.degree, modulus // P**e
+        if q**d > 2:
+            # 1 + R z runs over F_q[t]/P as z does and is 1 mod R; the power
+            # q^(d(e-1)) kills its principal part, leaving order | q^d - 1
+            order, primes = q**d - 1, _prime_divisors(q**d - 1)
+            for z in range(q**d):
+                lift = one + R * from_coeffs(field, [z // q**j % q for j in range(d)])
+                y = ring.pow(residue_code(lift, modulus), q ** (d * (e - 1)))
+                if ring.pow(y, order) == 1 and all(
+                    ring.pow(y, order // ell) != 1 for ell in primes
+                ):
+                    break
+            else:
+                raise AssertionError(f"no primitive element mod {P}^{e}")
+            yield y, order
+        for j in range(1, e):
+            if j % p:
+                s = next(s for s in itertools.count() if j * p**s >= e)
+                for l, i in itertools.product(range(d), range(field.k)):
+                    omega = from_coeffs(field, [0] * l + [p**i])
+                    yield residue_code(one + omega * P**j * R, modulus), p**s
 
 
 @cache
-def _greedy_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
-    ring, units = residue_ring(field, modulus), _unit_codes(field, modulus)
-
-    # the span of the generators so far: its codes, their discrete logs, and
-    # pos[code] = row of code in span (-1 outside the span)
+def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
+    ring = residue_ring(field, modulus)
+    # the span of the generators so far: its codes and their discrete logs;
+    # extending by y of order e appends the blocks span * y^j, j < e
     span = np.ones(1, dtype=np.int64)
     logs = np.zeros((1, 0), dtype=np.int64)
-    pos = np.full(field.q**modulus.degree, -1, dtype=np.int64)
-    pos[1] = 0
     generators: list[int] = []
     orders: list[int] = []
-    while len(span) < len(units):
-        # element of maximal order in the quotient by the current span: step
-        # w <- w*u for every candidate u at once; u drops out when w lands in
-        # the span, and argmax keeps the first (smallest) u of maximal order
-        cand = units[pos[units] < 0]
-        order = np.zeros(len(cand), dtype=np.int64)
-        alive = np.arange(len(cand))
-        w, e = cand, 1
-        while len(alive):
-            w = ring.mul(w, cand[alive])
-            e += 1
-            landed = pos[w] >= 0
-            order[alive[landed]] = e
-            alive, w = alive[~landed], w[~landed]
-        best = int(np.argmax(order))
-        u, e = int(cand[best]), int(order[best])
-        # adjust so the lift has order exactly e: u^e lies in the span with
-        # discrete log divisible by e (the span stays a direct summand)
-        y = u
-        for g, o, x in zip(generators, orders, logs[pos[ring.pow(u, e)]].tolist()):
-            assert x % e == 0, "span lost purity; basis invariant broken"
-            y = int(ring.mul(y, ring.pow(g, (o - x // e) % o))[0])
+    for y, e in _generators(field, modulus):
         assert ring.pow(y, e) == 1
-        blocks, ypow = [], 1
-        for j in range(e):
-            blocks.append(ring.mul(span, ypow))
-            ypow = int(ring.mul(ypow, y)[0])
-        span = np.concatenate(blocks)
+        size, step = e * len(span), y
+        while len(span) < size:  # doubling: span holds c blocks and step = y^c
+            span = np.concatenate((span, ring.mul(span[: size - len(span)], step)))
+            step = int(ring.mul(step, step)[0])
         logs = np.column_stack((np.tile(logs, (e, 1)), np.arange(e).repeat(len(logs))))
-        # two rows with one code cannot both point back at themselves
-        pos[span] = np.arange(len(span))
-        if not np.array_equal(pos[span], np.arange(len(span))):
-            raise AssertionError("span extension collided; basis invariant broken")
         generators.append(y)
         orders.append(e)
-
+    order = np.argsort(span)
+    codes = span[order]
+    if not (np.diff(codes) > 0).all():
+        raise AssertionError("span extension collided; basis invariant broken")
     return UnitGroupBasis(
         field=field,
         modulus=modulus,
         generators=tuple(generators),
         orders=tuple(orders),
-        unit_codes=units,
-        dlog_matrix=logs[pos[units]],
+        unit_codes=codes,
+        dlog_matrix=logs[order],
     )
 
 

@@ -108,6 +108,30 @@ class ArithTables:
             self._links[m] = links
         return links
 
+    def extend(self, max_degree: int, budget: int) -> None:
+        """Sieve degrees self.max_degree+1 .. max_degree onto these tables in
+        place; the arrays and factor links built so far are kept."""
+        q = self.field.q
+        if q**max_degree > budget:
+            raise BudgetError(f"q^max_degree = {q**max_degree} exceeds table budget {budget}")
+        for m in range(self.max_degree + 1, max_degree + 1):
+            om = np.full(q**m, -1, dtype=np.int8)
+            sf = np.ones(q**m, dtype=bool)
+            mf = np.zeros(q**m, dtype=np.int8)
+            for d, _, part, codes in _products(self.field, self.irreducibles, m):
+                om[codes] = self.big_omega[m - d][part] + 1
+                mf[codes] = np.maximum(self.max_factor_degree[m - d][part], d)
+            for *_, codes in _products(self.field, self.irreducibles, m, power=2):
+                sf[codes] = False
+            fresh = np.nonzero(om < 0)[0]
+            om[fresh] = 1
+            mf[fresh] = m
+            self.big_omega.append(om)
+            self.squarefree.append(sf)
+            self.max_factor_degree.append(mf)
+            self.irreducibles.append(fresh.astype(np.int64))
+            self.max_degree = m
+
     def liouville_values(self, n: int) -> np.ndarray:
         """(-1)^Omega over all monic of degree n, int8, mantissa-indexed."""
         om = self.big_omega[n]
@@ -125,42 +149,11 @@ def build_tables(
 ) -> ArithTables:
     if max_degree < 0:
         raise PreconditionError("max_degree must be >= 0")
-    q = field.q
-    if q**max_degree > budget:
-        raise BudgetError(
-            f"q^max_degree = {q**max_degree} exceeds table budget {budget}"
-        )
-    big_omega = [np.zeros(1, dtype=np.int8)]
-    squarefree = [np.ones(1, dtype=bool)]
-    mfd = [np.zeros(1, dtype=np.int8)]
-    irr: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-
-    for m in range(1, max_degree + 1):
-        size = q**m
-        om = np.full(size, -1, dtype=np.int8)
-        sf = np.ones(size, dtype=bool)
-        mf = np.zeros(size, dtype=np.int8)
-        for d, _, part, codes in _products(field, irr, m):
-            om[codes] = big_omega[m - d][part] + 1
-            mf[codes] = np.maximum(mfd[m - d][part], d)
-        for *_, codes in _products(field, irr, m, power=2):
-            sf[codes] = False
-        fresh = np.nonzero(om < 0)[0]
-        om[fresh] = 1
-        mf[fresh] = m
-        big_omega.append(om)
-        squarefree.append(sf)
-        mfd.append(mf)
-        irr.append(fresh.astype(np.int64))
-
-    return ArithTables(
-        field=field,
-        max_degree=max_degree,
-        big_omega=big_omega,
-        squarefree=squarefree,
-        max_factor_degree=mfd,
-        irreducibles=irr,
-    )
+    # degree 0: the one monic polynomial 1, with no factor
+    tables = ArithTables(field, 0, [np.zeros(1, np.int8)], [np.ones(1, bool)],
+                         [np.zeros(1, np.int8)], [np.empty(0, np.int64)])
+    tables.extend(max_degree, budget)
+    return tables
 
 
 _TABLE_CACHE: dict[FieldSpec, ArithTables] = {}
@@ -169,11 +162,12 @@ _TABLE_CACHE: dict[FieldSpec, ArithTables] = {}
 def get_tables(
     field: FieldSpec, max_degree: int, *, budget: int = DEFAULT_TABLE_BUDGET
 ) -> ArithTables:
-    """Cached tables for `field`, covering at least `max_degree`."""
+    """Cached tables for `field`, extended in place to cover `max_degree`."""
     cached = _TABLE_CACHE.get(field)
-    if cached is None or cached.max_degree < max_degree:
-        cached = build_tables(field, max_degree, budget=budget)
-        _TABLE_CACHE[field] = cached
+    if cached is None:
+        cached = _TABLE_CACHE[field] = build_tables(field, max_degree, budget=budget)
+    elif cached.max_degree < max_degree:
+        cached.extend(max_degree, budget)
     return cached
 
 
@@ -190,9 +184,10 @@ class ResidueRing:
     over x^i t^j, j < d. Row j*k + i of `table` holds the coordinates of
     x^i t^j mod Q (the one t^j mod Q table, grown on demand), so reduction
     mod Q is the F_p-affine map digits @ rows[:dk] + rows[dk]. Products are
-    F_p-bilinear: with T the (n^2, n) structure tensor, row (a, b) holding
-    the coordinates of e_a * e_b, a batch product is ((a outer b) @ T) mod p.
-    Every matmul entry is an integer below n^2 p^2, so float64 is exact."""
+    F_p-bilinear: T[a, b] holds the coordinates of e_a * e_b, so multiplying
+    by a fixed code b is the n x n F_p-linear map sum over c of b_c T[:, c],
+    applied to the digits of the other factor. Every matmul entry is a short
+    sum of products of digits below p, so float64 is exact."""
 
     def __init__(self, field: FieldSpec, modulus: Poly):
         p, k, m = field.p, field.k, modulus.degree
@@ -207,7 +202,7 @@ class ResidueRing:
         s = field.mul_table[xpow[:, None], xpow][..., None] // xpow % p
         rows = self.rows((2 * m - 1) * k).reshape(2 * m - 1, k, n)
         prod = np.einsum("abl,jJlc->jaJbc", s, rows[np.add.outer(np.arange(m), np.arange(m))])
-        self.T = (prod % p).reshape(n * n, n)
+        self.T = (prod % p).reshape(n, n, n)
 
     def rows(self, count: int) -> np.ndarray:
         """The first `count` rows of the table, stepping it by t as needed."""
@@ -237,26 +232,21 @@ class ResidueRing:
             len(us), len(rows), lambda s: self._digits(us[s], place) @ rows[:-k] + rows[-k]
         )
 
-    def mul(self, a, b) -> np.ndarray:
-        """Codes of a*b, elementwise; a length-1 operand is broadcast."""
-        a, b = np.atleast_1d(a), np.atleast_1d(b)
-        n = len(self.place)
-
-        def outer(part):
-            ca = self._digits(a[part] if len(a) > 1 else a, self.place)
-            cb = self._digits(b[part] if len(b) > 1 else b, self.place)
-            return (ca[:, :, None] * cb[:, None, :]).reshape(-1, n * n) @ self.T
-
-        return self._batched(max(len(a), len(b)), n * n, outer)
+    def mul(self, a, b: int) -> np.ndarray:
+        """Codes of a*b for the codes `a` and one code `b`: the digits of `a`
+        times b's (n, n) multiplication map, read from T."""
+        a = np.atleast_1d(a)
+        by_b = self._digits(np.array([b]), self.place)[0] @ self.T % self.p
+        return self._batched(len(a), len(by_b), lambda s: self._digits(a[s], self.place) @ by_b)
 
     def pow(self, a: int, e: int) -> int:
-        out, base = np.ones(1, dtype=np.int64), np.array([a], dtype=np.int64)
+        out = 1
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = int(self.mul(out, a)[0])
+            a = int(self.mul(a, a)[0])
             e >>= 1
-        return int(out[0])
+        return out
 
 
 @cache

@@ -17,7 +17,7 @@ from ffvar.bounds import (
     theorem_ratio_sweep,
     von_mangoldt_char_sum_ratio,
 )
-from ffvar.errors import PreconditionError
+from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
 from ffvar.polys import from_coeffs, t_power
 
@@ -92,6 +92,12 @@ def test_mvt_trial_phases_and_general_modulus(f2, f3):
         assert rep.passed
     for rep in mvt_trial(f3, t_power(f3, 2), 4, TrialConfig(seed=5, trials=20)):
         assert rep.passed
+
+
+def test_mvt_trial_budget_refusal_is_a_budget_error(f2):
+    trials = mvt_trial(f2, t_power(f2, 3), 5, TrialConfig(seed=1, trials=1), budget=16)
+    with pytest.raises(BudgetError, match="exceeds budget 16"):
+        next(trials)
 
 
 def test_mvt_short_side(f2):

