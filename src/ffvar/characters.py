@@ -248,10 +248,16 @@ def even_mask(basis: UnitGroupBasis) -> np.ndarray:
     """Boolean mask over enumerate_characters order: True where chi is trivial
     on the nonzero constants (residue codes 1..q-1)."""
     L = basis.exponent
-    consts = basis.dlog_matrix[basis.code_to_index[1 : basis.field.q]]
-    scaled = consts * np.array([L // o for o in basis.orders], dtype=np.int64)
-    exponents = np.indices(basis.orders).reshape(len(basis.orders), basis.phi)
-    return ~((scaled @ exponents) % L).any(axis=0)
+    mask = np.ones(basis.phi, dtype=bool)
+    for log in basis.dlog_matrix[basis.code_to_index[1 : basis.field.q]]:
+        # the constant's rotation numerator under every character, built one
+        # generator axis at a time in C order (the last exponent fastest)
+        numerators = np.zeros(1, dtype=np.int64)
+        for x, o in zip(log.tolist(), basis.orders):
+            numerators = np.add.outer(numerators, np.arange(o) * (x * (L // o)) % L).ravel()
+            numerators %= L
+        mask &= numerators == 0
+    return mask
 
 
 def count_even(basis: UnitGroupBasis) -> int:

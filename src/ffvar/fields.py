@@ -1,10 +1,13 @@
 """Finite fields F_q with q = p^k small enough for table-driven arithmetic.
 
 Elements are encoded as integers in [0, q): the base-p digits of the code are
-the coordinates in the power basis 1, t, ..., t^(k-1) of F_p[t]/(modulus).
-For k = 1 the code is just the residue mod p. All arithmetic goes through
-precomputed q-by-q tables, exposed both as read-only numpy arrays (for bulk
-work) and as nested tuples (cheaper for scalar work).
+the coordinates in the power basis 1, x, ..., x^(k-1) of F_p[x]/(P). For
+k = 1 the code is just the residue mod p. For k > 1, F_{p^k} is built on F_p:
+P is the first degree-k irreducible of the F_p sieve (tables.build_tables),
+and products come from the residue ring F_p[x]/(P) (tables.ResidueRing).
+Addition is digitwise mod p. Scalar work reads the nested tuples add_rows and
+mul_rows; bulk work reads the read-only numpy mul_table, neg_table and
+inv_table.
 """
 
 from __future__ import annotations
@@ -30,62 +33,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# -- F_p[x] helpers on plain coefficient tuples, only used to build extensions
-
-
-def _fp_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(tuple(out))
-
-
-def _fp_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _fp_trim(tuple(a))
-
-
-def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    # monic f of degree >= 1; trial division by all monic g with
-    # 1 <= deg g <= deg f / 2
-    df = len(f) - 1
-    for dg in range(1, df // 2 + 1):
-        for u in range(p**dg):
-            g = tuple((u // p**i) % p for i in range(dg)) + (1,)
-            if not _fp_mod(f, g, p):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # lexicographic scan: constant term varies fastest, i.e. ascending mantissa
-    for u in range(p**k):
-        f = tuple((u // p**i) % p for i in range(k)) + (1,)
-        if _fp_is_irreducible(f, p):
-            return f
-    raise AssertionError("no irreducible found; unreachable for prime p")
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """A concrete F_q with lookup tables for all four operations."""
@@ -95,7 +42,6 @@ class FieldSpec:
     q: int
     # modulus coefficients over F_p, ascending, monic; None when k == 1
     modulus: tuple[int, ...] | None
-    add_table: np.ndarray = field(compare=False, repr=False)
     mul_table: np.ndarray = field(compare=False, repr=False)
     neg_table: np.ndarray = field(compare=False, repr=False)
     inv_table: np.ndarray = field(compare=False, repr=False)
@@ -137,13 +83,6 @@ class FieldSpec:
         return f"F_{self.q}" if self.k == 1 else f"F_{self.q}=F_{self.p}^{self.k}"
 
 
-def _ext_code_mul(a: int, b: int, p: int, k: int, mod: tuple[int, ...]) -> int:
-    ca = tuple((a // p**i) % p for i in range(k))
-    cb = tuple((b // p**i) % p for i in range(k))
-    prod = _fp_mod(_fp_mul(ca, cb, p), mod, p)
-    return sum(c * p**i for i, c in enumerate(prod))
-
-
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1, *, max_size: int = MAX_FIELD_SIZE) -> FieldSpec:
     """Build F_{p^k}. For k > 1 the modulus is the lexicographically smallest
@@ -156,29 +95,29 @@ def make_field(p: int, k: int = 1, *, max_size: int = MAX_FIELD_SIZE) -> FieldSp
     if q > max_size:
         raise PreconditionError(f"q = {q} exceeds the size limit {max_size}")
 
+    codes = np.arange(q)
+    digits = codes[:, None] // p ** np.arange(k) % p
+    add = (digits[:, None] + digits) % p @ p ** np.arange(k)
     if k == 1:
         modulus = None
-        add = [[(a + b) % p for b in range(q)] for a in range(q)]
-        mul = [[(a * b) % p for b in range(q)] for a in range(q)]
+        mul = np.outer(codes, codes) % p
     else:
-        modulus = _smallest_irreducible(p, k)
-        add = [
-            [
-                sum((((a // p**i) % p + (b // p**i) % p) % p) * p**i for i in range(k))
-                for b in range(q)
-            ]
-            for a in range(q)
-        ]
-        mul = [[_ext_code_mul(a, b, p, k, modulus) for b in range(q)] for a in range(q)]
+        # both modules build on FieldSpec, so they are imported here
+        from .polys import monic_from_index
+        from .tables import build_tables, residue_ring
 
-    neg = [next(b for b in range(q) if add[a][b] == 0) for a in range(q)]
-    inv = [0] + [next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)]
+        prime_field = make_field(p)
+        # the sieve lists irreducibles by ascending mantissa, smallest first
+        P = monic_from_index(prime_field, k, int(build_tables(prime_field, k).irreducibles[k][0]))
+        ring = residue_ring(prime_field, P)
+        modulus = P.coeffs
+        mul = np.stack([ring.mul(codes, b) for b in range(q)])
 
-    add_np = np.array(add, dtype=np.uint8)
-    mul_np = np.array(mul, dtype=np.uint8)
-    neg_np = np.array(neg, dtype=np.uint8)
-    inv_np = np.array(inv, dtype=np.uint8)
-    for arr in (add_np, mul_np, neg_np, inv_np):
+    # neg[a] is the b with a + b = 0 and inv[a] the b with a * b = 1; row 0
+    # of mul holds no 1, so inv[0] is 0
+    neg, inv = np.argmax(add == 0, axis=1), np.argmax(mul == 1, axis=1)
+    mul_np, neg_np, inv_np = (a.astype(np.uint8) for a in (mul, neg, inv))
+    for arr in (mul_np, neg_np, inv_np):
         arr.flags.writeable = False
 
     return FieldSpec(
@@ -186,12 +125,11 @@ def make_field(p: int, k: int = 1, *, max_size: int = MAX_FIELD_SIZE) -> FieldSp
         k=k,
         q=q,
         modulus=modulus,
-        add_table=add_np,
         mul_table=mul_np,
         neg_table=neg_np,
         inv_table=inv_np,
-        add_rows=tuple(tuple(row) for row in add),
-        mul_rows=tuple(tuple(row) for row in mul),
+        add_rows=tuple(tuple(row) for row in add.tolist()),
+        mul_rows=tuple(tuple(row) for row in mul.tolist()),
     )
 
 

@@ -254,33 +254,14 @@ def monic_from_index(field: FieldSpec, n: int, u: int) -> Poly:
 
 
 def enumerate_monic(
-    field: FieldSpec,
-    n: int,
-    prefix: Sequence[int] = (),
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    field: FieldSpec, n: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> Iterator[Poly]:
-    """All monic polynomials of degree n in ascending mantissa order.
-
-    `prefix` pins the top coefficients below the lead, highest degree first,
-    so the full enumeration splits exactly into the q^len(prefix) streams
-    obtained by ranging over prefixes of a fixed length.
-    """
+    """All monic polynomials of degree n in ascending mantissa order."""
     if n < 0:
         raise PreconditionError("degree must be >= 0")
-    if len(prefix) > n:
-        raise PreconditionError("prefix longer than the coefficient mantissa")
-    q = field.q
-    free = n - len(prefix)
-    if q**free > budget:
-        raise BudgetError(f"enumeration of q^{free} = {q**free} exceeds budget {budget}")
-    base = 0
-    for c in prefix:
-        if not 0 <= c < q:
-            raise PreconditionError(f"element code {c} out of range for {field}")
-        base = base * q + c
-    base *= q**free
-    for u in range(base, base + q**free):
+    if field.q**n > budget:
+        raise BudgetError(f"enumeration of q^{n} = {field.q**n} exceeds budget {budget}")
+    for u in range(field.q**n):
         yield monic_from_index(field, n, u)
 
 

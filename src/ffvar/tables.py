@@ -12,8 +12,10 @@ irreducible of degree d <= m/2 and M monic of degree m-d gets its entries
 written from M's row (Omega is additive, max-factor-degree is a max, so any
 irreducible divisor P of G produces the same value: overwrites are
 consistent). Whatever is never written is irreducible. Squarefree-ness is
-killed separately by marking P^2 * M products. Products are computed in bulk
-on digit matrices via the field's lookup tables, chunked to bound memory.
+killed separately by marking P^2 * M products. A product P * M of degree m
+is monic, so its mantissa is its residue code mod t^m: each chunk of products
+is one ResidueRing.mul by P's code in the ring mod t^m, the same batch engine
+as every other product mod Q. Chunks bound memory.
 
 The same product pass, run again on demand for one degree, records a factor
 link per mantissa: one irreducible P | G and the cofactor G/P. Following the
@@ -35,37 +37,16 @@ DEFAULT_TABLE_BUDGET = 1 << 22
 _CHUNK = 1 << 15
 
 
-def monic_digit_matrix(field: FieldSpec, n: int, us: np.ndarray) -> np.ndarray:
-    """(len(us), n+1) uint8 matrix of coefficient codes, leading 1 included."""
-    q = field.q
-    dig = np.empty((len(us), n + 1), dtype=np.uint8)
-    dig[:, n] = 1
-    shifted = us.astype(np.int64)
-    for i in range(n):
-        dig[:, i] = shifted % q
-        shifted //= q
-    return dig
-
-
 def mul_monic_batch(
     field: FieldSpec, pcoeffs: tuple[int, ...], md: int, us: np.ndarray
 ) -> np.ndarray:
     """Mantissas of P * M for a fixed monic P (ascending coeffs `pcoeffs`)
-    and all monic M of degree md given by mantissas `us`."""
+    and all monic M of degree md given by mantissas `us`: P * M is monic of
+    degree m = deg P + md, so its mantissa is its code mod t^m."""
     q = field.q
-    m_target = md + len(pcoeffs) - 1
-    dig = monic_digit_matrix(field, md, us)
-    acc = np.zeros((len(us), m_target), dtype=np.uint8)
-    add_t, mul_t = field.add_table, field.mul_table
-    for j, pc in enumerate(pcoeffs):
-        if pc == 0:
-            continue
-        block = dig if pc == 1 else mul_t[pc][dig]
-        hi = min(md + 1, m_target - j)
-        if hi > 0:
-            acc[:, j : j + hi] = add_t[acc[:, j : j + hi], block[:, :hi]]
-    qpow = q ** np.arange(m_target, dtype=np.int64)
-    return acc.astype(np.int64) @ qpow
+    m = md + len(pcoeffs) - 1
+    pcode = sum(c * q**j for j, c in enumerate(pcoeffs[:m]))
+    return residue_ring(field, t_power(field, m)).mul(us + q**md, pcode)
 
 
 def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: int = 1):
@@ -221,7 +202,9 @@ class ResidueRing:
         out = np.empty(count, dtype=np.int64)
         step = max(1, _SCRATCH_BYTES // (8 * width))
         for part in (slice(i, i + step) for i in range(0, count, step)):
-            out[part] = coords_of(part) % self.p @ self.place
+            coords = coords_of(part).astype(np.int64)  # float % is several times slower
+            coords %= self.p
+            out[part] = coords @ self.place
         return out
 
     def reduce(self, d: int, us: np.ndarray) -> np.ndarray:
@@ -240,12 +223,14 @@ class ResidueRing:
         return self._batched(len(a), len(by_b), lambda s: self._digits(a[s], self.place) @ by_b)
 
     def pow(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
+        """a^e by square-and-multiply from the top bit of e down."""
+        if e == 0:
+            return 1
+        out = int(a)
+        for bit in bin(e)[3:]:
+            out = int(self.mul(out, out)[0])
+            if bit == "1":
                 out = int(self.mul(out, a)[0])
-            a = int(self.mul(a, a)[0])
-            e >>= 1
         return out
 
 

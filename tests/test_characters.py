@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -372,6 +373,18 @@ def test_even_mask_matches_is_even(p, k):
         basis = unit_group_basis(fld, modulus)
         expected = [chi.is_even for chi in enumerate_characters(basis)]
         assert even_mask(basis).tolist() == expected
+
+
+def test_even_mask_peak_memory_stays_linear_in_phi(f3):
+    basis = unit_group_basis(f3, t_power(f3, 10))
+    tracemalloc.start()
+    try:
+        mask = even_mask(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(mask.sum()) == f3.q**9
+    assert peak < 4 * 8 * basis.phi
 
 
 # -- the exact cancellation predicate ---------------------------------------------

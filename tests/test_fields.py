@@ -4,6 +4,7 @@ import pytest
 
 from ffvar.errors import PreconditionError
 from ffvar.fields import MAX_FIELD_SIZE, make_field, verify_field_axioms
+from ffvar.polys import Poly, from_coeffs
 
 
 def test_prime_field_shape(f2, f3):
@@ -19,6 +20,21 @@ def test_extension_moduli_are_the_smallest_irreducibles(f4):
     assert make_field(2, 3).modulus == (1, 1, 0, 1)  # t^3 + t + 1
     assert make_field(3, 2).modulus == (1, 0, 1)  # t^2 + 1
     assert make_field(2, 4).modulus == (1, 1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_extension_products_are_poly_products_mod_the_modulus(p, k):
+    fld, prime = make_field(p, k), make_field(p)
+    modulus = Poly(prime, fld.modulus)
+
+    def element(code):
+        return from_coeffs(prime, [code // p**i % p for i in range(k)])
+
+    for a in range(fld.q):
+        for b in range(fld.q):
+            product = (element(a) * element(b)) % modulus
+            code = sum(c * p**i for i, c in enumerate(product.coeffs))
+            assert fld.mul(a, b) == fld.mul_table[a, b] == code, (a, b)
 
 
 def test_make_field_rejects_bad_parameters():

@@ -1,4 +1,4 @@
-"""Golden guard: three of the benchmark's commands run in-process and are
+"""Golden guard: four of the benchmark's commands run in-process and are
 checked against the outputs stored in perfbench/golden with the benchmark's
 own checker, so output drift fails here before it fails the benchmark.
 
@@ -25,6 +25,11 @@ VARIANCE = Command(
     "variance",
     ("variance", "--mode", "both", "--p", "3", "--N", "8", "--h", "1:3", "--function", "liouville"),
 )
+# the sieve's Omega and squarefree tables (P^2 * M products) on a third field
+VARIANCE_DIRECT = Command(
+    "variance",
+    ("variance", "--mode", "direct", "--p", "5", "--N", "8", "--h", "1:6", "--function", "moebius"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +42,10 @@ def golden() -> Golden:
     [
         (verify_command(0), cli.main),
         (VARIANCE, cli.main),
+        (VARIANCE_DIRECT, cli.main),
         (charsums_command([(4, 0), (5, 7)]), charsums.main),
     ],
-    ids=["verify", "variance", "charsums"],
+    ids=["verify", "variance", "variance-direct", "charsums"],
 )
 def test_matches_golden_output(golden, cmd, run, capsys, monkeypatch):
     monkeypatch.delenv("FFVAR_CACHE_DIR", raising=False)

@@ -159,15 +159,6 @@ def test_enumeration_counts(f3):
     assert len(list(enumerate_monic(f3, 3))) == 27
 
 
-def test_enumeration_prefix_split_contract(f2, f3):
-    for fld, n in ((f2, 4), (f3, 3)):
-        whole = list(enumerate_monic(fld, n))
-        parts = []
-        for c in range(fld.q):
-            parts.extend(enumerate_monic(fld, n, prefix=(c,)))
-        assert parts == whole
-
-
 def test_enumeration_budget(f2):
     with pytest.raises(BudgetError):
         list(enumerate_monic(f2, 30))

@@ -21,7 +21,6 @@ from ffvar.polys import (
 from ffvar.tables import (
     build_tables,
     get_tables,
-    monic_digit_matrix,
     mul_monic_batch,
     ResidueRing,
     reduce_monic_mod,
@@ -134,31 +133,22 @@ def test_factor_matches_brute_factor():
 # -- batched monic multiplication ---------------------------------------------
 
 
-def test_monic_digit_matrix_round_trip(f3):
-    us = np.arange(f3.q**3, dtype=np.int64)
-    digits = monic_digit_matrix(f3, 3, us)
-    assert digits.shape == (27, 4)
-    assert (digits[:, -1] == 1).all()
-    # row u holds the base-q digits of u plus the leading 1
-    recoded = (digits[:, :-1] * f3.q ** np.arange(3)).sum(axis=1)
-    assert (recoded == us).all()
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_mul_monic_batch_matches_poly_product(q):
-    fld = make_field(q)
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_mul_monic_batch_matches_poly_product(p, k):
+    fld = make_field(p, k)
+    q = fld.q
     rng = np.random.default_rng(7)
-    for _ in range(40):
-        dp = int(rng.integers(1, 4))
-        dm = int(rng.integers(0, 4))
-        p = monic_from_index(fld, dp, int(rng.integers(0, q**dp)))
-        us = np.arange(q**dm, dtype=np.int64)
-        codes = mul_monic_batch(fld, p.coeffs, dm, us)
-        for u in us:
-            expected = p * monic_from_index(fld, dm, int(u))
-            assert int(codes[u]) == sum(
-                c * q**j for j, c in enumerate(expected.coeffs[:-1])
-            )
+    for dp in (1, 2, 3):
+        for md in range(4):
+            if q**md > 256:
+                break
+            us = np.arange(q**md, dtype=np.int64)
+            for up in rng.integers(0, q**dp, size=3):
+                P = monic_from_index(fld, dp, int(up))
+                codes = mul_monic_batch(fld, P.coeffs, md, us)
+                for u in us:
+                    expected = P * monic_from_index(fld, md, int(u))
+                    assert int(codes[u]) == monic_index(expected), (q, P, md, u)
 
 
 # -- modular reduction ---------------------------------------------------------
@@ -228,6 +218,28 @@ def test_residue_ring_table_grows_on_demand(f2, f3, f4):
                 x_i = from_coeffs(fld, [fld.p**i])
                 expected = _coordinates(fld, (x_i * t_power(fld, j)) % modulus, m)
                 assert grown[j * k + i].tolist() == expected
+
+
+def test_residue_ring_pow_squares_from_the_top_bit(f3, f4):
+    for fld, coeffs in ((f3, [2, 1, 0, 1, 1]), (f4, [3, 1, 2, 1])):
+        modulus = from_coeffs(fld, coeffs)
+        q, m = fld.q, modulus.degree
+        ring = ResidueRing(fld, modulus)
+        mul, calls = ring.mul, []
+        ring.mul = lambda a, b: calls.append(b) or mul(a, b)
+        for e, count in ((1, 0), (2, 1), (3, 2), (8, 3)):
+            calls.clear()
+            ring.pow(5, e)
+            assert len(calls) == count, e
+        assert ring.pow(5, 0) == 1
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            a, e = int(rng.integers(0, q**m)), int(rng.integers(0, 40))
+            base = from_coeffs(fld, [a // q**j % q for j in range(m)])
+            expected = from_coeffs(fld, [1])
+            for _ in range(e):
+                expected = (expected * base) % modulus
+            assert ring.pow(a, e) == _residue_code(expected, q), (q, a, e)
 
 
 # -- caching -------------------------------------------------------------------
