@@ -12,10 +12,12 @@ irreducible of degree d <= m/2 and M monic of degree m-d gets its entries
 written from M's row (Omega is additive, max-factor-degree is a max, so any
 irreducible divisor P of G produces the same value: overwrites are
 consistent). Whatever is never written is irreducible. Squarefree-ness is
-killed separately by marking P^2 * M products. A product P * M of degree m
-is monic, so its mantissa is its residue code mod t^m: each chunk of products
-is one ResidueRing.mul by P's code in the ring mod t^m, the same batch engine
-as every other product mod Q. Chunks bound memory.
+killed separately by marking P^2 * M products. The products of one P come
+from mul_monic_batch: it splits M at half its degree, gets P times each half
+from one small ResidueRing product (at most 2 q^ceil(md/2) codes instead of
+q^md), and joins the halves by a carry-less outer sum, in which only the
+deg P overlapping coefficients need a correction. Blocks of about _CHUNK
+products bound memory.
 
 The same product pass, run again on demand for one degree, records a factor
 link per mantissa: one irreducible P | G and the cofactor G/P. Following the
@@ -37,16 +39,38 @@ DEFAULT_TABLE_BUDGET = 1 << 22
 _CHUNK = 1 << 15
 
 
-def mul_monic_batch(
-    field: FieldSpec, pcoeffs: tuple[int, ...], md: int, us: np.ndarray
-) -> np.ndarray:
-    """Mantissas of P * M for a fixed monic P (ascending coeffs `pcoeffs`)
-    and all monic M of degree md given by mantissas `us`: P * M is monic of
-    degree m = deg P + md, so its mantissa is its code mod t^m."""
-    q = field.q
-    m = md + len(pcoeffs) - 1
-    pcode = sum(c * q**j for j, c in enumerate(pcoeffs[:m]))
-    return residue_ring(field, t_power(field, m)).mul(us + q**md, pcode)
+def mul_monic_batch(field: FieldSpec, dp: int, up: int, md: int):
+    """Mantissas of P * M for the monic P of degree dp with mantissa `up` and
+    every monic M of degree md, as blocks (slice of M's mantissas, the
+    products' mantissas) in mantissa order.
+
+    Split M = L + t^a H at a = ceil(md/2), so deg L < a, H is monic of degree
+    md - a and M's mantissa is l + q^a h. Then P * M = P * L + t^a P * H, and
+    the mantissa of P * M is code(P * L) (+) q^a mant(P * H), where (+) adds
+    base-p digits mod p. The q^a codes of P * L and the q^(md-a) mantissas of
+    P * H come from one small ResidueRing product. Their digits overlap only in
+    [k*a, k*(a+dp)), so a block is the integer outer sum less p^(j+1) at each
+    overlap digit j whose two digits sum to p or more. A block holds whole
+    rows of H, about _CHUNK products."""
+    p, k, q = field.p, field.k, field.q
+    a, m = (md + 1) // 2, md + dp
+    # H's codes q^(md-a) + h lie below 2 q^a, so one product mod t^(a+dp+1)
+    # holds every P * L and P * H whole
+    h0 = q ** (md - a)
+    ring = residue_ring(field, t_power(field, a + dp + 1))
+    codes = ring.mul(np.arange(max(q**a, 2 * h0)), up + q**dp)
+    low, high = codes[: q**a], codes[h0 : 2 * h0] - q ** (m - a)
+    place = p ** np.arange(k * dp)
+    digits = np.concatenate((low // q**a, high)) // place[:, None] % p
+    # overlap digit j carries where high's digit reaches p less low's digit
+    low_room, high_digits = p - digits[:, : q**a], digits[:, q**a :]
+    rows = max(1, _CHUNK // q**a)
+    for h in range(0, len(high), rows):
+        block = np.add.outer(high[h : h + rows] * q**a, low)
+        carries = np.greater_equal(high_digits[:, h : h + rows, None], low_room[:, None, :])
+        for carry, where in zip(place * p * q**a, carries):
+            np.subtract(block, carry, out=block, where=where)
+        yield slice(h * q**a, h * q**a + block.size), block.ravel()
 
 
 def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: int = 1):
@@ -55,12 +79,14 @@ def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: i
     mantissas, the products' mantissas)."""
     q = field.q
     for d in range(1, m // 2 + 1):
-        md = m - power * d
-        for up in irreducibles[d]:
-            pc = (monic_from_index(field, d, int(up)) ** power).coeffs
-            for start in range(0, q**md, _CHUNK):
-                part = slice(start, min(start + _CHUNK, q**md))
-                yield d, up, part, mul_monic_batch(field, pc, md, np.arange(part.start, part.stop))
+        ups = irreducibles[d]
+        if power == 1:
+            mants = ups
+        else:  # P^2 is monic of degree 2d, so its code mod t^(2d+1) holds it whole
+            mants = residue_ring(field, t_power(field, 2 * d + 1)).square(ups + q**d) - q ** (2 * d)
+        for up, mant in zip(ups, mants.tolist()):
+            for part, codes in mul_monic_batch(field, power * d, mant, m - power * d):
+                yield d, up, part, codes
 
 
 @dataclass
@@ -221,6 +247,18 @@ class ResidueRing:
         a = np.atleast_1d(a)
         by_b = self._digits(np.array([b]), self.place)[0] @ self.T % self.p
         return self._batched(len(a), len(by_b), lambda s: self._digits(a[s], self.place) @ by_b)
+
+    def square(self, a: np.ndarray) -> np.ndarray:
+        """Codes of a*a for each code in `a`: the outer square of its digits
+        read through T."""
+        n = len(self.place)
+        by_pair = self.T.reshape(n * n, n)
+
+        def coords(s):
+            digits = self._digits(a[s], self.place)
+            return (digits[:, :, None] * digits[:, None, :]).reshape(-1, n * n) @ by_pair
+
+        return self._batched(len(a), n * n, coords)
 
     def pow(self, a: int, e: int) -> int:
         """a^e by square-and-multiply from the top bit of e down."""

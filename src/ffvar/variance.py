@@ -34,7 +34,7 @@ import numpy as np
 from .arith import SieveCache, factor, omega_in_window
 from .errors import BudgetError, PreconditionError, SmoothWindowError
 from .fields import FieldSpec
-from .polys import DEFAULT_ENUM_BUDGET, Poly, monic_from_index, t_power
+from .polys import DEFAULT_ENUM_BUDGET, Poly, monic_from_index, monic_index, t_power
 from .characters import DirichletChar, character_sums, unit_group_basis
 from .tables import ArithTables, get_tables, mul_monic_batch, reduce_monic_mod
 
@@ -318,9 +318,7 @@ def decomposition_check(
     for x in range(h + 1, n + 1):
         for p in tables.irreducible_polys(x):
             md = n - x
-            codes = mul_monic_batch(
-                field, p.coeffs, md, np.arange(q**md, dtype=np.int64)
-            )
+            codes = np.concatenate([c for _, c in mul_monic_batch(field, x, monic_index(p), md)])
             lam = tables.liouville_values(md)
             for u in range(q**md):
                 m_poly = monic_from_index(field, md, u)
@@ -328,10 +326,8 @@ def decomposition_check(
                 weights[int(codes[u])] += a
             if 2 * x <= n:
                 md2 = n - 2 * x
-                p2 = (p * p).coeffs
-                codes2 = mul_monic_batch(
-                    field, p2, md2, np.arange(q**md2, dtype=np.int64)
-                )
+                p2 = monic_index(p * p)
+                codes2 = np.concatenate([c for _, c in mul_monic_batch(field, 2 * x, p2, md2)])
                 for u in range(q**md2):
                     m2 = monic_from_index(field, md2, u)
                     pm = p * m2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,9 +52,17 @@ def _brute_irreducibles(fld, d: int) -> tuple[Poly, ...]:
     return tuple(g for g in enumerate_monic(fld, d) if len(_brute_factor(g)) == 1)
 
 
-@pytest.mark.parametrize("q,max_deg", [(2, 6), (3, 5)])
-def test_sieve_tables_match_trial_division(q, max_deg):
-    fld = make_field(q)
+# every F_q with q <= 16, as (p, k)
+ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_sieve_tables_match_trial_division(p, k):
+    # every degree with q^n <= 4096: the split product's carries differ for
+    # each p and k
+    fld = make_field(p, k)
+    q = fld.q
+    max_deg = max(n for n in range(1, 13) if q**n <= 4096)
     tab = build_tables(fld, max_deg)
     for n in range(1, max_deg + 1):
         lam = tab.liouville_values(n)
@@ -69,10 +78,6 @@ def test_sieve_tables_match_trial_division(q, max_deg):
             assert tab.max_factor_degree[n][u] == mfd
             assert lam[u] == (-1) ** omega
             assert mu[u] == ((-1) ** omega if sqfree else 0)
-
-
-# every F_q with q <= 16, as (p, k)
-ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
@@ -133,20 +138,43 @@ def test_factor_matches_brute_factor():
 # -- batched monic multiplication ---------------------------------------------
 
 
+def _one_shot_products(fld, dp: int, up: int, md: int) -> np.ndarray:
+    """Oracle: P * M for every monic M of degree md as one ring product mod
+    t^m, m = dp + md, with no split."""
+    q, m = fld.q, dp + md
+    ring = residue_ring(fld, t_power(fld, m))
+    return ring.mul(np.arange(q**md) + q**md, (up + q**dp) % q**m)
+
+
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
 def test_mul_monic_batch_matches_poly_product(p, k):
+    # P of degree 1..4 and P^2 as the squarefree pass reads it; md <= 3
+    # against Poly products (at most 256 M each), and every md with
+    # q^md <= 2^14 against the one-shot ring product, so overlaps of several
+    # digits carry for each p and k
     fld = make_field(p, k)
     q = fld.q
     rng = np.random.default_rng(7)
-    for dp in (1, 2, 3):
-        for md in range(4):
-            if q**md > 256:
+    multipliers = []
+    for dp in (1, 2, 3, 4):
+        ups = rng.integers(0, q**dp, size=2)
+        polys = [monic_from_index(fld, dp, int(up)) for up in ups]
+        squares = residue_ring(fld, t_power(fld, 2 * dp + 1)).square(ups + q**dp)
+        assert (squares - q ** (2 * dp)).tolist() == [monic_index(P * P) for P in polys]
+        multipliers += [*polys, polys[0] * polys[0]]
+    for P in multipliers:
+        up = monic_index(P)
+        for md in range(15):
+            if q**md > 1 << 14:
                 break
-            us = np.arange(q**md, dtype=np.int64)
-            for up in rng.integers(0, q**dp, size=3):
-                P = monic_from_index(fld, dp, int(up))
-                codes = mul_monic_batch(fld, P.coeffs, md, us)
-                for u in us:
+            blocks = list(mul_monic_batch(fld, P.degree, up, md))
+            starts = [part.start for part, _ in blocks]
+            assert starts == [0, *(part.stop for part, _ in blocks[:-1])]
+            assert blocks[-1][0].stop == q**md
+            codes = np.concatenate([c for _, c in blocks])
+            assert np.array_equal(codes, _one_shot_products(fld, P.degree, up, md)), (q, P, md)
+            if md <= 3:
+                for u in rng.permutation(q**md)[:256]:
                     expected = P * monic_from_index(fld, md, int(u))
                     assert int(codes[u]) == monic_index(expected), (q, P, md, u)
 
@@ -276,6 +304,22 @@ def test_get_tables_extends_in_place(f3, monkeypatch):
     with pytest.raises(BudgetError):
         get_tables(f3, 30)
     assert tab.max_degree == 5
+
+
+def test_build_tables_scratch_memory_stays_bounded():
+    # the product pass emits blocks of about _CHUNK products, never a q^md
+    # array, so a build peaks within 2 MiB of the tables it keeps
+    for q, n in ((2, 18), (3, 11)):
+        fld = make_field(q)
+        tracemalloc.start()
+        try:
+            tab = build_tables(fld, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        groups = (tab.big_omega, tab.squarefree, tab.max_factor_degree, tab.irreducibles)
+        held = sum(a.nbytes for group in groups for a in group)
+        assert peak - held <= 2 << 20, (q, n, peak - held)
 
 
 def test_build_tables_budget(f2):
