@@ -58,6 +58,7 @@ from .variance import (
     variance_charside,
     variance_direct,
     weighted_char_sum,
+    window_defects,
 )
 from .bounds import (
     BoundReport,

@@ -26,7 +26,6 @@ from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import (
     DEFAULT_ENUM_BUDGET,
     Poly,
-    enumerate_monic,
     from_coeffs,
     monic_from_index,
     monic_index,
@@ -294,9 +293,9 @@ def _suite_involution(cfg: RunConfig, fld: FieldSpec):
     max_deg = min(cfg.n_max, 8)
     tables = get_tables(fld, max_deg)
     q = fld.q
+    lam = [tables.liouville_values(n) for n in range(max_deg + 1)]
     checked = 0
     for n in range(0, max_deg + 1):
-        lam = tables.liouville_values(n)
         for u in range(q**n):
             if u % q == 0 and n > 0:
                 continue  # F(0) = 0: star is not an involution there
@@ -306,9 +305,9 @@ def _suite_involution(cfg: RunConfig, fld: FieldSpec):
                 if star(g) != f:
                     raise AssertionError(f"star(star(F)) != F at F = {f}")
                 if n > 0:
-                    lam_f = int(lam[u])
+                    lam_f = int(lam[n][u])
                     gm = g.monic()
-                    lam_g = int(tables.liouville_values(gm.degree)[monic_index(gm)])
+                    lam_g = int(lam[gm.degree][monic_index(gm)])
                     if lam_f != lam_g:
                         raise AssertionError(f"lambda not star-symmetric at F = {f}")
                 checked += 1
@@ -325,8 +324,7 @@ def _suite_involution(cfg: RunConfig, fld: FieldSpec):
 def _random_nonzero(fld: FieldSpec, rng, max_deg: int) -> Poly:
     while True:
         deg = int(rng.integers(0, max_deg + 1))
-        coeffs = tuple(int(rng.integers(0, fld.q)) for _ in range(deg + 1))
-        f = Poly(fld, coeffs)
+        f = Poly(fld, tuple(rng.integers(0, fld.q, size=deg + 1).tolist()))
         if not f.is_zero:
             return f
 
@@ -358,12 +356,10 @@ def _suite_necklace(cfg: RunConfig, fld: FieldSpec):
 
 def _suite_smooth(cfg: RunConfig, fld: FieldSpec):
     n_hi = min(cfg.n_max, 7)
-    cache = arith.sieve_irreducibles(fld, n_hi)
+    tables = get_tables(fld, n_hi)
     for n in range(1, n_hi + 1):
         for h in range(1, n + 1):
-            brute = sum(
-                1 for g in enumerate_monic(fld, n) if arith.is_smooth(g, h, cache)
-            )
+            brute = int(np.count_nonzero(tables.max_factor_degree[n] <= h))
             dp = arith.count_smooth_exact(fld, h, n)
             if brute != dp:
                 raise AssertionError(
@@ -403,32 +399,28 @@ def _suite_orthogonality(cfg: RunConfig, fld: FieldSpec):
 
 
 def _suite_ramare(cfg: RunConfig, fld: FieldSpec):
-    from .errors import SmoothWindowError
-
     n_hi = min(cfg.n_max, 8)
-    cache = arith.sieve_irreducibles(fld, n_hi)
     checked = 0
     for n in range(2, n_hi + 1):
         for h in range(1, n):
-            for g in enumerate_monic(fld, n):
-                try:
-                    defect = variance.ramare_identity_check(fld, g, h, n, cache=cache)
-                except SmoothWindowError:
-                    continue
-                if defect != 0:
-                    raise AssertionError(
-                        f"recombination defect {defect} at q={fld.q} G={g} h={h} n={n}"
-                    )
-                checked += 1
+            check = variance.window_defects(fld, n, h)
+            bad = np.flatnonzero(check.ramare)
+            if bad.size:
+                u = int(bad[0])
+                defect = Fraction(int(check.ramare[u]), check.denominator)
+                raise AssertionError(
+                    f"recombination defect {defect} at q={fld.q} "
+                    f"G={monic_from_index(fld, n, u)} h={h} n={n}"
+                )
+            checked += int(np.count_nonzero(~check.skipped))
     return f"defect 0 on {checked} (G, h) cases, n <= {n_hi}"
 
 
 def _suite_decomposition(cfg: RunConfig, fld: FieldSpec):
     n_hi = min(cfg.n_max, 8 if fld.q == 2 else 6)
-    cache = arith.sieve_irreducibles(fld, n_hi)
     for n in range(2, n_hi + 1):
         for h in range(1, n):
-            worst = variance.decomposition_check(fld, n, h, cache=cache)
+            worst = variance.decomposition_check(fld, n, h)
             if worst != 0:
                 raise AssertionError(
                     f"decomposition defect {worst} at q={fld.q} n={n} h={h}"

@@ -21,7 +21,9 @@ products bound memory.
 
 The same product pass, run again on demand for one degree, records a factor
 link per mantissa: one irreducible P | G and the cofactor G/P. Following the
-links from G factors it in Omega(G) lookups (ArithTables.factor_links).
+links from G factors it in Omega(G) lookups (ArithTables.factor_links). The
+window pairs (ArithTables.window_pairs) keep every (P, M, P * M) of one
+degree, for the identity checks of the variance module.
 """
 
 from __future__ import annotations
@@ -100,6 +102,9 @@ class ArithTables:
     _links: dict[int, tuple[np.ndarray, ...]] = dc_field(
         default_factory=dict, repr=False, compare=False
     )
+    _pairs: dict[int, tuple[np.ndarray, ...]] = dc_field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def factor_links(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(deg P, mantissa of P, mantissa of G/P) for one irreducible P | G
@@ -114,6 +119,27 @@ class ArithTables:
                 deg[codes], fac[codes], cof[codes] = d, up, np.arange(part.start, part.stop)
             self._links[m] = links
         return links
+
+    def window_pairs(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(deg P, mantissa of P, mantissa of M, mantissa of P * M) for every
+        monic irreducible P of degree 1..m and every monic M of degree
+        m - deg P, int64, ordered by (deg P, P, M): the pairs of one P are
+        q^(m - deg P) consecutive rows in M's mantissa order. Each G of degree
+        m appears once per distinct irreducible factor. Built by one
+        mul_monic_batch call per P on first use."""
+        pairs = self._pairs.get(m)
+        if pairs is None:
+            q = self.field.q
+            deg, fac, cof, prod = ([np.empty(0, np.int64)] for _ in range(4))
+            for d in range(1, m + 1):
+                ups, size = self.irreducibles[d], q ** (m - d)
+                deg.append(np.full(len(ups) * size, d))
+                fac.append(np.repeat(ups, size))
+                cof.append(np.tile(np.arange(size), len(ups)))
+                for up in ups.tolist():
+                    prod += [block for _, block in mul_monic_batch(self.field, d, up, m - d)]
+            pairs = self._pairs[m] = tuple(np.concatenate(c) for c in (deg, fac, cof, prod))
+        return pairs
 
     def extend(self, max_degree: int, budget: int) -> None:
         """Sieve degrees self.max_degree+1 .. max_degree onto these tables in

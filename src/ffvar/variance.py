@@ -19,24 +19,31 @@ t-power part split off by the coefficient-reversal involution with the
 coprime-to-t part seen by the characters.
 
 Also here: the Ramare-style recombination identity and the window
-decomposition of Liouville into large-prime and squarefull parts, both
-checked in exact rational arithmetic.
+decomposition of Liouville into (prime x cofactor) parts, checked exactly for
+every monic G of degree n at once. Both sum over the window pairs (P, M),
+G = P * M with h < deg P <= n (ArithTables.window_pairs), a term read from
+the cofactor M alone: lambda(M) = -lambda(G), w = omega_w(M) and whether
+P | M. Each term weighs 1/omega_w(G): where P does not divide M,
+omega_w(G) = w + 1; where it does, omega_w(G) = w and the decomposition's
+1/(w+1) + 1/(w(w+1)) telescopes to 1/w. So over the omega_w(G) window
+primes both sums give lambda(G). Each is still evaluated as stated, in int64
+numerators over lcm(1..n+1).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import SieveCache, factor, omega_in_window
+from .arith import SieveCache
 from .errors import BudgetError, PreconditionError, SmoothWindowError
 from .fields import FieldSpec
-from .polys import DEFAULT_ENUM_BUDGET, Poly, monic_from_index, monic_index, t_power
+from .polys import DEFAULT_ENUM_BUDGET, Poly, monic_index, t_power
 from .characters import DirichletChar, character_sums, unit_group_basis
-from .tables import ArithTables, get_tables, mul_monic_batch, reduce_monic_mod
+from .tables import ArithTables, get_tables, reduce_monic_mod
 
 
 @dataclass(frozen=True)
@@ -258,54 +265,36 @@ def variance_report(
 # -- identity checks (exact rationals; defects must be literally zero)
 
 
-def _liouville(factors) -> int:
-    return -1 if sum(e for _, e in factors) & 1 else 1
+@dataclass(frozen=True)
+class WindowDefects:
+    """Defects of both window identities for every monic G of degree n,
+    mantissa-indexed, as int64 numerators over one `denominator`."""
+
+    denominator: int
+    ramare: np.ndarray
+    decomposition: np.ndarray
+    skipped: np.ndarray  # no window prime divides G: h-smooth by the pairs
 
 
-def ramare_identity_check(
-    field: FieldSpec, g: Poly, h: int, n: int, *, cache: SieveCache
-) -> Fraction:
-    """Defect of the recombination identity for one G: sum over window
-    primes P | G of lambda(P * (G/P)) / omega_window(P * (G/P)) minus
-    lambda(G), where the numerator data is recomputed from the cofactor's
-    factorization exactly as the decomposition does it."""
-    if not g.is_monic:
-        raise PreconditionError("G must be monic")
-    if g.degree != n:
-        raise PreconditionError(f"deg G = {g.degree} but n = {n}")
-    if not 1 <= h < n:
-        raise PreconditionError(f"need 1 <= h < n; got h={h}, n={n}")
-    fac = factor(g, cache).factors
-    window = [p for p, _ in fac if h < p.degree <= n]
-    if not window:
-        raise SmoothWindowError(f"{g} has no prime factor of degree in ({h}, {n}]")
-    total = Fraction(0)
-    for p in window:
-        cfac = factor(g // p, cache).factors
-        omega_c = sum(1 for cp, _ in cfac if h < cp.degree <= n)
-        omega_full = omega_c + all(cp != p for cp, _ in cfac)
-        total -= Fraction(_liouville(cfac), omega_full)
-    return total - _liouville(fac)
-
-
-def decomposition_check(
+def window_defects(
     field: FieldSpec,
     n: int,
     h: int,
     *,
-    cache: SieveCache,
     tables: ArithTables | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> Fraction:
-    """Max abs defect over all monic G of degree n of the window
-    decomposition: the (prime x cofactor) double sum with weights
+) -> WindowDefects:
+    """One array pass over the window pairs (P, M), G = P * M, P a window
+    prime (h < deg P <= n), reading each term from M: lambda(M),
+    omega_w(M) (the pairs of degree deg M that reach M) and P | M (M is the
+    product of a pair (P, M') of degree deg M). The per-G sums
 
-        a(M)    = -lambda(M) / (omega_w(M) + 1)        at G = P * M
-        b(P*M') = -lambda(P*M') / (w * (w + 1)),  w = omega_w(P*M'),
-                                                       at G = P^2 * M'
+        recombination:  -lambda(M) / (omega_w(M) + [P does not divide M])
+        decomposition:  -lambda(M) / (w + 1) - [P | M] lambda(M) / (w (w + 1)),
+                        w = omega_w(M)
 
-    summed over window primes P (degree in (h, n]) must reproduce
-    lambda(G) * [G is not h-smooth] exactly."""
+    must equal lambda(G) * [max_factor_degree(G) > h], so a G that the pairs
+    and the table disagree on shows a defect."""
     if not 1 <= h < n:
         raise PreconditionError(f"need 1 <= h < n; got h={h}, n={n}")
     q = field.q
@@ -313,29 +302,81 @@ def decomposition_check(
         raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
     if tables is None:
         tables = get_tables(field, n)
+    # four int64 columns of the pairs of degree n and of every cofactor degree
+    nbytes = 32 * sum(
+        len(tables.irreducibles[d]) * q ** (m - d)
+        for m in (n, *range(1, n - h))
+        for d in range(1, m + 1)
+    )
+    if nbytes > budget:
+        raise BudgetError(f"window pairs of {nbytes} bytes exceed budget {budget}")
 
-    weights: defaultdict[int, Fraction] = defaultdict(Fraction)
-    for x in range(h + 1, n + 1):
-        for p in tables.irreducible_polys(x):
-            md = n - x
-            codes = np.concatenate([c for _, c in mul_monic_batch(field, x, monic_index(p), md)])
-            lam = tables.liouville_values(md)
-            for u in range(q**md):
-                m_poly = monic_from_index(field, md, u)
-                a = Fraction(-int(lam[u]), omega_in_window(m_poly, h, n, cache) + 1)
-                weights[int(codes[u])] += a
-            if 2 * x <= n:
-                md2 = n - 2 * x
-                p2 = monic_index(p * p)
-                codes2 = np.concatenate([c for _, c in mul_monic_batch(field, 2 * x, p2, md2)])
-                for u in range(q**md2):
-                    m2 = monic_from_index(field, md2, u)
-                    pm = p * m2
-                    w = omega_in_window(pm, h, n, cache)
-                    lam_pm = _liouville(factor(pm, cache))
-                    weights[int(codes2[u])] += Fraction(-lam_pm, w * (w + 1))
+    def window(m: int):
+        """The pairs of degree m whose P is a window prime: deg P, M, P * M."""
+        deg, _, cof, prod = tables.window_pairs(m)
+        lo = np.searchsorted(deg, h + 1)
+        return deg[lo:], cof[lo:], prod[lo:]
 
-    lam_n = tables.liouville_values(n)
-    rough = tables.max_factor_degree[n] > h
-    return max(abs(weights[u] - (int(lam_n[u]) if rough[u] else 0)) for u in range(q**n))
+    omega = {m: np.bincount(window(m)[2], minlength=q**m) for m in range(n - h)}
+    deg, cof, prod = window(n)
+    lam, w, divides = [], [], []
+    for d in range(h + 1, n + 1):
+        m = n - d
+        part = slice(*np.searchsorted(deg, [d, d + 1]))
+        lam.append(tables.liouville_values(m)[cof[part]])
+        w.append(omega[m][cof[part]])
+        flags = np.zeros(part.stop - part.start, bool)
+        if 2 * d <= n:  # P | M where M is the product of a pair (P, M') of degree m
+            sub_deg, _, sub_prod = window(m)
+            rows = sub_prod[slice(*np.searchsorted(sub_deg, [d, d + 1]))].reshape(-1, q ** (m - d))
+            flags[(np.arange(len(rows)) * q**m)[:, None] + rows] = True
+        divides.append(flags)
+    lam, w, divides = (np.concatenate(x).astype(np.int64) for x in (lam, w, divides))
 
+    den = math.lcm(*range(1, n + 2))
+    target = den * tables.liouville_values(n).astype(np.int64) * (tables.max_factor_degree[n] > h)
+    ramare, decomposition = np.zeros(q**n, np.int64), np.zeros(q**n, np.int64)
+    np.add.at(ramare, prod, -lam * (den // (w + 1 - divides)))
+    squarefull = divides * (den // np.maximum(w * (w + 1), 1))  # w >= 1 where P | M
+    np.add.at(decomposition, prod, -lam * (den // (w + 1) + squarefull))
+    return WindowDefects(
+        denominator=den,
+        ramare=ramare - target,
+        decomposition=decomposition - target,
+        skipped=np.bincount(prod, minlength=q**n) == 0,
+    )
+
+
+def ramare_identity_check(field: FieldSpec, g: Poly, h: int, n: int) -> Fraction:
+    """Defect of the recombination identity for one G: the sum over window
+    primes P | G of -lambda(G/P) / omega_w(G), omega_w(G) counted from the
+    cofactor as omega_w(G/P) + [P does not divide G/P], minus lambda(G). A
+    per-G view of window_defects; an h-smooth G raises SmoothWindowError
+    unless max_factor_degree calls it rough, when its defect is returned."""
+    if not g.is_monic:
+        raise PreconditionError("G must be monic")
+    if g.degree != n:
+        raise PreconditionError(f"deg G = {g.degree} but n = {n}")
+    check = window_defects(field, n, h)
+    u = monic_index(g)
+    defect = Fraction(int(check.ramare[u]), check.denominator)
+    if check.skipped[u] and defect == 0:
+        raise SmoothWindowError(f"{g} has no prime factor of degree in ({h}, {n}]")
+    return defect
+
+
+def decomposition_check(
+    field: FieldSpec,
+    n: int,
+    h: int,
+    *,
+    tables: ArithTables | None = None,
+    budget: int = DEFAULT_ENUM_BUDGET,
+) -> Fraction:
+    """Max abs defect over all monic G of degree n of the window
+    decomposition: the (prime x cofactor) sum of -lambda(M) / (w + 1) at
+    G = P * M and -lambda(P * M') / (w (w + 1)) at G = P^2 * M', w the
+    window-prime count of the cofactor, must be lambda(G) * [G is not
+    h-smooth] (see window_defects)."""
+    check = window_defects(field, n, h, tables=tables, budget=budget)
+    return Fraction(int(np.abs(check.decomposition).max()), check.denominator)

@@ -19,7 +19,6 @@ from ffvar.arith import (
     FactorIndex,
     count_smooth_exact,
     liouville_full_sum,
-    sieve_irreducibles,
     smooth_asymptotic_ratio,
 )
 from ffvar.bounds import TrialConfig, mvt_trial, von_mangoldt_char_sum_ratio
@@ -31,7 +30,6 @@ from ffvar.characters import (
     unit_group_basis,
 )
 from ffvar.cli import main
-from ffvar.errors import SmoothWindowError
 from ffvar.fields import make_field
 from ffvar.polys import (
     enumerate_monic,
@@ -44,9 +42,9 @@ from ffvar.polys import (
 from ffvar.tables import get_tables
 from ffvar.variance import (
     decomposition_check,
-    ramare_identity_check,
     variance_charside,
     variance_direct,
+    window_defects,
 )
 
 F2 = make_field(2)
@@ -157,19 +155,17 @@ def test_criterion_03_star_involution_and_liouville_symmetry():
 
 @criterion("criterion-04 recombination identity")
 def test_criterion_04_ramare_identity_exact():
-    cache = sieve_irreducibles(F2, 8)
     checked = 0
     for n in range(2, 9):
         for h in range(1, n):
-            smooth = 0
-            for g in enumerate_monic(F2, n):
-                try:
-                    defect = ramare_identity_check(F2, g, h, n, cache=cache)
-                except SmoothWindowError:
-                    smooth += 1
-                    continue
-                assert defect == 0, f"nonzero defect {defect} at G={g}, h={h}, n={n}"
-                checked += 1
+            check = window_defects(F2, n, h)
+            bad = np.flatnonzero(check.ramare)
+            assert not bad.size, (
+                f"nonzero defect {Fraction(int(check.ramare[bad[0]]), check.denominator)} "
+                f"at G={monic_from_index(F2, n, int(bad[0]))}, h={h}, n={n}"
+            )
+            smooth = int(np.count_nonzero(check.skipped))
+            checked += F2.q**n - smooth
             # every skipped G must be exactly the h-smooth ones
             assert smooth == count_smooth_exact(F2, h, n), (
                 f"smooth-skip count mismatch at n={n}, h={h}"
@@ -181,11 +177,10 @@ def test_criterion_04_ramare_identity_exact():
 def test_criterion_05_decomposition_defect_zero():
     cells = 0
     for fld in (F2, F3):
-        cache = sieve_irreducibles(fld, 8)
         tables = get_tables(fld, 8)
         for n in range(2, 9):
             for h in range(1, n):
-                defect = decomposition_check(fld, n, h, cache=cache, tables=tables)
+                defect = decomposition_check(fld, n, h, tables=tables)
                 assert defect == 0, f"max |defect| = {defect} at (q={fld.q}, n={n}, h={h})"
                 cells += 1
     return f"{cells} (q, n, h) cells with max |defect| exactly 0 (q in {{2,3}}, n <= 8)"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import ffvar.variance
@@ -13,8 +14,11 @@ from ffvar.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     SUITES,
+    _random_nonzero,
     main,
 )
+from ffvar.fields import make_field
+from ffvar.polys import Poly
 
 PINNED_VARIANCE = (
     "q,N,h,function,variance_direct,variance_char,abs_gap,theorem_ratio\n"
@@ -239,6 +243,27 @@ def test_verify_mvt_past_budget_exits_four(capsys):
     rc = main(["verify", "--p", "2", "--k", "3", "--suite", "mvt", "--n-max", "6"])
     assert rc == EXIT_BUDGET
     assert capsys.readouterr().err.startswith("budget: q^n = 16777216 exceeds budget")
+
+
+def test_verify_window_pairs_past_budget_exit_four(capsys):
+    # F_16 at n = 4 needs about 134,000 window pairs of 32 bytes, past 2^22
+    rc = main(["verify", "--p", "2", "--k", "4", "--suite", "ramare", "--n-max", "4"])
+    assert rc == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget: window pairs of")
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 4)])
+def test_random_nonzero_keeps_the_per_coefficient_stream(p, k):
+    # the involution suite's seed-0 pairs, drawn one coefficient per call
+    fld = make_field(p, k)
+    rng, reference = np.random.default_rng(0), np.random.default_rng(0)
+    for _ in range(2 * 2000):
+        while True:
+            deg = int(reference.integers(0, 7))
+            f = Poly(fld, tuple(int(reference.integers(0, fld.q)) for _ in range(deg + 1)))
+            if not f.is_zero:
+                break
+        assert _random_nonzero(fld, rng, 6) == f
 
 
 def test_suite_registry_names():

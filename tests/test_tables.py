@@ -81,6 +81,28 @@ def test_sieve_tables_match_trial_division(p, k):
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_window_pairs_match_poly_products(p, k):
+    # every degree with q^m <= 1024: rows in (deg P, P, M) order, P * M from
+    # Poly products, and each G once per distinct irreducible factor
+    fld = make_field(p, k)
+    q = fld.q
+    max_deg = max(m for m in range(1, 11) if q**m <= 1024)
+    tab = build_tables(fld, max_deg)
+    for m in range(0, max_deg + 1):
+        deg, fac, cof, prod = tab.window_pairs(m)
+        rows = [(d, int(up), u) for d in range(1, m + 1) for up in tab.irreducibles[d]
+                for u in range(q ** (m - d))]
+        assert list(zip(deg.tolist(), fac.tolist(), cof.tolist())) == rows
+        assert prod.tolist() == [
+            monic_index(monic_from_index(fld, d, up) * monic_from_index(fld, m - d, u))
+            for d, up, u in rows
+        ]
+        distinct = [len(set(_brute_factor(g))) for g in enumerate_monic(fld, m)]
+        assert np.bincount(prod, minlength=q**m).tolist() == distinct
+    assert tab.window_pairs(max_deg)[3] is tab.window_pairs(max_deg)[3]  # built once
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
 def test_sieve_irreducible_counts_match_necklace_formula(p, k):
     fld = make_field(p, k)
     top = max(n for n in range(1, 15) if fld.q**n <= 1 << 14)

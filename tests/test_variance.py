@@ -1,14 +1,24 @@
 from __future__ import annotations
 
+import copy
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ffvar.arith import liouville, moebius
+from ffvar.arith import count_smooth_exact, factor, liouville, moebius, omega_in_window
 from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError
 from ffvar.fields import make_field
-from ffvar.polys import enumerate_monic, from_coeffs, interval_key, monic_from_index, t_power
+from ffvar.polys import (
+    enumerate_monic,
+    from_coeffs,
+    interval_key,
+    monic_from_index,
+    monic_index,
+    t_power,
+)
+from ffvar.tables import build_tables, get_tables
 from ffvar.variance import (
     FUNCTIONS,
     decomposition_check,
@@ -19,6 +29,7 @@ from ffvar.variance import (
     variance_direct,
     variance_report,
     weighted_char_sum,
+    window_defects,
 )
 
 # -- function handles -----------------------------------------------------------
@@ -159,57 +170,155 @@ def test_variance_report_edges(f2):
 
 
 # -- exact identity checks ------------------------------------------------------------
+#
+# Small-N oracle: the per-G identities from Poly products, factorizations and
+# Fractions, independent of the window pairs that window_defects reads.
 
 
-def test_ramare_identity_defect_zero_exhaustive(f2, cache2):
+def _liouville(factors) -> int:
+    return -1 if sum(e for _, e in factors) & 1 else 1
+
+
+def _oracle_ramare(g, h: int, n: int, cache) -> Fraction | None:
+    """Recombination defect at G, or None when G is h-smooth."""
+    fac = factor(g, cache).factors
+    window = [p for p, _ in fac if h < p.degree <= n]
+    if not window:
+        return None
+    total = Fraction(0)
+    for p in window:
+        cfac = factor(g // p, cache).factors
+        omega_c = sum(1 for cp, _ in cfac if h < cp.degree <= n)
+        omega_full = omega_c + all(cp != p for cp, _ in cfac)
+        total -= Fraction(_liouville(cfac), omega_full)
+    return total - _liouville(fac)
+
+
+def _oracle_decomposition(fld, n: int, h: int, cache) -> list[Fraction]:
+    """Decomposition defect at every G of degree n, mantissa-indexed."""
+    tables = get_tables(fld, n)
+    weights: defaultdict[int, Fraction] = defaultdict(Fraction)
+    for x in range(h + 1, n + 1):
+        for p in tables.irreducible_polys(x):
+            for m in enumerate_monic(fld, n - x):
+                weights[monic_index(p * m)] -= Fraction(
+                    _liouville(factor(m, cache)), omega_in_window(m, h, n, cache) + 1
+                )
+            if 2 * x <= n:
+                for m2 in enumerate_monic(fld, n - 2 * x):
+                    pm = p * m2
+                    w = omega_in_window(pm, h, n, cache)
+                    weights[monic_index(p * pm)] -= Fraction(
+                        _liouville(factor(pm, cache)), w * (w + 1)
+                    )
+    lam = tables.liouville_values(n)
+    rough = tables.max_factor_degree[n] > h
+    return [weights[u] - (int(lam[u]) if rough[u] else 0) for u in range(fld.q**n)]
+
+
+def test_window_defects_match_per_g_oracle(f2, f3, cache2, cache3):
+    for fld, cache, n_top in ((f2, cache2, 6), (f3, cache3, 5)):
+        for n in range(2, n_top + 1):
+            for h in range(1, n):
+                check = window_defects(fld, n, h)
+                den = check.denominator
+                ramare = [_oracle_ramare(g, h, n, cache) for g in enumerate_monic(fld, n)]
+                assert check.skipped.tolist() == [d is None for d in ramare]
+                assert [Fraction(int(d), den) for d in check.ramare] == [
+                    Fraction(0) if d is None else d for d in ramare
+                ]
+                assert [Fraction(int(d), den) for d in check.decomposition] == (
+                    _oracle_decomposition(fld, n, h, cache)
+                )
+
+
+def test_window_defects_catch_corrupted_tables(f3):
+    clean = build_tables(f3, 5)
+    omega = copy.deepcopy(clean)
+    omega.big_omega[3][7] += 1
+    smooth = copy.deepcopy(clean)
+    smooth.max_factor_degree[5][clean.irreducibles[5][0]] = 1
+    for tables in (omega, smooth):
+        ramare = decomposition = 0
+        for n in range(2, 6):
+            for h in range(1, n):
+                check = window_defects(f3, n, h, tables=tables)
+                ramare += np.count_nonzero(check.ramare)
+                decomposition += np.count_nonzero(check.decomposition)
+        assert ramare > 0 and decomposition > 0
+
+
+# every F_q with q <= 16, as (p, k)
+ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+
+
+def test_window_identities_hold_for_every_q():
+    cells = 0
+    for p, k in ALL_FIELDS:
+        fld = make_field(p, k)
+        n = 2
+        while fld.q**n <= 4096:
+            for h in range(1, n):
+                check = window_defects(fld, n, h)
+                assert not check.ramare.any() and not check.decomposition.any(), (fld.q, n, h)
+                cells += 1
+            n += 1
+    assert cells == 136
+
+
+def test_window_pairs_past_budget_raise(f3):
+    # 32 bytes per pair: F_3 n=5 reads about 2,000 pairs
+    with pytest.raises(BudgetError, match="window pairs"):
+        window_defects(f3, 5, 1, budget=1 << 12)
+
+
+def test_ramare_identity_defect_zero_exhaustive(f2):
     for n in range(2, 7):
         for h in range(1, n):
-            smooth_skips = 0
-            for g in enumerate_monic(f2, n):
-                try:
-                    assert ramare_identity_check(f2, g, h, n, cache=cache2) == 0
-                except SmoothWindowError:
-                    smooth_skips += 1
+            check = window_defects(f2, n, h)
+            assert not check.ramare.any()
+            smooth_skips = int(np.count_nonzero(check.skipped))
+            assert smooth_skips == count_smooth_exact(f2, h, n)
             assert smooth_skips > 0  # the all-smooth corner really occurs
 
 
-def test_ramare_identity_on_f3_samples(f3, cache3):
+def test_ramare_identity_on_f3_samples(f3):
     rng = np.random.default_rng(11)
     n = 5
     for u in rng.integers(0, 3**n, size=60):
         g = monic_from_index(f3, n, int(u))
         for h in (1, 2, 3):
             try:
-                assert ramare_identity_check(f3, g, h, n, cache=cache3) == 0
+                assert ramare_identity_check(f3, g, h, n) == 0
             except SmoothWindowError:
                 pass
 
 
-def test_ramare_rejects_bad_inputs(f2, f3, cache2, cache3):
+def test_ramare_rejects_bad_inputs(f2, f3):
     g = monic_from_index(f2, 4, 3)
     with pytest.raises(PreconditionError):
-        ramare_identity_check(f2, g, 0, 4, cache=cache2)
+        ramare_identity_check(f2, g, 0, 4)
     with pytest.raises(PreconditionError):
-        ramare_identity_check(f2, g, 2, 5, cache=cache2)
+        ramare_identity_check(f2, g, 2, 5)
     with pytest.raises(PreconditionError, match="monic"):
-        ramare_identity_check(f3, from_coeffs(f3, [0, 0, 2]), 1, 2, cache=cache3)
+        ramare_identity_check(f3, from_coeffs(f3, [0, 0, 2]), 1, 2)
 
 
-def test_ramare_smooth_window_error(f2, cache2):
+def test_ramare_smooth_window_error(f2):
     g = from_coeffs(f2, [0, 1]) * from_coeffs(f2, [1, 1])  # t(t+1): 1-smooth
     with pytest.raises(SmoothWindowError):
-        ramare_identity_check(f2, g, 1, 2, cache=cache2)
+        ramare_identity_check(f2, g, 1, 2)
 
 
-def test_decomposition_defect_zero(f2, f3, cache2, cache3):
-    for fld, cache, n_top in ((f2, cache2, 6), (f3, cache3, 4)):
+def test_decomposition_defect_zero(f2, f3):
+    for fld, n_top in ((f2, 6), (f3, 4)):
         for n in range(2, n_top + 1):
             for h in range(1, n):
-                assert decomposition_check(fld, n, h, cache=cache) == 0
+                assert decomposition_check(fld, n, h) == 0
 
 
-def test_decomposition_rejects_bad_window(f2, cache2):
+def test_decomposition_rejects_bad_window(f2):
     with pytest.raises(PreconditionError):
-        decomposition_check(f2, 4, 0, cache=cache2)
+        decomposition_check(f2, 4, 0)
     with pytest.raises(PreconditionError):
-        decomposition_check(f2, 4, 4, cache=cache2)
+        decomposition_check(f2, 4, 4)
