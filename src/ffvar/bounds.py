@@ -157,14 +157,17 @@ def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -
     q = field.q
     tables = get_tables(field, n_total)
     size = q**modulus.degree
-    totals = np.zeros(basis.phi, dtype=np.complex128)
-    for d in range(1, n_total + 1):
-        if n_total % d:
-            continue
-        codes = reduce_monic_mod(field, modulus, d, tables.irreducibles[d])
-        counts = np.bincount(codes, minlength=size)
-        # Lambda(P^k) = d for deg P = d, and chi(P)^k = chi(P^k)
-        totals += d * character_sums(basis, counts, power=n_total // d)
+    divisors = [d for d in range(1, n_total + 1) if n_total % d == 0]
+    counts = np.stack([
+        np.bincount(
+            reduce_monic_mod(field, modulus, d, tables.irreducibles[d], tables.irreducible_digits(d)),
+            minlength=size,
+        )
+        for d in divisors
+    ])
+    # Lambda(P^k) = d for deg P = d, and chi(P)^k = chi(P^k)
+    sums = character_sums(basis, counts, power=[n_total // d for d in divisors])
+    totals = sum(d * row for d, row in zip(divisors, sums))
     lhs = float(np.max(np.abs(totals[1:])))
     rhs = modulus.degree * q ** (n_total / 2)
     report = BoundReport(

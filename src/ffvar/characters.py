@@ -269,23 +269,26 @@ def character_sums(
     weights: np.ndarray,
     *,
     even_only: bool = False,
-    power: int = 1,
+    power: int | Sequence[int] = 1,
 ) -> np.ndarray:
     """sum over units u of weights[u] * chi(u)^power, for every character chi
     at once; `weights` is indexed by residue code (non-units are ignored).
+    A 2-D `weights` gives one row of sums per row, with one power per row
+    when `power` is a sequence.
 
     chi(u)^power = chi(u^power), so the weights are scattered at the discrete
-    logs power * dlog(u) of a grid shaped like the group; one inverse DFT over
-    Z/o_1 x ... x Z/o_r then yields all sums. Entries follow
+    logs power * dlog(u) of a grid shaped like the group, one grid per row;
+    one inverse DFT over Z/o_1 x ... x Z/o_r then yields all sums. Entries follow
     enumerate_characters order, or even_characters order when even_only."""
-    w = np.asarray(weights)[basis.unit_codes].astype(np.complex128)
+    w = np.asarray(weights)[..., basis.unit_codes].astype(np.complex128)
     if not basis.orders:  # trivial group: the principal character only
         return w
-    grid = np.zeros(basis.orders, dtype=np.complex128)
-    logs = (power * basis.dlog_matrix) % np.array(basis.orders, dtype=np.int64)
-    np.add.at(grid, tuple(logs.T), w)
-    sums = np.fft.ifftn(grid).ravel() * basis.phi
-    return sums[even_mask(basis)] if even_only else sums
+    rows = w.reshape(-1, basis.phi)
+    grid = np.zeros((len(rows), *basis.orders), dtype=np.complex128)
+    logs = (np.reshape(power, (-1, 1, 1)) * basis.dlog_matrix) % np.array(basis.orders)
+    np.add.at(grid, (np.arange(len(rows))[:, None], *np.moveaxis(logs, -1, 0)), rows)
+    sums = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).reshape(w.shape) * basis.phi
+    return sums[..., even_mask(basis)] if even_only else sums
 
 
 def character_rotation_matrix(

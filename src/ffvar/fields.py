@@ -111,7 +111,7 @@ def make_field(p: int, k: int = 1, *, max_size: int = MAX_FIELD_SIZE) -> FieldSp
         P = monic_from_index(prime_field, k, int(build_tables(prime_field, k).irreducibles[k][0]))
         ring = residue_ring(prime_field, P)
         modulus = P.coeffs
-        mul = np.stack([ring.mul(codes, b) for b in range(q)])
+        mul = ring.mul(codes, codes)
 
     # neg[a] is the b with a + b = 0 and inv[a] the b with a * b = 1; row 0
     # of mul holds no 1, so inv[0] is 0

@@ -12,12 +12,21 @@ irreducible of degree d <= m/2 and M monic of degree m-d gets its entries
 written from M's row (Omega is additive, max-factor-degree is a max, so any
 irreducible divisor P of G produces the same value: overwrites are
 consistent). Whatever is never written is irreducible. Squarefree-ness is
-killed separately by marking P^2 * M products. The products of one P come
-from mul_monic_batch: it splits M at half its degree, gets P times each half
-from one small ResidueRing product (at most 2 q^ceil(md/2) codes instead of
-q^md), and joins the halves by a carry-less outer sum, in which only the
-deg P overlapping coefficients need a correction. Blocks of about _CHUNK
-products bound memory.
+killed separately by marking P^2 * M products.
+
+The products of all P of one degree come from one mul_monic_batch call. It
+splits M at half its degree and gets every P times each half from one small
+ResidueRing product: the multiplication maps of the P sit side by side in
+one matmul, over at most 2 q^ceil(md/2) codes instead of q^md. It joins the
+halves by adding base-p digits mod p: one XOR for p = 2; for odd p an
+integer outer sum corrected at the deg P overlapping coefficients. Blocks of
+at most _CHUNK products bound memory.
+
+Write order: a block that holds several P holds every M of each of them, so
+the blocks run through the products in (deg P, P, M) order. Where several P
+write the same G, the last P in that order wins, as in a loop over single
+P. Omega and max-factor-degree do not depend on the writer; the factor
+links record it, and stay the same as that loop's.
 
 The same product pass, run again on demand for one degree, records a factor
 link per mantissa: one irreducible P | G and the cofactor G/P. Following the
@@ -41,44 +50,54 @@ DEFAULT_TABLE_BUDGET = 1 << 22
 _CHUNK = 1 << 15
 
 
-def mul_monic_batch(field: FieldSpec, dp: int, up: int, md: int):
-    """Mantissas of P * M for the monic P of degree dp with mantissa `up` and
-    every monic M of degree md, as blocks (slice of M's mantissas, the
-    products' mantissas) in mantissa order.
+def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
+    """Mantissas of P * M for the monic P of degree dp with mantissas `ups` and
+    every monic M of degree md, as blocks (rows of ups, slice of M's
+    mantissas, the products' mantissas as a (rows, len) array).
 
     Split M = L + t^a H at a = ceil(md/2), so deg L < a, H is monic of degree
     md - a and M's mantissa is l + q^a h. Then P * M = P * L + t^a P * H, and
     the mantissa of P * M is code(P * L) (+) q^a mant(P * H), where (+) adds
     base-p digits mod p. The q^a codes of P * L and the q^(md-a) mantissas of
-    P * H come from one small ResidueRing product. Their digits overlap only in
-    [k*a, k*(a+dp)), so a block is the integer outer sum less p^(j+1) at each
-    overlap digit j whose two digits sum to p or more. A block holds whole
-    rows of H, about _CHUNK products."""
+    P * H come, for every P at once, from one small ResidueRing product. For
+    p = 2, (+) is XOR. For odd p, the digits overlap only in [k*a, k*(a+dp)),
+    so a block is the integer outer sum less p^(j+1) at each overlap digit j
+    whose two digits sum to p or more.
+
+    A block holds at most _CHUNK products (but at least one row of H). When
+    every M of one P fits, a block holds every M of each of its P; otherwise
+    it holds whole H rows of a single P. Either way the blocks run through
+    the products in (P, M) order, so a caller that writes them in turn leaves
+    the last P's entry wherever several P write the same G."""
     p, k, q = field.p, field.k, field.q
     a, m = (md + 1) // 2, md + dp
+    h0, lows = q ** (md - a), q**a
     # H's codes q^(md-a) + h lie below 2 q^a, so one product mod t^(a+dp+1)
     # holds every P * L and P * H whole
-    h0 = q ** (md - a)
     ring = residue_ring(field, t_power(field, a + dp + 1))
-    codes = ring.mul(np.arange(max(q**a, 2 * h0)), up + q**dp)
-    low, high = codes[: q**a], codes[h0 : 2 * h0] - q ** (m - a)
-    place = p ** np.arange(k * dp)
-    digits = np.concatenate((low // q**a, high)) // place[:, None] % p
-    # overlap digit j carries where high's digit reaches p less low's digit
-    low_room, high_digits = p - digits[:, : q**a], digits[:, q**a :]
-    rows = max(1, _CHUNK // q**a)
-    for h in range(0, len(high), rows):
-        block = np.add.outer(high[h : h + rows] * q**a, low)
-        carries = np.greater_equal(high_digits[:, h : h + rows, None], low_room[:, None, :])
-        for carry, where in zip(place * p * q**a, carries):
-            np.subtract(block, carry, out=block, where=where)
-        yield slice(h * q**a, h * q**a + block.size), block.ravel()
+    codes = ring.mul(np.arange(max(lows, 2 * h0)), ups + q**dp)
+    low, high = codes[:, :lows], (codes[:, h0 : 2 * h0] - q ** (m - a)) * lows
+    overlap = p ** np.arange(k * dp) * lows  # the worth of overlap digit j
+    h_rows = max(1, min(h0, _CHUNK // lows))
+    p_rows = max(1, _CHUNK // q**md)
+    for i in range(0, len(codes), p_rows):
+        for j in range(0, h0, h_rows):
+            hi, lo = high[i : i + p_rows, j : j + h_rows, None], low[i : i + p_rows, None, :]
+            if p == 2:
+                block = hi ^ lo
+            else:
+                block = hi + lo
+                for worth in overlap:
+                    carries = np.greater_equal(hi // worth % p, p - lo // worth % p)
+                    np.subtract(block, worth * p, out=block, where=carries)
+            rows, size = len(block), block.shape[1] * lows
+            yield slice(i, i + rows), slice(j * lows, j * lows + size), block.reshape(rows, size)
 
 
 def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: int = 1):
     """Every product P^power * M of degree m, P monic irreducible of degree
-    d <= m/2 and M monic, as chunks (d, P's mantissa, the slice of M's
-    mantissas, the products' mantissas)."""
+    d <= m/2 and M monic, as blocks (d, the P's mantissas, the slice of M's
+    mantissas, the products' mantissas as a (P, M) array)."""
     q = field.q
     for d in range(1, m // 2 + 1):
         ups = irreducibles[d]
@@ -86,9 +105,8 @@ def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: i
             mants = ups
         else:  # P^2 is monic of degree 2d, so its code mod t^(2d+1) holds it whole
             mants = residue_ring(field, t_power(field, 2 * d + 1)).square(ups + q**d) - q ** (2 * d)
-        for up, mant in zip(ups, mants.tolist()):
-            for part, codes in mul_monic_batch(field, power * d, mant, m - power * d):
-                yield d, up, part, codes
+        for rows, part, block in mul_monic_batch(field, power * d, mants, m - power * d):
+            yield d, ups[rows], part, block
 
 
 @dataclass
@@ -105,6 +123,7 @@ class ArithTables:
     _pairs: dict[int, tuple[np.ndarray, ...]] = dc_field(
         default_factory=dict, repr=False, compare=False
     )
+    _digits: dict[int, np.ndarray] = dc_field(default_factory=dict, repr=False, compare=False)
 
     def factor_links(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(deg P, mantissa of P, mantissa of G/P) for one irreducible P | G
@@ -115,8 +134,8 @@ class ArithTables:
             size = self.field.q**m
             links = (np.zeros(size, np.int8), np.zeros(size, np.int32), np.zeros(size, np.int32))
             deg, fac, cof = links
-            for d, up, part, codes in _products(self.field, self.irreducibles, m):
-                deg[codes], fac[codes], cof[codes] = d, up, np.arange(part.start, part.stop)
+            for d, ups, part, block in _products(self.field, self.irreducibles, m):
+                deg[block], fac[block], cof[block] = d, ups[:, None], np.arange(part.start, part.stop)
             self._links[m] = links
         return links
 
@@ -126,7 +145,7 @@ class ArithTables:
         m - deg P, int64, ordered by (deg P, P, M): the pairs of one P are
         q^(m - deg P) consecutive rows in M's mantissa order. Each G of degree
         m appears once per distinct irreducible factor. Built by one
-        mul_monic_batch call per P on first use."""
+        mul_monic_batch call per degree on first use."""
         pairs = self._pairs.get(m)
         if pairs is None:
             q = self.field.q
@@ -136,10 +155,19 @@ class ArithTables:
                 deg.append(np.full(len(ups) * size, d))
                 fac.append(np.repeat(ups, size))
                 cof.append(np.tile(np.arange(size), len(ups)))
-                for up in ups.tolist():
-                    prod += [block for _, block in mul_monic_batch(self.field, d, up, m - d)]
+                prod += [block.ravel() for *_, block in mul_monic_batch(self.field, d, ups, m - d)]
             pairs = self._pairs[m] = tuple(np.concatenate(c) for c in (deg, fac, cof, prod))
         return pairs
+
+    def irreducible_digits(self, d: int) -> np.ndarray:
+        """Base-p digits of irreducibles[d], lowest first, one int8 row each;
+        built on first use, for reduction mod many moduli."""
+        if d not in self._digits:
+            us, p = self.irreducibles[d], self.field.p
+            digits = self._digits[d] = np.empty((len(us), self.field.k * d), np.int8)
+            for j in range(digits.shape[1]):  # column by column: no int64 matrix
+                digits[:, j] = us // p**j % p
+        return self._digits[d]
 
     def extend(self, max_degree: int, budget: int) -> None:
         """Sieve degrees self.max_degree+1 .. max_degree onto these tables in
@@ -151,11 +179,11 @@ class ArithTables:
             om = np.full(q**m, -1, dtype=np.int8)
             sf = np.ones(q**m, dtype=bool)
             mf = np.zeros(q**m, dtype=np.int8)
-            for d, _, part, codes in _products(self.field, self.irreducibles, m):
-                om[codes] = self.big_omega[m - d][part] + 1
-                mf[codes] = np.maximum(self.max_factor_degree[m - d][part], d)
-            for *_, codes in _products(self.field, self.irreducibles, m, power=2):
-                sf[codes] = False
+            for d, _, part, block in _products(self.field, self.irreducibles, m):
+                om[block] = self.big_omega[m - d][part] + 1
+                mf[block] = np.maximum(self.max_factor_degree[m - d][part], d)
+            for *_, block in _products(self.field, self.irreducibles, m, power=2):
+                sf[block] = False
             fresh = np.nonzero(om < 0)[0]
             om[fresh] = 1
             mf[fresh] = m
@@ -167,11 +195,15 @@ class ArithTables:
 
     def liouville_values(self, n: int) -> np.ndarray:
         """(-1)^Omega over all monic of degree n, int8, mantissa-indexed."""
-        om = self.big_omega[n]
-        return (1 - ((om & 1) << 1)).astype(np.int8)
+        lam = self.big_omega[n] & 1  # 1 - 2 (Omega & 1), in place
+        lam <<= 1
+        return np.subtract(1, lam, out=lam)
 
     def moebius_values(self, n: int) -> np.ndarray:
-        return np.where(self.squarefree[n], self.liouville_values(n), 0).astype(np.int8)
+        """mu over all monic of degree n, int8, mantissa-indexed."""
+        mu = self.liouville_values(n)
+        mu *= self.squarefree[n]
+        return mu
 
     def irreducible_polys(self, d: int) -> list[Poly]:
         return [monic_from_index(self.field, d, int(u)) for u in self.irreducibles[d]]
@@ -246,33 +278,49 @@ class ResidueRing:
         return self.table[:count]
 
     def _digits(self, values: np.ndarray, place: np.ndarray) -> np.ndarray:
+        """Base-p digits of `values` as float rows; 2-D `values` are digits."""
+        if values.ndim == 2:
+            return values.astype(np.float64)
         return (values[:, None] // place % self.p).astype(np.float64)
 
-    def _batched(self, count: int, width: int, coords_of) -> np.ndarray:
-        """Codes of the coordinate rows coords_of(part), over chunks of
-        range(count) sized so their `width`-float rows stay in the cap."""
-        out = np.empty(count, dtype=np.int64)
+    def _batched(self, out: np.ndarray, width: int, coords_of) -> np.ndarray:
+        """Fill `out`, one row per item, with the codes of the coordinates
+        coords_of(part) (n per code), over chunks of its rows sized so their
+        `width`-float rows stay in the cap."""
         step = max(1, _SCRATCH_BYTES // (8 * width))
-        for part in (slice(i, i + step) for i in range(0, count, step)):
+        for part in (slice(i, i + step) for i in range(0, len(out), step)):
             coords = coords_of(part).astype(np.int64)  # float % is several times slower
             coords %= self.p
-            out[part] = coords @ self.place
+            out[part] = coords.reshape(*out[part].shape, -1) @ self.place
         return out
 
     def reduce(self, d: int, us: np.ndarray) -> np.ndarray:
-        """Codes of the monic degree-d polynomials with mantissas `us`."""
+        """Codes of the monic degree-d polynomials with mantissas `us`, or
+        with the rows of `us` as their mantissas' base-p digits."""
         k, rows = self.k, self.rows((d + 1) * self.k)
         place = self.p ** np.arange(d * k)
         return self._batched(
-            len(us), len(rows), lambda s: self._digits(us[s], place) @ rows[:-k] + rows[-k]
+            np.empty(len(us), np.int64), len(rows),
+            lambda s: self._digits(us[s], place) @ rows[:-k] + rows[-k],
         )
 
-    def mul(self, a, b: int) -> np.ndarray:
-        """Codes of a*b for the codes `a` and one code `b`: the digits of `a`
-        times b's (n, n) multiplication map, read from T."""
-        a = np.atleast_1d(a)
-        by_b = self._digits(np.array([b]), self.place)[0] @ self.T % self.p
-        return self._batched(len(a), len(by_b), lambda s: self._digits(a[s], self.place) @ by_b)
+    def mul(self, a, b) -> np.ndarray:
+        """Codes of a*b for the codes `a` and one code `b`, or, for an array
+        of codes `b`, a (len(b), len(a)) array with row i for b[i]. The digits
+        of `a` times b's (n, n) multiplication map, read from T; the maps of
+        several b sit side by side, so one matmul serves them all."""
+        a, bs = np.atleast_1d(a), np.atleast_1d(b)
+        n = len(self.place)
+        out = np.empty((len(bs), len(a)), np.int64)
+        step = max(1, _SCRATCH_BYTES // (8 * n * n))
+        for i in range(0, len(bs), step):
+            # T is symmetric in its two factors, so row c of this view is the
+            # map of e_c, and a digit row of b combines them into b's map
+            maps = self._digits(bs[i : i + step], self.place) @ self.T.reshape(n, n * n) % self.p
+            maps = maps.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
+            self._batched(out[i : i + step].T, maps.shape[1],
+                          lambda s: self._digits(a[s], self.place) @ maps)
+        return out[0] if np.ndim(b) == 0 else out
 
     def square(self, a: np.ndarray) -> np.ndarray:
         """Codes of a*a for each code in `a`: the outer square of its digits
@@ -284,7 +332,7 @@ class ResidueRing:
             digits = self._digits(a[s], self.place)
             return (digits[:, :, None] * digits[:, None, :]).reshape(-1, n * n) @ by_pair
 
-        return self._batched(len(a), n * n, coords)
+        return self._batched(np.empty(len(a), np.int64), n * n, coords)
 
     def pow(self, a: int, e: int) -> int:
         """a^e by square-and-multiply from the top bit of e down."""
@@ -304,13 +352,18 @@ def residue_ring(field: FieldSpec, modulus: Poly) -> ResidueRing:
     return ResidueRing(field, modulus)
 
 
-def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) -> np.ndarray:
+def reduce_monic_mod(
+    field: FieldSpec, modulus: Poly, n: int, us: np.ndarray, digits: np.ndarray | None = None
+) -> np.ndarray:
     """Residue codes (mantissa-style integers in [0, q^deg(modulus))) of the
-    monic degree-n polynomials with mantissas `us`, reduced mod `modulus`."""
+    monic degree-n polynomials with mantissas `us`, reduced mod `modulus`.
+    `digits`, if given, holds the same mantissas' base-p digits as rows
+    (ArithTables.irreducible_digits): a general modulus reduces those rather
+    than convert `us` again, while t^m reads the mantissas."""
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
     q, m = field.q, modulus.degree
     us = np.asarray(us, dtype=np.int64)
     if modulus != t_power(field, m):
-        return residue_ring(field, modulus).reduce(n, us)
+        return residue_ring(field, modulus).reduce(n, us if digits is None else digits)
     return us % q**m if n >= m else us + q**n

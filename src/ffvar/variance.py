@@ -115,8 +115,8 @@ def interval_sums(
         raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
     if tables is None:
         tables = get_tables(field, n)
-    values = f.degree_values(tables, n).astype(np.int64)
-    return values.reshape(-1, q ** (h + 1)).sum(axis=1)
+    values = f.degree_values(tables, n)
+    return values.reshape(-1, q ** (h + 1)).sum(axis=1, dtype=np.int64)
 
 
 def variance_direct(

@@ -357,6 +357,24 @@ def test_character_sums_match_dense_value_matrix(p, k, kind):
             assert np.allclose(got, want, rtol=0, atol=1e-12 * basis.phi), (modulus, power)
 
 
+@pytest.mark.parametrize("p,k", FIELDS_UP_TO_9)
+def test_character_sums_stack_rows_with_their_own_powers(p, k):
+    # a 2-D weights array is one grid per row, transformed together: each row
+    # equals its own call, bit for bit
+    fld = make_field(p, k)
+    rng = np.random.default_rng(fld.q)
+    for modulus in _moduli(fld):
+        basis = unit_group_basis(fld, modulus)
+        weights = rng.integers(-3, 4, size=(3, fld.q**modulus.degree))
+        powers = [1, 2, 6]
+        for even_only in (False, True):
+            rows = character_sums(basis, weights, even_only=even_only, power=powers)
+            for row, w, e in zip(rows, weights, powers):
+                assert np.array_equal(row, character_sums(basis, w, even_only=even_only, power=e))
+            one_power = character_sums(basis, weights, even_only=even_only, power=2)[1]
+            assert np.array_equal(one_power, character_sums(basis, weights[1], even_only=even_only, power=2))
+
+
 def test_character_sums_trivial_group(f2):
     basis = unit_group_basis(f2, t_power(f2, 1))  # (F_2[t]/t)^* = {1}
     assert basis.orders == () and basis.phi == 1

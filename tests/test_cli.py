@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
+import ffvar.cli
 import ffvar.variance
 from ffvar.arith import cache_file_name
 from ffvar.cli import (
@@ -15,6 +17,8 @@ from ffvar.cli import (
     EXIT_PRECONDITION,
     SUITES,
     _random_nonzero,
+    build_parser,
+    config_from_args,
     main,
 )
 from ffvar.fields import make_field
@@ -264,6 +268,34 @@ def test_random_nonzero_keeps_the_per_coefficient_stream(p, k):
             if not f.is_zero:
                 break
         assert _random_nonzero(fld, rng, 6) == f
+
+
+ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_involution_suite_covers_every_q(p, k, capsys):
+    # the array pass runs for every q <= 16 and counts each unit multiple of
+    # each polynomial with a nonzero constant term, as the scalar loop did
+    q = p**k
+    n_max = max(n for n in range(1, 7) if q**n <= 4096)
+    rc = main(["verify", "--p", str(p), "--k", str(k), "--suite", "involution",
+               "--n-max", str(n_max)])
+    checked = (q - 1) * (1 + sum(q**n - q ** (n - 1) for n in range(1, n_max + 1)))
+    assert rc == EXIT_OK
+    assert f"involution/symmetry on {checked} polynomials + 2000" in capsys.readouterr().out
+
+
+def test_involution_suite_catches_an_asymmetric_lambda(monkeypatch):
+    # lambda read from tables with one entry flipped: F = t^3 + t + 1 over
+    # F_2 and its star t^3 + t^2 + 1 no longer agree
+    fld = make_field(2)
+    tables = copy.deepcopy(ffvar.cli.get_tables(fld, 4))
+    tables.big_omega[3][0b011] += 1
+    monkeypatch.setattr(ffvar.cli, "get_tables", lambda field, n: tables)
+    cfg = config_from_args(build_parser().parse_args(["verify", "--n-max", "4"]))
+    with pytest.raises(AssertionError, match=r"lambda not star-symmetric at F = "):
+        SUITES["involution"](cfg, fld)
 
 
 def test_suite_registry_names():

@@ -169,36 +169,173 @@ def _one_shot_products(fld, dp: int, up: int, md: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
-def test_mul_monic_batch_matches_poly_product(p, k):
-    # P of degree 1..4 and P^2 as the squarefree pass reads it; md <= 3
-    # against Poly products (at most 256 M each), and every md with
-    # q^md <= 2^14 against the one-shot ring product, so overlaps of several
-    # digits carry for each p and k
+def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
+    # up to 8 irreducible P of each degree 1..4 (all of them for q = 2)
+    # and their squares as the squarefree pass builds them, one batch per
+    # degree, for every md with q^md <= 2^14 against the one-shot ring
+    # product per P, so overlaps of several digits carry for each p and k.
+    # A _CHUNK of half of one P's products spreads it over several blocks;
+    # the default one puts several P in one block. Either way the blocks
+    # run in (P, M) order.
     fld = make_field(p, k)
     q = fld.q
+    tab = build_tables(fld, 4)
     rng = np.random.default_rng(7)
-    multipliers = []
+    batches = []
     for dp in (1, 2, 3, 4):
-        ups = rng.integers(0, q**dp, size=2)
+        ups = np.sort(rng.permutation(tab.irreducibles[dp])[:8])
         polys = [monic_from_index(fld, dp, int(up)) for up in ups]
-        squares = residue_ring(fld, t_power(fld, 2 * dp + 1)).square(ups + q**dp)
-        assert (squares - q ** (2 * dp)).tolist() == [monic_index(P * P) for P in polys]
-        multipliers += [*polys, polys[0] * polys[0]]
-    for P in multipliers:
-        up = monic_index(P)
+        squares = residue_ring(fld, t_power(fld, 2 * dp + 1)).square(ups + q**dp) - q ** (2 * dp)
+        assert squares.tolist() == [monic_index(P * P) for P in polys]
+        batches += [(dp, ups), (2 * dp, squares)]
+    seen = set()
+    for dp, ups in batches:
         for md in range(15):
             if q**md > 1 << 14:
                 break
-            blocks = list(mul_monic_batch(fld, P.degree, up, md))
-            starts = [part.start for part, _ in blocks]
-            assert starts == [0, *(part.stop for part, _ in blocks[:-1])]
-            assert blocks[-1][0].stop == q**md
-            codes = np.concatenate([c for _, c in blocks])
-            assert np.array_equal(codes, _one_shot_products(fld, P.degree, up, md)), (q, P, md)
-            if md <= 3:
-                for u in rng.permutation(q**md)[:256]:
-                    expected = P * monic_from_index(fld, md, int(u))
-                    assert int(codes[u]) == monic_index(expected), (q, P, md, u)
+            expected = np.stack([_one_shot_products(fld, dp, int(up), md) for up in ups])
+            for chunk in (tables_module._CHUNK, q**md // 2):
+                monkeypatch.setattr(tables_module, "_CHUNK", chunk)
+                done = 0
+                for rows, part, block in mul_monic_batch(fld, dp, ups, md):
+                    assert block.shape == (rows.stop - rows.start, part.stop - part.start)
+                    assert block.flags.c_contiguous  # so writes land in (P, M) order
+                    assert rows.start * q**md + part.start == done  # (P, M) order
+                    whole = part == slice(0, q**md)
+                    assert len(block) == 1 or whole  # several P only with all their M
+                    assert block.size <= chunk or block.shape == (1, q ** ((md + 1) // 2))
+                    assert np.array_equal(block, expected[rows, part]), (q, dp, md)
+                    done += block.size
+                    seen.add("several P" if len(block) > 1 else "one P" if whole else "split P")
+                assert done == expected.size
+            if md <= 3:  # and against Poly products, for two P and at most 256 M
+                for i in rng.permutation(len(ups))[:2]:
+                    P = monic_from_index(fld, dp, int(ups[i]))
+                    for u in rng.permutation(q**md)[:256]:
+                        expected_poly = P * monic_from_index(fld, md, int(u))
+                        assert int(expected[i, u]) == monic_index(expected_poly), (q, P, md, u)
+    assert {"several P", "split P"} <= seen
+
+
+def test_residue_ring_mul_stacks_multipliers(f3):
+    # an array of multipliers gives one row per multiplier, equal to the
+    # one-multiplier product, also when the multipliers span several chunks
+    f9 = make_field(3, 2)
+    for fld, coeffs in ((f3, [2, 1, 0, 1, 1]), (f9, [5, 0, 1]), (f3, [0, 0, 0, 0, 0, 0, 1])):
+        modulus = from_coeffs(fld, coeffs)
+        ring, size = ResidueRing(fld, modulus), fld.q**modulus.degree
+        a, bs = np.arange(size), np.random.default_rng(1).integers(0, size, 700)
+        rows = ring.mul(a, bs)
+        assert rows.shape == (len(bs), size) and rows.flags.c_contiguous
+        for b, row in zip(bs, rows):
+            assert np.array_equal(row, ring.mul(a, int(b)))
+
+
+# -- reference: the sieve's per-P product loop ------------------------------
+#
+# The product pass as it ran one irreducible P at a time, before the kernel
+# took every P of one degree in one batch. Writers of one G then came in
+# (deg P, P, M) order, so the last P to write G left its factor link; the
+# batched pass must leave byte-identical tables, links and window pairs.
+
+
+def _per_p_products(fld, dp: int, up: int, md: int):
+    """(slice of M's mantissas, mantissas of P * M) blocks for one P."""
+    p, k, q = fld.p, fld.k, fld.q
+    a, m = (md + 1) // 2, md + dp
+    h0 = q ** (md - a)
+    ring = residue_ring(fld, t_power(fld, a + dp + 1))
+    codes = ring.mul(np.arange(max(q**a, 2 * h0)), up + q**dp)
+    low, high = codes[: q**a], codes[h0 : 2 * h0] - q ** (m - a)
+    place = p ** np.arange(k * dp)
+    digits = np.concatenate((low // q**a, high)) // place[:, None] % p
+    low_room, high_digits = p - digits[:, : q**a], digits[:, q**a :]
+    rows = max(1, tables_module._CHUNK // q**a)
+    for h in range(0, len(high), rows):
+        block = np.add.outer(high[h : h + rows] * q**a, low)
+        carries = np.greater_equal(high_digits[:, h : h + rows, None], low_room[:, None, :])
+        for carry, where in zip(place * p * q**a, carries):
+            np.subtract(block, carry, out=block, where=where)
+        yield slice(h * q**a, h * q**a + block.size), block.ravel()
+
+
+def _per_p_pass(fld, irreducibles, m: int, power: int = 1):
+    q = fld.q
+    for d in range(1, m // 2 + 1):
+        ups = irreducibles[d]
+        mants = ups
+        if power == 2:
+            mants = residue_ring(fld, t_power(fld, 2 * d + 1)).square(ups + q**d) - q ** (2 * d)
+        for up, mant in zip(ups, mants.tolist()):
+            for part, codes in _per_p_products(fld, power * d, mant, m - power * d):
+                yield d, up, part, codes
+
+
+def _per_p_tables(fld, max_degree: int):
+    """(big_omega, squarefree, max_factor_degree, irreducibles) per degree."""
+    q = fld.q
+    om, sf, mf = [np.zeros(1, np.int8)], [np.ones(1, bool)], [np.zeros(1, np.int8)]
+    irr = [np.empty(0, np.int64)]
+    for m in range(1, max_degree + 1):
+        om.append(np.full(q**m, -1, dtype=np.int8))
+        sf.append(np.ones(q**m, dtype=bool))
+        mf.append(np.zeros(q**m, dtype=np.int8))
+        for d, _, part, codes in _per_p_pass(fld, irr, m):
+            om[m][codes] = om[m - d][part] + 1
+            mf[m][codes] = np.maximum(mf[m - d][part], d)
+        for *_, codes in _per_p_pass(fld, irr, m, power=2):
+            sf[m][codes] = False
+        fresh = np.nonzero(om[m] < 0)[0]
+        om[m][fresh], mf[m][fresh] = 1, m
+        irr.append(fresh.astype(np.int64))
+    return om, sf, mf, irr
+
+
+def _per_p_links(fld, irreducibles, m: int):
+    size = fld.q**m
+    deg, fac, cof = np.zeros(size, np.int8), np.zeros(size, np.int32), np.zeros(size, np.int32)
+    for d, up, part, codes in _per_p_pass(fld, irreducibles, m):
+        deg[codes], fac[codes], cof[codes] = d, up, np.arange(part.start, part.stop)
+    return deg, fac, cof
+
+
+def _per_p_pairs(fld, irreducibles, m: int):
+    q = fld.q
+    deg, fac, cof, prod = ([np.empty(0, np.int64)] for _ in range(4))
+    for d in range(1, m + 1):
+        ups, size = irreducibles[d], q ** (m - d)
+        deg.append(np.full(len(ups) * size, d))
+        fac.append(np.repeat(ups, size))
+        cof.append(np.tile(np.arange(size), len(ups)))
+        for up in ups.tolist():
+            prod += [block for _, block in _per_p_products(fld, d, up, m - d)]
+    return tuple(np.concatenate(c) for c in (deg, fac, cof, prod))
+
+
+def _same_arrays(got, want) -> bool:
+    return len(got) == len(want) and all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_batched_sieve_matches_the_per_p_loop(p, k):
+    # every degree with q^m <= 2^16 for the tables and factor links; the
+    # window pairs run one per-P product per irreducible of every degree up
+    # to m, so they are compared up to q^m <= 2^12
+    fld = make_field(p, k)
+    q = fld.q
+    top = max(n for n in range(1, 17) if q**n <= 1 << 16)
+    tab = build_tables(fld, top)
+    want = _per_p_tables(fld, top)
+    got = (tab.big_omega, tab.squarefree, tab.max_factor_degree, tab.irreducibles)
+    for got_group, want_group in zip(got, want):
+        assert _same_arrays(got_group, want_group)
+    irr = want[3]
+    for m in range(top + 1):
+        assert _same_arrays(tab.factor_links(m), _per_p_links(fld, irr, m)), (q, m)
+        if q**m <= 1 << 12:
+            assert _same_arrays(tab.window_pairs(m), _per_p_pairs(fld, irr, m)), (q, m)
 
 
 # -- modular reduction ---------------------------------------------------------
@@ -245,6 +382,25 @@ def test_reduce_monic_mod_general_modulus():
                 for u in us:
                     f = monic_from_index(fld, n, int(u))
                     assert int(got[u]) == _residue_code(f % modulus, q), (q, modulus, n, u)
+
+
+def test_reduce_monic_mod_reads_cached_digit_rows():
+    # the irreducibles' digit rows, cached per degree, reduce to the same
+    # codes as their mantissas, mod general Q and mod t^m (which reads the
+    # mantissas)
+    for p, k in ALL_FIELDS:
+        fld = make_field(p, k)
+        tab = build_tables(fld, max(n for n in range(1, 7) if fld.q**n <= 4096))
+        moduli = [t_power(fld, 1), t_power(fld, 2), from_coeffs(fld, [1, 1]) ** 2,
+                  from_coeffs(fld, [1, 0, 1, 1])]
+        for d in range(1, tab.max_degree + 1):
+            digits = tab.irreducible_digits(d)
+            assert digits.dtype == np.int8 and tab.irreducible_digits(d) is digits
+            assert np.array_equal(digits @ fld.p ** np.arange(fld.k * d), tab.irreducibles[d])
+            for modulus in moduli:
+                want = reduce_monic_mod(fld, modulus, d, tab.irreducibles[d])
+                got = reduce_monic_mod(fld, modulus, d, tab.irreducibles[d], digits)
+                assert np.array_equal(got, want), (fld.q, d)
 
 
 def _coordinates(fld, f: Poly, m: int) -> list[int]:
@@ -329,10 +485,10 @@ def test_get_tables_extends_in_place(f3, monkeypatch):
 
 
 def test_build_tables_scratch_memory_stays_bounded():
-    # the product pass emits blocks of about _CHUNK products, never a q^md
+    # the product pass emits blocks of at most _CHUNK products, never a q^md
     # array, so a build peaks within 2 MiB of the tables it keeps
-    for q, n in ((2, 18), (3, 11)):
-        fld = make_field(q)
+    for (p, k), n in (((2, 1), 18), ((3, 1), 11), ((2, 2), 8), ((5, 1), 8)):
+        fld = make_field(p, k)
         tracemalloc.start()
         try:
             tab = build_tables(fld, n)
@@ -341,7 +497,7 @@ def test_build_tables_scratch_memory_stays_bounded():
             tracemalloc.stop()
         groups = (tab.big_omega, tab.squarefree, tab.max_factor_degree, tab.irreducibles)
         held = sum(a.nbytes for group in groups for a in group)
-        assert peak - held <= 2 << 20, (q, n, peak - held)
+        assert peak - held <= 2 << 20, (fld.q, n, peak - held)
 
 
 def test_build_tables_budget(f2):

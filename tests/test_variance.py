@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -100,6 +101,27 @@ def test_variance_direct_is_exact_rational(f3):
     for s in sums.tolist():
         total += Fraction(s * s)
     assert v == total * Fraction(3 ** (1 + 1), 3**4)
+
+
+def test_direct_route_sums_the_int8_values_in_place(f2):
+    # the interval sums read the int8 values as they are: beyond the int64
+    # sums themselves, variance_direct allocates under 2 q^N bytes (an int64
+    # copy of the values alone would be 8 q^N), and the results are those of
+    # an explicit int64 sum
+    n, h = 20, 1
+    tables = get_tables(f2, n)
+    for name in ("liouville", "moebius"):
+        values = get_function(name).degree_values(tables, n)
+        assert values.dtype == np.int8
+        sums = values.astype(np.int64).reshape(-1, 2 ** (h + 1)).sum(axis=1)
+        tracemalloc.start()
+        try:
+            got = variance_direct(f2, name, n, h, tables=tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == Fraction(2 ** (h + 1) * int(sums @ sums), 2**n)
+        assert peak - sums.nbytes < 2 * 2**n, (name, peak)
 
 
 def test_unit_function_closed_form(f2, f3):
