@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -64,6 +65,15 @@ class TrialConfig:
             raise PreconditionError(f"unknown distribution {self.distribution!r}")
 
 
+@lru_cache(maxsize=1)
+def _monic_codes(field: FieldSpec, modulus: Poly, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes mod Q of the monics of degree n, by mantissa, and their unit mask."""
+    codes = reduce_monic_mod(field, modulus, n, np.arange(field.q**n, dtype=np.int64))
+    units = unit_group_basis(field, modulus).code_to_index[codes] >= 0
+    codes.flags.writeable = units.flags.writeable = False
+    return codes, units
+
+
 def mvt_check(
     field: FieldSpec, modulus: Poly, n: int, coeffs: np.ndarray
 ) -> BoundReport:
@@ -74,13 +84,12 @@ def mvt_check(
         raise PreconditionError(f"need q^n = {q**n} coefficients, got {len(coeffs)}")
     basis = unit_group_basis(field, modulus)
     m = modulus.degree
-    codes = reduce_monic_mod(field, modulus, n, np.arange(q**n, dtype=np.int64))
+    codes, units = _monic_codes(field, modulus, n)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    folded = np.zeros(q**m, dtype=np.complex128)
-    np.add.at(folded, codes, coeffs)
+    folded = np.bincount(codes, coeffs.real, q**m) + 1j * np.bincount(codes, coeffs.imag, q**m)
     sums = character_sums(basis, folded)
     lhs = float(np.sum(sums.real**2 + sums.imag**2))
-    diag = float(np.sum(np.abs(coeffs[basis.code_to_index[codes] >= 0]) ** 2))
+    diag = float(np.sum(np.abs(coeffs[units]) ** 2))
     scale = q ** (n - m) if n >= m else 1.0 / q ** (m - n)
     rhs = 2.0 * basis.phi * (scale + 1.0) * diag
     report = BoundReport(
@@ -145,30 +154,48 @@ def prime_char_sum_ratio(field: FieldSpec, m: int, x: int) -> BoundReport:
     )
 
 
+@lru_cache(maxsize=1)
+def von_mangoldt_char_sums(field: FieldSpec, modulus: Poly, n_max: int) -> np.ndarray:
+    """psi_N(chi) = sum_{G in M_N} Lambda(G) chi(G) for N = 1..n_max (row
+    N - 1) and every chi mod Q (enumerate_characters order), read-only.
+
+    Every irreducible of degree <= n_max is reduced mod Q once, and one
+    transform gives S_d(chi) = sum_{deg P = d} chi(P) for each degree d.
+    Lambda(P^k) = d for deg P = d, and chi(P^k) = chi^k(P), so
+    psi_N(chi) = sum_{d | N} d S_d(chi^(N/d)), read off at the exponents of
+    chi^(N/d)."""
+    basis = unit_group_basis(field, modulus)
+    tables = get_tables(field, n_max)
+    us = np.concatenate(tables.irreducibles[1 : n_max + 1])
+    codes = reduce_monic_mod(field, modulus, n_max, us, tables.irreducible_rows(n_max))
+    parts = np.split(codes, np.cumsum([len(u) for u in tables.irreducibles[1:n_max]]))
+    size = field.q**modulus.degree
+    sums = character_sums(basis, np.stack([np.bincount(c, minlength=size) for c in parts]))
+    # powers[k - 1]: the column of chi^k (exponents k*e), one axis at a time in C order
+    ks, powers = np.arange(1, n_max + 1)[:, None], np.zeros((n_max, 1), np.int64)
+    for o in basis.orders:
+        powers = (powers[:, :, None] * o + (ks * np.arange(o) % o)[:, None]).reshape(n_max, -1)
+    psi = np.zeros((n_max, basis.phi), dtype=np.complex128)
+    for d in range(1, n_max + 1):
+        for k in range(1, n_max // d + 1):
+            psi[d * k - 1] += d * sums[d - 1, powers[k - 1]]
+    psi.flags.writeable = False
+    return psi
+
+
 def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -> BoundReport:
     """Max over non-principal chi mod Q of |sum_{G in M_N} Lambda(G) chi(G)|
     against deg(Q) * q^(N/2). Hard pass: the Riemann-hypothesis bound for
-    these L-functions carries constant deg(Q) - 1."""
+    these L-functions carries constant deg(Q) - 1. The sums are a row of
+    von_mangoldt_char_sums to the degree the shared tables hold, so reports
+    on one modulus share one table once the tables reach their largest N."""
     if n_total < 1:
         raise PreconditionError("need N >= 1")
-    basis = unit_group_basis(field, modulus)
-    if basis.phi < 2:
-        raise PreconditionError(f"modulus {modulus} admits no non-principal character")
     q = field.q
-    tables = get_tables(field, n_total)
-    size = q**modulus.degree
-    divisors = [d for d in range(1, n_total + 1) if n_total % d == 0]
-    counts = np.stack([
-        np.bincount(
-            reduce_monic_mod(field, modulus, d, tables.irreducibles[d], tables.irreducible_digits(d)),
-            minlength=size,
-        )
-        for d in divisors
-    ])
-    # Lambda(P^k) = d for deg P = d, and chi(P)^k = chi(P^k)
-    sums = character_sums(basis, counts, power=[n_total // d for d in divisors])
-    totals = sum(d * row for d, row in zip(divisors, sums))
-    lhs = float(np.max(np.abs(totals[1:])))
+    psi = von_mangoldt_char_sums(field, modulus, get_tables(field, n_total).max_degree)
+    if psi.shape[1] < 2:
+        raise PreconditionError(f"modulus {modulus} admits no non-principal character")
+    lhs = float(np.max(np.abs(psi[n_total - 1, 1:])))
     rhs = modulus.degree * q ** (n_total / 2)
     report = BoundReport(
         bound="von_mangoldt_char_sum",
@@ -191,13 +218,10 @@ def _masked_even_square_sum(
     modulus = t_power(field, n_total - h)
     basis = unit_group_basis(field, modulus)
     tables = get_tables(field, max(n, n_total))
-    lam = tables.liouville_values(n).astype(np.int64)
     smooth = tables.max_factor_degree[n] <= h
-    lam = np.where(smooth if keep_smooth else ~smooth, lam, 0)
-    codes = reduce_monic_mod(field, modulus, n, np.arange(q**n, dtype=np.int64))
-    weights = np.zeros(q ** modulus.degree, dtype=np.int64)
-    np.add.at(weights, codes, lam)
-    sums = character_sums(basis, weights, even_only=True)
+    lam = np.where(smooth if keep_smooth else ~smooth, tables.liouville_values(n), 0)
+    codes, _ = _monic_codes(field, modulus, n)
+    sums = character_sums(basis, np.bincount(codes, lam, q**modulus.degree), even_only=True)
     return float(np.sum(sums.real**2 + sums.imag**2))
 
 

@@ -152,11 +152,12 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     generators: list[int] = []
     orders: list[int] = []
     for y, e in _generators(field, modulus):
-        assert ring.pow(y, e) == 1
+        if ring.pow(y, e) != 1:
+            raise AssertionError(f"generator {y} does not have order dividing {e}")
         size, step = e * len(span), y
         while len(span) < size:  # doubling: span holds c blocks and step = y^c
             span = np.concatenate((span, ring.mul(span[: size - len(span)], step)))
-            step = int(ring.mul(step, step)[0])
+            step = ring.pow(step, 2)
         logs = np.column_stack((np.tile(logs, (e, 1)), np.arange(e).repeat(len(logs))))
         generators.append(y)
         orders.append(e)

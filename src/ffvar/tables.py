@@ -123,7 +123,7 @@ class ArithTables:
     _pairs: dict[int, tuple[np.ndarray, ...]] = dc_field(
         default_factory=dict, repr=False, compare=False
     )
-    _digits: dict[int, np.ndarray] = dc_field(default_factory=dict, repr=False, compare=False)
+    _rows: dict[int, np.ndarray] = dc_field(default_factory=dict, repr=False, compare=False)
 
     def factor_links(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(deg P, mantissa of P, mantissa of G/P) for one irreducible P | G
@@ -159,15 +159,17 @@ class ArithTables:
             pairs = self._pairs[m] = tuple(np.concatenate(c) for c in (deg, fac, cof, prod))
         return pairs
 
-    def irreducible_digits(self, d: int) -> np.ndarray:
-        """Base-p digits of irreducibles[d], lowest first, one int8 row each;
+    def irreducible_rows(self, n: int) -> np.ndarray:
+        """Base-p digits of q^d + u, the whole polynomial, for each irreducible
+        of degree d = 1..n and mantissa u, in that order: int8 rows of (n+1)k,
         built on first use, for reduction mod many moduli."""
-        if d not in self._digits:
-            us, p = self.irreducibles[d], self.field.p
-            digits = self._digits[d] = np.empty((len(us), self.field.k * d), np.int8)
-            for j in range(digits.shape[1]):  # column by column: no int64 matrix
-                digits[:, j] = us // p**j % p
-        return self._digits[d]
+        if n not in self._rows:
+            p, q = self.field.p, self.field.q
+            codes = np.concatenate([u + q**d for d, u in enumerate(self.irreducibles[: n + 1])])
+            rows = self._rows[n] = np.empty((len(codes), (n + 1) * self.field.k), np.int8)
+            for j in range(rows.shape[1]):  # column by column: no int64 matrix
+                rows[:, j] = codes // p**j % p
+        return self._rows[n]
 
     def extend(self, max_degree: int, budget: int) -> None:
         """Sieve degrees self.max_degree+1 .. max_degree onto these tables in
@@ -245,10 +247,10 @@ class ResidueRing:
 
     The base-p digits of a residue code are its n = k*m coordinates over F_p:
     digit j*k + i is the x^i part of the t^j coefficient, x generating F_q
-    over F_p. A mantissa of a monic degree-d polynomial has the same layout
-    over x^i t^j, j < d. Row j*k + i of `table` holds the coordinates of
+    over F_p. The code of any polynomial of degree <= d has the same layout
+    over x^i t^j, j <= d. Row j*k + i of `table` holds the coordinates of
     x^i t^j mod Q (the one t^j mod Q table, grown on demand), so reduction
-    mod Q is the F_p-affine map digits @ rows[:dk] + rows[dk]. Products are
+    mod Q is the F_p-linear map digits @ rows[:(d+1)k]. Products are
     F_p-bilinear: T[a, b] holds the coordinates of e_a * e_b, so multiplying
     by a fixed code b is the n x n F_p-linear map sum over c of b_c T[:, c],
     applied to the digits of the other factor. Every matmul entry is a short
@@ -290,60 +292,59 @@ class ResidueRing:
         step = max(1, _SCRATCH_BYTES // (8 * width))
         for part in (slice(i, i + step) for i in range(0, len(out), step)):
             coords = coords_of(part).astype(np.int64)  # float % is several times slower
-            coords %= self.p
+            coords -= coords // self.p * self.p  # and int64 % about twice as slow
             out[part] = coords.reshape(*out[part].shape, -1) @ self.place
         return out
 
     def reduce(self, d: int, us: np.ndarray) -> np.ndarray:
-        """Codes of the monic degree-d polynomials with mantissas `us`, or
-        with the rows of `us` as their mantissas' base-p digits."""
-        k, rows = self.k, self.rows((d + 1) * self.k)
-        place = self.p ** np.arange(d * k)
-        return self._batched(
-            np.empty(len(us), np.int64), len(rows),
-            lambda s: self._digits(us[s], place) @ rows[:-k] + rows[-k],
-        )
+        """Codes mod Q of the polynomials of degree <= d with codes `us` (a
+        monic's is q^d plus its mantissa), or with the rows of `us` as their
+        (d+1)k base-p digits: one linear map, whatever their degrees."""
+        rows = self.rows((d + 1) * self.k)
+        place = self.p ** np.arange(len(rows))
+        return self._batched(np.empty(len(us), np.int64), len(rows),
+                             lambda s: self._digits(us[s], place) @ rows)
+
+    def _maps(self, bs: np.ndarray) -> np.ndarray:
+        """The (n, n) maps of the codes `bs`, a's digits times b's being a*b's:
+        T is symmetric, so row c of T as (n, n*n) is the map of e_c."""
+        n = len(self.place)
+        maps = self._digits(bs, self.place) @ self.T.reshape(n, n * n) % self.p
+        return maps.reshape(-1, n, n)
 
     def mul(self, a, b) -> np.ndarray:
         """Codes of a*b for the codes `a` and one code `b`, or, for an array
-        of codes `b`, a (len(b), len(a)) array with row i for b[i]. The digits
-        of `a` times b's (n, n) multiplication map, read from T; the maps of
-        several b sit side by side, so one matmul serves them all."""
+        of codes `b`, a (len(b), len(a)) array with row i for b[i]: the digits
+        of `a` times the maps of the b, side by side in one matmul."""
         a, bs = np.atleast_1d(a), np.atleast_1d(b)
         n = len(self.place)
         out = np.empty((len(bs), len(a)), np.int64)
         step = max(1, _SCRATCH_BYTES // (8 * n * n))
         for i in range(0, len(bs), step):
-            # T is symmetric in its two factors, so row c of this view is the
-            # map of e_c, and a digit row of b combines them into b's map
-            maps = self._digits(bs[i : i + step], self.place) @ self.T.reshape(n, n * n) % self.p
-            maps = maps.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
+            maps = self._maps(bs[i : i + step]).transpose(1, 0, 2).reshape(n, -1)
             self._batched(out[i : i + step].T, maps.shape[1],
                           lambda s: self._digits(a[s], self.place) @ maps)
         return out[0] if np.ndim(b) == 0 else out
 
     def square(self, a: np.ndarray) -> np.ndarray:
-        """Codes of a*a for each code in `a`: the outer square of its digits
-        read through T."""
-        n = len(self.place)
-        by_pair = self.T.reshape(n * n, n)
+        """Codes of a*a for each code in `a`: its digits times its own map."""
+        coords = lambda s: np.einsum("ij,ijk->ik", self._digits(a[s], self.place), self._maps(a[s]))
+        return self._batched(np.empty(len(a), np.int64), len(self.place) ** 2, coords)
 
-        def coords(s):
-            digits = self._digits(a[s], self.place)
-            return (digits[:, :, None] * digits[:, None, :]).reshape(-1, n * n) @ by_pair
-
-        return self._batched(np.empty(len(a), np.int64), n * n, coords)
+    def _compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x @ y % self.p  # the map of a*b from the maps of a and b
 
     def pow(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply from the top bit of e down."""
+        """a^e by square-and-multiply from the top bit of e down, on a's
+        multiplication map: row 0 of the map of a^e, the image of 1, is a^e."""
         if e == 0:
             return 1
-        out = int(a)
+        base = out = self._maps(np.array([a]))[0]
         for bit in bin(e)[3:]:
-            out = int(self.mul(out, out)[0])
+            out = self._compose(out, out)
             if bit == "1":
-                out = int(self.mul(out, a)[0])
-        return out
+                out = self._compose(out, base)
+        return int(out[0].astype(np.int64) @ self.place)
 
 
 @cache
@@ -357,13 +358,13 @@ def reduce_monic_mod(
 ) -> np.ndarray:
     """Residue codes (mantissa-style integers in [0, q^deg(modulus))) of the
     monic degree-n polynomials with mantissas `us`, reduced mod `modulus`.
-    `digits`, if given, holds the same mantissas' base-p digits as rows
-    (ArithTables.irreducible_digits): a general modulus reduces those rather
-    than convert `us` again, while t^m reads the mantissas."""
+    `digits`, if given, holds the whole base-p digit rows of the polynomials
+    of `us` (ArithTables.irreducible_rows), which may then have any degree
+    <= n; the ring reduces those. Without them, t^m reads the mantissas."""
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
     q, m = field.q, modulus.degree
     us = np.asarray(us, dtype=np.int64)
-    if modulus != t_power(field, m):
-        return residue_ring(field, modulus).reduce(n, us if digits is None else digits)
+    if digits is not None or modulus != t_power(field, m):
+        return residue_ring(field, modulus).reduce(n, us + q**n if digits is None else digits)
     return us % q**m if n >= m else us + q**n

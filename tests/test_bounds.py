@@ -16,10 +16,16 @@ from ffvar.bounds import (
     smooth_sum_ratio,
     theorem_ratio_sweep,
     von_mangoldt_char_sum_ratio,
+    von_mangoldt_char_sums,
 )
+from ffvar import tables as tables_module
+from ffvar.characters import character_sums, unit_group_basis
 from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
-from ffvar.polys import from_coeffs, t_power
+from ffvar.polys import enumerate_monic, from_coeffs, t_power
+from ffvar.tables import get_tables, reduce_monic_mod
+
+ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
 
 # -- report plumbing -------------------------------------------------------------
 
@@ -149,6 +155,142 @@ def test_von_mangoldt_sum_grid_stays_bounded(f3):
         for n_total in range(1, 9):
             rep = von_mangoldt_char_sum_ratio(f3, modulus, n_total)
             assert rep.passed, rep.summary()
+
+
+def _psi_per_n(field, modulus, n_total):
+    """psi_N(chi) for one N, the way the monitor once built each report: the
+    irreducibles of each divisor d of N reduced mod Q, and one stacked
+    transform with chi(P)^(N/d) = chi(P^(N/d)) per row."""
+    basis = unit_group_basis(field, modulus)
+    tables = get_tables(field, n_total)
+    size = field.q**modulus.degree
+    divisors = [d for d in range(1, n_total + 1) if n_total % d == 0]
+    counts = np.stack([
+        np.bincount(
+            reduce_monic_mod(field, modulus, d, tables.irreducibles[d]),
+            minlength=size,
+        )
+        for d in divisors
+    ])
+    sums = character_sums(basis, counts, power=[n_total // d for d in divisors])
+    return sum(d * row for d, row in zip(divisors, sums))
+
+
+def _small_moduli():
+    for fld in (make_field(2), make_field(3)):
+        for m in (2, 3, 4):
+            for modulus in enumerate_monic(fld, m):
+                yield fld, modulus
+
+
+def test_von_mangoldt_table_matches_the_per_n_sums():
+    for fld, modulus in _small_moduli():
+        table = von_mangoldt_char_sums(fld, modulus, 10)
+        assert table.shape == (10, unit_group_basis(fld, modulus).phi)
+        for n_total in range(1, 11):
+            want = _psi_per_n(fld, modulus, n_total)
+            scale = np.max(np.abs(want))
+            np.testing.assert_allclose(table[n_total - 1], want, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=f"q={fld.q} Q={modulus} N={n_total}")
+
+
+def _explicit_formula(field, modulus, n_max):
+    """(psi_N for N = 1..n_max, L-coefficients c_0..c_(deg Q - 1)) over every
+    character mod Q, from L(u, chi) = sum_j c_j(chi) u^j alone:
+    u L'/L = sum_N psi_N u^N, so psi_N = N c_N - sum_{1<=j<N} psi_j c_(N-j).
+    A monic of degree j < deg Q is its own residue code q^j + u, so c_j is
+    one transform of the indicator of the codes q^j .. 2q^j - 1; for
+    non-principal chi, c_j = 0 for j >= deg Q."""
+    q, m = field.q, modulus.degree
+    basis = unit_group_basis(field, modulus)
+    rows = np.zeros((m, q**m))
+    for j in range(m):
+        rows[j, q**j : 2 * q**j] = 1
+    c = character_sums(basis, rows)
+    coeff = lambda j: c[j] if j < m else 0.0
+    psi = []
+    for n in range(1, n_max + 1):
+        psi.append(n * coeff(n) - sum(psi[j - 1] * coeff(n - j) for j in range(1, n)))
+    return np.array(psi), c
+
+
+def _check_explicit_formula(fld, modulus, n_max):
+    q, m = fld.q, modulus.degree
+    table = von_mangoldt_char_sums(fld, modulus, n_max)
+    psi, c = _explicit_formula(fld, modulus, n_max)
+    for n_total in range(1, n_max + 1):
+        got, want = table[n_total - 1, 1:], psi[n_total - 1, 1:]
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, (q, str(modulus), n_total)
+        # the Riemann hypothesis: m - 1 inverse zeros, each of size 1 or sqrt(q)
+        bound = (m - 1) * q ** (n_total / 2)
+        assert np.max(np.abs(got), initial=0.0) <= bound * (1 + 1e-12), (q, str(modulus), n_total)
+    for coeffs in c[:, 1:].T:
+        coeffs = np.where(np.abs(coeffs) < 1e-9, 0, coeffs)
+        coeffs = coeffs[: np.flatnonzero(coeffs)[-1] + 1]
+        # roots of u^D L(1/u), leading coefficient c_0 = 1: the inverse zeros
+        sizes = np.abs(np.roots(coeffs))
+        gap = np.minimum(np.abs(sizes - 1), np.abs(sizes - math.sqrt(q)))
+        assert np.all(gap <= 1e-6), (q, str(modulus), sizes)
+
+
+def test_von_mangoldt_table_follows_the_explicit_formula():
+    for fld, modulus in _small_moduli():
+        _check_explicit_formula(fld, modulus, 10)
+    rng = np.random.default_rng(12)
+    for p, k in ALL_FIELDS:
+        fld = make_field(p, k)
+        q = fld.q
+        n_max = max(n for n in range(1, 11) if q**n <= 1 << 16)
+        for m in (2, 3):
+            modulus = from_coeffs(fld, [*rng.integers(1, q, size=1), *rng.integers(0, q, size=m - 1), 1])
+            _check_explicit_formula(fld, modulus, n_max)
+
+
+def _fields(rep):
+    return rep.bound, rep.params, rep.lhs, rep.rhs, rep.hard, rep.passed
+
+
+def test_von_mangoldt_reports_do_not_depend_on_call_order(f3):
+    get_tables(f3, 9)
+    a, b = from_coeffs(f3, [2, 1, 0, 1, 1]), from_coeffs(f3, [1, 0, 1]) ** 2
+    ascending = {(str(Q), n): _fields(von_mangoldt_char_sum_ratio(f3, Q, n))
+                 for Q in (a, b) for n in range(1, 10)}
+    descending = {(str(Q), n): _fields(von_mangoldt_char_sum_ratio(f3, Q, n))
+                  for Q in (b, a) for n in range(9, 0, -1)}
+    interleaved = {(str(Q), n): _fields(von_mangoldt_char_sum_ratio(f3, Q, n))
+                   for n in range(1, 10) for Q in (a, b)}
+    assert ascending == descending == interleaved
+
+
+def test_von_mangoldt_reports_survive_table_extension(monkeypatch):
+    fld = make_field(5)
+    modulus = from_coeffs(fld, [1, 2, 1])
+    monkeypatch.delitem(tables_module._TABLE_CACHE, fld, raising=False)
+    get_tables(fld, 3)
+    before = [_fields(von_mangoldt_char_sum_ratio(fld, modulus, n)) for n in range(1, 4)]
+    assert von_mangoldt_char_sums(fld, modulus, 3).shape[0] == 3
+    get_tables(fld, 6)  # extended in place; the next report reads a deeper table
+    after = [_fields(von_mangoldt_char_sum_ratio(fld, modulus, n)) for n in range(1, 7)]
+    assert von_mangoldt_char_sums(fld, modulus, 6).shape[0] == 6
+    assert after[:3] == before
+    for n_total, (_, _, lhs, *_) in enumerate(after, start=1):
+        want = float(np.max(np.abs(_psi_per_n(fld, modulus, n_total)[1:])))
+        assert lhs == pytest.approx(want, rel=1e-12)
+
+
+def test_von_mangoldt_table_is_read_only(f2):
+    table = von_mangoldt_char_sums(f2, t_power(f2, 3), 6)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
+def test_von_mangoldt_preconditions(f2):
+    with pytest.raises(PreconditionError, match="need N >= 1"):
+        von_mangoldt_char_sum_ratio(f2, t_power(f2, 2), 0)
+    with pytest.raises(PreconditionError, match="admits no non-principal character"):
+        von_mangoldt_char_sum_ratio(f2, t_power(f2, 1) * from_coeffs(f2, [1, 1]), 3)
 
 
 # -- proof-shaped partial sums ----------------------------------------------------------

@@ -384,23 +384,25 @@ def test_reduce_monic_mod_general_modulus():
                     assert int(got[u]) == _residue_code(f % modulus, q), (q, modulus, n, u)
 
 
-def test_reduce_monic_mod_reads_cached_digit_rows():
-    # the irreducibles' digit rows, cached per degree, reduce to the same
-    # codes as their mantissas, mod general Q and mod t^m (which reads the
-    # mantissas)
+def test_reduce_monic_mod_reads_cached_whole_rows():
+    # the whole digit rows of the irreducibles of every degree up to n, cached
+    # per n, reduce in one call to the codes of their mantissas degree by
+    # degree, mod general Q and mod t^m (which reads the mantissas alone)
     for p, k in ALL_FIELDS:
         fld = make_field(p, k)
         tab = build_tables(fld, max(n for n in range(1, 7) if fld.q**n <= 4096))
         moduli = [t_power(fld, 1), t_power(fld, 2), from_coeffs(fld, [1, 1]) ** 2,
                   from_coeffs(fld, [1, 0, 1, 1])]
-        for d in range(1, tab.max_degree + 1):
-            digits = tab.irreducible_digits(d)
-            assert digits.dtype == np.int8 and tab.irreducible_digits(d) is digits
-            assert np.array_equal(digits @ fld.p ** np.arange(fld.k * d), tab.irreducibles[d])
+        for n in range(1, tab.max_degree + 1):
+            rows = tab.irreducible_rows(n)
+            assert rows.dtype == np.int8 and tab.irreducible_rows(n) is rows
+            us = np.concatenate(tab.irreducibles[1 : n + 1])
+            lead = np.concatenate([np.full(len(tab.irreducibles[d]), fld.q**d) for d in range(1, n + 1)])
+            assert np.array_equal(rows @ fld.p ** np.arange(fld.k * (n + 1)), us + lead)
             for modulus in moduli:
-                want = reduce_monic_mod(fld, modulus, d, tab.irreducibles[d])
-                got = reduce_monic_mod(fld, modulus, d, tab.irreducibles[d], digits)
-                assert np.array_equal(got, want), (fld.q, d)
+                want = np.concatenate([reduce_monic_mod(fld, modulus, d, tab.irreducibles[d])
+                                       for d in range(1, n + 1)])
+                assert np.array_equal(reduce_monic_mod(fld, modulus, n, us, rows), want), (fld.q, n)
 
 
 def _coordinates(fld, f: Poly, m: int) -> list[int]:
@@ -427,25 +429,38 @@ def test_residue_ring_table_grows_on_demand(f2, f3, f4):
 
 
 def test_residue_ring_pow_squares_from_the_top_bit(f3, f4):
+    # one map product per bit below the top, and one more per set bit
     for fld, coeffs in ((f3, [2, 1, 0, 1, 1]), (f4, [3, 1, 2, 1])):
-        modulus = from_coeffs(fld, coeffs)
-        q, m = fld.q, modulus.degree
-        ring = ResidueRing(fld, modulus)
-        mul, calls = ring.mul, []
-        ring.mul = lambda a, b: calls.append(b) or mul(a, b)
+        ring = ResidueRing(fld, from_coeffs(fld, coeffs))
+        compose, products = ring._compose, []
+        ring._compose = lambda x, y: products.append(1) or compose(x, y)
         for e, count in ((1, 0), (2, 1), (3, 2), (8, 3)):
-            calls.clear()
+            products.clear()
             ring.pow(5, e)
-            assert len(calls) == count, e
+            assert len(products) == count, e
         assert ring.pow(5, 0) == 1
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a, e = int(rng.integers(0, q**m)), int(rng.integers(0, 40))
-            base = from_coeffs(fld, [a // q**j % q for j in range(m)])
-            expected = from_coeffs(fld, [1])
-            for _ in range(e):
-                expected = (expected * base) % modulus
-            assert ring.pow(a, e) == _residue_code(expected, q), (q, a, e)
+    # against repeated Poly products mod Q, for every q <= 16
+    rng = np.random.default_rng(3)
+    for p, k in ALL_FIELDS:
+        fld = make_field(p, k)
+        q = fld.q
+        moduli = [
+            from_coeffs(fld, [*rng.integers(0, q, size=3), 1]),
+            from_coeffs(fld, [1, 1]) ** 2 * t_power(fld, 1),
+        ]
+        if (p, k) == (3, 1):
+            moduli.append(from_coeffs(fld, [2, 1, 0, 1, 1]))
+        if (p, k) == (2, 2):
+            moduli.append(from_coeffs(fld, [3, 1, 2, 1]))
+        for modulus in moduli:
+            ring, m = ResidueRing(fld, modulus), modulus.degree
+            for _ in range(10):
+                a, e = int(rng.integers(0, q**m)), int(rng.integers(0, 40))
+                base = from_coeffs(fld, [a // q**j % q for j in range(m)])
+                expected = from_coeffs(fld, [1])
+                for _ in range(e):
+                    expected = (expected * base) % modulus
+                assert ring.pow(a, e) == _residue_code(expected, q), (q, modulus, a, e)
 
 
 # -- caching -------------------------------------------------------------------
