@@ -68,7 +68,6 @@ from .bounds import (
     mvt_trial,
     prime_char_sum_ratio,
     smooth_sum_ratio,
-    theorem_ratio_sweep,
     von_mangoldt_char_sum_ratio,
 )
 

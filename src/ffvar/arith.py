@@ -1,10 +1,11 @@
-"""Factorization over F_q[t] and the classical multiplicative functions.
+"""Factorization over F_q[t], irreducible counts, and smooth counts.
 
-All functions are defined on nonzero polynomials via the monic associate, so
-liouville(c*F) == liouville(F) for any unit c. Factorization follows the
-factor links of the sieve tables (tables.ArithTables.factor_links), one
-lookup per prime factor. The irreducible lists can be persisted in a small
-line-oriented text format (FFSIEVE) so repeated runs skip the sieve.
+factor() takes any nonzero F: it walks the factor links of the sieve tables
+(tables.ArithTables.factor_links) from the monic associate, one lookup per
+prime factor, and returns the leading coefficient as the unit. lambda, mu
+and Omega over all monic of a degree live in the tables themselves. The
+irreducible lists can be persisted in a small line-oriented text format
+(FFSIEVE) so repeated runs skip the sieve.
 """
 
 from __future__ import annotations
@@ -232,58 +233,6 @@ class FactorIndex:
             got = factor(g, self.cache).factors
             self._memo[key] = got
         return Factorization(unit=f.lead, factors=got)
-
-
-# -- classical functions on nonzero F (through the monic associate)
-
-
-def big_omega(f: Poly, cache: SieveCache) -> int:
-    return sum(e for _, e in factor(f, cache))
-
-
-def omega(f: Poly, cache: SieveCache) -> int:
-    return len(factor(f, cache).factors)
-
-
-def liouville(f: Poly, cache: SieveCache) -> int:
-    return -1 if big_omega(f, cache) & 1 else 1
-
-
-def moebius(f: Poly, cache: SieveCache) -> int:
-    fac = factor(f, cache)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac.factors) & 1 else 1
-
-
-def euler_phi(f: Poly, cache: SieveCache) -> int:
-    """Order of the unit group of F_q[t]/(f)."""
-    q = f.field.q
-    out = 1
-    for p, e in factor(f, cache):
-        d = p.degree
-        out *= (q**d - 1) * q ** (d * (e - 1))
-    return out
-
-
-def von_mangoldt(f: Poly, cache: SieveCache) -> int:
-    fac = factor(f, cache).factors
-    if len(fac) == 1:
-        return fac[0][0].degree
-    return 0
-
-
-def omega_in_window(f: Poly, lo: int, hi: int, cache: SieveCache) -> int:
-    """Distinct irreducible factors with lo < deg P <= hi."""
-    return sum(1 for p, _ in factor(f, cache) if lo < p.degree <= hi)
-
-
-def is_smooth(f: Poly, h: int, cache: SieveCache) -> bool:
-    """Every irreducible factor has degree <= h; constants are smooth."""
-    if h < 0:
-        raise PreconditionError("smoothness bound must be >= 0")
-    fac = factor(f, cache).factors
-    return all(p.degree <= h for p, _ in fac)
 
 
 # -- counting

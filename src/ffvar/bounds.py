@@ -1,6 +1,7 @@
 """Empirical monitors for the inequality layer: the character-sum mean value
 theorem, prime and von Mangoldt character sums, the large-prime-factor and
-smooth-factor square sums, and the headline variance ratio.
+smooth-factor square sums, and the right side of the headline variance
+bound, against which cmd_sweep reads its theorem ratio.
 
 Two report classes, never mixed: hard-pass checks whose constant is fully
 justified (the mean value theorem with its explicit 2*Phi(Q)*(q^(n-deg Q)+1),
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .fields import FieldSpec
 from .polys import DEFAULT_ENUM_BUDGET, Poly, t_power
 from .characters import character_sums, unit_group_basis
 from .tables import get_tables, reduce_monic_mod
-from .variance import variance_direct
 
 MVT_SLACK = 1e-9
 
@@ -276,30 +276,3 @@ def smooth_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundRep
 def theorem_rhs(q: int, n: int, h: int) -> float:
     """N^5 q^h / h^2 in floats: the monitored variance bound of a sweep row."""
     return (n**5 / h**2) * float(q) ** h
-
-
-def theorem_ratio_sweep(
-    field: FieldSpec,
-    n_values: Sequence[int],
-    h_rule: Callable[[int], Iterable[int]],
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Iterator[BoundReport]:
-    """Var_direct(liouville) * h^2 / (N^5 q^h) over a grid; h = 0 rows are
-    rejected (the monitored bound divides by h)."""
-    q = field.q
-    for n_total in n_values:
-        for h in h_rule(n_total):
-            if h < 1:
-                raise PreconditionError("theorem ratio needs h >= 1")
-            if not h < n_total:
-                raise PreconditionError(f"need h < N; got h={h}, N={n_total}")
-            var = variance_direct(field, "liouville", n_total, h, budget=budget)
-            yield BoundReport(
-                bound="theorem_ratio",
-                params={"q": q, "N": n_total, "h": h},
-                lhs=float(var),
-                rhs=theorem_rhs(q, n_total, h),
-                hard=False,
-                passed=None,
-            )

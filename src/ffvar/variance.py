@@ -38,7 +38,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SieveCache
 from .errors import BudgetError, PreconditionError, SmoothWindowError
 from .fields import FieldSpec
 from .polys import DEFAULT_ENUM_BUDGET, Poly, monic_index, t_power
@@ -66,15 +65,6 @@ class ArithmeticFunctionHandle:
             return -1 if v & 1 else 1
         if self.name == "moebius":
             return (1, -1, 0)[min(v, 2)]
-        return 1
-
-    def pointwise(self, f: Poly, cache: SieveCache) -> int:
-        from . import arith
-
-        if self.name == "liouville":
-            return arith.liouville(f, cache)
-        if self.name == "moebius":
-            return arith.moebius(f, cache)
         return 1
 
 

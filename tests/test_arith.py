@@ -2,34 +2,27 @@ from __future__ import annotations
 
 import logging
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
+from conftest import brute_unit_count
 from ffvar.arith import (
     FactorIndex,
     cache_file_name,
     count_smooth_exact,
-    euler_phi,
     factor,
-    big_omega,
     integer_moebius,
-    is_smooth,
-    liouville,
     liouville_full_sum,
     load_cache,
-    moebius,
-    omega,
-    omega_in_window,
     pi_q,
     sieve_irreducibles,
     smooth_asymptotic_ratio,
-    von_mangoldt,
     write_cache,
 )
+from ffvar.characters import unit_group_basis
 from ffvar.errors import BudgetError, IrreducibleCacheError, PreconditionError
 from ffvar.fields import make_field
-from ffvar.polys import enumerate_monic, from_coeffs, one, poly_gcd, t_power, zero
+from ffvar.polys import enumerate_monic, from_coeffs, monic_index, one, t_power, zero
 from ffvar.tables import get_tables
 
 # -- necklace counts -----------------------------------------------------------
@@ -191,49 +184,36 @@ def test_factor_index_memoizes(f3, cache3):
     assert scaled.factors is idx.factor(f).factors
 
 
-# -- classical multiplicative functions -------------------------------------------
+# -- Omega, lambda and mu on the sieve tables ----------------------------------------
 
 
 def test_function_values_on_hand_cases(f2, cache2):
+    tables = get_tables(f2, 4)
     f = from_coeffs(f2, [0, 0, 1, 1])  # t^2 (t + 1)
-    assert big_omega(f, cache2) == 3
-    assert omega(f, cache2) == 2
-    assert liouville(f, cache2) == -1
-    assert moebius(f, cache2) == 0
     quad = from_coeffs(f2, [1, 1, 1])
-    assert liouville(quad, cache2) == -1
-    assert moebius(quad, cache2) == -1
-    assert von_mangoldt(quad, cache2) == 2
-    assert von_mangoldt(quad * quad, cache2) == 2  # prime power keeps deg P
-    assert von_mangoldt(t_power(f2, 3), cache2) == 1
-    assert von_mangoldt(f, cache2) == 0
-    assert von_mangoldt(one(f2), cache2) == 0
+    # (G, Omega, lambda, mu), read at the mantissa of G
+    for g, big_omega, lam, mu in (
+        (f, 3, -1, 0),
+        (quad, 1, -1, -1),
+        (quad * quad, 2, 1, 0),
+        (t_power(f2, 3), 3, -1, 0),
+        (from_coeffs(f2, [0, 1, 1]), 2, 1, 1),  # t (t + 1)
+    ):
+        n, u = g.degree, monic_index(g)
+        assert tables.big_omega[n][u] == big_omega, g
+        assert tables.liouville_values(n)[u] == lam, g
+        assert tables.moebius_values(n)[u] == mu, g
+    assert len(factor(f, cache2).factors) == 2  # omega counts distinct primes
+    assert tables.liouville_values(0).tolist() == tables.moebius_values(0).tolist() == [1]
 
 
-def test_euler_phi_formulas_and_brute_force(f2, f3, cache2, cache3):
-    assert euler_phi(t_power(f2, 3), cache2) == 4
-    assert euler_phi(from_coeffs(f2, [0, 1, 0, 1]), cache2) == 2  # t (t+1)^2
-    for fld, cache in ((f2, cache2), (f3, cache3)):
-        q = fld.q
+def test_euler_phi_formulas_and_brute_force(f2, f3):
+    assert unit_group_basis(f2, t_power(f2, 3)).phi == 4
+    assert unit_group_basis(f2, from_coeffs(f2, [0, 1, 0, 1])).phi == 2  # t (t+1)^2
+    for fld in (f2, f3):
         for m in (1, 2, 3):
             for modulus in enumerate_monic(fld, m):
-                brute = 0
-                for code in range(q**m):
-                    g = from_coeffs(fld, [(code // q**j) % q for j in range(m)])
-                    if g.is_zero:
-                        continue
-                    if poly_gcd(g, modulus).degree == 0:
-                        brute += 1
-                assert euler_phi(modulus, cache) == brute
-
-
-def test_smoothness_predicates(f2, cache2):
-    assert is_smooth(from_coeffs(f2, [0, 1, 1]), 1, cache2)  # t(t+1)
-    assert not is_smooth(from_coeffs(f2, [1, 1, 1]), 1, cache2)
-    assert is_smooth(one(f2), 0, cache2)
-    f = from_coeffs(f2, [0, 0, 1, 1]) * from_coeffs(f2, [1, 1, 1])
-    assert omega_in_window(f, 0, 2, cache2) == 3
-    assert omega_in_window(f, 1, 2, cache2) == 1
+                assert unit_group_basis(fld, modulus).phi == brute_unit_count(modulus), modulus
 
 
 # -- aggregate identities -----------------------------------------------------------

@@ -231,6 +231,46 @@ def test_verify_unknown_suite(capsys):
     assert "choose from" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--suite", "fullsum", "--n-max", "-3"], "--n-max >= 2; got -3"),
+        (["--suite", "ramare", "--n-max", "1"], "--n-max >= 2; got 1"),
+        (["--suite", "mvt", "--trials", "0"], "--trials >= 1; got 0"),
+        (["--trials", "-2"], "--trials >= 1; got -2"),
+    ],
+)
+def test_verify_rejects_vacuous_settings(args, message, capsys):
+    # below these the suites would print PASS on nothing checked
+    assert main(["verify", *args]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == ""  # before any suite runs
+    assert err == f"precondition: verify needs {message}\n"
+
+
+def test_verify_smallest_n_max_checks_cases_in_every_suite(capsys):
+    assert main(["verify", "--n-max", "2", "--trials", "1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16 and all(ln.startswith("PASS ") for ln in lines)
+    for ln in lines:
+        if ln.startswith("PASS ramare"):
+            assert int(ln.split(" on ")[1].split()[0]) > 0, ln
+        if ln.startswith("PASS mvt"):
+            assert int(ln.split(": ")[1].split()[0]) > 0, ln
+
+
+def test_verify_necklace_ignores_a_deeper_cache_file(tmp_path, capsys):
+    # the line names the degrees n-max asks for, not those the file holds
+    args = ["verify", "--suite", "necklace", "--n-max", "4", "--cache-dir"]
+    assert main([*args, str(tmp_path / "fresh")]) == EXIT_OK
+    fresh = capsys.readouterr().out
+    assert fresh.endswith("up to degree 6\n")
+    assert main(["cache", "--maxdeg", "12", "--cache-dir", str(tmp_path / "full")]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*args, str(tmp_path / "full")]) == EXIT_OK
+    assert capsys.readouterr().out == fresh
+
+
 def test_verify_specific_field(capsys):
     assert main(["verify", "--p", "3", "--suite", "ramare", "--n-max", "4"]) == EXIT_OK
     out = capsys.readouterr().out

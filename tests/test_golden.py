@@ -2,8 +2,9 @@
 checked against the outputs stored in perfbench/golden with the benchmark's
 own checker, so output drift fails here before it fails the benchmark.
 
-FFVAR_CACHE_DIR is unset because a sieve cache file changes the necklace
-suite's line; verify lines must match the stored ones byte for byte.
+FFVAR_CACHE_DIR is unset so that the run neither reads nor writes a sieve
+file outside the test: the benchmark runs verify with a fresh empty cache
+directory, and the golden lines are those of such a run.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import brute_factor
 from ffvar import tables as tables_module
 
 from ffvar.arith import factor, pi_q, sieve_irreducibles
@@ -28,30 +28,6 @@ from ffvar.tables import (
     residue_ring,
 )
 
-# -- independent oracle: factor everything by naive trial division ------------
-#
-# Completely separate route from the sieve: a monic polynomial is divided by
-# the smaller monic irreducibles in ascending (degree, mantissa) order, where
-# a polynomial is irreducible when this same search finds no divisor; the
-# cofactor is factored the same way. Memoized, so sweeping all monic of a
-# degree reuses the lower degrees.
-
-
-@functools.cache
-def _brute_factor(f: Poly) -> tuple[Poly, ...]:
-    for d in range(1, f.degree // 2 + 1):
-        for g in _brute_irreducibles(f.field, d):
-            quo, rem = divmod(f, g)
-            if rem.is_zero:
-                return (g, *_brute_factor(quo))
-    return (f,) if f.degree >= 1 else ()
-
-
-@functools.cache
-def _brute_irreducibles(fld, d: int) -> tuple[Poly, ...]:
-    return tuple(g for g in enumerate_monic(fld, d) if len(_brute_factor(g)) == 1)
-
-
 # every F_q with q <= 16, as (p, k)
 ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
 
@@ -69,7 +45,7 @@ def test_sieve_tables_match_trial_division(p, k):
         mu = tab.moebius_values(n)
         for u in range(q**n):
             f = monic_from_index(fld, n, u)
-            primes = _brute_factor(f)
+            primes = brute_factor(f)
             omega = len(primes)
             sqfree = len(set(p.coeffs for p in primes)) == omega
             mfd = max(p.degree for p in primes)
@@ -97,7 +73,7 @@ def test_window_pairs_match_poly_products(p, k):
             monic_index(monic_from_index(fld, d, up) * monic_from_index(fld, m - d, u))
             for d, up, u in rows
         ]
-        distinct = [len(set(_brute_factor(g))) for g in enumerate_monic(fld, m)]
+        distinct = [len(set(brute_factor(g))) for g in enumerate_monic(fld, m)]
         assert np.bincount(prod, minlength=q**m).tolist() == distinct
     assert tab.window_pairs(max_deg)[3] is tab.window_pairs(max_deg)[3]  # built once
 
@@ -116,7 +92,7 @@ def test_irreducible_polys_are_irreducible(f3):
     for n in range(1, 5):
         for p in tab.irreducible_polys(n):
             assert p.is_monic and p.degree == n
-            assert len(_brute_factor(p)) == 1
+            assert len(brute_factor(p)) == 1
 
 
 def test_liouville_column_sums_match_zeta_identity(f2, f3):
@@ -148,7 +124,7 @@ def test_factor_matches_brute_factor():
         cache = sieve_irreducibles(fld, top // 2)
         for n in range(top + 1):
             for g in enumerate_monic(fld, n):
-                primes = _brute_factor(g)
+                primes = brute_factor(g)
                 expected = [(P, primes.count(P)) for P in dict.fromkeys(primes)]
                 for c in range(1, q if q <= 5 else 2):
                     fac = factor(g.scale(c), cache)

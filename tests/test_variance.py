@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffvar.arith import count_smooth_exact, factor, liouville, moebius, omega_in_window
+from conftest import brute_factor
+from ffvar.arith import count_smooth_exact, factor
 from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError
 from ffvar.fields import make_field
 from ffvar.polys import (
@@ -51,15 +52,6 @@ def test_t_power_weights():
     assert all(unit.t_power_value(v) == 1 for v in range(5))
 
 
-def test_pointwise_matches_classical_functions(cache2):
-    f2 = cache2.field
-    lam = get_function("liouville")
-    mu = get_function("moebius")
-    for g in enumerate_monic(f2, 5):
-        assert lam.pointwise(g, cache2) == liouville(g, cache2)
-        assert mu.pointwise(g, cache2) == moebius(g, cache2)
-
-
 # -- direct route -----------------------------------------------------------------
 
 
@@ -68,15 +60,25 @@ def test_interval_sums_pinned(f2):
     assert acc.tolist() == [-2, -2]
 
 
-def test_interval_sums_match_brute_interval_keys(f3, cache3):
-    # independent of the mantissa layout: group every monic G of degree 4 by
-    # its interval key and add up pointwise values from trial division
+def _brute_value(name: str, g) -> int:
+    """lambda, mu or 1 at monic G, from the trial-division factors."""
+    primes = brute_factor(g)
+    if name == "unit":
+        return 1
+    if name == "moebius" and len(set(primes)) < len(primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+def test_interval_sums_match_brute_interval_keys(f3):
+    # independent of the mantissa layout and of the sieve: group every monic
+    # G of degree 4 by its interval key and add up lambda, mu or 1 from the
+    # trial-division factors
     for name in ("liouville", "moebius", "unit"):
-        handle = get_function(name)
         for h in range(0, 4):
             brute = [0] * 3 ** (4 - h - 1)
             for g in enumerate_monic(f3, 4):
-                brute[interval_key(g, h).packed] += handle.pointwise(g, cache3)
+                brute[interval_key(g, h).packed] += _brute_value(name, g)
             assert interval_sums(f3, name, 4, h).tolist() == brute
 
 
@@ -201,6 +203,11 @@ def _liouville(factors) -> int:
     return -1 if sum(e for _, e in factors) & 1 else 1
 
 
+def _omega_w(factors, h: int, n: int) -> int:
+    """Distinct irreducible factors with h < deg P <= n."""
+    return sum(1 for p, _ in factors if h < p.degree <= n)
+
+
 def _oracle_ramare(g, h: int, n: int, cache) -> Fraction | None:
     """Recombination defect at G, or None when G is h-smooth."""
     fac = factor(g, cache).factors
@@ -210,8 +217,7 @@ def _oracle_ramare(g, h: int, n: int, cache) -> Fraction | None:
     total = Fraction(0)
     for p in window:
         cfac = factor(g // p, cache).factors
-        omega_c = sum(1 for cp, _ in cfac if h < cp.degree <= n)
-        omega_full = omega_c + all(cp != p for cp, _ in cfac)
+        omega_full = _omega_w(cfac, h, n) + all(cp != p for cp, _ in cfac)
         total -= Fraction(_liouville(cfac), omega_full)
     return total - _liouville(fac)
 
@@ -223,16 +229,14 @@ def _oracle_decomposition(fld, n: int, h: int, cache) -> list[Fraction]:
     for x in range(h + 1, n + 1):
         for p in tables.irreducible_polys(x):
             for m in enumerate_monic(fld, n - x):
-                weights[monic_index(p * m)] -= Fraction(
-                    _liouville(factor(m, cache)), omega_in_window(m, h, n, cache) + 1
-                )
+                mfac = factor(m, cache).factors
+                weights[monic_index(p * m)] -= Fraction(_liouville(mfac), _omega_w(mfac, h, n) + 1)
             if 2 * x <= n:
                 for m2 in enumerate_monic(fld, n - 2 * x):
                     pm = p * m2
-                    w = omega_in_window(pm, h, n, cache)
-                    weights[monic_index(p * pm)] -= Fraction(
-                        _liouville(factor(pm, cache)), w * (w + 1)
-                    )
+                    pmfac = factor(pm, cache).factors
+                    w = _omega_w(pmfac, h, n)
+                    weights[monic_index(p * pm)] -= Fraction(_liouville(pmfac), w * (w + 1))
     lam = tables.liouville_values(n)
     rough = tables.max_factor_degree[n] > h
     return [weights[u] - (int(lam[u]) if rough[u] else 0) for u in range(fld.q**n)]
