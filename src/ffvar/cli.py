@@ -1,9 +1,9 @@
 """Command-line front end: variance runs, verification suites, parameter
 sweeps, and sieve-cache management.
 
-Exit codes are the machine contract: 0 ok, 1 check failure, corrupt cache or
-I/O error, 2 precondition violation, 3 variance gap beyond tolerance, 4 budget
-refusal or out of memory. main() owns the mapping from exceptions to codes.
+build_parser is the one home of every option and its default; each command
+reads the parsed namespace. Exit codes are the machine contract: main() maps
+exceptions to them through ERROR_EXITS alone (the README tabulates them).
 Identical configurations (including seeds) produce byte-identical CSV/JSON.
 """
 
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -51,84 +50,42 @@ ERROR_EXITS = (
 )
 
 
-@dataclass
-class RunConfig:
-    p: int = 2
-    k: int = 1
-    n_values: tuple[int, ...] = ()
-    h_values: tuple[int, ...] = ()
-    function: str = "liouville"
-    mode: str = "both"  # direct | character | both
-    seed: int = 0
-    trials: int = 100
-    cache_dir: str | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    tolerance: float = 1e-6
-    budget: int = DEFAULT_ENUM_BUDGET
-    n_max: int = 6
-    suite: str | None = None
-    self_test_fault: bool = False
-    max_degree: int = 8
-    check: bool = False
-
-    def field(self) -> FieldSpec:
-        return make_field(self.p, self.k)
-
-
 def _parse_range(text: str) -> tuple[int, ...]:
     """'3' -> (3,); '3:8' -> (3,...,8) inclusive."""
-    if ":" in text:
-        lo_s, hi_s = text.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+    lo, colon, hi = text.partition(":")
+    try:
+        return tuple(range(int(lo), int(hi if colon else lo) + 1))
+    except ValueError as exc:
+        raise PreconditionError(f"bad range syntax ({exc})")
 
 
-def _fmt_number(x: Fraction | float | int | None) -> str:
+def _csv_cell(x: Fraction | float | int | str | None) -> str:
     if x is None:
         return ""
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else repr(float(x))
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     return repr(float(x))
 
 
-def _json_number(x: Fraction | float | int | None):
-    if x is None:
-        return None
+def _json_cell(x: Fraction | float | int | str | None):
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else float(x)
     return x
 
 
-def _emit(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _write_rows(args: argparse.Namespace, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """The rows as CSV or JSON (--format), to --out or else to stdout."""
+    if args.format == "csv":
+        text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
     else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
-
-
-def _rows_to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_number(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_json(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    objs = []
-    for row in rows:
-        objs.append(
-            {
-                key: (v if isinstance(v, str) else _json_number(v))
-                for key, v in zip(header, row)
-            }
-        )
-    return json.dumps(objs, indent=2) + "\n"
+        objs = [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows]
+        text = json.dumps(objs, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
 
 
 VARIANCE_HEADER = (
@@ -143,25 +100,21 @@ VARIANCE_HEADER = (
 )
 
 
-def cmd_variance(cfg: RunConfig) -> int:
-    fld = cfg.field()
-    if not cfg.n_values or not cfg.h_values:
+def cmd_variance(args: argparse.Namespace) -> int:
+    n_values, h_values = _parse_range(args.N), _parse_range(args.h)
+    fld = make_field(args.p, args.k)
+    if not n_values or not h_values:
         raise PreconditionError("variance needs --N and --h")
-    if cfg.tolerance <= 0:
+    if args.tolerance <= 0:
         raise PreconditionError("tolerance must be > 0")
-    handle = variance.get_function(cfg.function)
-    room = 2 if cfg.mode == "character" else 1
-    pairs = [
-        (n, h)
-        for n in cfg.n_values
-        for h in cfg.h_values
-        if 0 <= h <= n - room
-    ]
+    handle = variance.get_function(args.function)
+    room = 2 if args.mode == "character" else 1
+    pairs = [(n, h) for n in n_values for h in h_values if 0 <= h <= n - room]
     if not pairs:
-        need = "0 <= h <= N-2" if cfg.mode == "character" else "0 <= h < N"
+        need = "0 <= h <= N-2" if args.mode == "character" else "0 <= h < N"
         raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
     reports = [
-        variance.variance_report(fld, handle, n, h, budget=cfg.budget, mode=cfg.mode)
+        variance.variance_report(fld, handle, n, h, budget=args.budget, mode=args.mode)
         for n, h in pairs
     ]
     rows = [
@@ -177,19 +130,14 @@ def cmd_variance(cfg: RunConfig) -> int:
         )
         for rep in reports
     ]
-    text = (
-        _rows_to_csv(VARIANCE_HEADER, rows)
-        if cfg.fmt == "csv"
-        else _rows_to_json(VARIANCE_HEADER, rows)
-    )
-    _emit(cfg.out, text)
-    if cfg.mode == "both":
+    _write_rows(args, VARIANCE_HEADER, rows)
+    if args.mode == "both":
         for rep in reports:
             gap = rep.abs_gap
             if gap is None:
                 continue
             scale = max(1.0, abs(float(rep.direct)))
-            if gap > cfg.tolerance * scale:
+            if gap > args.tolerance * scale:
                 print(
                     f"gap failure: q={rep.q} N={rep.n} h={rep.h} f={rep.function} "
                     f"direct={float(rep.direct)!r} char={rep.charside!r} gap={gap!r}",
@@ -212,11 +160,10 @@ SWEEP_HEADER = (
 )
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    fld = cfg.field()
-    pairs = [
-        (n, h) for n in sorted(cfg.n_values) for h in sorted(cfg.h_values) if h < n
-    ]
+def cmd_sweep(args: argparse.Namespace) -> int:
+    n_values, h_values = _parse_range(args.N), _parse_range(args.h)
+    fld = make_field(args.p, args.k)
+    pairs = [(n, h) for n in sorted(n_values) for h in sorted(h_values) if h < n]
     if not pairs:
         raise PreconditionError("empty sweep grid")
     if any(h < 1 for _, h in pairs):
@@ -224,7 +171,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     def one(pair: tuple[int, int]):
         n, h = pair
-        rep = variance.variance_report(fld, "liouville", n, h, budget=cfg.budget)
+        rep = variance.variance_report(fld, "liouville", n, h, budget=args.budget)
         bound = bounds.theorem_rhs(fld.q, n, h)
         largepf = smoothpf = None
         if rep.charside is not None:
@@ -234,28 +181,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
         return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 
     rows = [one(p) for p in pairs]
-    text = (
-        _rows_to_csv(SWEEP_HEADER, rows)
-        if cfg.fmt == "csv"
-        else _rows_to_json(SWEEP_HEADER, rows)
-    )
-    _emit(cfg.out, text)
+    _write_rows(args, SWEEP_HEADER, rows)
     best = max(rows, key=lambda r: r[6])
     where = f"(q={best[0]}, N={best[1]}, h={best[2]})"
     print(
         f"sweep: {len(rows)} rows"
-        + (f" -> {cfg.out}" if cfg.out else "")
+        + (f" -> {args.out}" if args.out else "")
         + f"; max theorem ratio {best[6]!r} at {where}",
-        file=sys.stderr if cfg.out is None else sys.stdout,
+        file=sys.stderr if args.out is None else sys.stdout,
     )
     return EXIT_OK
 
 
-def cmd_cache(cfg: RunConfig) -> int:
-    fld = cfg.field()
-    cache_dir = cfg.cache_dir or os.environ.get("FFVAR_CACHE_DIR") or "."
+def cmd_cache(args: argparse.Namespace) -> int:
+    fld = make_field(args.p, args.k)
+    cache_dir = args.cache_dir or "."
     path = Path(cache_dir) / arith.cache_file_name(fld)
-    if cfg.check:
+    if args.check:
         cache = arith.load_cache(fld, path)
         for d in range(1, cache.max_degree + 1):
             expected = arith.pi_q(fld, d)
@@ -270,7 +212,7 @@ def cmd_cache(cfg: RunConfig) -> int:
         print(f"{path}: ok ({sum(len(x) for x in cache.by_degree)} irreducibles)")
         return EXIT_OK
     cache = arith.sieve_irreducibles(
-        fld, cfg.max_degree, cache_dir=cache_dir, budget=cfg.budget
+        fld, args.max_degree, cache_dir=cache_dir, budget=args.budget
     )
     total = sum(len(x) for x in cache.by_degree)
     print(f"{path}: {total} irreducibles up to degree {cache.max_degree}")
@@ -280,7 +222,7 @@ def cmd_cache(cfg: RunConfig) -> int:
 # -- verification suites
 
 
-def _suite_fields(cfg: RunConfig, fld: FieldSpec):
+def _suite_fields(args: argparse.Namespace, fld: FieldSpec):
     qs = sorted({fld.q, 2, 3, 4})
     for q in qs:
         p, k = (q, 1) if q != 4 else (2, 2)
@@ -295,11 +237,11 @@ def _monic_star(fld: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
     return fld.mul_table[fld.inv_table[rev[:, -1:]], rev]
 
 
-def _suite_involution(cfg: RunConfig, fld: FieldSpec):
+def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
     # per degree, every monic F with F(0) != 0 at once, for each unit c: star
     # of c F made monic, starred back, must give F again, and lambda must
     # agree on the mantissas of F and of monic(star(c F))
-    max_deg = min(cfg.n_max, 8)
+    max_deg = min(args.n_max, 8)
     tables = get_tables(fld, max_deg)
     q = fld.q
     checked = q - 1  # the nonzero constants, each its own star
@@ -319,11 +261,11 @@ def _suite_involution(cfg: RunConfig, fld: FieldSpec):
                     f = monic_from_index(fld, n, int(us[np.argmax(bad)])).scale(c)
                     raise AssertionError(f"{what} at F = {f}")
             checked += len(us)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     pairs = 2000
     for _ in range(pairs):
-        a = _random_nonzero(fld, rng, cfg.n_max)
-        b = _random_nonzero(fld, rng, cfg.n_max)
+        a = _random_nonzero(fld, rng, args.n_max)
+        b = _random_nonzero(fld, rng, args.n_max)
         if star(a * b) != star(a) * star(b):
             raise AssertionError(f"star not multiplicative at ({a}, {b})")
     return f"involution/symmetry on {checked} polynomials + {pairs} random products"
@@ -337,12 +279,12 @@ def _random_nonzero(fld: FieldSpec, rng, max_deg: int) -> Poly:
             return f
 
 
-def _suite_fullsum(cfg: RunConfig, fld: FieldSpec):
+def _suite_fullsum(args: argparse.Namespace, fld: FieldSpec):
     q = fld.q
-    n_hi = min(cfg.n_max + 2, {2: 16, 3: 10}.get(q, 8))
+    n_hi = min(args.n_max + 2, {2: 16, 3: 10}.get(q, 8))
     for n in range(0, n_hi + 1):
         got, note = arith.liouville_full_sum(fld, n), ""
-        if cfg.self_test_fault and n == n_hi:
+        if args.self_test_fault and n == n_hi:
             # injected fault: one lambda value flipped
             got -= 2 * int(get_tables(fld, n).liouville_values(n)[q**n - 1])
             note = f" (injected fault at G = {monic_from_index(fld, n, q**n - 1)})"
@@ -352,18 +294,18 @@ def _suite_fullsum(cfg: RunConfig, fld: FieldSpec):
     return f"closed form matches for q={q}, n <= {n_hi}"
 
 
-def _suite_necklace(cfg: RunConfig, fld: FieldSpec):
+def _suite_necklace(args: argparse.Namespace, fld: FieldSpec):
     # a cache file may hold deeper degrees; only 1..n_hi are checked and reported
-    n_hi = min(cfg.n_max + 2, 10)
-    cache = arith.sieve_irreducibles(fld, n_hi, cache_dir=cfg.cache_dir)
+    n_hi = min(args.n_max + 2, 10)
+    cache = arith.sieve_irreducibles(fld, n_hi, cache_dir=args.cache_dir)
     for d in range(1, n_hi + 1):
         if cache.count(d) != arith.pi_q(fld, d):
             raise AssertionError(f"pi_q mismatch at q={fld.q}, degree {d}: sieve {cache.count(d)}")
     return f"sieve counts equal necklace formula up to degree {n_hi}"
 
 
-def _suite_smooth(cfg: RunConfig, fld: FieldSpec):
-    n_hi = min(cfg.n_max, 7)
+def _suite_smooth(args: argparse.Namespace, fld: FieldSpec):
+    n_hi = min(args.n_max, 7)
     tables = get_tables(fld, n_hi)
     for n in range(1, n_hi + 1):
         for h in range(1, n + 1):
@@ -381,7 +323,7 @@ def _suite_smooth(cfg: RunConfig, fld: FieldSpec):
     return f"DP equals enumeration for q={fld.q}, N <= {n_hi}, all h"
 
 
-def _suite_orthogonality(cfg: RunConfig, fld: FieldSpec):
+def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
     qs = sorted({fld.q, 2, 3, 4})
     checked = 0
     for q in qs:
@@ -406,8 +348,8 @@ def _suite_orthogonality(cfg: RunConfig, fld: FieldSpec):
     return f"exact cancellation for {checked} characters, q in {qs}"
 
 
-def _suite_ramare(cfg: RunConfig, fld: FieldSpec):
-    n_hi = min(cfg.n_max, 8)
+def _suite_ramare(args: argparse.Namespace, fld: FieldSpec):
+    n_hi = min(args.n_max, 8)
     checked = 0
     for n in range(2, n_hi + 1):
         for h in range(1, n):
@@ -424,8 +366,8 @@ def _suite_ramare(cfg: RunConfig, fld: FieldSpec):
     return f"defect 0 on {checked} (G, h) cases, n <= {n_hi}"
 
 
-def _suite_decomposition(cfg: RunConfig, fld: FieldSpec):
-    n_hi = min(cfg.n_max, 8 if fld.q == 2 else 6)
+def _suite_decomposition(args: argparse.Namespace, fld: FieldSpec):
+    n_hi = min(args.n_max, 8 if fld.q == 2 else 6)
     for n in range(2, n_hi + 1):
         for h in range(1, n):
             worst = variance.decomposition_check(fld, n, h)
@@ -436,7 +378,7 @@ def _suite_decomposition(cfg: RunConfig, fld: FieldSpec):
     return f"max defect 0 for q={fld.q}, n <= {n_hi}, all h"
 
 
-def _suite_mvt(cfg: RunConfig, fld: FieldSpec):
+def _suite_mvt(args: argparse.Namespace, fld: FieldSpec):
     moduli = [
         t_power(fld, 2),
         t_power(fld, 3),
@@ -444,13 +386,16 @@ def _suite_mvt(cfg: RunConfig, fld: FieldSpec):
         from_coeffs(fld, (1, 1, 1)),
         from_coeffs(fld, (0, 1)) * from_coeffs(fld, (1, 1)) ** 2,
     ]
-    per = max(1, cfg.trials // len(moduli))
     count = 0
     worst = 0.0
     for i, modulus in enumerate(moduli):
-        n = min(cfg.n_max + 2, 8)
+        # --trials split over the moduli, the first trials % 5 taking one more
+        trials = args.trials // len(moduli) + (i < args.trials % len(moduli))
+        if trials == 0:
+            continue
+        n = min(args.n_max + 2, 8)
         trial_cfg = bounds.TrialConfig(
-            seed=cfg.seed + i, trials=per, distribution="signs" if i % 2 == 0 else "phases"
+            seed=args.seed + i, trials=trials, distribution="signs" if i % 2 == 0 else "phases"
         )
         for rep in bounds.mvt_trial(fld, modulus, n, trial_cfg):
             if not rep.passed:
@@ -459,11 +404,11 @@ def _suite_mvt(cfg: RunConfig, fld: FieldSpec):
             count += 1
     return (
         f"{count} trials pass (max ratio {worst:.4f}; rng={RNG_DESCRIPTION} "
-        f"seed={cfg.seed})"
+        f"seed={args.seed})"
     )
 
 
-SUITES: dict[str, Callable[[RunConfig, FieldSpec], str]] = {
+SUITES: dict[str, Callable[[argparse.Namespace, FieldSpec], str]] = {
     "fields": _suite_fields,
     "involution": _suite_involution,
     "fullsum": _suite_fullsum,
@@ -479,20 +424,21 @@ SUITES: dict[str, Callable[[RunConfig, FieldSpec], str]] = {
 _GLOBAL_SUITES = {"fields", "orthogonality"}
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite is not None and cfg.suite not in SUITES:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite is not None and args.suite not in SUITES:
         raise PreconditionError(
-            f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}"
+            f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}"
         )
     # below these every suite would still print PASS, on nothing checked
-    if cfg.n_max < 2:
-        raise PreconditionError(f"verify needs --n-max >= 2; got {cfg.n_max}")
-    if cfg.trials < 1:
-        raise PreconditionError(f"verify needs --trials >= 1; got {cfg.trials}")
-    fields = [cfg.field()] if (cfg.p, cfg.k) != (2, 1) or cfg.suite else None
-    if fields is None:
+    if args.n_max < 2:
+        raise PreconditionError(f"verify needs --n-max >= 2; got {args.n_max}")
+    if args.trials < 1:
+        raise PreconditionError(f"verify needs --trials >= 1; got {args.trials}")
+    if (args.p, args.k) == (2, 1) and not args.suite:
         fields = [make_field(2, 1), make_field(3, 1)]
-    names = [cfg.suite] if cfg.suite else list(SUITES)
+    else:
+        fields = [make_field(args.p, args.k)]
+    names = [args.suite] if args.suite else list(SUITES)
     failures = 0
     for name in names:
         fn = SUITES[name]
@@ -500,7 +446,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for fld in targets:
             label = f"{name}[q={fld.q}]" if name not in _GLOBAL_SUITES else name
             try:
-                detail = fn(cfg, fld)
+                detail = fn(args, fld)
                 print(f"PASS {label}: {detail}")
             except AssertionError as exc:
                 print(f"FAIL {label}: {exc}")
@@ -519,6 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, default=2, help="field characteristic")
         sp.add_argument("--k", type=int, default=1, help="extension degree (q = p^k)")
 
+    def add_budget(sp):
+        sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+
+    def add_rows_args(sp):
+        sp.add_argument("--out")
+        sp.add_argument("--format", default="csv", choices=["csv", "json"])
+        add_budget(sp)
+
+    def add_cache_dir(sp):
+        sp.add_argument("--cache-dir", default=os.environ.get("FFVAR_CACHE_DIR"))
+
     sp = sub.add_parser("variance", help="compute interval variance one or both ways")
     add_field_args(sp)
     sp.add_argument("--N", required=True, help="degree or inclusive range a:b")
@@ -526,17 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--function", default="liouville", choices=sorted(variance.FUNCTIONS))
     sp.add_argument("--mode", default="both", choices=variance.MODES)
     sp.add_argument("--tolerance", type=float, default=1e-6)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
-    sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    add_rows_args(sp)
 
     sp = sub.add_parser("verify", help="run the exact-identity verification suites")
     add_field_args(sp)
-    sp.add_argument("--suite", default=None, help="run a single suite by name")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=6)
+    sp.add_argument("--suite", help="run a single suite by name")
+    sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--cache-dir", dest="cache_dir", default=None)
+    add_cache_dir(sp)
     sp.add_argument(
         "--self-test-fault",
         action="store_true",
@@ -547,41 +502,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_field_args(sp)
     sp.add_argument("--N", required=True, help="degree range a:b")
     sp.add_argument("--h", required=True, help="interval range a:b (h >= 1)")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
-    sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    add_rows_args(sp)
 
     sp = sub.add_parser("cache", help="build or validate the irreducible sieve file")
     add_field_args(sp)
     sp.add_argument("--maxdeg", dest="max_degree", type=int, default=8)
-    sp.add_argument("--cache-dir", dest="cache_dir", default=None)
+    add_cache_dir(sp)
     sp.add_argument("--check", action="store_true", help="validate counts against pi_q")
-    sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    add_budget(sp)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "N", None) is not None:
-        cfg.n_values = _parse_range(args.N)
-    if getattr(args, "h", None) is not None:
-        cfg.h_values = _parse_range(args.h)
-    if cfg.cache_dir is None:
-        cfg.cache_dir = os.environ.get("FFVAR_CACHE_DIR")
-    return cfg
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"precondition: bad range syntax ({exc})", file=sys.stderr)
-        return EXIT_PRECONDITION
     commands = {
         "variance": cmd_variance,
         "verify": cmd_verify,
@@ -589,7 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "cache": cmd_cache,
     }
     try:
-        return commands[args.command](cfg)
+        return commands[args.command](args)
     except Exception as exc:
         for kind, prefix, code in ERROR_EXITS:
             if isinstance(exc, kind):

@@ -1,8 +1,6 @@
 """Exception types shared across the package.
 
-cli.main maps each to an exit code: precondition violations exit 2, budget
-refusals exit 4, a corrupt sieve cache exits 1. Exit 3 (a variance gap beyond
-tolerance) is not an exception: cmd_variance returns it.
+cli.ERROR_EXITS maps each to its exit code; the README tabulates the codes.
 """
 
 from __future__ import annotations

@@ -192,10 +192,10 @@ def variance_charside(
     q = field.q
     if q**n > budget:
         raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
+    modulus = t_power(field, n - h)
+    basis = unit_group_basis(field, modulus)  # refuses past the unit budget: before the sieve
     if tables is None:
         tables = get_tables(field, n)
-    modulus = t_power(field, n - h)
-    basis = unit_group_basis(field, modulus)
     weights = _residue_weight_vector(field, f, modulus, n, tables)
     sums = character_sums(basis, weights, even_only=True)
     return float(np.sum(sums.real**2 + sums.imag**2)) / len(sums) ** 2
@@ -243,10 +243,11 @@ def variance_report(
         raise PreconditionError(f"unknown mode {mode!r}")
     f = _as_handle(f)
     direct = charside = None
-    if mode != "character":
-        direct = variance_direct(field, f, n, h, budget=budget)
+    # the character route first: its unit budget refuses before any sieving
     if mode != "direct" and h <= n - 2:
         charside = variance_charside(field, f, n, h, budget=budget)
+    if mode != "character":
+        direct = variance_direct(field, f, n, h, budget=budget)
     return VarianceReport(
         q=field.q, n=n, h=h, function=f.name, direct=direct, charside=charside
     )

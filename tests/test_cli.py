@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+import ffvar.bounds
 import ffvar.cli
+import ffvar.tables
 import ffvar.variance
 from ffvar.arith import cache_file_name
 from ffvar.cli import (
@@ -18,7 +20,6 @@ from ffvar.cli import (
     SUITES,
     _random_nonzero,
     build_parser,
-    config_from_args,
     main,
 )
 from ffvar.fields import make_field
@@ -119,8 +120,28 @@ def test_variance_gap_detection_exits_three(monkeypatch, capsys):
     assert captured.out.splitlines()[1].split(",")[5] == "99.0"
 
 
+BAD_RANGE = "precondition: bad range syntax (invalid literal for int() with base 10: 'x')\n"
+
+
 def test_variance_bad_range_syntax(capsys):
     assert main(["variance", "--N", "x:3", "--h", "1"]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == BAD_RANGE
+
+
+def test_variance_refuses_past_the_unit_budget_before_sieving(monkeypatch, capsys):
+    # the character route's modulus t^21 is past the unit budget; that
+    # refusal must come before the sieve extends any table to degree 22
+    extend = ffvar.tables.ArithTables.extend
+
+    def guarded(self, max_degree, budget):
+        assert max_degree < 22, f"sieved to degree {max_degree} before the budget check"
+        extend(self, max_degree, budget)
+
+    monkeypatch.setattr(ffvar.tables.ArithTables, "extend", guarded)
+    assert main(["variance", "--N", "22", "--h", "1"]) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "budget: residue ring size q^21 = 2097152 exceeds budget 1048576\n"
 
 
 # -- sweep subcommand ----------------------------------------------------------------
@@ -146,6 +167,11 @@ def test_sweep_json(capsys):
     assert [r["N"] for r in rows] == [3, 4]
     assert rows[0]["var_direct"] == 4
     assert rows[0]["var_char"] == 4.0
+
+
+def test_sweep_bad_range_syntax(capsys):
+    assert main(["sweep", "--N", "x:3", "--h", "1"]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == BAD_RANGE
 
 
 def test_sweep_rejects_h_zero(capsys):
@@ -282,6 +308,26 @@ def test_verify_mvt_mentions_rng(capsys):
     assert "numpy-default-rng" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "trials, split", [(1, [1, 0, 0, 0, 0]), (7, [2, 2, 1, 1, 1]), (100, [20] * 5)]
+)
+def test_verify_mvt_splits_trials_over_the_moduli(trials, split, monkeypatch, capsys):
+    # the total is --trials; a modulus left with none is skipped, and each
+    # modulus keeps its seed + i stream
+    calls = []
+    mvt_trial = ffvar.bounds.mvt_trial
+
+    def recorded(field, modulus, n, cfg):
+        calls.append((cfg.seed, cfg.trials))
+        return mvt_trial(field, modulus, n, cfg)
+
+    monkeypatch.setattr(ffvar.bounds, "mvt_trial", recorded)
+    args = ["verify", "--suite", "mvt", "--n-max", "2", "--trials", str(trials), "--seed", "5"]
+    assert main(args) == EXIT_OK
+    assert calls == [(5 + i, n) for i, n in enumerate(split) if n]
+    assert capsys.readouterr().out.startswith(f"PASS mvt[q=2]: {trials} trials pass (")
+
+
 def test_verify_mvt_past_budget_exits_four(capsys):
     # F_8 with n-max 6 draws q^8 = 2^24 coefficients, past the 2^22 default
     rc = main(["verify", "--p", "2", "--k", "3", "--suite", "mvt", "--n-max", "6"])
@@ -333,9 +379,9 @@ def test_involution_suite_catches_an_asymmetric_lambda(monkeypatch):
     tables = copy.deepcopy(ffvar.cli.get_tables(fld, 4))
     tables.big_omega[3][0b011] += 1
     monkeypatch.setattr(ffvar.cli, "get_tables", lambda field, n: tables)
-    cfg = config_from_args(build_parser().parse_args(["verify", "--n-max", "4"]))
+    args = build_parser().parse_args(["verify", "--n-max", "4"])
     with pytest.raises(AssertionError, match=r"lambda not star-symmetric at F = "):
-        SUITES["involution"](cfg, fld)
+        SUITES["involution"](args, fld)
 
 
 def test_suite_registry_names():
@@ -353,6 +399,32 @@ def test_suite_registry_names():
 
 
 # -- argument plumbing ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["variance", "--N", "3", "--h", "1"], ["sweep", "--N", "3", "--h", "1"], ["verify"], ["cache"]],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_runs_on_its_required_arguments(argv, tmp_path, monkeypatch, capsys):
+    # each option a command reads must come from its own subparser: with no
+    # defaults besides the parser's, a missing one fails only at run time
+    monkeypatch.delenv("FFVAR_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_OK
+    if argv == ["verify"]:  # every suite, each on q=2 and q=3 unless global
+        lines = capsys.readouterr().out.splitlines()
+        assert all(ln.startswith("PASS ") for ln in lines)
+        assert {ln.split()[1].split("[")[0].rstrip(":") for ln in lines} == set(SUITES)
+
+
+def test_cache_dir_defaults_to_the_environment(monkeypatch):
+    monkeypatch.setenv("FFVAR_CACHE_DIR", "from-env")
+    for command in (["verify"], ["cache"]):
+        assert build_parser().parse_args(command).cache_dir == "from-env"
+        assert build_parser().parse_args([*command, "--cache-dir", "x"]).cache_dir == "x"
+    monkeypatch.delenv("FFVAR_CACHE_DIR")
+    assert build_parser().parse_args(["verify"]).cache_dir is None
 
 
 def test_missing_subcommand_is_a_usage_error():
