@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
@@ -313,21 +312,37 @@ def character_value_matrix(
     return roots[character_rotation_matrix(basis, chars)]
 
 
+def rotation_rows_cancel(numerators: np.ndarray, exponent: int) -> np.ndarray:
+    """Row-wise exact-zero test for sums of roots of unity exp(2*pi*i*k/L),
+    one bool per row of a 2-D array of numerators k: true iff the row's
+    multiset is c >= 1 uniform copies of a full coset of a nontrivial cyclic
+    subgroup of Z/L (then the sum telescopes to zero exactly). One bincount
+    over (row, k mod L) gives the counts; a row cancels when its support has
+    d > 1 points, d divides L, its counts are all equal and its support is
+    invariant under a shift by L/d. An empty row cancels. False means no such
+    structure; the test is meant for character sums, which always cancel
+    this way when they cancel."""
+    L = exponent
+    ks = np.asarray(numerators, dtype=np.int64)
+    rows, width = ks.shape
+    if width == 0:
+        return np.ones(rows, dtype=bool)
+    counts = np.bincount(
+        (np.arange(rows)[:, None] * L + ks % L).ravel(), minlength=rows * L
+    ).reshape(rows, L)
+    support = counts > 0
+    d = support.sum(axis=1)
+    step = L // d
+    shifted = np.take_along_axis(support, (np.arange(L) - step[:, None]) % L, axis=1)
+    return (
+        (d > 1)
+        & (L % d == 0)
+        & (counts.max(axis=1) * d == width)
+        & (shifted == support).all(axis=1)
+    )
+
+
 def rotation_multiset_cancels(numerators: Iterable[int], exponent: int) -> bool:
-    """Exact-zero test for a sum of roots of unity exp(2*pi*i*k/L): true iff
-    the multiset is c >= 1 uniform copies of a full coset of a nontrivial
-    cyclic subgroup of Z/L (then the sum telescopes to zero exactly).
-    Returns False when the multiset has no such structure; the test is meant
-    for character sums, which always cancel this way when they cancel."""
-    counts = Counter(k % exponent for k in numerators)
-    if not counts:
-        return True
-    vals = sorted(counts)
-    d = len(vals)
-    if d == 1 or exponent % d:
-        return False
-    step = exponent // d
-    c0 = counts[vals[0]]
-    if any(counts[v] != c0 for v in vals[1:]):
-        return False
-    return all(vals[i] == vals[0] + i * step for i in range(d))
+    """rotation_rows_cancel on a single multiset (an empty one cancels)."""
+    ks = np.fromiter(numerators, dtype=np.int64)
+    return bool(rotation_rows_cancel(ks[None, :], exponent)[0])

@@ -24,10 +24,8 @@ from .errors import BudgetError, IrreducibleCacheError, PreconditionError
 from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import (
     DEFAULT_ENUM_BUDGET,
-    Poly,
     from_coeffs,
     monic_from_index,
-    star,
     t_power,
 )
 from .tables import get_tables
@@ -237,6 +235,43 @@ def _monic_star(fld: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
     return fld.mul_table[fld.inv_table[rev[:, -1:]], rev]
 
 
+def _row_star(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient rows (constant first) of star(F) for nonzero rows F: each
+    row reversed about its own degree, zero above it."""
+    width = coeffs.shape[-1]
+    deg = width - 1 - np.argmax(coeffs[..., ::-1] != 0, axis=-1)
+    src = deg[..., None] - np.arange(width)
+    return np.take_along_axis(coeffs, np.maximum(src, 0), axis=-1) * (src >= 0)
+
+
+def _row_mul(fld: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient rows (constant first) of the products of rows a and b, both
+    of width w: a schoolbook product through the field tables, each
+    coefficient of a times all of b per lookup, width 2w - 1."""
+    width = a.shape[-1]
+    out = np.zeros((*a.shape[:-1], 2 * width - 1), dtype=np.uint8)
+    for i in range(width):
+        part = out[..., i : i + width]
+        part[...] = fld.add_table[part, fld.mul_table[a[..., i : i + 1], b]]
+    return out
+
+
+def _random_rows(fld: FieldSpec, rng, shape: tuple[int, ...], max_deg: int) -> np.ndarray:
+    """Coefficient rows (constant first) of random nonzero polynomials, shape
+    (*shape, max_deg + 1). Each row's degree bound is uniform in 0..max_deg
+    and its coefficients uniform in [0, q) up to the bound, zero above; all-zero
+    rows are drawn again, bound and coefficients together."""
+    rows = np.zeros((int(np.prod(shape)), max_deg + 1), dtype=np.uint8)
+    redo = np.arange(len(rows))
+    while redo.size:
+        bound = rng.integers(0, max_deg + 1, size=redo.size)
+        draw = rng.integers(0, fld.q, size=(redo.size, max_deg + 1), dtype=np.uint8)
+        draw[np.arange(max_deg + 1) > bound[:, None]] = 0
+        rows[redo] = draw
+        redo = redo[~draw.any(axis=1)]
+    return rows.reshape(*shape, max_deg + 1)
+
+
 def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
     # per degree, every monic F with F(0) != 0 at once, for each unit c: star
     # of c F made monic, starred back, must give F again, and lambda must
@@ -261,22 +296,15 @@ def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
                     f = monic_from_index(fld, n, int(us[np.argmax(bad)])).scale(c)
                     raise AssertionError(f"{what} at F = {f}")
             checked += len(us)
-    rng = np.random.default_rng(args.seed)
-    pairs = 2000
-    for _ in range(pairs):
-        a = _random_nonzero(fld, rng, args.n_max)
-        b = _random_nonzero(fld, rng, args.n_max)
-        if star(a * b) != star(a) * star(b):
-            raise AssertionError(f"star not multiplicative at ({a}, {b})")
-    return f"involution/symmetry on {checked} polynomials + {pairs} random products"
-
-
-def _random_nonzero(fld: FieldSpec, rng, max_deg: int) -> Poly:
-    while True:
-        deg = int(rng.integers(0, max_deg + 1))
-        f = Poly(fld, tuple(rng.integers(0, fld.q, size=deg + 1).tolist()))
-        if not f.is_zero:
-            return f
+    # star(a b) = star(a) star(b) on random pairs of nonzero polynomials
+    a, b = _random_rows(fld, np.random.default_rng(args.seed), (2, 2000), args.n_max)
+    lhs = _row_star(_row_mul(fld, a, b))
+    bad = (lhs != _row_mul(fld, _row_star(a), _row_star(b))).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        x, y = (from_coeffs(fld, rows[i].tolist()) for rows in (a, b))
+        raise AssertionError(f"star not multiplicative at ({x}, {y})")
+    return f"involution/symmetry on {checked} polynomials + {len(bad)} random products"
 
 
 def _suite_fullsum(args: argparse.Namespace, fld: FieldSpec):
@@ -338,13 +366,15 @@ def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
             R = characters.character_rotation_matrix(
                 basis, characters.enumerate_characters(basis)
             )
-            for i in range(basis.phi):
-                cancels = characters.rotation_multiset_cancels(R[i], basis.exponent)
-                if cancels != (i != 0):
-                    raise AssertionError(
-                        f"character orthogonality broken at q={q}, m={m}, index {i}"
-                    )
-                checked += 1
+            # every row sum cancels but the trivial character's
+            cancels = characters.rotation_rows_cancel(R, basis.exponent)
+            bad = cancels != (np.arange(basis.phi) != 0)
+            if bad.any():
+                raise AssertionError(
+                    f"character orthogonality broken at q={q}, m={m}, "
+                    f"index {int(np.argmax(bad))}"
+                )
+            checked += basis.phi
     return f"exact cancellation for {checked} characters, q in {qs}"
 
 

@@ -6,8 +6,8 @@ k = 1 the code is just the residue mod p. For k > 1, F_{p^k} is built on F_p:
 P is the first degree-k irreducible of the F_p sieve (tables.build_tables),
 and products come from the residue ring F_p[x]/(P) (tables.ResidueRing).
 Addition is digitwise mod p. Scalar work reads the nested tuples add_rows and
-mul_rows; bulk work reads the read-only numpy mul_table, neg_table and
-inv_table.
+mul_rows; bulk work reads the read-only numpy add_table, mul_table, neg_table
+and inv_table.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class FieldSpec:
     q: int
     # modulus coefficients over F_p, ascending, monic; None when k == 1
     modulus: tuple[int, ...] | None
+    add_table: np.ndarray = field(compare=False, repr=False)
     mul_table: np.ndarray = field(compare=False, repr=False)
     neg_table: np.ndarray = field(compare=False, repr=False)
     inv_table: np.ndarray = field(compare=False, repr=False)
@@ -116,8 +117,8 @@ def make_field(p: int, k: int = 1, *, max_size: int = MAX_FIELD_SIZE) -> FieldSp
     # neg[a] is the b with a + b = 0 and inv[a] the b with a * b = 1; row 0
     # of mul holds no 1, so inv[0] is 0
     neg, inv = np.argmax(add == 0, axis=1), np.argmax(mul == 1, axis=1)
-    mul_np, neg_np, inv_np = (a.astype(np.uint8) for a in (mul, neg, inv))
-    for arr in (mul_np, neg_np, inv_np):
+    add_np, mul_np, neg_np, inv_np = (a.astype(np.uint8) for a in (add, mul, neg, inv))
+    for arr in (add_np, mul_np, neg_np, inv_np):
         arr.flags.writeable = False
 
     return FieldSpec(
@@ -125,6 +126,7 @@ def make_field(p: int, k: int = 1, *, max_size: int = MAX_FIELD_SIZE) -> FieldSp
         k=k,
         q=q,
         modulus=modulus,
+        add_table=add_np,
         mul_table=mul_np,
         neg_table=neg_np,
         inv_table=inv_np,

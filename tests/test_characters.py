@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -22,6 +23,7 @@ from ffvar.characters import (
     even_mask,
     principal_character,
     rotation_multiset_cancels,
+    rotation_rows_cancel,
     unit_group_basis,
 )
 from ffvar.errors import PreconditionError
@@ -426,3 +428,47 @@ def test_rotation_multiset_cancels_cases():
     for nums, L in [([0, 2], 4), ([1, 3], 4), ([0, 1, 2], 3), ([0, 3], 6)]:
         total = sum(np.exp(2j * np.pi * k / L) for k in nums)
         assert abs(total) < 1e-12
+
+
+def _is_coset_copies(multiset, L):
+    """Brute force: c >= 1 copies of one coset r + <L/d> of a subgroup of
+    Z/L of order d > 1."""
+    counts = Counter(k % L for k in multiset)
+    for d in range(2, L + 1):
+        if L % d or len(multiset) % d:
+            continue
+        c = len(multiset) // d
+        for r in range(L // d):
+            if counts == Counter({(r + i * (L // d)) % L: c for i in range(d)}):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_rotation_rows_cancel_matches_brute_force_on_every_small_multiset(L):
+    # every multiset of size <= 4 over Z/L, one row per multiset; the same rows
+    # shifted by random multiples of L (negative ones too) must give the same
+    rng = np.random.default_rng(L)
+    for size in range(5):
+        multisets = list(itertools.combinations_with_replacement(range(L), size))
+        rows = np.array(multisets, dtype=np.int64).reshape(len(multisets), size)
+        expected = [size == 0 or _is_coset_copies(row, L) for row in rows.tolist()]
+        assert rotation_rows_cancel(rows, L).tolist() == expected
+        shifted = rows + L * rng.integers(-3, 4, size=rows.shape)
+        assert rotation_rows_cancel(shifted, L).tolist() == expected
+        for row, want in zip(rows.tolist(), expected):
+            assert rotation_multiset_cancels(row, L) == want
+
+
+def test_rotation_rows_cancel_on_every_t_power_basis():
+    # rows: only the trivial character fails to cancel; columns: only the
+    # unit 1 fails (every character is 1 there)
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2)):
+        fld = make_field(p, k)
+        for m in range(1, 5 if fld.q < 9 else 3):
+            basis = unit_group_basis(fld, t_power(fld, m))
+            R = character_rotation_matrix(basis, enumerate_characters(basis))
+            rows = rotation_rows_cancel(R, basis.exponent)
+            cols = rotation_rows_cancel(R.T, basis.exponent)
+            assert rows.tolist() == (np.arange(basis.phi) != 0).tolist()
+            assert cols.tolist() == (basis.unit_codes != 1).tolist()

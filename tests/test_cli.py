@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ffvar.bounds
+import ffvar.characters
 import ffvar.cli
 import ffvar.tables
 import ffvar.variance
@@ -18,12 +19,14 @@ from ffvar.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     SUITES,
-    _random_nonzero,
+    _random_rows,
+    _row_mul,
+    _row_star,
     build_parser,
     main,
 )
 from ffvar.fields import make_field
-from ffvar.polys import Poly
+from ffvar.polys import from_coeffs, star
 
 PINNED_VARIANCE = (
     "q,N,h,function,variance_direct,variance_char,abs_gap,theorem_ratio\n"
@@ -342,24 +345,135 @@ def test_verify_window_pairs_past_budget_exit_four(capsys):
     assert capsys.readouterr().err.startswith("budget: window pairs of")
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 4)])
-def test_random_nonzero_keeps_the_per_coefficient_stream(p, k):
-    # the involution suite's seed-0 pairs, drawn one coefficient per call
-    fld = make_field(p, k)
-    rng, reference = np.random.default_rng(0), np.random.default_rng(0)
-    for _ in range(2 * 2000):
-        while True:
-            deg = int(reference.integers(0, 7))
-            f = Poly(fld, tuple(int(reference.integers(0, fld.q)) for _ in range(deg + 1)))
-            if not f.is_zero:
-                break
-        assert _random_nonzero(fld, rng, 6) == f
-
-
 ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+FIELD_IDS = [str(p**k) for p, k in ALL_FIELDS]
+DRAW_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 4))
 
 
-@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+class _RecordingRng:
+    """A numpy Generator that keeps every array its integers() returns."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def integers(self, *args, **kwargs):
+        self.draws.append(self.rng.integers(*args, **kwargs))
+        return self.draws[-1]
+
+
+@pytest.mark.parametrize("p,k", DRAW_FIELDS)
+def test_random_rows_same_seed_same_rows(p, k):
+    fld = make_field(p, k)
+    first = _random_rows(fld, np.random.default_rng(7), (2, 2000), 6)
+    assert first.shape == (2, 2000, 7)
+    assert np.array_equal(first, _random_rows(fld, np.random.default_rng(7), (2, 2000), 6))
+    assert not np.array_equal(first, _random_rows(fld, np.random.default_rng(8), (2, 2000), 6))
+
+
+@pytest.mark.parametrize("p,k", DRAW_FIELDS)
+def test_random_rows_are_nonzero_and_zero_above_their_drawn_degree(p, k):
+    # the draws alternate (degree bounds, coefficients); a row's bound is the
+    # one of the last round that drew it, and each round redraws the rows
+    # that came out all zero
+    fld = make_field(p, k)
+    rng = _RecordingRng(0)
+    rows = _random_rows(fld, rng, (2, 2000), 6).reshape(-1, 7)
+    assert rows.any(axis=1).all()
+    assert rows.max() < fld.q
+    bound, redo = np.full(len(rows), -1), np.arange(len(rows))
+    for drawn, coeffs in zip(rng.draws[::2], rng.draws[1::2]):
+        bound[redo] = drawn
+        redo = redo[~coeffs.any(axis=1)]
+    assert redo.size == 0 and bound.min() >= 0
+    assert not rows[np.arange(7) > bound[:, None]].any()
+    if fld.q == 2:  # about one row in six is zero on its first draw
+        assert len(rng.draws) > 2
+
+
+@pytest.mark.parametrize("p,k", DRAW_FIELDS)
+def test_random_rows_reach_every_degree(p, k):
+    fld = make_field(p, k)
+    seen = set()
+    for seed in range(3):
+        rows = _random_rows(fld, np.random.default_rng(seed), (2, 2000), 6).reshape(-1, 7)
+        seen.update((6 - np.argmax(rows[:, ::-1] != 0, axis=1)).tolist())
+    assert seen == set(range(7))
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=FIELD_IDS)
+def test_row_product_and_row_star_match_poly(p, k):
+    fld = make_field(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    a, b = rng.integers(0, fld.q, size=(2, 300, 5), dtype=np.uint8)
+    a[:40, 1:] = 0  # degree 0
+    b[40:80, 1:] = 0
+    a[80:120, 2:] = 0  # zero leading entries
+    b[80:160, 3:] = 0
+    a[160:200, :4] = 0  # t^4 times a constant
+    a[200:210] = 0  # the zero polynomial, a factor only
+    a[:200, 0] = np.maximum(a[:200, 0], 1)
+    b[:, 0] = np.maximum(b[:, 0], 1)
+    product = _row_mul(fld, a, b)
+    assert product.shape == (300, 9) and product.dtype == np.uint8
+    for i in range(300):
+        x, y = from_coeffs(fld, a[i].tolist()), from_coeffs(fld, b[i].tolist())
+        assert from_coeffs(fld, product[i].tolist()) == x * y
+    nonzero = a[a.any(axis=1)]
+    for rows in (nonzero, b, product[a.any(axis=1)]):
+        starred = _row_star(rows)
+        assert starred.shape == rows.shape
+        for row, got in zip(rows, starred):
+            assert from_coeffs(fld, got.tolist()) == star(from_coeffs(fld, row.tolist()))
+
+
+def test_involution_suite_names_a_pair_whose_product_is_corrupted(monkeypatch, capsys):
+    # a * b is computed before the two starred factors are multiplied; one
+    # changed constant term of it breaks star(a b) = star(a) star(b) there alone
+    fld, bad = make_field(3), 123
+    calls, pair = [], []
+
+    def corrupted(field, a, b):
+        out = _row_mul(field, a, b)
+        if not calls:
+            pair.extend(from_coeffs(fld, rows[bad].tolist()) for rows in (a, b))
+            out[bad, 0] = field.add_table[out[bad, 0], 1]
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(ffvar.cli, "_row_mul", corrupted)
+    rc = main(["verify", "--p", "3", "--suite", "involution", "--n-max", "4"])
+    assert rc == EXIT_FAILURE
+    assert capsys.readouterr().out == (
+        f"FAIL involution[q=3]: star not multiplicative at ({pair[0]}, {pair[1]})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "phi, index, row",
+    [
+        (8, 5, lambda n, L: np.zeros(n, dtype=np.int64)),  # t^4 over F_2: no longer cancels
+        (2, 0, lambda n, L: np.arange(n) * (L // n)),  # t^2 over F_2: the trivial row cancels
+    ],
+)
+def test_orthogonality_suite_names_a_corrupted_character(monkeypatch, capsys, phi, index, row):
+    rotation_matrix = ffvar.characters.character_rotation_matrix
+
+    def corrupted(basis, chars):
+        R = rotation_matrix(basis, chars)
+        if basis.field.q == 2 and basis.phi == phi:
+            R[index] = row(basis.phi, basis.exponent)
+        return R
+
+    monkeypatch.setattr(ffvar.characters, "character_rotation_matrix", corrupted)
+    rc = main(["verify", "--suite", "orthogonality"])
+    assert rc == EXIT_FAILURE
+    m = phi.bit_length()
+    assert capsys.readouterr().out == (
+        f"FAIL orthogonality: character orthogonality broken at q=2, m={m}, index {index}\n"
+    )
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=FIELD_IDS)
 def test_involution_suite_covers_every_q(p, k, capsys):
     # the array pass runs for every q <= 16 and counts each unit multiple of
     # each polynomial with a nonzero constant term, as the scalar loop did
