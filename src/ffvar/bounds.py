@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetError, PreconditionError
 from .fields import FieldSpec
 from .polys import DEFAULT_ENUM_BUDGET, Poly, t_power
-from .characters import character_sums, unit_group_basis
+from .characters import character_sums, power_columns, unit_group_basis
 from .tables import get_tables, reduce_monic_mod
 
 MVT_SLACK = 1e-9
@@ -162,8 +162,8 @@ def von_mangoldt_char_sums(field: FieldSpec, modulus: Poly, n_max: int) -> np.nd
     Every irreducible of degree <= n_max is reduced mod Q once, and one
     transform gives S_d(chi) = sum_{deg P = d} chi(P) for each degree d.
     Lambda(P^k) = d for deg P = d, and chi(P^k) = chi^k(P), so
-    psi_N(chi) = sum_{d | N} d S_d(chi^(N/d)), read off at the exponents of
-    chi^(N/d)."""
+    psi_N(chi) = sum_{d | N} d S_d(chi^(N/d)), read off at the columns of
+    chi^(N/d) (power_columns)."""
     basis = unit_group_basis(field, modulus)
     tables = get_tables(field, n_max)
     us = np.concatenate(tables.irreducibles[1 : n_max + 1])
@@ -171,10 +171,7 @@ def von_mangoldt_char_sums(field: FieldSpec, modulus: Poly, n_max: int) -> np.nd
     parts = np.split(codes, np.cumsum([len(u) for u in tables.irreducibles[1:n_max]]))
     size = field.q**modulus.degree
     sums = character_sums(basis, np.stack([np.bincount(c, minlength=size) for c in parts]))
-    # powers[k - 1]: the column of chi^k (exponents k*e), one axis at a time in C order
-    ks, powers = np.arange(1, n_max + 1)[:, None], np.zeros((n_max, 1), np.int64)
-    for o in basis.orders:
-        powers = (powers[:, :, None] * o + (ks * np.arange(o) % o)[:, None]).reshape(n_max, -1)
+    powers = [power_columns(basis, k) for k in range(1, n_max + 1)]
     psi = np.zeros((n_max, basis.phi), dtype=np.complex128)
     for d in range(1, n_max + 1):
         for k in range(1, n_max // d + 1):

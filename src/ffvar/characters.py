@@ -5,12 +5,15 @@ by CRT, the product over P^e || Q (d = deg P, R = Q/P^e) of a cyclic group of
 order q^d - 1 and the principal units mod P^e, which 1 + w P^j R generate
 independently for 1 <= j < e, p not dividing j, and w over an F_p-basis of
 the polynomials of degree < d; each has order p^s, s least with j p^s >= e.
-The discrete-log table is the span of the generators, built block by block
-on arrays of residue codes through tables.ResidueRing. Characters are then
-exponent vectors; values are rotation numbers (exact Fractions k/L with L
-the group exponent), so orthogonality sums can be tested for exact
-cancellation without touching floats. Bulk character sums go through
-character_sums: one DFT over the unit group gives every character at once.
+The units are the span of the generators, built block by block on arrays of
+residue codes through tables.ResidueRing; a unit's discrete log is kept as one
+integer, the C-order flat index of its exponent vector in a grid shaped like
+the group, and unravelled only where a coordinate is read. Characters are
+exponent vectors too, numbered the same way; values are rotation numbers
+(exact Fractions k/L with L the group exponent), so orthogonality sums can be
+tested for exact cancellation without touching floats. Bulk character sums go
+through character_sums: the weights are placed on the grid and one DFT over
+the unit group gives every character at once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -43,9 +46,10 @@ def residue_code(f: Poly, modulus: Poly) -> int:
 
 class UnitGroupBasis:
     """Direct-product decomposition of (F_q[t]/Q)^* with discrete logs:
-    row i of dlog_matrix is the exponent vector of unit_codes[i] over the
-    generators, and code_to_index maps a residue code to its row (-1 for a
-    non-unit)."""
+    grid_index[i] is the C-order flat index, in a grid of shape `orders`, of
+    the exponent vector of unit_codes[i] over the generators (a bijection of
+    the units onto range(phi)), and code_to_index maps a residue code to its
+    position i (-1 for a non-unit)."""
 
     def __init__(
         self,
@@ -54,7 +58,7 @@ class UnitGroupBasis:
         generators: tuple[int, ...],
         orders: tuple[int, ...],
         unit_codes: np.ndarray,
-        dlog_matrix: np.ndarray,
+        grid_index: np.ndarray,
     ):
         self.field = field
         self.modulus = modulus
@@ -62,7 +66,7 @@ class UnitGroupBasis:
         self.orders = orders
         self.exponent = math.lcm(*orders) if orders else 1
         self.unit_codes = unit_codes
-        self.dlog_matrix = dlog_matrix
+        self.grid_index = grid_index
         self.code_to_index = np.full(field.q**modulus.degree, -1, dtype=np.int64)
         self.code_to_index[unit_codes] = np.arange(len(unit_codes))
 
@@ -73,18 +77,14 @@ class UnitGroupBasis:
     def residue_code(self, f: Poly) -> int:
         return residue_code(f, self.modulus)
 
-    def scaled_exponents(self, exponents: Sequence[int]) -> np.ndarray:
-        L = self.exponent
-        return np.array(
-            [e * (L // o) for e, o in zip(exponents, self.orders)], dtype=np.int64
-        )
-
     # dense value matrix over (characters x units), the reference that
     # character_sums is tested against; "all" rows follow
     # enumerate_characters order, "even" rows follow even_characters order
     def value_matrix(self, kind: str) -> np.ndarray:
-        chars = enumerate_characters(self) if kind == "all" else even_characters(self)
-        return character_value_matrix(self, chars)
+        exponents = np.indices(self.orders).reshape(len(self.orders), self.phi).T
+        if kind != "all":
+            exponents = exponents[even_mask(self)]
+        return character_value_matrix(self, exponents)
 
 
 def unit_group_basis(
@@ -144,10 +144,11 @@ def _generators(field: FieldSpec, modulus: Poly):
 @cache
 def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     ring = residue_ring(field, modulus)
-    # the span of the generators so far: its codes and their discrete logs;
-    # extending by y of order e appends the blocks span * y^j, j < e
+    # the span of the generators so far: its codes and their grid indices;
+    # extending by y of order e appends the blocks span * y^j, j < e, whose
+    # exponent vectors gain a last coordinate j
     span = np.ones(1, dtype=np.int64)
-    logs = np.zeros((1, 0), dtype=np.int64)
+    index = np.zeros(1, dtype=np.int64)
     generators: list[int] = []
     orders: list[int] = []
     for y, e in _generators(field, modulus):
@@ -157,7 +158,7 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
         while len(span) < size:  # doubling: span holds c blocks and step = y^c
             span = np.concatenate((span, ring.mul(span[: size - len(span)], step)))
             step = ring.pow(step, 2)
-        logs = np.column_stack((np.tile(logs, (e, 1)), np.arange(e).repeat(len(logs))))
+        index = (index * e + np.arange(e)[:, None]).ravel()
         generators.append(y)
         orders.append(e)
     order = np.argsort(span)
@@ -170,7 +171,7 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
         generators=tuple(generators),
         orders=tuple(orders),
         unit_codes=codes,
-        dlog_matrix=logs[order],
+        grid_index=index[order],
     )
 
 
@@ -188,12 +189,8 @@ class DirichletChar:
             if not 0 <= e < o:
                 raise PreconditionError(f"exponent {e} out of range for order {o}")
         object.__setattr__(self, "is_principal", not any(self.exponents))
-        # even: trivial on the scalar constants (codes 1..q-1 are exactly the
-        # nonzero constants in every residue ring of degree >= 1)
-        even = all(
-            self.rotation_numerator(c) == 0 for c in range(1, self.basis.field.q)
-        )
-        object.__setattr__(self, "is_even", even)
+        cell = np.ravel_multi_index(self.exponents, self.basis.orders)
+        object.__setattr__(self, "is_even", bool(even_mask(self.basis)[cell]))
 
     def rotation_numerator(self, code: int) -> int:
         """k such that chi(unit) = exp(2*pi*i*k/L); unit given by residue code."""
@@ -202,8 +199,8 @@ class DirichletChar:
         if index < 0:
             raise PreconditionError(f"residue code {code} is not a unit")
         L = basis.exponent
-        vec = basis.dlog_matrix[index].tolist()
-        return sum(e * (L // o) * x for e, o, x in zip(self.exponents, basis.orders, vec)) % L
+        logs = np.unravel_index(basis.grid_index[index], basis.orders)
+        return sum(e * (L // o) * int(x) for e, o, x in zip(self.exponents, basis.orders, logs)) % L
 
     def evaluate(self, f: Poly) -> RotationNumber | None:
         """Rotation number of chi(f), or None when gcd(f, Q) != 1 (chi = 0)."""
@@ -244,19 +241,22 @@ def even_characters(basis: UnitGroupBasis) -> list[DirichletChar]:
     return [chi for chi in enumerate_characters(basis) if chi.is_even]
 
 
+@cache
 def even_mask(basis: UnitGroupBasis) -> np.ndarray:
-    """Boolean mask over enumerate_characters order: True where chi is trivial
-    on the nonzero constants (residue codes 1..q-1)."""
+    """Boolean mask over enumerate_characters order, read-only and computed
+    once per basis: True where chi is trivial on the nonzero constants
+    (residue codes 1..q-1 in every residue ring of degree >= 1)."""
     L = basis.exponent
     mask = np.ones(basis.phi, dtype=bool)
-    for log in basis.dlog_matrix[basis.code_to_index[1 : basis.field.q]]:
+    for index in basis.grid_index[basis.code_to_index[1 : basis.field.q]]:
         # the constant's rotation numerator under every character, built one
         # generator axis at a time in C order (the last exponent fastest)
         numerators = np.zeros(1, dtype=np.int64)
-        for x, o in zip(log.tolist(), basis.orders):
+        for x, o in zip(np.unravel_index(index, basis.orders), basis.orders):
             numerators = np.add.outer(numerators, np.arange(o) * (x * (L // o)) % L).ravel()
             numerators %= L
         mask &= numerators == 0
+    mask.flags.writeable = False
     return mask
 
 
@@ -265,51 +265,50 @@ def count_even(basis: UnitGroupBasis) -> int:
 
 
 def character_sums(
-    basis: UnitGroupBasis,
-    weights: np.ndarray,
-    *,
-    even_only: bool = False,
-    power: int | Sequence[int] = 1,
+    basis: UnitGroupBasis, weights: np.ndarray, *, even_only: bool = False
 ) -> np.ndarray:
-    """sum over units u of weights[u] * chi(u)^power, for every character chi
-    at once; `weights` is indexed by residue code (non-units are ignored).
-    A 2-D `weights` gives one row of sums per row, with one power per row
-    when `power` is a sequence.
+    """sum over units u of weights[u] * chi(u), for every character chi at
+    once; `weights` is indexed by residue code (non-units are ignored). A 2-D
+    `weights` gives one row of sums per row.
 
-    chi(u)^power = chi(u^power), so the weights are scattered at the discrete
-    logs power * dlog(u) of a grid shaped like the group, one grid per row;
-    one inverse DFT over Z/o_1 x ... x Z/o_r then yields all sums. Entries follow
+    Each row's unit weights are assigned to the grid cells of their discrete
+    logs (one cell per unit, as the group is a direct product); one inverse
+    DFT over Z/o_1 x ... x Z/o_r then yields all sums. Entries follow
     enumerate_characters order, or even_characters order when even_only."""
-    w = np.asarray(weights)[..., basis.unit_codes].astype(np.complex128)
-    if not basis.orders:  # trivial group: the principal character only
-        return w
+    w = np.asarray(weights)[..., basis.unit_codes]
     rows = w.reshape(-1, basis.phi)
-    grid = np.zeros((len(rows), *basis.orders), dtype=np.complex128)
-    logs = (np.reshape(power, (-1, 1, 1)) * basis.dlog_matrix) % np.array(basis.orders)
-    np.add.at(grid, (np.arange(len(rows))[:, None], *np.moveaxis(logs, -1, 0)), rows)
-    sums = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).reshape(w.shape) * basis.phi
+    grid = np.zeros(rows.shape, dtype=np.complex128)
+    grid[:, basis.grid_index] = rows
+    grid = grid.reshape(len(rows), *basis.orders)
+    sums = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).reshape(w.shape)
+    sums *= basis.phi
     return sums[..., even_mask(basis)] if even_only else sums
 
 
-def character_rotation_matrix(
-    basis: UnitGroupBasis, chars: Sequence[DirichletChar]
-) -> np.ndarray:
-    """Integer rotation numerators, shape (len(chars), phi), columns aligned
-    with basis.unit_codes."""
-    if not chars:
-        return np.zeros((0, basis.phi), dtype=np.int64)
-    C = np.stack([basis.scaled_exponents(chi.exponents) for chi in chars])
-    if C.shape[1] == 0:
-        return np.zeros((len(chars), basis.phi), dtype=np.int64)
-    return (C @ basis.dlog_matrix.T) % basis.exponent
+def power_columns(basis: UnitGroupBasis, k: int) -> np.ndarray:
+    """Column of chi^k for every chi in enumerate_characters order: the
+    C-order grid index of the exponent vector k * e mod the orders."""
+    columns = np.zeros(1, dtype=np.int64)
+    for o in basis.orders:
+        columns = (columns[:, None] * o + k * np.arange(o) % o).ravel()
+    return columns
 
 
-def character_value_matrix(
-    basis: UnitGroupBasis, chars: Sequence[DirichletChar]
-) -> np.ndarray:
+def character_rotation_matrix(basis: UnitGroupBasis, exponents: np.ndarray) -> np.ndarray:
+    """Integer rotation numerators, one row per character exponent vector
+    (a row of the 2-D `exponents`), columns aligned with basis.unit_codes."""
+    exponents = np.asarray(exponents, dtype=np.int64)
+    if not basis.orders:
+        return np.zeros((len(exponents), basis.phi), dtype=np.int64)
+    L = basis.exponent
+    logs = np.stack(np.unravel_index(basis.grid_index, basis.orders))
+    return (exponents * (L // np.array(basis.orders)) @ logs) % L
+
+
+def character_value_matrix(basis: UnitGroupBasis, exponents: np.ndarray) -> np.ndarray:
     L = basis.exponent
     roots = np.exp(2j * np.pi * np.arange(L) / L)
-    return roots[character_rotation_matrix(basis, chars)]
+    return roots[character_rotation_matrix(basis, exponents)]
 
 
 def rotation_rows_cancel(numerators: np.ndarray, exponent: int) -> np.ndarray:

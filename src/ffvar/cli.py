@@ -101,8 +101,9 @@ VARIANCE_HEADER = (
 def cmd_variance(args: argparse.Namespace) -> int:
     n_values, h_values = _parse_range(args.N), _parse_range(args.h)
     fld = make_field(args.p, args.k)
-    if not n_values or not h_values:
-        raise PreconditionError("variance needs --N and --h")
+    for flag, text, values in (("--N", args.N, n_values), ("--h", args.h, h_values)):
+        if not values:
+            raise PreconditionError(f"empty {flag} range {text}")
     if args.tolerance <= 0:
         raise PreconditionError("tolerance must be > 0")
     handle = variance.get_function(args.function)
@@ -363,9 +364,8 @@ def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
                 raise AssertionError(f"phi(t^{m}) wrong for q={q}")
             if characters.count_even(basis) != q ** (m - 1):
                 raise AssertionError(f"even count wrong for q={q}, m={m}")
-            R = characters.character_rotation_matrix(
-                basis, characters.enumerate_characters(basis)
-            )
+            exponents = np.indices(basis.orders).reshape(len(basis.orders), basis.phi).T
+            R = characters.character_rotation_matrix(basis, exponents)
             # every row sum cancels but the trivial character's
             cancels = characters.rotation_rows_cancel(R, basis.exponent)
             bad = cancels != (np.arange(basis.phi) != 0)

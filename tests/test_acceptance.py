@@ -241,7 +241,7 @@ def test_criterion_08_orthogonality_and_totients():
             assert basis.phi == q ** (m - 1) * (q - 1), f"Phi(t^{m}) wrong for q={q}"
             assert count_even(basis) == q ** (m - 1), f"Phi_ev(t^{m}) wrong for q={q}"
             chars = enumerate_characters(basis)
-            R = character_rotation_matrix(basis, chars)
+            R = character_rotation_matrix(basis, [chi.exponents for chi in chars])
             one_col = int(np.where(basis.unit_codes == 1)[0][0])
             for i, chi in enumerate(chars):
                 cancels = rotation_multiset_cancels(R[i].tolist(), basis.exponent)

@@ -170,7 +170,19 @@ def _psi_per_n(field, modulus, n_total):
         )
         for d in divisors
     ])
-    sums = character_sums(basis, counts, power=[n_total // d for d in divisors])
+    # chi(P)^k = chi(P^k): each row's counts land at k times the discrete
+    # logs of their units on a grid shaped like the group, then one inverse DFT
+    logs = np.array(
+        [np.unravel_index(i, basis.orders) for i in basis.grid_index.tolist()], dtype=np.int64
+    ).reshape(basis.phi, -1)
+    grid = np.zeros((len(divisors), basis.phi), dtype=np.complex128)
+    for row, d, c in zip(grid, divisors, counts):
+        cell = np.zeros(basis.phi, dtype=np.int64)
+        for x, o in zip(logs.T, basis.orders):
+            cell = cell * o + n_total // d * x % o
+        np.add.at(row, cell, c[basis.unit_codes])
+    grid = grid.reshape(len(divisors), *basis.orders)
+    sums = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).reshape(len(divisors), -1) * basis.phi
     return sum(d * row for d, row in zip(divisors, sums))
 
 

@@ -21,6 +21,7 @@ from ffvar.characters import (
     enumerate_characters,
     even_characters,
     even_mask,
+    power_columns,
     principal_character,
     rotation_multiset_cancels,
     rotation_rows_cancel,
@@ -29,11 +30,20 @@ from ffvar.characters import (
 from ffvar.errors import PreconditionError
 from ffvar.fields import make_field
 from ffvar.polys import Poly, from_coeffs, t_power
-from ffvar.tables import get_tables
+from ffvar.tables import get_tables, residue_ring
 
 
 def _code_poly(fld, m, code):
     return from_coeffs(fld, [(code // fld.q**j) % fld.q for j in range(m)])
+
+
+def _dlog(basis, i):
+    """Exponent vector of unit_codes[i]: its grid index unravelled."""
+    return np.array(np.unravel_index(basis.grid_index[i], basis.orders), dtype=np.int64)
+
+
+def _exponent_rows(chars):
+    return [chi.exponents for chi in chars]
 
 
 # -- unit group structure ------------------------------------------------------
@@ -73,9 +83,16 @@ def test_order_chain_and_phi(f2, f3, f4):
         assert basis.phi == brute_unit_count(modulus)
         assert math.prod(basis.orders) == basis.phi
         assert basis.exponent == math.lcm(*basis.orders) if basis.orders else basis.exponent == 1
-        # one discrete-log row per unit, and no two units share a row
-        assert basis.dlog_matrix.shape == (basis.phi, len(basis.orders))
-        assert len({tuple(row) for row in basis.dlog_matrix.tolist()}) == basis.phi
+        # one grid cell per unit, no two units sharing a cell, and each
+        # unit is the product of the generators raised to its cell's vector
+        assert sorted(basis.grid_index.tolist()) == list(range(basis.phi))
+        m = modulus.degree
+        gens = [_code_poly(fld, m, g) for g in basis.generators]
+        for i, code in enumerate(basis.unit_codes.tolist()):
+            word = from_coeffs(fld, [1]) % modulus
+            for g, x in zip(gens, _dlog(basis, i).tolist()):
+                word = (word * _pow_mod(g, x, modulus)) % modulus
+            assert word == _code_poly(fld, m, code), (modulus, code)
 
 
 PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
@@ -175,10 +192,10 @@ def test_dlog_is_a_homomorphism_by_poly_arithmetic(q, data):
     ab = basis.code_to_index[basis.residue_code(a * b)]
     assert ab >= 0
     orders = np.array(basis.orders, dtype=np.int64)
-    want = (basis.dlog_matrix[i] + basis.dlog_matrix[j]) % orders
-    assert basis.dlog_matrix[ab].tolist() == want.tolist()
+    want = (_dlog(basis, i) + _dlog(basis, j)) % orders
+    assert _dlog(basis, ab).tolist() == want.tolist()
     word = from_coeffs(fld, [1]) % modulus
-    for g, x in zip(basis.generators, basis.dlog_matrix[i].tolist()):
+    for g, x in zip(basis.generators, _dlog(basis, i).tolist()):
         word = (word * _pow_mod(_code_poly(fld, m, g), x, modulus)) % modulus
     assert word == a
 
@@ -282,6 +299,7 @@ def test_totient_formulas_for_t_powers():
             basis = unit_group_basis(fld, t_power(fld, m))
             assert basis.phi == q ** (m - 1) * (q - 1)
             assert count_even(basis) == q ** (m - 1), (q, m)
+            assert [chi.is_even for chi in enumerate_characters(basis)] == even_mask(basis).tolist()
 
 
 # -- orthogonality ------------------------------------------------------------------
@@ -291,8 +309,8 @@ def test_row_orthogonality_exact(f2, f3):
     for fld, modulus in ((f2, t_power(f2, 4)), (f3, t_power(f3, 2)), (f2, from_coeffs(f2, [0, 1, 0, 1]))):
         basis = unit_group_basis(fld, modulus)
         chars = enumerate_characters(basis)
-        R = character_rotation_matrix(basis, chars)
-        V = character_value_matrix(basis, chars)
+        R = character_rotation_matrix(basis, _exponent_rows(chars))
+        V = character_value_matrix(basis, _exponent_rows(chars))
         for i, chi in enumerate(chars):
             cancels = rotation_multiset_cancels(R[i].tolist(), basis.exponent)
             assert cancels == (not chi.is_principal)
@@ -306,7 +324,7 @@ def test_row_orthogonality_exact(f2, f3):
 def test_column_orthogonality_exact(f3):
     basis = unit_group_basis(f3, t_power(f3, 3))
     chars = enumerate_characters(basis)
-    R = character_rotation_matrix(basis, chars)
+    R = character_rotation_matrix(basis, _exponent_rows(chars))
     one_col = int(np.where(basis.unit_codes == 1)[0][0])
     for j, code in enumerate(basis.unit_codes):
         cancels = rotation_multiset_cancels(R[:, j].tolist(), basis.exponent)
@@ -316,7 +334,7 @@ def test_column_orthogonality_exact(f3):
 def test_value_matrix_agrees_with_pointwise_values(f2):
     basis = unit_group_basis(f2, t_power(f2, 3))
     chars = enumerate_characters(basis)
-    V = character_value_matrix(basis, chars)
+    V = character_value_matrix(basis, _exponent_rows(chars))
     for i, chi in enumerate(chars):
         for j, code in enumerate(basis.unit_codes):
             u = _code_poly(f2, 3, int(code))
@@ -355,8 +373,14 @@ def test_character_sums_match_dense_value_matrix(p, k, kind):
             size=fld.q**modulus.degree
         )
         V = basis.value_matrix(kind)
-        for power in (1, 2, 3):
-            got = character_sums(basis, weights, even_only=kind == "even", power=power)
+        got = character_sums(basis, weights, even_only=kind == "even")
+        assert np.allclose(got, V @ weights[basis.unit_codes], rtol=0, atol=1e-12 * basis.phi)
+        # the sums of chi^k are the gather of the chi-sums at power_columns
+        sums = character_sums(basis, weights)
+        for power in (2, 3):
+            got = sums[power_columns(basis, power)]
+            if kind == "even":
+                got = got[even_mask(basis)]
             want = V**power @ weights[basis.unit_codes]
             assert np.allclose(got, want, rtol=0, atol=1e-12 * basis.phi), (modulus, power)
 
@@ -364,19 +388,40 @@ def test_character_sums_match_dense_value_matrix(p, k, kind):
 @pytest.mark.parametrize("p,k", FIELDS_UP_TO_9)
 def test_character_sums_stack_rows_with_their_own_powers(p, k):
     # a 2-D weights array is one grid per row, transformed together: each row
-    # equals its own call, bit for bit
+    # equals its own call, bit for bit. Row r's sums of chi^k_r, its gather at
+    # power_columns(basis, k_r), are the chi-sums of its weights pushed along
+    # u -> u^k_r by residue-ring arithmetic
     fld = make_field(p, k)
     rng = np.random.default_rng(fld.q)
     for modulus in _moduli(fld):
         basis = unit_group_basis(fld, modulus)
-        weights = rng.integers(-3, 4, size=(3, fld.q**modulus.degree))
-        powers = [1, 2, 6]
+        ring, size = residue_ring(fld, modulus), fld.q**modulus.degree
+        weights = rng.integers(-3, 4, size=(3, size))
         for even_only in (False, True):
-            rows = character_sums(basis, weights, even_only=even_only, power=powers)
-            for row, w, e in zip(rows, weights, powers):
-                assert np.array_equal(row, character_sums(basis, w, even_only=even_only, power=e))
-            one_power = character_sums(basis, weights, even_only=even_only, power=2)[1]
-            assert np.array_equal(one_power, character_sums(basis, weights[1], even_only=even_only, power=2))
+            rows = character_sums(basis, weights, even_only=even_only)
+            for row, w in zip(rows, weights):
+                assert np.array_equal(row, character_sums(basis, w, even_only=even_only))
+        rows = character_sums(basis, weights)
+        for row, w, e in zip(rows, weights, (1, 2, 6)):
+            images = [ring.pow(u, e) for u in basis.unit_codes.tolist()]
+            pushed = np.bincount(images, weights=w[basis.unit_codes], minlength=size)
+            want = character_sums(basis, pushed)
+            assert np.allclose(row[power_columns(basis, e)], want, rtol=0, atol=1e-9 * basis.phi), (modulus, e)
+
+
+@pytest.mark.parametrize("p,k", FIELDS_UP_TO_9)
+def test_power_columns_match_brute_character_powers(p, k):
+    # chi^k(u) = chi(u)^k, by each DirichletChar's own scalar evaluation;
+    # k = 2..4 shares a factor with some order on most of these bases
+    fld = make_field(p, k)
+    for modulus in _moduli(fld):
+        basis = unit_group_basis(fld, modulus)
+        chars = enumerate_characters(basis)
+        L = basis.exponent
+        rot = np.array([[chi.rotation_numerator(c) for c in basis.unit_codes.tolist()] for chi in chars])
+        for power in range(1, 5):
+            columns = power_columns(basis, power)
+            assert np.array_equal(rot[columns], power * rot % L), (modulus, power)
 
 
 def test_character_sums_trivial_group(f2):
@@ -384,8 +429,9 @@ def test_character_sums_trivial_group(f2):
     assert basis.orders == () and basis.phi == 1
     weights = np.array([5, -3])
     assert list(character_sums(basis, weights)) == [-3]
-    assert list(character_sums(basis, weights, even_only=True, power=4)) == [-3]
+    assert list(character_sums(basis, weights, even_only=True)) == [-3]
     assert list(even_mask(basis)) == [True]
+    assert list(power_columns(basis, 4)) == [0]
 
 
 @pytest.mark.parametrize("p,k", FIELDS_UP_TO_9)
@@ -393,12 +439,15 @@ def test_even_mask_matches_is_even(p, k):
     fld = make_field(p, k)
     for modulus in _moduli(fld):
         basis = unit_group_basis(fld, modulus)
-        expected = [chi.is_even for chi in enumerate_characters(basis)]
+        chars = enumerate_characters(basis)
+        expected = [all(chi.rotation_numerator(c) == 0 for c in range(1, fld.q)) for chi in chars]
         assert even_mask(basis).tolist() == expected
+        assert [chi.is_even for chi in chars] == expected
 
 
 def test_even_mask_peak_memory_stays_linear_in_phi(f3):
     basis = unit_group_basis(f3, t_power(f3, 10))
+    even_mask.cache_clear()  # measure a fresh computation
     tracemalloc.start()
     try:
         mask = even_mask(basis)
@@ -407,6 +456,24 @@ def test_even_mask_peak_memory_stays_linear_in_phi(f3):
         tracemalloc.stop()
     assert int(mask.sum()) == f3.q**9
     assert peak < 4 * 8 * basis.phi
+
+
+def test_character_sums_peak_memory_stays_a_few_grids(f2):
+    # the basis keeps one int64 per unit per array (no per-axis log table),
+    # and one transform holds a few complex grids of phi cells, not a dozen
+    basis = unit_group_basis(f2, t_power(f2, 16))
+    assert all(np.ndim(value) <= 1 for value in vars(basis).values())
+    weights = np.random.default_rng(0).integers(-1, 2, size=f2.q**16)
+    even_mask(basis)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sums = character_sums(basis, weights, even_only=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(sums) == basis.phi
+    assert peak < 6 * 16 * basis.phi
 
 
 # -- the exact cancellation predicate ---------------------------------------------
@@ -467,7 +534,7 @@ def test_rotation_rows_cancel_on_every_t_power_basis():
         fld = make_field(p, k)
         for m in range(1, 5 if fld.q < 9 else 3):
             basis = unit_group_basis(fld, t_power(fld, m))
-            R = character_rotation_matrix(basis, enumerate_characters(basis))
+            R = character_rotation_matrix(basis, _exponent_rows(enumerate_characters(basis)))
             rows = rotation_rows_cancel(R, basis.exponent)
             cols = rotation_rows_cancel(R.T, basis.exponent)
             assert rows.tolist() == (np.arange(basis.phi) != 0).tolist()

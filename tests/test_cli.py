@@ -131,6 +131,14 @@ def test_variance_bad_range_syntax(capsys):
     assert capsys.readouterr().err == BAD_RANGE
 
 
+@pytest.mark.parametrize(
+    "args, flag, text", [(["--N", "5:3", "--h", "1"], "--N", "5:3"), (["--N", "5", "--h", "3:1"], "--h", "3:1")]
+)
+def test_variance_names_an_empty_range(capsys, args, flag, text):
+    assert main(["variance", *args]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f"precondition: empty {flag} range {text}\n"
+
+
 def test_variance_refuses_past_the_unit_budget_before_sieving(monkeypatch, capsys):
     # the character route's modulus t^21 is past the unit budget; that
     # refusal must come before the sieve extends any table to degree 22
@@ -458,8 +466,8 @@ def test_involution_suite_names_a_pair_whose_product_is_corrupted(monkeypatch, c
 def test_orthogonality_suite_names_a_corrupted_character(monkeypatch, capsys, phi, index, row):
     rotation_matrix = ffvar.characters.character_rotation_matrix
 
-    def corrupted(basis, chars):
-        R = rotation_matrix(basis, chars)
+    def corrupted(basis, exponents):
+        R = rotation_matrix(basis, exponents)
         if basis.field.q == 2 and basis.phi == phi:
             R[index] = row(basis.phi, basis.exponent)
         return R
@@ -471,6 +479,16 @@ def test_orthogonality_suite_names_a_corrupted_character(monkeypatch, capsys, ph
     assert capsys.readouterr().out == (
         f"FAIL orthogonality: character orthogonality broken at q=2, m={m}, index {index}\n"
     )
+
+
+def test_orthogonality_suite_builds_no_character_object(monkeypatch, capsys):
+    # the suite reads exponent rows straight off the grid shape
+    def refuse(self):
+        raise AssertionError("DirichletChar built")
+
+    monkeypatch.setattr(ffvar.characters.DirichletChar, "__post_init__", refuse)
+    assert main(["verify", "--suite", "orthogonality"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("PASS orthogonality")
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=FIELD_IDS)
