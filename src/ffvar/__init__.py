@@ -16,14 +16,11 @@ from .errors import (
 )
 from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import (
-    IntervalKey,
     Poly,
     enumerate_monic,
     from_coeffs,
-    interval_key,
     monic_from_index,
     monic_index,
-    poly_gcd,
     star,
     t_power,
 )

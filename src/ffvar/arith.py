@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IrreducibleCacheError, PreconditionError
+from .errors import DEFAULT_BUDGET, IrreducibleCacheError, PreconditionError
 from .fields import FieldSpec
 from .polys import Poly, monic_from_index, monic_index, one
-from .tables import DEFAULT_TABLE_BUDGET, get_tables
+from .tables import get_tables
 
 log = logging.getLogger(__name__)
 
@@ -138,7 +138,7 @@ def sieve_irreducibles(
     max_degree: int,
     *,
     cache_dir: Path | str | None = None,
-    budget: int = DEFAULT_TABLE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> SieveCache:
     """Complete irreducible lists up to max_degree, optionally persisted.
 
@@ -190,7 +190,7 @@ class Factorization:
 
 def factor(f: Poly, cache: SieveCache) -> Factorization:
     """Factor by walking the sieve's factor links, one lookup per prime factor.
-    The tables must cover deg f: past the table budget, BudgetError."""
+    The tables must cover deg f: past the budget, BudgetError."""
     if f.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
     n = f.degree
@@ -268,11 +268,11 @@ def pi_q(field: FieldSpec, n: int) -> int:
     return total // n
 
 
-def liouville_full_sum(field: FieldSpec, n: int, *, budget: int = DEFAULT_TABLE_BUDGET) -> int:
+def liouville_full_sum(field: FieldSpec, n: int) -> int:
     """Sum of the Liouville function over all monic polynomials of degree n."""
     if n < 0:
         raise PreconditionError("degree must be >= 0")
-    tables = get_tables(field, n, budget=budget)
+    tables = get_tables(field, n)
     return int(tables.liouville_values(n).sum(dtype=np.int64))
 
 

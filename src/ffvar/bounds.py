@@ -19,11 +19,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
 from .fields import FieldSpec
-from .polys import DEFAULT_ENUM_BUDGET, Poly, t_power
-from .characters import character_sums, power_columns, unit_group_basis
-from .tables import get_tables, reduce_monic_mod
+from .polys import Poly, t_power
+from .characters import UnitGroupBasis, character_sums, power_columns, unit_group_basis
+from .tables import fold_monic_mod, get_tables, reduce_monic_mod
 
 MVT_SLACK = 1e-9
 
@@ -66,28 +66,28 @@ class TrialConfig:
 
 
 @lru_cache(maxsize=1)
-def _monic_codes(field: FieldSpec, modulus: Poly, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _monic_codes(basis: UnitGroupBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Codes mod Q of the monics of degree n, by mantissa, and their unit mask."""
-    codes = reduce_monic_mod(field, modulus, n, np.arange(field.q**n, dtype=np.int64))
-    units = unit_group_basis(field, modulus).code_to_index[codes] >= 0
+    codes = reduce_monic_mod(basis.field, basis.modulus, n, np.arange(basis.field.q**n))
+    units = basis.unit_index(codes) >= 0
     codes.flags.writeable = units.flags.writeable = False
     return codes, units
 
 
 def mvt_check(
-    field: FieldSpec, modulus: Poly, n: int, coeffs: np.ndarray
+    field: FieldSpec, modulus: Poly, n: int, coeffs: np.ndarray, *, budget: int = DEFAULT_BUDGET
 ) -> BoundReport:
     """One instance of the mean value theorem: coeffs is a complex vector
     indexed by the mantissas of monic degree-n polynomials."""
     q = field.q
     if len(coeffs) != q**n:
         raise PreconditionError(f"need q^n = {q**n} coefficients, got {len(coeffs)}")
-    basis = unit_group_basis(field, modulus)
+    basis = unit_group_basis(field, modulus, budget=budget)
     m = modulus.degree
-    codes, units = _monic_codes(field, modulus, n)
+    codes, units = _monic_codes(basis, n)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     folded = np.bincount(codes, coeffs.real, q**m) + 1j * np.bincount(codes, coeffs.imag, q**m)
-    sums = character_sums(basis, folded)
+    sums = character_sums(basis, folded, budget=budget)
     lhs = float(np.sum(sums.real**2 + sums.imag**2))
     diag = float(np.sum(np.abs(coeffs[units]) ** 2))
     scale = q ** (n - m) if n >= m else 1.0 / q ** (m - n)
@@ -110,20 +110,19 @@ def mvt_trial(
     n: int,
     cfg: TrialConfig,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[BoundReport]:
-    """Seeded random coefficient draws; every report must pass."""
-    q = field.q
-    if q**n > budget:
-        raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
+    """Seeded random coefficient draws; every report must pass. The draws
+    are estimated at 64 bytes per monic of degree n (57 measured)."""
+    size = field.q**n
+    check_budget(64 * size, budget, "mvt draws of {} coefficients", size)
     rng = np.random.default_rng(cfg.seed)
-    size = q**n
     for trial in range(cfg.trials):
         if cfg.distribution == "signs":
             coeffs = (rng.integers(0, 2, size=size) * 2 - 1).astype(np.complex128)
         else:
             coeffs = np.exp(2j * np.pi * rng.random(size))
-        report = mvt_check(field, modulus, n, coeffs)
+        report = mvt_check(field, modulus, n, coeffs, budget=budget)
         report.params.update(trial=trial, seed=cfg.seed, distribution=cfg.distribution)
         yield report
 
@@ -207,18 +206,18 @@ def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -
 
 
 def _masked_even_square_sum(
-    field: FieldSpec, n_total: int, n: int, h: int, keep_smooth: bool
+    field: FieldSpec, n_total: int, n: int, h: int, keep_smooth: bool, budget: int
 ) -> float:
     """Sum over even chi mod t^(N-h) of |sum_{G in M_n, smoothness-filtered}
     lambda(G) chi(G)|^2."""
-    q = field.q
     modulus = t_power(field, n_total - h)
-    basis = unit_group_basis(field, modulus)
-    tables = get_tables(field, max(n, n_total))
+    basis = unit_group_basis(field, modulus, budget=budget)
+    tables = get_tables(field, max(n, n_total), budget=budget)
     smooth = tables.max_factor_degree[n] <= h
     lam = np.where(smooth if keep_smooth else ~smooth, tables.liouville_values(n), 0)
-    codes, _ = _monic_codes(field, modulus, n)
-    sums = character_sums(basis, np.bincount(codes, lam, q**modulus.degree), even_only=True)
+    weights = np.zeros(field.q**modulus.degree, dtype=np.int64)
+    fold_monic_mod(field, modulus, n, lam, weights)
+    sums = character_sums(basis, weights, even_only=True, budget=budget)
     return float(np.sum(sums.real**2 + sums.imag**2))
 
 
@@ -229,13 +228,15 @@ def _check_window_params(n_total: int, n: int, h: int) -> None:
         raise PreconditionError(f"need 0 <= n <= N; got n={n}, N={n_total}")
 
 
-def large_factor_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
+def large_factor_sum_ratio(
+    field: FieldSpec, n_total: int, n: int, h: int, *, budget: int = DEFAULT_BUDGET
+) -> BoundReport:
     """Square sum over even characters of the non-h-smooth Liouville block,
     against the proof-form bound (N^3/h^2) q^(N+n-h); the statement-form
     bound (n-h)(N/h)^2 q^(N+n-h) rides along in extras. Observe-only."""
     _check_window_params(n_total, n, h)
     q = field.q
-    lhs = _masked_even_square_sum(field, n_total, n, h, keep_smooth=False)
+    lhs = _masked_even_square_sum(field, n_total, n, h, False, budget)
     rhs = (n_total**3 / h**2) * float(q) ** (n_total + n - h)
     extras = {}
     stmt = (n - h) * (n_total / h) ** 2 * float(q) ** (n_total + n - h)
@@ -253,12 +254,14 @@ def large_factor_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> Bo
     )
 
 
-def smooth_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
+def smooth_sum_ratio(
+    field: FieldSpec, n_total: int, n: int, h: int, *, budget: int = DEFAULT_BUDGET
+) -> BoundReport:
     """Square sum over even characters of the h-smooth Liouville block,
     against q^(n+N-h) + q^(2(N-h)). Observe-only."""
     _check_window_params(n_total, n, h)
     q = field.q
-    lhs = _masked_even_square_sum(field, n_total, n, h, keep_smooth=True)
+    lhs = _masked_even_square_sum(field, n_total, n, h, True, budget)
     rhs = float(q) ** (n + n_total - h) + float(q) ** (2 * (n_total - h))
     return BoundReport(
         bound="smooth_sum",

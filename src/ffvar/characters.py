@@ -28,14 +28,14 @@ from typing import Iterable
 import numpy as np
 
 from .arith import factor, sieve_irreducibles
-from .errors import BudgetError, PreconditionError
+from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, constant, from_coeffs, t_power
 from .tables import residue_ring
 
 RotationNumber = Fraction
 
-DEFAULT_UNIT_BUDGET = 1 << 20
+_SCRATCH = 1 << 20  # residue rings and small arrays of one basis or transform
 
 
 def residue_code(f: Poly, modulus: Poly) -> int:
@@ -48,8 +48,8 @@ class UnitGroupBasis:
     """Direct-product decomposition of (F_q[t]/Q)^* with discrete logs:
     grid_index[i] is the C-order flat index, in a grid of shape `orders`, of
     the exponent vector of unit_codes[i] over the generators (a bijection of
-    the units onto range(phi)), and code_to_index maps a residue code to its
-    position i (-1 for a non-unit)."""
+    the units onto range(phi)); unit_codes ascend, so unit_index finds a
+    code's position i by search."""
 
     def __init__(
         self,
@@ -67,12 +67,15 @@ class UnitGroupBasis:
         self.exponent = math.lcm(*orders) if orders else 1
         self.unit_codes = unit_codes
         self.grid_index = grid_index
-        self.code_to_index = np.full(field.q**modulus.degree, -1, dtype=np.int64)
-        self.code_to_index[unit_codes] = np.arange(len(unit_codes))
 
     @property
     def phi(self) -> int:
         return len(self.unit_codes)
+
+    def unit_index(self, codes) -> np.ndarray:
+        """Position in unit_codes of each residue code, -1 for a non-unit."""
+        pos = np.minimum(np.searchsorted(self.unit_codes, codes), self.phi - 1)
+        return np.where(self.unit_codes[pos] == codes, pos, -1)
 
     def residue_code(self, f: Poly) -> int:
         return residue_code(f, self.modulus)
@@ -87,14 +90,30 @@ class UnitGroupBasis:
         return character_value_matrix(self, exponents)
 
 
+def _phi_bound(field: FieldSpec, modulus: Poly) -> int:
+    """Phi(Q) for Q = t^m; q^m - 1, its largest value, for any other Q."""
+    q, m = field.q, modulus.degree
+    return q**m - 1 if any(modulus.coeffs[:-1]) else q**m - q ** (m - 1)
+
+
+def basis_bytes(field: FieldSpec, modulus: Poly) -> int:
+    """Peak bytes of building the basis mod Q: 64 per unit for the codes, grid
+    index, span and sort (41 measured mod t^m; other Q add factor tables)."""
+    return 64 * _phi_bound(field, modulus) + _SCRATCH
+
+
+def transform_bytes(field: FieldSpec, modulus: Poly, rows: int = 1) -> int:
+    """Peak bytes of character_sums mod Q on `rows` rows of weights: 64 per
+    unit and row (gather, grid, two DFT passes), 16 per unit (even mask)."""
+    return (64 * rows + 16) * _phi_bound(field, modulus) + _SCRATCH
+
+
 def unit_group_basis(
-    field: FieldSpec, modulus: Poly, *, budget: int = DEFAULT_UNIT_BUDGET
+    field: FieldSpec, modulus: Poly, *, budget: int = DEFAULT_BUDGET
 ) -> UnitGroupBasis:
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
-    q, m = field.q, modulus.degree
-    if q**m > budget:
-        raise BudgetError(f"residue ring size q^{m} = {q**m} exceeds budget {budget}")
+    check_budget(basis_bytes(field, modulus), budget, "unit group mod {}", modulus)
     return _structural_basis(field, modulus)
 
 
@@ -195,7 +214,7 @@ class DirichletChar:
     def rotation_numerator(self, code: int) -> int:
         """k such that chi(unit) = exp(2*pi*i*k/L); unit given by residue code."""
         basis = self.basis
-        index = basis.code_to_index[code] if 0 <= code < len(basis.code_to_index) else -1
+        index = int(basis.unit_index(code))
         if index < 0:
             raise PreconditionError(f"residue code {code} is not a unit")
         L = basis.exponent
@@ -208,7 +227,7 @@ class DirichletChar:
             return None
         basis = self.basis
         code = basis.residue_code(f)
-        if basis.code_to_index[code] < 0:
+        if basis.unit_index(code) < 0:
             return None
         return Fraction(self.rotation_numerator(code), basis.exponent)
 
@@ -248,7 +267,7 @@ def even_mask(basis: UnitGroupBasis) -> np.ndarray:
     (residue codes 1..q-1 in every residue ring of degree >= 1)."""
     L = basis.exponent
     mask = np.ones(basis.phi, dtype=bool)
-    for index in basis.grid_index[basis.code_to_index[1 : basis.field.q]]:
+    for index in basis.grid_index[basis.unit_index(np.arange(1, basis.field.q))]:
         # the constant's rotation numerator under every character, built one
         # generator axis at a time in C order (the last exponent fastest)
         numerators = np.zeros(1, dtype=np.int64)
@@ -265,17 +284,22 @@ def count_even(basis: UnitGroupBasis) -> int:
 
 
 def character_sums(
-    basis: UnitGroupBasis, weights: np.ndarray, *, even_only: bool = False
+    basis: UnitGroupBasis, weights: np.ndarray, *, even_only: bool = False,
+    budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """sum over units u of weights[u] * chi(u), for every character chi at
     once; `weights` is indexed by residue code (non-units are ignored). A 2-D
-    `weights` gives one row of sums per row.
+    `weights` gives one row of sums per row; past the budget, BudgetError.
 
     Each row's unit weights are assigned to the grid cells of their discrete
     logs (one cell per unit, as the group is a direct product); one inverse
     DFT over Z/o_1 x ... x Z/o_r then yields all sums. Entries follow
     enumerate_characters order, or even_characters order when even_only."""
-    w = np.asarray(weights)[..., basis.unit_codes]
+    weights = np.asarray(weights)
+    count = weights.size // weights.shape[-1]
+    nbytes = transform_bytes(basis.field, basis.modulus, count)
+    check_budget(nbytes, budget, "character transform of {} x {}", count, basis.phi)
+    w = weights[..., basis.unit_codes]
     rows = w.reshape(-1, basis.phi)
     grid = np.zeros(rows.shape, dtype=np.complex128)
     grid[:, basis.grid_index] = rows

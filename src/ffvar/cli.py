@@ -20,14 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import arith, bounds, characters, variance
-from .errors import BudgetError, IrreducibleCacheError, PreconditionError
+from .errors import DEFAULT_BUDGET, BudgetError, IrreducibleCacheError, PreconditionError
+from .errors import check_budget
 from .fields import FieldSpec, make_field, verify_field_axioms
-from .polys import (
-    DEFAULT_ENUM_BUDGET,
-    from_coeffs,
-    monic_from_index,
-    t_power,
-)
+from .polys import from_coeffs, monic_from_index, t_power
 from .tables import get_tables
 
 EXIT_OK = 0
@@ -37,6 +33,7 @@ EXIT_GAP = 3
 EXIT_BUDGET = 4
 
 RNG_DESCRIPTION = "numpy-default-rng"
+BUDGET_HELP = "memory budget in bytes (default %(default)s); past it, exit 4"
 
 # exception -> (stderr prefix, exit code) for every command; first match wins
 ERROR_EXITS = (
@@ -112,6 +109,8 @@ def cmd_variance(args: argparse.Namespace) -> int:
     if not pairs:
         need = "0 <= h <= N-2" if args.mode == "character" else "0 <= h < N"
         raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
+    for n, h in pairs:  # every cell's estimate, before the first route runs
+        check_budget(variance.cell_bytes(fld, n, h, args.mode), args.budget, "cell N={} h={}", n, h)
     reports = [
         variance.variance_report(fld, handle, n, h, budget=args.budget, mode=args.mode)
         for n, h in pairs
@@ -167,6 +166,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise PreconditionError("empty sweep grid")
     if any(h < 1 for _, h in pairs):
         raise PreconditionError("sweep grid needs h >= 1")
+    for n, h in pairs:  # every cell's estimate, before the first route runs
+        check_budget(variance.cell_bytes(fld, n, h), args.budget, "cell N={} h={}", n, h)
 
     def one(pair: tuple[int, int]):
         n, h = pair
@@ -174,8 +175,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         bound = bounds.theorem_rhs(fld.q, n, h)
         largepf = smoothpf = None
         if rep.charside is not None:
-            largepf = bounds.large_factor_sum_ratio(fld, n, n, h).ratio
-            smoothpf = bounds.smooth_sum_ratio(fld, n, n, h).ratio
+            largepf = bounds.large_factor_sum_ratio(fld, n, n, h, budget=args.budget).ratio
+            smoothpf = bounds.smooth_sum_ratio(fld, n, n, h, budget=args.budget).ratio
         ratio = float(rep.direct) / bound
         return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 
@@ -381,7 +382,7 @@ def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
 def _suite_ramare(args: argparse.Namespace, fld: FieldSpec):
     n_hi = min(args.n_max, 8)
     checked = 0
-    for n in range(2, n_hi + 1):
+    for n in range(n_hi, 1, -1):  # the largest cell first: its gate refuses before any pairs
         for h in range(1, n):
             check = variance.window_defects(fld, n, h)
             bad = np.flatnonzero(check.ramare)
@@ -398,7 +399,7 @@ def _suite_ramare(args: argparse.Namespace, fld: FieldSpec):
 
 def _suite_decomposition(args: argparse.Namespace, fld: FieldSpec):
     n_hi = min(args.n_max, 8 if fld.q == 2 else 6)
-    for n in range(2, n_hi + 1):
+    for n in range(n_hi, 1, -1):  # the largest cell first, as in ramare
         for h in range(1, n):
             worst = variance.decomposition_check(fld, n, h)
             if worst != 0:
@@ -496,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=int, default=1, help="extension degree (q = p^k)")
 
     def add_budget(sp):
-        sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
 
     def add_rows_args(sp):
         sp.add_argument("--out")

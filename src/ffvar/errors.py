@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one byte budget.
 
 cli.ERROR_EXITS maps each to its exit code; the README tabulates the codes.
 """
@@ -15,7 +15,7 @@ class PreconditionError(FFVarError):
 
 
 class BudgetError(FFVarError):
-    """An enumeration would exceed the configured size budget."""
+    """A path's byte estimate exceeds the budget."""
 
 
 class IrreducibleCacheError(FFVarError):
@@ -24,3 +24,12 @@ class IrreducibleCacheError(FFVarError):
 
 class SmoothWindowError(PreconditionError):
     """No prime factor in the requested degree window."""
+
+
+DEFAULT_BUDGET = 1 << 30  # bytes
+
+
+def check_budget(nbytes: int, budget: int, what: str, *args: object) -> None:
+    """The one gate, before each allocation; `what` is formatted only to refuse."""
+    if nbytes > budget:
+        raise BudgetError(f"{what.format(*args)} needs {nbytes} bytes, over the budget of {budget}")

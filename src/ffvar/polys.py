@@ -1,4 +1,4 @@
-"""Polynomials over F_q, monic enumeration, and short-interval keys.
+"""Polynomials over F_q, monic enumeration, and the coefficient reversal.
 
 Coefficients are element codes stored ascending (index j holds the t^j
 coefficient) with no trailing zeros, so the zero polynomial has an empty
@@ -157,14 +157,6 @@ class Poly:
             acc = f.add(f.mul(acc, x), c)
         return acc
 
-    def t_valuation(self) -> int:
-        if self.is_zero:
-            raise PreconditionError("zero polynomial has infinite t-valuation")
-        v = 0
-        while self.coeffs[v] == 0:
-            v += 1
-        return v
-
     # -- rendering
 
     def __str__(self) -> str:
@@ -213,18 +205,6 @@ def from_coeffs(field: FieldSpec, coeffs: Sequence[int]) -> Poly:
     return Poly(field, tuple(coeffs))
 
 
-# -- gcd
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(a, 0) = monic(a); gcd(0, 0) is an error."""
-    if a.is_zero and b.is_zero:
-        raise PreconditionError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
 # -- monic enumeration and mantissas
 
 
@@ -263,37 +243,6 @@ def enumerate_monic(
         raise BudgetError(f"enumeration of q^{n} = {field.q**n} exceeds budget {budget}")
     for u in range(field.q**n):
         yield monic_from_index(field, n, u)
-
-
-# -- short intervals
-
-
-@dataclass(frozen=True)
-class IntervalKey:
-    """Identifies the set of monics of degree n agreeing with a pivot above
-    degree h: `packed` holds the pinned coefficients h+1..n-1 as an integer
-    in [0, q^(n-h-1))."""
-
-    n: int
-    h: int
-    packed: int
-
-
-def interval_key(g: Poly, h: int) -> IntervalKey:
-    if not g.is_monic:
-        raise PreconditionError("interval pivot must be monic")
-    n = len(g.coeffs) - 1
-    if not 0 <= h < n:
-        raise PreconditionError(f"need 0 <= h < deg; got h={h}, deg={n}")
-    q = g.field.q
-    return IntervalKey(n=n, h=h, packed=monic_index(g) // q ** (h + 1))
-
-
-def interval_members(field: FieldSpec, key: IntervalKey) -> Iterator[Poly]:
-    q = field.q
-    base = key.packed * q ** (key.h + 1)
-    for u in range(base, base + q ** (key.h + 1)):
-        yield monic_from_index(field, key.n, u)
 
 
 # -- the coefficient-reversal involution

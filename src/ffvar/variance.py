@@ -38,11 +38,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError, SmoothWindowError
+from .arith import pi_q
+from .errors import DEFAULT_BUDGET, PreconditionError, SmoothWindowError, check_budget
 from .fields import FieldSpec
-from .polys import DEFAULT_ENUM_BUDGET, Poly, monic_index, t_power
-from .characters import DirichletChar, character_sums, unit_group_basis
-from .tables import ArithTables, get_tables, reduce_monic_mod
+from .polys import Poly, monic_index, t_power
+from .characters import DirichletChar, basis_bytes, character_sums, transform_bytes, unit_group_basis
+from .tables import ArithTables, fold_monic_mod, get_tables, table_bytes
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def interval_sums(
     n: int,
     h: int,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     tables: ArithTables | None = None,
 ) -> np.ndarray:
     """S_I for every interval I, indexed by packed upper coefficients: an
@@ -100,13 +101,10 @@ def interval_sums(
     f = _as_handle(f)
     if not 0 <= h < n:
         raise PreconditionError(f"need 0 <= h < n; got h={h}, n={n}")
-    q = field.q
-    if q**n > budget:
-        raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
     if tables is None:
-        tables = get_tables(field, n)
+        tables = get_tables(field, n, budget=budget)
     values = f.degree_values(tables, n)
-    return values.reshape(-1, q ** (h + 1)).sum(axis=1, dtype=np.int64)
+    return values.reshape(-1, field.q ** (h + 1)).sum(axis=1, dtype=np.int64)
 
 
 def variance_direct(
@@ -115,7 +113,7 @@ def variance_direct(
     n: int,
     h: int,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     tables: ArithTables | None = None,
 ) -> Fraction:
     """Exact mean square of interval sums: (q^(h+1)/q^n) * sum_I S_I^2."""
@@ -134,17 +132,12 @@ def _residue_weight_vector(
 ) -> np.ndarray:
     """W[r] = sum over v of f(t^v) * sum_{G in M_(n_total-v), G = r mod Q} f(G),
     as int64 over all q^deg(Q) residue codes."""
-    q = field.q
-    m = modulus.degree
-    weights = np.zeros(q**m, dtype=np.int64)
+    weights = np.zeros(field.q**modulus.degree, dtype=np.int64)
     for v in range(n_total + 1):
         wt = f.t_power_value(v)
-        if wt == 0:
-            continue
-        n = n_total - v
-        vals = f.degree_values(tables, n).astype(np.int64)
-        codes = reduce_monic_mod(field, modulus, n, np.arange(q**n, dtype=np.int64))
-        np.add.at(weights, codes, wt * vals)
+        if wt != 0:
+            vals = f.degree_values(tables, n_total - v)
+            fold_monic_mod(field, modulus, n_total - v, vals if wt > 0 else -vals, weights)
     return weights
 
 
@@ -154,24 +147,21 @@ def weighted_char_sum(
     chi: DirichletChar,
     n_total: int,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     tables: ArithTables | None = None,
 ) -> complex:
     """U(chi) = sum_v f(t^v) * sum_{G in M_(n_total - v)} f(G) chi(G)."""
     f = _as_handle(f)
     if n_total < 0:
         raise PreconditionError("total degree must be >= 0")
-    q = field.q
-    if q ** (n_total + 1) > budget:
-        raise BudgetError(f"enumeration of ~q^{n_total + 1} terms exceeds budget {budget}")
     basis = chi.basis
     if basis.field != field:
         raise PreconditionError("character modulus lives over a different field")
     if tables is None:
-        tables = get_tables(field, n_total)
+        tables = get_tables(field, n_total, budget=budget)
     weights = _residue_weight_vector(field, f, basis.modulus, n_total, tables)
     row = np.ravel_multi_index(chi.exponents, basis.orders)
-    return complex(character_sums(basis, weights)[row])
+    return complex(character_sums(basis, weights, budget=budget)[row])
 
 
 def variance_charside(
@@ -180,7 +170,7 @@ def variance_charside(
     n: int,
     h: int,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     tables: ArithTables | None = None,
 ) -> float:
     """Average of |U(chi)|^2 over even chi mod t^(n-h), divided by the
@@ -189,15 +179,12 @@ def variance_charside(
     f = _as_handle(f)
     if not 0 <= h <= n - 2:
         raise PreconditionError(f"need 0 <= h <= n-2; got h={h}, n={n}")
-    q = field.q
-    if q**n > budget:
-        raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
     modulus = t_power(field, n - h)
-    basis = unit_group_basis(field, modulus)  # refuses past the unit budget: before the sieve
+    basis = unit_group_basis(field, modulus, budget=budget)
     if tables is None:
-        tables = get_tables(field, n)
+        tables = get_tables(field, n, budget=budget)
     weights = _residue_weight_vector(field, f, modulus, n, tables)
-    sums = character_sums(basis, weights, even_only=True)
+    sums = character_sums(basis, weights, even_only=True, budget=budget)
     return float(np.sum(sums.real**2 + sums.imag**2)) / len(sums) ** 2
 
 
@@ -234,7 +221,7 @@ def variance_report(
     n: int,
     h: int,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     mode: str = "both",
 ) -> VarianceReport:
     """One grid cell by the routes `mode` names (one of MODES); the
@@ -243,7 +230,6 @@ def variance_report(
         raise PreconditionError(f"unknown mode {mode!r}")
     f = _as_handle(f)
     direct = charside = None
-    # the character route first: its unit budget refuses before any sieving
     if mode != "direct" and h <= n - 2:
         charside = variance_charside(field, f, n, h, budget=budget)
     if mode != "character":
@@ -251,6 +237,18 @@ def variance_report(
     return VarianceReport(
         q=field.q, n=n, h=h, function=f.name, direct=direct, charside=charside
     )
+
+
+def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both") -> int:
+    """Byte estimate of one cell of variance_report or a sweep row: the tables;
+    direct, a copy of the values and the interval sums; character (h <= n-2),
+    the basis and transform mod t^(n-h), the weights, fold and value masks."""
+    q, m = field.q, n - h
+    nbytes = table_bytes(field, n) + (q**n + 8 * q ** (m - 1) if mode != "character" else 0)
+    if mode != "direct" and m >= 2:
+        tm = t_power(field, m)
+        nbytes += basis_bytes(field, tm) + transform_bytes(field, tm) + 4 * q**n + 16 * q**m
+    return nbytes
 
 
 # -- identity checks (exact rationals; defects must be literally zero)
@@ -267,13 +265,21 @@ class WindowDefects:
     skipped: np.ndarray  # no window prime divides G: h-smooth by the pairs
 
 
+def window_bytes(field: FieldSpec, n: int, h: int) -> int:
+    """Peak bytes of window_defects: 32 per pair of degree n and of each degree
+    below n - h, 64 more per pair of degree n, 48 per G, 1 MiB for rings."""
+    q = field.q
+    pairs = [sum(pi_q(field, d) * q ** (m - d) for d in range(1, m + 1)) for m in range(n + 1)]
+    return 96 * pairs[n] + 32 * sum(pairs[1 : n - h]) + 48 * q**n + (1 << 20)
+
+
 def window_defects(
     field: FieldSpec,
     n: int,
     h: int,
     *,
     tables: ArithTables | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> WindowDefects:
     """One array pass over the window pairs (P, M), G = P * M, P a window
     prime (h < deg P <= n), reading each term from M: lambda(M),
@@ -289,18 +295,9 @@ def window_defects(
     if not 1 <= h < n:
         raise PreconditionError(f"need 1 <= h < n; got h={h}, n={n}")
     q = field.q
-    if q**n > budget:
-        raise BudgetError(f"q^n = {q**n} exceeds budget {budget}")
+    check_budget(window_bytes(field, n, h), budget, "window pairs of degree {}", n)
     if tables is None:
-        tables = get_tables(field, n)
-    # four int64 columns of the pairs of degree n and of every cofactor degree
-    nbytes = 32 * sum(
-        len(tables.irreducibles[d]) * q ** (m - d)
-        for m in (n, *range(1, n - h))
-        for d in range(1, m + 1)
-    )
-    if nbytes > budget:
-        raise BudgetError(f"window pairs of {nbytes} bytes exceed budget {budget}")
+        tables = get_tables(field, n, budget=budget)
 
     def window(m: int):
         """The pairs of degree m whose P is a window prime: deg P, M, P * M."""
@@ -362,7 +359,7 @@ def decomposition_check(
     h: int,
     *,
     tables: ArithTables | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
     """Max abs defect over all monic G of degree n of the window
     decomposition: the (prime x cofactor) sum of -lambda(M) / (w + 1) at

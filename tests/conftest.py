@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
+from dataclasses import dataclass
+from typing import Iterator
 
 import pytest
 
+from ffvar import bounds, characters, tables
 from ffvar.arith import SieveCache, sieve_irreducibles
 from ffvar.fields import FieldSpec, make_field
-from ffvar.polys import Poly, enumerate_monic, from_coeffs, poly_gcd
+from ffvar.errors import PreconditionError
+from ffvar.polys import Poly, enumerate_monic, from_coeffs, monic_from_index, monic_index
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +45,30 @@ def cache3(f3, sieve_dir) -> SieveCache:
     return sieve_irreducibles(f3, 8, cache_dir=sieve_dir)
 
 
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty the caches of tables, residue rings, bases, even masks and mvt
+    codes, so that a measured peak includes building them."""
+    monkeypatch.setattr(tables, "_TABLE_CACHE", {})
+    for cached in (
+        tables.residue_ring,
+        characters._structural_basis,
+        characters.even_mask,
+        bounds._monic_codes,
+    ):
+        cached.cache_clear()
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # -- independent oracles, shared by the test modules ----------------------------
 #
 # Completely separate route from the sieve: a monic polynomial is divided by
@@ -63,6 +92,43 @@ def brute_factor(f: Poly) -> tuple[Poly, ...]:
 @functools.cache
 def brute_irreducibles(fld, d: int) -> tuple[Poly, ...]:
     return tuple(g for g in enumerate_monic(fld, d) if len(brute_factor(g)) == 1)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd; gcd(a, 0) = monic(a); gcd(0, 0) is an error."""
+    if a.is_zero and b.is_zero:
+        raise PreconditionError("gcd(0, 0) is undefined")
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+@dataclass(frozen=True)
+class IntervalKey:
+    """Identifies the set of monics of degree n agreeing with a pivot above
+    degree h: `packed` holds the pinned coefficients h+1..n-1 as an integer
+    in [0, q^(n-h-1)). The per-polynomial view of an interval, against which
+    the mantissa blocks of variance.interval_sums are checked."""
+
+    n: int
+    h: int
+    packed: int
+
+
+def interval_key(g: Poly, h: int) -> IntervalKey:
+    if not g.is_monic:
+        raise PreconditionError("interval pivot must be monic")
+    n = len(g.coeffs) - 1
+    if not 0 <= h < n:
+        raise PreconditionError(f"need 0 <= h < deg; got h={h}, deg={n}")
+    return IntervalKey(n=n, h=h, packed=monic_index(g) // g.field.q ** (h + 1))
+
+
+def interval_members(field: FieldSpec, key: IntervalKey) -> Iterator[Poly]:
+    q = field.q
+    base = key.packed * q ** (key.h + 1)
+    for u in range(base, base + q ** (key.h + 1)):
+        yield monic_from_index(field, key.n, u)
 
 
 def brute_unit_count(modulus: Poly) -> int:

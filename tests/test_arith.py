@@ -161,13 +161,14 @@ def test_factor_needs_enough_cache_depth(f2):
 
 
 def test_factor_past_table_budget_raises_before_allocating():
-    # 16^6 mantissas exceed DEFAULT_TABLE_BUDGET: refused before any table
+    # the tables to degree 8 over F_16 are estimated at 27 GB, past the 1 GiB
+    # default budget: refused before any table
     f16 = make_field(2, 4)
-    cache = sieve_irreducibles(f16, 3)
+    cache = sieve_irreducibles(f16, 4)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match="table budget"):
-            factor(t_power(f16, 6), cache)
+        with pytest.raises(BudgetError, match="^sieve tables to degree 8 needs .* bytes, over"):
+            factor(t_power(f16, 8), cache)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

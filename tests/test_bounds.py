@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from ffvar.bounds import (
     BoundReport,
     TrialConfig,
@@ -98,10 +99,18 @@ def test_mvt_trial_phases_and_general_modulus(f2, f3):
         assert rep.passed
 
 
-def test_mvt_trial_budget_refusal_is_a_budget_error(f2):
-    trials = mvt_trial(f2, t_power(f2, 3), 5, TrialConfig(seed=1, trials=1), budget=16)
-    with pytest.raises(BudgetError, match="exceeds budget 16"):
+def test_mvt_trial_budget_refusal_is_a_budget_error(f2, cold_caches):
+    # 64 bytes per drawn coefficient: F_2 n = 16 draws 65,536 of them
+    need = 64 * 2**16
+    cfg = TrialConfig(seed=1, trials=2)
+    trials = mvt_trial(f2, t_power(f2, 3), 16, cfg, budget=need - 1)
+    message = f"^mvt draws of 65536 coefficients needs {need} bytes, over the budget of {need - 1}$"
+    with pytest.raises(BudgetError, match=message):
         next(trials)
+    reports = []
+    peak = traced_peak(lambda: reports.extend(mvt_trial(f2, t_power(f2, 3), 16, cfg, budget=need)))
+    assert [rep.passed for rep in reports] == [True, True]
+    assert peak <= need
 
 
 def test_mvt_short_side(f2):

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_unit_count
+from conftest import brute_unit_count, traced_peak
 from ffvar.characters import (
     DirichletChar,
+    basis_bytes,
     character_rotation_matrix,
     character_sums,
     character_value_matrix,
@@ -25,9 +26,10 @@ from ffvar.characters import (
     principal_character,
     rotation_multiset_cancels,
     rotation_rows_cancel,
+    transform_bytes,
     unit_group_basis,
 )
-from ffvar.errors import PreconditionError
+from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
 from ffvar.polys import Poly, from_coeffs, t_power
 from ffvar.tables import get_tables, residue_ring
@@ -189,7 +191,7 @@ def test_dlog_is_a_homomorphism_by_poly_arithmetic(q, data):
     i = data.draw(st.integers(0, basis.phi - 1), label="a")
     j = data.draw(st.integers(0, basis.phi - 1), label="b")
     a, b = (_code_poly(fld, m, int(basis.unit_codes[x])) for x in (i, j))
-    ab = basis.code_to_index[basis.residue_code(a * b)]
+    ab = int(basis.unit_index(basis.residue_code(a * b)))
     assert ab >= 0
     orders = np.array(basis.orders, dtype=np.int64)
     want = (_dlog(basis, i) + _dlog(basis, j)) % orders
@@ -474,6 +476,55 @@ def test_character_sums_peak_memory_stays_a_few_grids(f2):
         tracemalloc.stop()
     assert len(sums) == basis.phi
     assert peak < 6 * 16 * basis.phi
+
+
+# t^m and moduli with repeated, several and one prime factor
+GATE_MODULI = (
+    ((2, 1), (0,) * 12),
+    ((2, 1), (1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1)),
+    ((3, 1), (0,) * 9),
+    ((3, 1), (2, 0, 1, 1, 0, 1, 2, 2)),
+    ((5, 1), (2, 3, 0, 1, 4)),
+    ((2, 2), (1, 2, 3, 0, 1)),
+)
+
+
+def _gate_modulus(p, k, lower):
+    fld = make_field(p, k)
+    return fld, from_coeffs(fld, [*lower, 1])
+
+
+@pytest.mark.parametrize("p,k,lower", [(*f, c) for f, c in GATE_MODULI])
+def test_basis_and_transform_gates_refuse_one_byte_past_their_estimates(p, k, lower):
+    fld, modulus = _gate_modulus(p, k, lower)
+    need = basis_bytes(fld, modulus)
+    message = f"^unit group mod .* needs {need} bytes, over the budget of {need - 1}$"
+    with pytest.raises(BudgetError, match=message):
+        unit_group_basis(fld, modulus, budget=need - 1)
+    basis = unit_group_basis(fld, modulus, budget=need)
+    for shape in ((), (3,)):
+        weights = np.ones((*shape, fld.q**modulus.degree))
+        rows = 3 if shape else 1
+        need = transform_bytes(fld, modulus, rows)
+        message = f"^character transform of {rows} x {basis.phi} needs {need} bytes, over"
+        with pytest.raises(BudgetError, match=message):
+            character_sums(basis, weights, budget=need - 1)
+        assert character_sums(basis, weights, budget=need).shape == (*shape, basis.phi)
+
+
+@pytest.mark.parametrize("p,k,lower", [(*f, c) for f, c in GATE_MODULI])
+def test_basis_and_transform_estimates_cover_their_peaks(cold_caches, p, k, lower):
+    # what the gates read is at least what a cold build and each kind of
+    # transform (int and complex weights, 1 and 3 rows, even or all) peak at
+    fld, modulus = _gate_modulus(p, k, lower)
+    assert traced_peak(unit_group_basis, fld, modulus) <= basis_bytes(fld, modulus)
+    basis = unit_group_basis(fld, modulus)
+    rng = np.random.default_rng(0)
+    for rows, dtype, even_only in ((1, np.int64, True), (1, complex, False), (3, np.int64, False)):
+        weights = rng.integers(-3, 4, size=(rows, fld.q**modulus.degree)).astype(dtype)
+        even_mask.cache_clear()
+        peak = traced_peak(character_sums, basis, weights, even_only=even_only)
+        assert peak <= transform_bytes(fld, modulus, rows), (rows, dtype, even_only)
 
 
 # -- the exact cancellation predicate ---------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,20 +140,49 @@ def test_variance_names_an_empty_range(capsys, args, flag, text):
     assert capsys.readouterr().err == f"precondition: empty {flag} range {text}\n"
 
 
+def _forbid_routes(monkeypatch):
+    """Fail the test if any route sieves a table or builds a basis."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a route ran before the budget check")
+
+    monkeypatch.setattr(ffvar.tables.ArithTables, "extend", ran)
+    monkeypatch.setattr(ffvar.characters, "_structural_basis", ran)
+
+
 def test_variance_refuses_past_the_unit_budget_before_sieving(monkeypatch, capsys):
-    # the character route's modulus t^21 is past the unit budget; that
-    # refusal must come before the sieve extends any table to degree 22
-    extend = ffvar.tables.ArithTables.extend
-
-    def guarded(self, max_degree, budget):
-        assert max_degree < 22, f"sieved to degree {max_degree} before the budget check"
-        extend(self, max_degree, budget)
-
-    monkeypatch.setattr(ffvar.tables.ArithTables, "extend", guarded)
-    assert main(["variance", "--N", "22", "--h", "1"]) == EXIT_BUDGET
+    # F_2 N=25 h=1: the basis and transform mod t^24 put the cell past the
+    # 1 GiB default (the direct route alone would fit); the refusal comes
+    # before the sieve extends any table and before any basis is built
+    need = ffvar.variance.cell_bytes(make_field(2), 25, 1)
+    assert ffvar.variance.cell_bytes(make_field(2), 25, 1, "direct") < 1 << 30 < need
+    _forbid_routes(monkeypatch)
+    assert main(["variance", "--N", "25", "--h", "1"]) == EXIT_BUDGET
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "budget: residue ring size q^21 = 2097152 exceeds budget 1048576\n"
+    assert err == f"budget: cell N=25 h=1 needs {need} bytes, over the budget of {1 << 30}\n"
+
+
+@pytest.mark.parametrize("command", ["variance", "sweep"])
+def test_grid_refuses_its_last_cell_before_any_route(monkeypatch, capsys, command):
+    # every cell's estimate is checked first: one byte short for the last
+    # cell stops the grid with nothing sieved, built or written
+    need = ffvar.variance.cell_bytes(make_field(2), 12, 2)
+    grid = [command, "--N", "10:12", "--h", "2"]
+    _forbid_routes(monkeypatch)
+    tracemalloc.start()
+    try:
+        rc = main([*grid, "--budget", str(need - 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (rc, out) == (EXIT_BUDGET, "")
+    assert err == f"budget: cell N=12 h=2 needs {need} bytes, over the budget of {need - 1}\n"
+    assert peak < 1 << 20
+    monkeypatch.undo()
+    assert main([*grid, "--budget", str(need)]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 # -- sweep subcommand ----------------------------------------------------------------
@@ -340,17 +370,31 @@ def test_verify_mvt_splits_trials_over_the_moduli(trials, split, monkeypatch, ca
 
 
 def test_verify_mvt_past_budget_exits_four(capsys):
-    # F_8 with n-max 6 draws q^8 = 2^24 coefficients, past the 2^22 default
-    rc = main(["verify", "--p", "2", "--k", "3", "--suite", "mvt", "--n-max", "6"])
+    # F_16 with n-max 6 draws q^8 = 2^32 coefficients at 64 bytes each, past
+    # the 1 GiB default
+    rc = main(["verify", "--p", "2", "--k", "4", "--suite", "mvt", "--n-max", "6"])
     assert rc == EXIT_BUDGET
-    assert capsys.readouterr().err.startswith("budget: q^n = 16777216 exceeds budget")
+    assert capsys.readouterr().err == (
+        f"budget: mvt draws of {16**8} coefficients needs {64 * 16**8} bytes, "
+        f"over the budget of {1 << 30}\n"
+    )
 
 
-def test_verify_window_pairs_past_budget_exit_four(capsys):
-    # F_16 at n = 4 needs about 134,000 window pairs of 32 bytes, past 2^22
-    rc = main(["verify", "--p", "2", "--k", "4", "--suite", "ramare", "--n-max", "4"])
-    assert rc == EXIT_BUDGET
-    assert capsys.readouterr().err.startswith("budget: window pairs of")
+def test_verify_window_pairs_past_budget_exit_four(monkeypatch, capsys):
+    # F_16 at n = 6 reads about 40 million window pairs, past the 1 GiB
+    # default; each window suite checks its largest cell first, so no pairs
+    # are built
+    def built(*args):
+        raise AssertionError("window pairs built before the budget check")
+
+    monkeypatch.setattr(ffvar.tables.ArithTables, "window_pairs", built)
+    need = ffvar.variance.window_bytes(make_field(2, 4), 6, 1)
+    for suite in ("ramare", "decomposition"):
+        rc = main(["verify", "--p", "2", "--k", "4", "--suite", suite, "--n-max", "6"])
+        assert rc == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            f"budget: window pairs of degree 6 needs {need} bytes, over the budget of {1 << 30}\n"
+        )
 
 
 ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))

@@ -4,20 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import IntervalKey, interval_key, interval_members, poly_gcd
 from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
 from ffvar.polys import (
-    IntervalKey,
     Poly,
     constant,
     enumerate_monic,
     from_coeffs,
-    interval_key,
-    interval_members,
     monic_from_index,
     monic_index,
     one,
-    poly_gcd,
     star,
     t_power,
     zero,
@@ -101,14 +98,6 @@ def test_evaluate(f3):
     f = from_coeffs(f3, [1, 1, 1])
     assert f.evaluate(2) == 1  # 4 + 2 + 1 = 7 = 1 mod 3
     assert f.evaluate(0) == 1
-
-
-def test_t_valuation(f2):
-    assert from_coeffs(f2, [0, 0, 1, 1]).t_valuation() == 2
-    assert one(f2).t_valuation() == 0
-    assert t_power(f2, 4).t_valuation() == 4
-    with pytest.raises(PreconditionError):
-        zero(f2).t_valuation()
 
 
 def test_str_forms(f2, f3):

@@ -26,6 +26,7 @@ from ffvar.tables import (
     ResidueRing,
     reduce_monic_mod,
     residue_ring,
+    table_bytes,
 )
 
 # every F_q with q <= 16, as (p, k)
@@ -470,15 +471,16 @@ def test_get_tables_extends_in_place(f3, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(group, want))
     for m in range(1, 6):
         assert all(np.array_equal(a, b) for a, b in zip(tab.factor_links(m), fresh.factor_links(m)))
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="^sieve tables to degree 30 needs"):
         get_tables(f3, 30)
     assert tab.max_degree == 5
 
 
-def test_build_tables_scratch_memory_stays_bounded():
+def test_build_tables_scratch_memory_stays_bounded(cold_caches):
     # the product pass emits blocks of at most _CHUNK products, never a q^md
-    # array, so a build peaks within 2 MiB of the tables it keeps
-    for (p, k), n in (((2, 1), 18), ((3, 1), 11), ((2, 2), 8), ((5, 1), 8)):
+    # array, so a build peaks within 2 MiB of the tables it keeps, and
+    # within the estimate that the budget gate reads
+    for (p, k), n in (((2, 1), 18), ((3, 1), 11), ((2, 2), 8), ((5, 1), 8), ((2, 4), 5)):
         fld = make_field(p, k)
         tracemalloc.start()
         try:
@@ -489,8 +491,13 @@ def test_build_tables_scratch_memory_stays_bounded():
         groups = (tab.big_omega, tab.squarefree, tab.max_factor_degree, tab.irreducibles)
         held = sum(a.nbytes for group in groups for a in group)
         assert peak - held <= 2 << 20, (fld.q, n, peak - held)
+        assert peak <= table_bytes(fld, n), (fld.q, n, peak)
 
 
 def test_build_tables_budget(f2):
-    with pytest.raises(BudgetError):
-        build_tables(f2, 30, budget=1 << 10)
+    # the gate reads table_bytes: one byte short refuses, the estimate builds
+    need = table_bytes(f2, 12)
+    message = f"^sieve tables to degree 12 needs {need} bytes, over the budget of {need - 1}$"
+    with pytest.raises(BudgetError, match=message):
+        build_tables(f2, 12, budget=need - 1)
+    assert build_tables(f2, 12, budget=need).max_degree == 12

@@ -8,21 +8,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_factor
+from conftest import brute_factor, interval_key, traced_peak
 from ffvar.arith import count_smooth_exact, factor
 from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError
 from ffvar.fields import make_field
 from ffvar.polys import (
     enumerate_monic,
     from_coeffs,
-    interval_key,
     monic_from_index,
     monic_index,
     t_power,
 )
-from ffvar.tables import build_tables, get_tables
+from ffvar.tables import build_tables, get_tables, table_bytes
 from ffvar.variance import (
     FUNCTIONS,
+    MODES,
+    cell_bytes,
     decomposition_check,
     get_function,
     interval_sums,
@@ -31,6 +32,7 @@ from ffvar.variance import (
     variance_direct,
     variance_report,
     weighted_char_sum,
+    window_bytes,
     window_defects,
 )
 
@@ -85,8 +87,10 @@ def test_interval_sums_match_brute_interval_keys(f3):
 def test_interval_sums_preconditions(f2):
     with pytest.raises(PreconditionError):
         interval_sums(f2, "liouville", 3, 3)
-    with pytest.raises(BudgetError):
-        interval_sums(f2, "liouville", 24, 1, budget=1 << 10)
+    # the tables gate decides: one byte short of the degree-24 tables
+    need = table_bytes(f2, 24)
+    with pytest.raises(BudgetError, match=f"^sieve tables to degree 24 needs {need} bytes"):
+        interval_sums(f2, "liouville", 24, 1, budget=need - 1)
 
 
 def test_variance_direct_pinned(f2):
@@ -144,6 +148,22 @@ def test_weighted_char_sum_pinned(f2):
     chi0, chi1 = enumerate_characters(basis)
     assert weighted_char_sum(f2, "liouville", chi0, 3) == pytest.approx(-4 + 0j)
     assert weighted_char_sum(f2, "liouville", chi1, 3) == pytest.approx(0j)
+
+
+@pytest.mark.parametrize("lower", [(0, 0), (1, 0, 1), (1, 2, 0, 1)])
+def test_weighted_char_sum_matches_brute_sums(f3, lower):
+    # t^2, (t + 1)^2 and t^3 + 2t + 1 over F_3: the t^m fold and the
+    # general-modulus fold against chi(G) summed G by G
+    from ffvar.characters import enumerate_characters, unit_group_basis
+
+    basis = unit_group_basis(f3, from_coeffs(f3, [*lower, 1]))
+    terms = [(v, g) for v in range(5) for g in enumerate_monic(f3, 4 - v)]
+    for chi in enumerate_characters(basis):
+        values = [chi.value(g) for _, g in terms]
+        for name in FUNCTIONS:
+            weight = get_function(name).t_power_value
+            brute = sum(weight(v) * _brute_value(name, g) * x for (v, g), x in zip(terms, values))
+            assert weighted_char_sum(f3, name, chi, 4) == pytest.approx(brute, abs=1e-9)
 
 
 def test_variance_charside_pinned(f2):
@@ -293,9 +313,17 @@ def test_window_identities_hold_for_every_q():
 
 
 def test_window_pairs_past_budget_raise(f3):
-    # 32 bytes per pair: F_3 n=5 reads about 2,000 pairs
-    with pytest.raises(BudgetError, match="window pairs"):
-        window_defects(f3, 5, 1, budget=1 << 12)
+    # the estimate counts the pairs the pass reads (degree 5 and the
+    # cofactor degrees 1..3) without building them: one byte short refuses
+    tables = build_tables(f3, 5)
+    need = window_bytes(f3, 5, 1)
+    rows = [len(tables.window_pairs(m)[0]) for m in (5, 1, 2, 3)]
+    assert need == 96 * rows[0] + 32 * sum(rows[1:]) + 48 * 3**5 + (1 << 20)
+    message = f"^window pairs of degree 5 needs {need} bytes, over the budget of {need - 1}$"
+    with pytest.raises(BudgetError, match=message):
+        window_defects(f3, 5, 1, tables=tables, budget=need - 1)
+    fresh = build_tables(f3, 5)
+    assert traced_peak(window_defects, f3, 5, 1, tables=fresh, budget=need) <= need
 
 
 def test_ramare_identity_defect_zero_exhaustive(f2):
@@ -348,3 +376,13 @@ def test_decomposition_rejects_bad_window(f2):
         decomposition_check(f2, 4, 0)
     with pytest.raises(PreconditionError):
         decomposition_check(f2, 4, 4)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("p, n, h", [(2, 16, 1), (2, 16, 2), (3, 10, 1)])
+def test_cell_bytes_cover_the_route_peak(cold_caches, p, n, h, mode):
+    # the estimate the CLI checks per cell is at least what the cell's
+    # routes peak at, tables and basis built from cold
+    fld = make_field(p)
+    peak = traced_peak(variance_report, fld, "moebius", n, h, mode=mode)
+    assert peak <= cell_bytes(fld, n, h, mode)
