@@ -188,9 +188,9 @@ class Factorization:
         return out
 
 
-def factor(f: Poly, cache: SieveCache) -> Factorization:
+def factor(f: Poly, cache: SieveCache, *, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Factor by walking the sieve's factor links, one lookup per prime factor.
-    The tables must cover deg f: past the budget, BudgetError."""
+    The tables and each walked degree's links must fit the budget: BudgetError."""
     if f.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
     n = f.degree
@@ -200,11 +200,11 @@ def factor(f: Poly, cache: SieveCache) -> Factorization:
         raise PreconditionError(
             f"cache depth {cache.max_degree} insufficient for degree {n} (needs {n // 2})"
         )
-    tables = get_tables(f.field, n)
+    tables = get_tables(f.field, n, budget=budget)
     found: Counter[tuple[int, int]] = Counter()
     u = monic_index(f.monic())
     while n:
-        deg, fac, cof = tables.factor_links(n)
+        deg, fac, cof = tables.factor_links(n, budget=budget)
         d = int(deg[u])
         if d == 0:
             found[n, u] += 1

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, t_power
-from .characters import UnitGroupBasis, character_sums, power_columns, unit_group_basis
+from .characters import UnitGroupBasis, character_sums, l_coefficients, unit_group_basis
 from .tables import fold_monic_mod, get_tables, reduce_monic_mod
 
 MVT_SLACK = 1e-9
@@ -154,27 +154,31 @@ def prime_char_sum_ratio(field: FieldSpec, m: int, x: int) -> BoundReport:
 
 
 @lru_cache(maxsize=1)
+def _psi_rows(field: FieldSpec, modulus: Poly) -> tuple[np.ndarray, list, list]:
+    """The L-coefficients mod Q (one transform) and the psi rows grown from
+    them: exact ints for the principal character, complex rows for the rest."""
+    return l_coefficients(unit_group_basis(field, modulus)), [], []
+
+
 def von_mangoldt_char_sums(field: FieldSpec, modulus: Poly, n_max: int) -> np.ndarray:
     """psi_N(chi) = sum_{G in M_N} Lambda(G) chi(G) for N = 1..n_max (row
     N - 1) and every chi mod Q (enumerate_characters order), read-only.
 
-    Every irreducible of degree <= n_max is reduced mod Q once, and one
-    transform gives S_d(chi) = sum_{deg P = d} chi(P) for each degree d.
-    Lambda(P^k) = d for deg P = d, and chi(P^k) = chi^k(P), so
-    psi_N(chi) = sum_{d | N} d S_d(chi^(N/d)), read off at the columns of
-    chi^(N/d) (power_columns)."""
-    basis = unit_group_basis(field, modulus)
-    tables = get_tables(field, n_max)
-    us = np.concatenate(tables.irreducibles[1 : n_max + 1])
-    codes = reduce_monic_mod(field, modulus, n_max, us, tables.irreducible_rows(n_max))
-    parts = np.split(codes, np.cumsum([len(u) for u in tables.irreducibles[1:n_max]]))
-    size = field.q**modulus.degree
-    sums = character_sums(basis, np.stack([np.bincount(c, minlength=size) for c in parts]))
-    powers = [power_columns(basis, k) for k in range(1, n_max + 1)]
-    psi = np.zeros((n_max, basis.phi), dtype=np.complex128)
-    for d in range(1, n_max + 1):
-        for k in range(1, n_max // d + 1):
-            psi[d * k - 1] += d * sums[d - 1, powers[k - 1]]
+    The explicit formula, with no table of primes: u L'/L = sum_N psi_N u^N
+    for L(u, chi) = sum_j c_j u^j (characters.l_coefficients), so every row
+    follows by Newton's identity psi_N = N c_N - sum_{1<=j<N} c_j psi_(N-j).
+    Past m = deg Q, c_j = 0 but for the principal chi, whose column is exact
+    integers. Rows are kept per modulus and grown on demand: N = 1..n_max in
+    turn costs one transform."""
+    q, m = field.q, modulus.degree
+    c, principal, rest = _psi_rows(field, modulus)
+    phi = c.shape[1]
+    c0 = [round(x.real) for x in c[:, 0]] + [q ** (j - m) * phi for j in range(m, n_max + 1)]
+    for n in range(len(rest) + 1, n_max + 1):
+        principal.append(n * c0[n] - sum(c0[j] * principal[n - j - 1] for j in range(1, n)))
+        row = n * c[n, 1:] if n < m else np.zeros(phi - 1, dtype=np.complex128)
+        rest.append(row - sum(c[j, 1:] * rest[n - j - 1] for j in range(1, min(n, m))))
+    psi = np.column_stack(([float(x) for x in principal[:n_max]], rest[:n_max]))
     psi.flags.writeable = False
     return psi
 
@@ -182,13 +186,12 @@ def von_mangoldt_char_sums(field: FieldSpec, modulus: Poly, n_max: int) -> np.nd
 def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -> BoundReport:
     """Max over non-principal chi mod Q of |sum_{G in M_N} Lambda(G) chi(G)|
     against deg(Q) * q^(N/2). Hard pass: the Riemann-hypothesis bound for
-    these L-functions carries constant deg(Q) - 1. The sums are a row of
-    von_mangoldt_char_sums to the degree the shared tables hold, so reports
-    on one modulus share one table once the tables reach their largest N."""
+    these L-functions carries constant deg(Q) - 1. The sums are the last row
+    of von_mangoldt_char_sums(field, Q, N), which reads no sieve table."""
     if n_total < 1:
         raise PreconditionError("need N >= 1")
     q = field.q
-    psi = von_mangoldt_char_sums(field, modulus, get_tables(field, n_total).max_degree)
+    psi = von_mangoldt_char_sums(field, modulus, n_total)
     if psi.shape[1] < 2:
         raise PreconditionError(f"modulus {modulus} admits no non-principal character")
     lhs = float(np.max(np.abs(psi[n_total - 1, 1:])))

@@ -77,9 +77,6 @@ class UnitGroupBasis:
         pos = np.minimum(np.searchsorted(self.unit_codes, codes), self.phi - 1)
         return np.where(self.unit_codes[pos] == codes, pos, -1)
 
-    def residue_code(self, f: Poly) -> int:
-        return residue_code(f, self.modulus)
-
     # dense value matrix over (characters x units), the reference that
     # character_sums is tested against; "all" rows follow
     # enumerate_characters order, "even" rows follow even_characters order
@@ -106,6 +103,13 @@ def transform_bytes(field: FieldSpec, modulus: Poly, rows: int = 1) -> int:
     """Peak bytes of character_sums mod Q on `rows` rows of weights: 64 per
     unit and row (gather, grid, two DFT passes), 16 per unit (even mask)."""
     return (64 * rows + 16) * _phi_bound(field, modulus) + _SCRATCH
+
+
+def route_bytes(field: FieldSpec, modulus: Poly) -> int:
+    """Peak bytes of a basis mod Q and one transform: the larger of the build
+    and the built basis (16 per unit, codes and grid index) with the transform."""
+    held = 16 * _phi_bound(field, modulus) + _SCRATCH
+    return max(basis_bytes(field, modulus), held + transform_bytes(field, modulus))
 
 
 def unit_group_basis(
@@ -226,7 +230,7 @@ class DirichletChar:
         if f.is_zero:
             return None
         basis = self.basis
-        code = basis.residue_code(f)
+        code = residue_code(f, basis.modulus)
         if basis.unit_index(code) < 0:
             return None
         return Fraction(self.rotation_numerator(code), basis.exponent)
@@ -309,13 +313,14 @@ def character_sums(
     return sums[..., even_mask(basis)] if even_only else sums
 
 
-def power_columns(basis: UnitGroupBasis, k: int) -> np.ndarray:
-    """Column of chi^k for every chi in enumerate_characters order: the
-    C-order grid index of the exponent vector k * e mod the orders."""
-    columns = np.zeros(1, dtype=np.int64)
-    for o in basis.orders:
-        columns = (columns[:, None] * o + k * np.arange(o) % o).ravel()
-    return columns
+def l_coefficients(basis: UnitGroupBasis) -> np.ndarray:
+    """c_j(chi) = sum over monic G of degree j of chi(G) for j < m = deg Q (row
+    j, enumerate_characters order), L(u, chi) = sum_j c_j u^j: one transform
+    of the indicators of the codes q^j .. 2q^j - 1, as a monic of degree j < m
+    is its own residue. Past m, c_j is q^(j-m) Phi [chi principal]."""
+    q, m = basis.field.q, basis.modulus.degree
+    starts, codes = q ** np.arange(m)[:, None], np.arange(q**m)
+    return character_sums(basis, (starts <= codes) & (codes < 2 * starts))
 
 
 def character_rotation_matrix(basis: UnitGroupBasis, exponents: np.ndarray) -> np.ndarray:

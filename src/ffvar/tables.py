@@ -11,8 +11,10 @@ The sieve walks degrees upward. At degree m, every product P*M with P
 irreducible of degree d <= m/2 and M monic of degree m-d gets its entries
 written from M's row (Omega is additive, max-factor-degree is a max, so any
 irreducible divisor P of G produces the same value: overwrites are
-consistent). Whatever is never written is irreducible. Squarefree-ness is
-killed separately by marking P^2 * M products.
+consistent). Omega and max-factor-degree are the low and high bytes of one
+int16 per polynomial (big_omega and max_factor_degree are its int8 views),
+so one scatter writes both. Whatever is never written is irreducible.
+Squarefree-ness is killed separately by marking P^2 * M products.
 
 The products of all P of one degree come from one mul_monic_batch call. It
 splits M at half its degree and gets every P times each half from one small
@@ -117,20 +119,18 @@ class ArithTables:
     squarefree: list[np.ndarray]
     max_factor_degree: list[np.ndarray]
     irreducibles: list[np.ndarray]
-    _links: dict[int, tuple[np.ndarray, ...]] = dc_field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _pairs: dict[int, tuple[np.ndarray, ...]] = dc_field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _rows: dict[int, np.ndarray] = dc_field(default_factory=dict, repr=False, compare=False)
+    _links: dict[int, tuple] = dc_field(default_factory=dict, repr=False, compare=False)
+    _pairs: dict[int, tuple] = dc_field(default_factory=dict, repr=False, compare=False)
+    _packed: list[np.ndarray] = dc_field(default_factory=list, repr=False, compare=False)
 
-    def factor_links(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def factor_links(self, m: int, *, budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, ...]:
         """(deg P, mantissa of P, mantissa of G/P) for one irreducible P | G
         per monic G of degree m <= max_degree, mantissa-indexed; deg P is 0
-        where G is irreducible. Built by one product pass on first use."""
+        where G is irreducible. Built by one product pass on first use, once
+        links_bytes is checked against the budget."""
         links = self._links.get(m)
         if links is None:
+            check_budget(links_bytes(self.field, m), budget, "factor links of degree {}", m)
             size = self.field.q**m
             links = (np.zeros(size, np.int8), np.zeros(size, np.int32), np.zeros(size, np.int32))
             deg, fac, cof = links
@@ -159,18 +159,6 @@ class ArithTables:
             pairs = self._pairs[m] = tuple(np.concatenate(c) for c in (deg, fac, cof, prod))
         return pairs
 
-    def irreducible_rows(self, n: int) -> np.ndarray:
-        """Base-p digits of q^d + u, the whole polynomial, for each irreducible
-        of degree d = 1..n and mantissa u, in that order: int8 rows of (n+1)k,
-        built on first use, for reduction mod many moduli."""
-        if n not in self._rows:
-            p, q = self.field.p, self.field.q
-            codes = np.concatenate([u + q**d for d, u in enumerate(self.irreducibles[: n + 1])])
-            rows = self._rows[n] = np.empty((len(codes), (n + 1) * self.field.k), np.int8)
-            for j in range(rows.shape[1]):  # column by column: no int64 matrix
-                rows[:, j] = codes // p**j % p
-        return self._rows[n]
-
     def extend(self, max_degree: int, budget: int) -> None:
         """Sieve degrees self.max_degree+1 .. max_degree onto these tables in
         place; the arrays and factor links built so far are kept."""
@@ -178,22 +166,26 @@ class ArithTables:
         check_budget(nbytes, budget, "sieve tables to degree {}", max_degree)
         q = self.field.q
         for m in range(self.max_degree + 1, max_degree + 1):
-            om = np.full(q**m, -1, dtype=np.int8)
+            # P * M gets Omega(M) + 1 and max(max factor degree of M, deg P); 0 is unwritten
+            packed = np.zeros(q**m, dtype="<i2")
             sf = np.ones(q**m, dtype=bool)
-            mf = np.zeros(q**m, dtype=np.int8)
             for d, _, part, block in _products(self.field, self.irreducibles, m):
-                om[block] = self.big_omega[m - d][part] + 1
-                mf[block] = np.maximum(self.max_factor_degree[m - d][part], d)
+                below = self._packed[m - d][part]
+                packed[block] = np.maximum(below, below & 0xFF | d << 8) + 1
             for *_, block in _products(self.field, self.irreducibles, m, power=2):
                 sf[block] = False
-            fresh = np.nonzero(om < 0)[0]
-            om[fresh] = 1
-            mf[fresh] = m
-            self.big_omega.append(om)
-            self.squarefree.append(sf)
-            self.max_factor_degree.append(mf)
-            self.irreducibles.append(fresh.astype(np.int64))
-            self.max_degree = m
+            fresh = np.flatnonzero(packed == 0)
+            packed[fresh] = m << 8 | 1
+            self._push(packed, sf, fresh.astype(np.int64))
+
+    def _push(self, packed: np.ndarray, squarefree: np.ndarray, irreducibles: np.ndarray) -> None:
+        """Append a degree: Omega and max factor degree are int8 views of `packed`."""
+        self._packed.append(packed)
+        self.big_omega.append(packed.view(np.int8)[0::2])
+        self.max_factor_degree.append(packed.view(np.int8)[1::2])
+        self.squarefree.append(squarefree)
+        self.irreducibles.append(irreducibles)
+        self.max_degree = len(self._packed) - 1
 
     def liouville_values(self, n: int) -> np.ndarray:
         """(-1)^Omega over all monic of degree n, int8, mantissa-indexed."""
@@ -211,6 +203,12 @@ class ArithTables:
         return [monic_from_index(self.field, d, int(u)) for u in self.irreducibles[d]]
 
 
+def links_bytes(field: FieldSpec, m: int) -> int:
+    """Bytes of the factor links of degree m: 9 per monic (an int8 degree,
+    int32 factor and cofactor) and the product blocks."""
+    return 9 * field.q**m + _SIEVE_SCRATCH
+
+
 def table_bytes(field: FieldSpec, max_degree: int) -> int:
     """Bytes of the tables to max_degree: 3 per monic, 8 per irreducible (<= q^m/m
     of degree m), and the top degree's mask, irreducible indices and blocks."""
@@ -224,9 +222,9 @@ def build_tables(
 ) -> ArithTables:
     if max_degree < 0:
         raise PreconditionError("max_degree must be >= 0")
+    tables = ArithTables(field, -1, [], [], [], [])
     # degree 0: the one monic polynomial 1, with no factor
-    tables = ArithTables(field, 0, [np.zeros(1, np.int8)], [np.ones(1, bool)],
-                         [np.zeros(1, np.int8)], [np.empty(0, np.int64)])
+    tables._push(np.zeros(1, "<i2"), np.ones(1, bool), np.empty(0, np.int64))
     tables.extend(max_degree, budget)
     return tables
 
@@ -288,9 +286,7 @@ class ResidueRing:
         return self.table[:count]
 
     def _digits(self, values: np.ndarray, place: np.ndarray) -> np.ndarray:
-        """Base-p digits of `values` as float rows; 2-D `values` are digits."""
-        if values.ndim == 2:
-            return values.astype(np.float64)
+        """Base-p digits of `values` as float rows."""
         return (values[:, None] // place % self.p).astype(np.float64)
 
     def _batched(self, out: np.ndarray, width: int, coords_of) -> np.ndarray:
@@ -306,8 +302,8 @@ class ResidueRing:
 
     def reduce(self, d: int, us: np.ndarray) -> np.ndarray:
         """Codes mod Q of the polynomials of degree <= d with codes `us` (a
-        monic's is q^d plus its mantissa), or with the rows of `us` as their
-        (d+1)k base-p digits: one linear map, whatever their degrees."""
+        monic's is q^d plus its mantissa): one linear map, whatever their
+        degrees."""
         rows = self.rows((d + 1) * self.k)
         place = self.p ** np.arange(len(rows))
         return self._batched(np.empty(len(us), np.int64), len(rows),
@@ -361,20 +357,16 @@ def residue_ring(field: FieldSpec, modulus: Poly) -> ResidueRing:
     return ResidueRing(field, modulus)
 
 
-def reduce_monic_mod(
-    field: FieldSpec, modulus: Poly, n: int, us: np.ndarray, digits: np.ndarray | None = None
-) -> np.ndarray:
+def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) -> np.ndarray:
     """Residue codes (mantissa-style integers in [0, q^deg(modulus))) of the
-    monic degree-n polynomials with mantissas `us`, reduced mod `modulus`.
-    `digits`, if given, holds the whole base-p digit rows of the polynomials
-    of `us` (ArithTables.irreducible_rows), which may then have any degree
-    <= n; the ring reduces those. Without them, t^m reads the mantissas."""
+    monic degree-n polynomials with mantissas `us`, reduced mod `modulus`:
+    by the ring, or mod t^m from the mantissas."""
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
     q, m = field.q, modulus.degree
     us = np.asarray(us, dtype=np.int64)
-    if digits is not None or modulus != t_power(field, m):
-        return residue_ring(field, modulus).reduce(n, us + q**n if digits is None else digits)
+    if modulus != t_power(field, m):
+        return residue_ring(field, modulus).reduce(n, us + q**n)
     return us % q**m if n >= m else us + q**n
 
 

@@ -42,7 +42,7 @@ from .arith import pi_q
 from .errors import DEFAULT_BUDGET, PreconditionError, SmoothWindowError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, monic_index, t_power
-from .characters import DirichletChar, basis_bytes, character_sums, transform_bytes, unit_group_basis
+from .characters import DirichletChar, character_sums, route_bytes, unit_group_basis
 from .tables import ArithTables, fold_monic_mod, get_tables, table_bytes
 
 
@@ -242,12 +242,11 @@ def variance_report(
 def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both") -> int:
     """Byte estimate of one cell of variance_report or a sweep row: the tables;
     direct, a copy of the values and the interval sums; character (h <= n-2),
-    the basis and transform mod t^(n-h), the weights, fold and value masks."""
+    route_bytes mod t^(n-h) (basis and transform), the weights, fold and masks."""
     q, m = field.q, n - h
     nbytes = table_bytes(field, n) + (q**n + 8 * q ** (m - 1) if mode != "character" else 0)
     if mode != "direct" and m >= 2:
-        tm = t_power(field, m)
-        nbytes += basis_bytes(field, tm) + transform_bytes(field, tm) + 4 * q**n + 16 * q**m
+        nbytes += route_bytes(field, t_power(field, m)) + 4 * q**n + 16 * q**m
     return nbytes
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
 import pytest
 
 from ffvar import bounds, characters, tables
@@ -129,6 +130,16 @@ def interval_members(field: FieldSpec, key: IntervalKey) -> Iterator[Poly]:
     base = key.packed * q ** (key.h + 1)
     for u in range(base, base + q ** (key.h + 1)):
         yield monic_from_index(field, key.n, u)
+
+
+def power_columns(basis: characters.UnitGroupBasis, k: int) -> np.ndarray:
+    """Column of chi^k for every chi in enumerate_characters order: the
+    C-order grid index of the exponent vector k * e mod the orders. The
+    character sums of chi^k are the chi-sums gathered at these columns."""
+    columns = np.zeros(1, dtype=np.int64)
+    for o in basis.orders:
+        columns = (columns[:, None] * o + k * np.arange(o) % o).ravel()
+    return columns
 
 
 def brute_unit_count(modulus: Poly) -> int:

@@ -264,7 +264,6 @@ def test_criterion_09_von_mangoldt_sums_bounded():
     worst = 0.0
     where = None
     for fld in (F2, F3):
-        get_tables(fld, 12)  # one sieve build shared by every report
         for m in range(2, 6):
             for modulus in enumerate_monic(fld, m):
                 if unit_group_basis(fld, modulus).phi < 2:

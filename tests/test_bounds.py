@@ -17,11 +17,14 @@ from ffvar.bounds import (
     von_mangoldt_char_sum_ratio,
     von_mangoldt_char_sums,
 )
+from ffvar import arith as arith_module
+from ffvar import bounds as bounds_module
+from ffvar import characters as characters_module
 from ffvar import tables as tables_module
-from ffvar.characters import character_sums, unit_group_basis
+from ffvar.characters import l_coefficients, unit_group_basis
 from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
-from ffvar.polys import enumerate_monic, from_coeffs, t_power
+from ffvar.polys import enumerate_monic, from_coeffs, monic_index, t_power
 from ffvar.tables import get_tables, reduce_monic_mod
 
 ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
@@ -165,9 +168,9 @@ def test_von_mangoldt_sum_grid_stays_bounded(f3):
 
 
 def _psi_per_n(field, modulus, n_total):
-    """psi_N(chi) for one N, the way the monitor once built each report: the
-    irreducibles of each divisor d of N reduced mod Q, and one stacked
-    transform with chi(P)^(N/d) = chi(P^(N/d)) per row."""
+    """psi_N(chi) for one N from the primes, the way the monitor once built
+    each report: the irreducibles of each divisor d of N reduced mod Q, and
+    one stacked transform with chi(P)^(N/d) = chi(P^(N/d)) per row."""
     basis = unit_group_basis(field, modulus)
     tables = get_tables(field, n_total)
     size = field.q**modulus.degree
@@ -181,13 +184,11 @@ def _psi_per_n(field, modulus, n_total):
     ])
     # chi(P)^k = chi(P^k): each row's counts land at k times the discrete
     # logs of their units on a grid shaped like the group, then one inverse DFT
-    logs = np.array(
-        [np.unravel_index(i, basis.orders) for i in basis.grid_index.tolist()], dtype=np.int64
-    ).reshape(basis.phi, -1)
+    logs = np.unravel_index(basis.grid_index, basis.orders) if basis.orders else ()
     grid = np.zeros((len(divisors), basis.phi), dtype=np.complex128)
     for row, d, c in zip(grid, divisors, counts):
         cell = np.zeros(basis.phi, dtype=np.int64)
-        for x, o in zip(logs.T, basis.orders):
+        for x, o in zip(logs, basis.orders):
             cell = cell * o + n_total // d * x % o
         np.add.at(row, cell, c[basis.unit_codes])
     grid = grid.reshape(len(divisors), *basis.orders)
@@ -195,74 +196,39 @@ def _psi_per_n(field, modulus, n_total):
     return sum(d * row for d, row in zip(divisors, sums))
 
 
-def _small_moduli():
+def _check_against_primes(fld, modulus, n_max):
+    """The table against the prime sums, within 1e-12 of the size of each
+    part (the principal column, about q^N, and the others), and under the
+    Riemann-hypothesis bound: deg Q - 1 inverse zeros of size 1 or sqrt(q)."""
+    q, m = fld.q, modulus.degree
+    table = von_mangoldt_char_sums(fld, modulus, n_max)
+    assert table.shape == (n_max, unit_group_basis(fld, modulus).phi)
+    for n_total in range(1, n_max + 1):
+        got, want = table[n_total - 1], _psi_per_n(fld, modulus, n_total)
+        where = (q, str(modulus), n_total)
+        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0]), where
+        scale = max(1.0, float(np.max(np.abs(want[1:]), initial=0.0)))
+        assert np.max(np.abs(got[1:] - want[1:]), initial=0.0) <= 1e-12 * scale, where
+        bound = (m - 1) * q ** (n_total / 2)
+        assert np.max(np.abs(got[1:]), initial=0.0) <= bound * (1 + 1e-12), where
+
+
+def _moduli_to_degree_5():
     for fld in (make_field(2), make_field(3)):
-        for m in (2, 3, 4):
+        for m in (2, 3, 4, 5):
             for modulus in enumerate_monic(fld, m):
                 yield fld, modulus
 
 
 def test_von_mangoldt_table_matches_the_per_n_sums():
-    for fld, modulus in _small_moduli():
-        table = von_mangoldt_char_sums(fld, modulus, 10)
-        assert table.shape == (10, unit_group_basis(fld, modulus).phi)
-        for n_total in range(1, 11):
-            want = _psi_per_n(fld, modulus, n_total)
-            scale = np.max(np.abs(want))
-            np.testing.assert_allclose(table[n_total - 1], want, rtol=1e-12, atol=1e-12 * scale,
-                                       err_msg=f"q={fld.q} Q={modulus} N={n_total}")
+    # every monic Q of degree 2..5 over F_2 and F_3, at N <= 10
+    for fld, modulus in _moduli_to_degree_5():
+        _check_against_primes(fld, modulus, 10)
 
 
-def _explicit_formula(field, modulus, n_max):
-    """(psi_N for N = 1..n_max, L-coefficients c_0..c_(deg Q - 1)) over every
-    character mod Q, from L(u, chi) = sum_j c_j(chi) u^j alone:
-    u L'/L = sum_N psi_N u^N, so psi_N = N c_N - sum_{1<=j<N} psi_j c_(N-j).
-    A monic of degree j < deg Q is its own residue code q^j + u, so c_j is
-    one transform of the indicator of the codes q^j .. 2q^j - 1; for
-    non-principal chi, c_j = 0 for j >= deg Q."""
-    q, m = field.q, modulus.degree
-    basis = unit_group_basis(field, modulus)
-    rows = np.zeros((m, q**m))
-    for j in range(m):
-        rows[j, q**j : 2 * q**j] = 1
-    c = character_sums(basis, rows)
-    coeff = lambda j: c[j] if j < m else 0.0
-    psi = []
-    for n in range(1, n_max + 1):
-        psi.append(n * coeff(n) - sum(psi[j - 1] * coeff(n - j) for j in range(1, n)))
-    return np.array(psi), c
-
-
-def _check_explicit_formula(fld, modulus, n_max, roots=True):
-    q, m = fld.q, modulus.degree
-    table = von_mangoldt_char_sums(fld, modulus, n_max)
-    psi, c = _explicit_formula(fld, modulus, n_max)
-    for n_total in range(1, n_max + 1):
-        got, want = table[n_total - 1, 1:], psi[n_total - 1, 1:]
-        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, (q, str(modulus), n_total)
-        # the Riemann hypothesis: m - 1 inverse zeros, each of size 1 or sqrt(q)
-        bound = (m - 1) * q ** (n_total / 2)
-        assert np.max(np.abs(got), initial=0.0) <= bound * (1 + 1e-12), (q, str(modulus), n_total)
-    for coeffs in c[:, 1:].T if roots else ():
-        coeffs = np.where(np.abs(coeffs) < 1e-9, 0, coeffs)
-        coeffs = coeffs[: np.flatnonzero(coeffs)[-1] + 1]
-        # roots of u^D L(1/u), leading coefficient c_0 = 1: the inverse zeros
-        sizes = np.abs(np.roots(coeffs))
-        gap = np.minimum(np.abs(sizes - 1), np.abs(sizes - math.sqrt(q)))
-        assert np.all(gap <= 1e-6), (q, str(modulus), sizes)
-
-
-def test_von_mangoldt_table_follows_the_explicit_formula():
-    # every monic Q of degree 2..5 over F_2 and F_3 at N <= 10; the inverse
-    # zeros of each, except that only a seeded sample of the 243 quintic
-    # moduli over F_3 has its L-polynomial rooted
-    sample = np.random.default_rng(5).choice(3**5, size=24, replace=False)
-    for fld, modulus in _small_moduli():
-        _check_explicit_formula(fld, modulus, 10)
-    for fld in (make_field(2), make_field(3)):
-        for u, modulus in enumerate(enumerate_monic(fld, 5)):
-            _check_explicit_formula(fld, modulus, 10, roots=fld.q == 2 or u in sample)
+def test_von_mangoldt_table_matches_the_per_n_sums_for_every_q():
+    # a seeded Q of degree 2 and 3 with nonzero constant term for each
+    # q <= 16, to the largest N <= 10 with q^N <= 2^16
     rng = np.random.default_rng(12)
     for p, k in ALL_FIELDS:
         fld = make_field(p, k)
@@ -270,7 +236,71 @@ def test_von_mangoldt_table_follows_the_explicit_formula():
         n_max = max(n for n in range(1, 11) if q**n <= 1 << 16)
         for m in (2, 3):
             modulus = from_coeffs(fld, [*rng.integers(1, q, size=1), *rng.integers(0, q, size=m - 1), 1])
-            _check_explicit_formula(fld, modulus, n_max)
+            _check_against_primes(fld, modulus, n_max)
+
+
+def test_oracle_catches_a_perturbed_l_coefficient(monkeypatch):
+    fld = make_field(3)
+    modulus = from_coeffs(fld, [2, 1, 0, 1, 1])
+    _check_against_primes(fld, modulus, 10)
+
+    def perturbed(basis, **kwargs):
+        coeffs = l_coefficients(basis, **kwargs).copy()
+        coeffs[2, 5] += 1e-9
+        return coeffs
+
+    monkeypatch.setattr(bounds_module, "l_coefficients", perturbed)
+    bounds_module._psi_rows.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            _check_against_primes(fld, modulus, 10)
+    finally:
+        bounds_module._psi_rows.cache_clear()
+
+
+def _inverse_zeros(coeffs):
+    """The inverse zeros of one L-polynomial sum_j c_j u^j, c_0 = 1: the
+    roots of u^D L(1/u), D its degree (trailing zero coefficients dropped)."""
+    coeffs = np.where(np.abs(coeffs) < 1e-9, 0, coeffs)
+    return np.roots(coeffs[: np.flatnonzero(coeffs)[-1] + 1])
+
+
+def _check_inverse_zeros(fld, modulus, n_max):
+    """The Riemann hypothesis on the L-coefficients: every inverse zero has
+    size 1 or sqrt(q); and the table's psi_N = -sum alpha^N over them, the
+    power sums of the numerical roots."""
+    q = fld.q
+    table = von_mangoldt_char_sums(fld, modulus, n_max)
+    coeffs = l_coefficients(unit_group_basis(fld, modulus))
+    for column, c in enumerate(coeffs[:, 1:].T, start=1):
+        zeros = _inverse_zeros(c)
+        sizes = np.abs(zeros)
+        gap = np.minimum(np.abs(sizes - 1), np.abs(sizes - math.sqrt(q)))
+        assert np.all(gap <= 1e-6), (q, str(modulus), sizes)
+        powers = -np.sum(zeros[:, None] ** np.arange(1, n_max + 1), axis=0)
+        scale = modulus.degree * q ** (np.arange(1, n_max + 1) / 2)
+        assert np.all(np.abs(table[:, column] - powers) <= 1e-6 * scale), (q, str(modulus))
+
+
+def test_von_mangoldt_table_follows_the_explicit_formula():
+    # every monic Q of degree 2..5 over F_2 and F_3 at N <= 10, except that
+    # only a seeded sample of the 243 quintic moduli over F_3 is rooted
+    sample = np.random.default_rng(5).choice(3**5, size=24, replace=False)
+    for fld, modulus in _moduli_to_degree_5():
+        if fld.q == 2 or modulus.degree < 5 or monic_index(modulus) in sample:
+            _check_inverse_zeros(fld, modulus, 10)
+
+
+def test_von_mangoldt_report_at_n_40_reads_no_table(f2, monkeypatch):
+    # the explicit formula reaches N = 40 mod a degree-6 Q, past any sieve:
+    # once the basis is built, the report leaves the table cache untouched
+    modulus = from_coeffs(f2, [1, 1, 0, 0, 1, 0, 1])
+    unit_group_basis(f2, modulus)
+    monkeypatch.setattr(tables_module, "_TABLE_CACHE", {})
+    rep = von_mangoldt_char_sum_ratio(f2, modulus, 40)
+    assert tables_module._TABLE_CACHE == {}
+    assert rep.passed and rep.rhs == 6 * 2.0**20
+    _check_inverse_zeros(f2, modulus, 40)
 
 
 def _fields(rep):
@@ -278,7 +308,6 @@ def _fields(rep):
 
 
 def test_von_mangoldt_reports_do_not_depend_on_call_order(f3):
-    get_tables(f3, 9)
     a, b = from_coeffs(f3, [2, 1, 0, 1, 1]), from_coeffs(f3, [1, 0, 1]) ** 2
     ascending = {(str(Q), n): _fields(von_mangoldt_char_sum_ratio(f3, Q, n))
                  for Q in (a, b) for n in range(1, 10)}
@@ -289,20 +318,42 @@ def test_von_mangoldt_reports_do_not_depend_on_call_order(f3):
     assert ascending == descending == interleaved
 
 
-def test_von_mangoldt_reports_survive_table_extension(monkeypatch):
+def test_von_mangoldt_reports_survive_horizon_extension():
+    # rows grown for a larger N leave the earlier rows as they were
     fld = make_field(5)
     modulus = from_coeffs(fld, [1, 2, 1])
-    monkeypatch.delitem(tables_module._TABLE_CACHE, fld, raising=False)
-    get_tables(fld, 3)
+    bounds_module._psi_rows.cache_clear()
     before = [_fields(von_mangoldt_char_sum_ratio(fld, modulus, n)) for n in range(1, 4)]
-    assert von_mangoldt_char_sums(fld, modulus, 3).shape[0] == 3
-    get_tables(fld, 6)  # extended in place; the next report reads a deeper table
+    short = von_mangoldt_char_sums(fld, modulus, 3)
     after = [_fields(von_mangoldt_char_sum_ratio(fld, modulus, n)) for n in range(1, 7)]
-    assert von_mangoldt_char_sums(fld, modulus, 6).shape[0] == 6
+    assert np.array_equal(von_mangoldt_char_sums(fld, modulus, 6)[:3], short)
     assert after[:3] == before
     for n_total, (_, _, lhs, *_) in enumerate(after, start=1):
         want = float(np.max(np.abs(_psi_per_n(fld, modulus, n_total)[1:])))
         assert lhs == pytest.approx(want, rel=1e-12)
+
+
+def test_von_mangoldt_reports_cost_one_transform_per_modulus(f3, monkeypatch):
+    # N = 1..10 in turn, as the charsums benchmark asks them: one
+    # character_sums call per modulus, and no sieve table read
+    calls = []
+    transform = characters_module.character_sums
+    monkeypatch.setattr(characters_module, "character_sums",
+                        lambda *args, **kwargs: calls.append(1) or transform(*args, **kwargs))
+    moduli = [from_coeffs(f3, [2, 1, 0, 1, 1]), from_coeffs(f3, [1, 0, 1]) ** 2, t_power(f3, 5)]
+    for modulus in moduli:
+        unit_group_basis(f3, modulus)
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a report read the sieve tables")
+
+    for module in (tables_module, bounds_module, arith_module):
+        monkeypatch.setattr(module, "get_tables", no_tables)
+    bounds_module._psi_rows.cache_clear()
+    for modulus in moduli:
+        for n_total in range(1, 11):
+            assert von_mangoldt_char_sum_ratio(f3, modulus, n_total).passed
+    assert len(calls) == len(moduli)
 
 
 def test_von_mangoldt_table_is_read_only(f2):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_factor
+from conftest import brute_factor, traced_peak
 from ffvar import tables as tables_module
 
 from ffvar.arith import factor, pi_q, sieve_irreducibles
@@ -22,6 +22,7 @@ from ffvar.polys import (
 from ffvar.tables import (
     build_tables,
     get_tables,
+    links_bytes,
     mul_monic_batch,
     ResidueRing,
     reduce_monic_mod,
@@ -361,27 +362,6 @@ def test_reduce_monic_mod_general_modulus():
                     assert int(got[u]) == _residue_code(f % modulus, q), (q, modulus, n, u)
 
 
-def test_reduce_monic_mod_reads_cached_whole_rows():
-    # the whole digit rows of the irreducibles of every degree up to n, cached
-    # per n, reduce in one call to the codes of their mantissas degree by
-    # degree, mod general Q and mod t^m (which reads the mantissas alone)
-    for p, k in ALL_FIELDS:
-        fld = make_field(p, k)
-        tab = build_tables(fld, max(n for n in range(1, 7) if fld.q**n <= 4096))
-        moduli = [t_power(fld, 1), t_power(fld, 2), from_coeffs(fld, [1, 1]) ** 2,
-                  from_coeffs(fld, [1, 0, 1, 1])]
-        for n in range(1, tab.max_degree + 1):
-            rows = tab.irreducible_rows(n)
-            assert rows.dtype == np.int8 and tab.irreducible_rows(n) is rows
-            us = np.concatenate(tab.irreducibles[1 : n + 1])
-            lead = np.concatenate([np.full(len(tab.irreducibles[d]), fld.q**d) for d in range(1, n + 1)])
-            assert np.array_equal(rows @ fld.p ** np.arange(fld.k * (n + 1)), us + lead)
-            for modulus in moduli:
-                want = np.concatenate([reduce_monic_mod(fld, modulus, d, tab.irreducibles[d])
-                                       for d in range(1, n + 1)])
-                assert np.array_equal(reduce_monic_mod(fld, modulus, n, us, rows), want), (fld.q, n)
-
-
 def _coordinates(fld, f: Poly, m: int) -> list[int]:
     """F_p coordinates of a residue: digit j*k + i is the x^i part of t^j."""
     return [(f.coeff(j) // fld.p**i) % fld.p for j in range(m) for i in range(fld.k)]
@@ -501,3 +481,33 @@ def test_build_tables_budget(f2):
     with pytest.raises(BudgetError, match=message):
         build_tables(f2, 12, budget=need - 1)
     assert build_tables(f2, 12, budget=need).max_degree == 12
+
+
+def test_factor_links_budget(f2, f3):
+    # the links gate reads links_bytes: one byte short refuses before
+    # anything is built, the estimate builds and covers the measured peak
+    for fld, m in ((f2, 16), (f3, 10)):
+        tab = build_tables(fld, m)
+        need = links_bytes(fld, m)
+        message = f"^factor links of degree {m} needs {need} bytes, over the budget of {need - 1}$"
+        with pytest.raises(BudgetError, match=message):
+            tab.factor_links(m, budget=need - 1)
+        assert m not in tab._links
+        assert traced_peak(tab.factor_links, m, budget=need) <= need
+    f = t_power(f3, 9) + from_coeffs(f3, [1])
+    with pytest.raises(BudgetError, match="^factor links of degree 9 needs"):
+        factor(f, sieve_irreducibles(f3, 4), budget=links_bytes(f3, 9) - 1)
+    assert factor(f, sieve_irreducibles(f3, 4), budget=links_bytes(f3, 9)).product(f3) == f
+
+
+def test_omega_and_max_factor_degree_share_one_packed_array():
+    # one int16 per monic: Omega in the low byte, the max factor degree in
+    # the high one, read through two int8 views
+    for p, k in ALL_FIELDS[:4]:
+        tab = build_tables(make_field(p, k), 6)
+        for m in range(tab.max_degree + 1):
+            om, mf = tab.big_omega[m], tab.max_factor_degree[m]
+            assert om.dtype == mf.dtype == np.int8 and om.strides == mf.strides == (2,)
+            assert np.may_share_memory(om, tab._packed[m]) and np.may_share_memory(mf, tab._packed[m])
+            packed = om.astype(np.int16) | mf.astype(np.int16) << 8
+            assert np.array_equal(packed, tab._packed[m]), (p, k, m)
