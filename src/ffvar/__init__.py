@@ -17,7 +17,6 @@ from .errors import (
 from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import (
     Poly,
-    enumerate_monic,
     from_coeffs,
     monic_from_index,
     monic_index,
@@ -35,15 +34,11 @@ from .arith import (
     smooth_asymptotic_ratio,
 )
 from .characters import (
-    DirichletChar,
-    RotationNumber,
     UnitGroupBasis,
     character_sums,
     count_even,
     enumerate_characters,
     even_characters,
-    even_mask,
-    principal_character,
     unit_group_basis,
 )
 from .variance import (

@@ -8,22 +8,23 @@ the polynomials of degree < d; each has order p^s, s least with j p^s >= e.
 The units are the span of the generators, built block by block on arrays of
 residue codes through tables.ResidueRing; a unit's discrete log is kept as one
 integer, the C-order flat index of its exponent vector in a grid shaped like
-the group, and unravelled only where a coordinate is read. Characters are
-exponent vectors too, numbered the same way; values are rotation numbers
-(exact Fractions k/L with L the group exponent), so orthogonality sums can be
-tested for exact cancellation without touching floats. Bulk character sums go
-through character_sums: the weights are placed on the grid and one DFT over
-the unit group gives every character at once.
+the group, and unravelled only where a coordinate is read. A character is an
+exponent vector too, one grid cell, numbered the same way; its values are
+rotation numerators k (chi = exp(2 pi i k/L), L the group exponent), so
+orthogonality sums can be tested for exact cancellation without touching
+floats. The even characters are those trivial on the nonzero constants:
+all of them when q = 2. When Q = P^e with deg P = 1, the first generator is
+a primitive constant, so the constants are grid axis 0 alone and the even
+characters are the cells with first coordinate 0, the prefix of length
+Phi/(q-1). Bulk character sums go through character_sums: the weights
+are placed on the grid and one DFT over the unit group gives every character
+at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from functools import cache
-from typing import Iterable
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, constant, from_coeffs, t_power
 from .tables import residue_ring
-
-RotationNumber = Fraction
 
 _SCRATCH = 1 << 20  # residue rings and small arrays of one basis or transform
 
@@ -78,12 +77,10 @@ class UnitGroupBasis:
         return np.where(self.unit_codes[pos] == codes, pos, -1)
 
     # dense value matrix over (characters x units), the reference that
-    # character_sums is tested against; "all" rows follow
-    # enumerate_characters order, "even" rows follow even_characters order
+    # character_sums is tested against; "all" rows are enumerate_characters,
+    # "even" rows even_characters
     def value_matrix(self, kind: str) -> np.ndarray:
-        exponents = np.indices(self.orders).reshape(len(self.orders), self.phi).T
-        if kind != "all":
-            exponents = exponents[even_mask(self)]
+        exponents = enumerate_characters(self) if kind == "all" else even_characters(self)
         return character_value_matrix(self, exponents)
 
 
@@ -101,8 +98,8 @@ def basis_bytes(field: FieldSpec, modulus: Poly) -> int:
 
 def transform_bytes(field: FieldSpec, modulus: Poly, rows: int = 1) -> int:
     """Peak bytes of character_sums mod Q on `rows` rows of weights: 64 per
-    unit and row (gather, grid, two DFT passes), 16 per unit (even mask)."""
-    return (64 * rows + 16) * _phi_bound(field, modulus) + _SCRATCH
+    unit and row (gather, grid, two DFT passes)."""
+    return 64 * rows * _phi_bound(field, modulus) + _SCRATCH
 
 
 def route_bytes(field: FieldSpec, modulus: Poly) -> int:
@@ -112,13 +109,21 @@ def route_bytes(field: FieldSpec, modulus: Poly) -> int:
     return max(basis_bytes(field, modulus), held + transform_bytes(field, modulus))
 
 
+# the most recently built basis, keyed by (field, modulus): one at a time
+_BASIS_CACHE: dict[tuple[FieldSpec, Poly], UnitGroupBasis] = {}
+
+
 def unit_group_basis(
     field: FieldSpec, modulus: Poly, *, budget: int = DEFAULT_BUDGET
 ) -> UnitGroupBasis:
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
     check_budget(basis_bytes(field, modulus), budget, "unit group mod {}", modulus)
-    return _structural_basis(field, modulus)
+    key = (field, modulus)
+    if key not in _BASIS_CACHE:
+        _BASIS_CACHE.clear()  # drop the last basis before building the next
+        _BASIS_CACHE[key] = _structural_basis(field, modulus)
+    return _BASIS_CACHE[key]
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -164,7 +169,6 @@ def _generators(field: FieldSpec, modulus: Poly):
                     yield residue_code(one + omega * P**j * R, modulus), p**s
 
 
-@cache
 def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     ring = residue_ring(field, modulus)
     # the span of the generators so far: its codes and their grid indices;
@@ -198,93 +202,28 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DirichletChar:
-    basis: UnitGroupBasis
-    exponents: tuple[int, ...]
-    is_principal: bool = dc_field(init=False)
-    is_even: bool = dc_field(init=False)
-
-    def __post_init__(self) -> None:
-        if len(self.exponents) != len(self.basis.orders):
-            raise PreconditionError("exponent vector length mismatch")
-        for e, o in zip(self.exponents, self.basis.orders):
-            if not 0 <= e < o:
-                raise PreconditionError(f"exponent {e} out of range for order {o}")
-        object.__setattr__(self, "is_principal", not any(self.exponents))
-        cell = np.ravel_multi_index(self.exponents, self.basis.orders)
-        object.__setattr__(self, "is_even", bool(even_mask(self.basis)[cell]))
-
-    def rotation_numerator(self, code: int) -> int:
-        """k such that chi(unit) = exp(2*pi*i*k/L); unit given by residue code."""
-        basis = self.basis
-        index = int(basis.unit_index(code))
-        if index < 0:
-            raise PreconditionError(f"residue code {code} is not a unit")
-        L = basis.exponent
-        logs = np.unravel_index(basis.grid_index[index], basis.orders)
-        return sum(e * (L // o) * int(x) for e, o, x in zip(self.exponents, basis.orders, logs)) % L
-
-    def evaluate(self, f: Poly) -> RotationNumber | None:
-        """Rotation number of chi(f), or None when gcd(f, Q) != 1 (chi = 0)."""
-        if f.is_zero:
-            return None
-        basis = self.basis
-        code = residue_code(f, basis.modulus)
-        if basis.unit_index(code) < 0:
-            return None
-        return Fraction(self.rotation_numerator(code), basis.exponent)
-
-    def value(self, f: Poly) -> complex:
-        rot = self.evaluate(f)
-        if rot is None:
-            return 0j
-        return complex(np.exp(2j * np.pi * float(rot)))
-
-    def __repr__(self) -> str:
-        return f"DirichletChar(mod {self.basis.modulus}, exponents={self.exponents})"
-
-
-def enumerate_characters(basis: UnitGroupBasis) -> list[DirichletChar]:
-    """All Phi(Q) characters; the principal character comes first."""
-    out = [
-        DirichletChar(basis, exps)
-        for exps in itertools.product(*(range(o) for o in basis.orders))
-    ]
-    assert out[0].is_principal
-    return out
-
-
-def principal_character(basis: UnitGroupBasis) -> DirichletChar:
-    return DirichletChar(basis, tuple(0 for _ in basis.orders))
-
-
-def even_characters(basis: UnitGroupBasis) -> list[DirichletChar]:
-    """Characters trivial on the constants, in enumeration order."""
-    return [chi for chi in enumerate_characters(basis) if chi.is_even]
-
-
-@cache
-def even_mask(basis: UnitGroupBasis) -> np.ndarray:
-    """Boolean mask over enumerate_characters order, read-only and computed
-    once per basis: True where chi is trivial on the nonzero constants
-    (residue codes 1..q-1 in every residue ring of degree >= 1)."""
-    L = basis.exponent
-    mask = np.ones(basis.phi, dtype=bool)
-    for index in basis.grid_index[basis.unit_index(np.arange(1, basis.field.q))]:
-        # the constant's rotation numerator under every character, built one
-        # generator axis at a time in C order (the last exponent fastest)
-        numerators = np.zeros(1, dtype=np.int64)
-        for x, o in zip(np.unravel_index(index, basis.orders), basis.orders):
-            numerators = np.add.outer(numerators, np.arange(o) * (x * (L // o)) % L).ravel()
-            numerators %= L
-        mask &= numerators == 0
-    mask.flags.writeable = False
-    return mask
+def enumerate_characters(basis: UnitGroupBasis) -> np.ndarray:
+    """The exponent vectors of all Phi(Q) characters, one (Phi x r) int64 row
+    each, in C order of the grid: the principal character comes first."""
+    return np.indices(basis.orders).reshape(len(basis.orders), basis.phi).T
 
 
 def count_even(basis: UnitGroupBasis) -> int:
-    return int(even_mask(basis).sum())
+    """Number of characters trivial on the nonzero constants: all of them when
+    q = 2, else Phi/(q-1), the cells off the constants' axis 0. Defined when
+    the first generator is a primitive constant (Q = P^e, deg P = 1)."""
+    q = basis.field.q
+    if q == 2:
+        return basis.phi
+    if basis.generators[0] >= q:  # a residue code below q is a constant
+        raise PreconditionError(f"the constants are no grid axis of the units mod {basis.modulus}")
+    return basis.phi // (q - 1)
+
+
+def even_characters(basis: UnitGroupBasis) -> np.ndarray:
+    """Exponent rows of the even characters: the prefix of enumerate_characters
+    whose first coordinate (the constants' axis) is 0."""
+    return enumerate_characters(basis)[: count_even(basis)]
 
 
 def character_sums(
@@ -298,7 +237,9 @@ def character_sums(
     Each row's unit weights are assigned to the grid cells of their discrete
     logs (one cell per unit, as the group is a direct product); one inverse
     DFT over Z/o_1 x ... x Z/o_r then yields all sums. Entries follow
-    enumerate_characters order, or even_characters order when even_only."""
+    enumerate_characters order, or even_characters order when even_only: an
+    even character ignores the constants' axis, so for q > 2 the grid is
+    summed over that axis and only the Phi/(q-1) cells left are transformed."""
     weights = np.asarray(weights)
     count = weights.size // weights.shape[-1]
     nbytes = transform_bytes(basis.field, basis.modulus, count)
@@ -308,9 +249,13 @@ def character_sums(
     grid = np.zeros(rows.shape, dtype=np.complex128)
     grid[:, basis.grid_index] = rows
     grid = grid.reshape(len(rows), *basis.orders)
-    sums = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).reshape(w.shape)
-    sums *= basis.phi
-    return sums[..., even_mask(basis)] if even_only else sums
+    cells = basis.phi
+    if even_only and basis.field.q > 2:
+        cells = count_even(basis)
+        grid = grid.sum(axis=1)
+    sums = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).reshape(*w.shape[:-1], cells)
+    sums *= cells
+    return sums
 
 
 def l_coefficients(basis: UnitGroupBasis) -> np.ndarray:
@@ -369,8 +314,3 @@ def rotation_rows_cancel(numerators: np.ndarray, exponent: int) -> np.ndarray:
         & (shifted == support).all(axis=1)
     )
 
-
-def rotation_multiset_cancels(numerators: Iterable[int], exponent: int) -> bool:
-    """rotation_rows_cancel on a single multiset (an empty one cancels)."""
-    ks = np.fromiter(numerators, dtype=np.int64)
-    return bool(rotation_rows_cancel(ks[None, :], exponent)[0])

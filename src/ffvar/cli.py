@@ -363,10 +363,15 @@ def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
             basis = characters.unit_group_basis(f, t_power(f, m))
             if basis.phi != q ** (m - 1) * (q - 1):
                 raise AssertionError(f"phi(t^{m}) wrong for q={q}")
-            if characters.count_even(basis) != q ** (m - 1):
+            R = characters.character_rotation_matrix(
+                basis, characters.enumerate_characters(basis)
+            )
+            # the even rows, read off R: numerator 0 at every constant 1..q-1;
+            # there are q^(m-1) of them, and they are the prefix count_even names
+            even = np.flatnonzero(~R[:, basis.unit_index(np.arange(1, q))].any(axis=1))
+            prefix = np.arange(characters.count_even(basis))
+            if len(even) != q ** (m - 1) or not np.array_equal(even, prefix):
                 raise AssertionError(f"even count wrong for q={q}, m={m}")
-            exponents = np.indices(basis.orders).reshape(len(basis.orders), basis.phi).T
-            R = characters.character_rotation_matrix(basis, exponents)
             # every row sum cancels but the trivial character's
             cancels = characters.rotation_rows_cancel(R, basis.exponent)
             bad = cancels != (np.arange(basis.phi) != 0)

@@ -85,7 +85,7 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, k: int = 1, *, max_size: int = MAX_FIELD_SIZE) -> FieldSpec:
+def make_field(p: int, k: int = 1) -> FieldSpec:
     """Build F_{p^k}. For k > 1 the modulus is the lexicographically smallest
     monic irreducible of degree k over F_p (constant term compared first)."""
     if not _is_prime(p):
@@ -93,8 +93,8 @@ def make_field(p: int, k: int = 1, *, max_size: int = MAX_FIELD_SIZE) -> FieldSp
     if k < 1:
         raise PreconditionError(f"k = {k} must be >= 1")
     q = p**k
-    if q > max_size:
-        raise PreconditionError(f"q = {q} exceeds the size limit {max_size}")
+    if q > MAX_FIELD_SIZE:
+        raise PreconditionError(f"q = {q} exceeds the size limit {MAX_FIELD_SIZE}")
 
     codes = np.arange(q)
     digits = codes[:, None] // p ** np.arange(k) % p

@@ -1,4 +1,4 @@
-"""Polynomials over F_q, monic enumeration, and the coefficient reversal.
+"""Polynomials over F_q, monic mantissas, and the coefficient reversal.
 
 Coefficients are element codes stored ascending (index j holds the t^j
 coefficient) with no trailing zeros, so the zero polynomial has an empty
@@ -11,12 +11,10 @@ everywhere (constant term varies fastest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import BudgetError, PreconditionError
+from .errors import PreconditionError
 from .fields import FieldSpec
-
-DEFAULT_ENUM_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def from_coeffs(field: FieldSpec, coeffs: Sequence[int]) -> Poly:
     return Poly(field, tuple(coeffs))
 
 
-# -- monic enumeration and mantissas
+# -- monic mantissas
 
 
 def monic_index(f: Poly) -> int:
@@ -231,18 +229,6 @@ def monic_from_index(field: FieldSpec, n: int, u: int) -> Poly:
         u //= q
     coeffs.append(1)
     return Poly(field, tuple(coeffs))
-
-
-def enumerate_monic(
-    field: FieldSpec, n: int, *, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[Poly]:
-    """All monic polynomials of degree n in ascending mantissa order."""
-    if n < 0:
-        raise PreconditionError("degree must be >= 0")
-    if field.q**n > budget:
-        raise BudgetError(f"enumeration of q^{n} = {field.q**n} exceeds budget {budget}")
-    for u in range(field.q**n):
-        yield monic_from_index(field, n, u)
 
 
 # -- the coefficient-reversal involution

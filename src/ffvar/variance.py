@@ -42,7 +42,7 @@ from .arith import pi_q
 from .errors import DEFAULT_BUDGET, PreconditionError, SmoothWindowError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, monic_index, t_power
-from .characters import DirichletChar, character_sums, route_bytes, unit_group_basis
+from .characters import UnitGroupBasis, character_sums, route_bytes, unit_group_basis
 from .tables import ArithTables, fold_monic_mod, get_tables, table_bytes
 
 
@@ -144,23 +144,29 @@ def _residue_weight_vector(
 def weighted_char_sum(
     field: FieldSpec,
     f: ArithmeticFunctionHandle | str,
-    chi: DirichletChar,
+    basis: UnitGroupBasis,
+    exponents,
     n_total: int,
     *,
     budget: int = DEFAULT_BUDGET,
     tables: ArithTables | None = None,
 ) -> complex:
-    """U(chi) = sum_v f(t^v) * sum_{G in M_(n_total - v)} f(G) chi(G)."""
+    """U(chi) = sum_v f(t^v) * sum_{G in M_(n_total - v)} f(G) chi(G), chi the
+    character mod basis.modulus with exponent vector `exponents`."""
     f = _as_handle(f)
     if n_total < 0:
         raise PreconditionError("total degree must be >= 0")
-    basis = chi.basis
     if basis.field != field:
         raise PreconditionError("character modulus lives over a different field")
+    exponents = tuple(int(e) for e in exponents)
+    if len(exponents) != len(basis.orders) or not all(
+        0 <= e < o for e, o in zip(exponents, basis.orders)
+    ):
+        raise PreconditionError(f"exponents {exponents} out of range for orders {basis.orders}")
     if tables is None:
         tables = get_tables(field, n_total, budget=budget)
     weights = _residue_weight_vector(field, f, basis.modulus, n_total, tables)
-    row = np.ravel_multi_index(chi.exponents, basis.orders)
+    row = np.ravel_multi_index(exponents, basis.orders)
     return complex(character_sums(basis, weights, budget=budget)[row])
 
 

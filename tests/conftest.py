@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import tracemalloc
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ import pytest
 from ffvar import bounds, characters, tables
 from ffvar.arith import SieveCache, sieve_irreducibles
 from ffvar.fields import FieldSpec, make_field
-from ffvar.errors import PreconditionError
-from ffvar.polys import Poly, enumerate_monic, from_coeffs, monic_from_index, monic_index
+from ffvar.errors import BudgetError, PreconditionError
+from ffvar.polys import Poly, from_coeffs, monic_from_index, monic_index
 
 
 @pytest.fixture(scope="session")
@@ -48,16 +50,18 @@ def cache3(f3, sieve_dir) -> SieveCache:
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty the caches of tables, residue rings, bases, even masks and mvt
-    codes, so that a measured peak includes building them."""
-    monkeypatch.setattr(tables, "_TABLE_CACHE", {})
-    for cached in (
-        tables.residue_ring,
-        characters._structural_basis,
-        characters.even_mask,
-        bounds._monic_codes,
-    ):
-        cached.cache_clear()
+    """Empty the caches of tables, residue rings, bases, mvt codes and psi
+    rows, so that a measured peak includes building them; the fixture's value
+    empties them again."""
+
+    def clear() -> None:
+        monkeypatch.setattr(tables, "_TABLE_CACHE", {})
+        monkeypatch.setattr(characters, "_BASIS_CACHE", {})
+        for cached in (tables.residue_ring, bounds._monic_codes, bounds._psi_rows):
+            cached.cache_clear()
+
+    clear()
+    return clear
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -93,6 +97,22 @@ def brute_factor(f: Poly) -> tuple[Poly, ...]:
 @functools.cache
 def brute_irreducibles(fld, d: int) -> tuple[Poly, ...]:
     return tuple(g for g in enumerate_monic(fld, d) if len(brute_factor(g)) == 1)
+
+
+DEFAULT_ENUM_BUDGET = 1 << 22
+
+
+def enumerate_monic(
+    field: FieldSpec, n: int, *, budget: int = DEFAULT_ENUM_BUDGET
+) -> Iterator[Poly]:
+    """All monic polynomials of degree n in ascending mantissa order, one Poly
+    each; past `budget` polynomials, BudgetError."""
+    if n < 0:
+        raise PreconditionError("degree must be >= 0")
+    if field.q**n > budget:
+        raise BudgetError(f"enumeration of q^{n} = {field.q**n} exceeds budget {budget}")
+    for u in range(field.q**n):
+        yield monic_from_index(field, n, u)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -151,3 +171,80 @@ def brute_unit_count(modulus: Poly) -> int:
         g = from_coeffs(fld, [(code // q**j) % q for j in range(m)])
         count += poly_gcd(g, modulus).degree == 0
     return count
+
+
+# -- the scalar character oracle ----------------------------------------------
+#
+# One character at a time, as an exponent vector over the basis generators,
+# evaluated unit by unit from the basis's discrete logs in exact rotation
+# numbers. The library keeps characters only as exponent rows and their sums
+# only as transforms; these objects are what those are checked against.
+
+RotationNumber = Fraction
+
+
+@dataclass(frozen=True, eq=False)
+class DirichletChar:
+    basis: characters.UnitGroupBasis
+    exponents: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.exponents) != len(self.basis.orders):
+            raise PreconditionError("exponent vector length mismatch")
+        for e, o in zip(self.exponents, self.basis.orders):
+            if not 0 <= e < o:
+                raise PreconditionError(f"exponent {e} out of range for order {o}")
+
+    @property
+    def is_principal(self) -> bool:
+        return not any(self.exponents)
+
+    @property
+    def is_even(self) -> bool:
+        """Trivial on the nonzero constants, codes 1..q-1 mod any Q."""
+        return all(self.rotation_numerator(c) == 0 for c in range(1, self.basis.field.q))
+
+    def rotation_numerator(self, code: int) -> int:
+        """k such that chi(unit) = exp(2*pi*i*k/L); unit given by residue code."""
+        basis = self.basis
+        index = int(basis.unit_index(code))
+        if index < 0:
+            raise PreconditionError(f"residue code {code} is not a unit")
+        L = basis.exponent
+        logs = np.unravel_index(basis.grid_index[index], basis.orders)
+        return sum(e * (L // o) * int(x) for e, o, x in zip(self.exponents, basis.orders, logs)) % L
+
+    def evaluate(self, f: Poly) -> RotationNumber | None:
+        """Rotation number of chi(f), or None when gcd(f, Q) != 1 (chi = 0)."""
+        if f.is_zero:
+            return None
+        basis = self.basis
+        code = characters.residue_code(f, basis.modulus)
+        if basis.unit_index(code) < 0:
+            return None
+        return Fraction(self.rotation_numerator(code), basis.exponent)
+
+    def value(self, f: Poly) -> complex:
+        rot = self.evaluate(f)
+        if rot is None:
+            return 0j
+        return complex(np.exp(2j * np.pi * float(rot)))
+
+
+def characters_of(basis: characters.UnitGroupBasis) -> list[DirichletChar]:
+    """Every character mod Q, exponent vectors in lexicographic order."""
+    return [
+        DirichletChar(basis, exps)
+        for exps in itertools.product(*(range(o) for o in basis.orders))
+    ]
+
+
+def principal_character(basis: characters.UnitGroupBasis) -> DirichletChar:
+    return DirichletChar(basis, tuple(0 for _ in basis.orders))
+
+
+def rotation_multiset_cancels(numerators: Iterable[int], exponent: int) -> bool:
+    """characters.rotation_rows_cancel on a single multiset (an empty one
+    cancels)."""
+    ks = np.fromiter(numerators, dtype=np.int64)
+    return bool(characters.rotation_rows_cancel(ks[None, :], exponent)[0])

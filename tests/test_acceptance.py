@@ -22,17 +22,16 @@ from ffvar.arith import (
     smooth_asymptotic_ratio,
 )
 from ffvar.bounds import TrialConfig, mvt_trial, von_mangoldt_char_sum_ratio
+from conftest import characters_of, enumerate_monic, rotation_multiset_cancels
 from ffvar.characters import (
     character_rotation_matrix,
     count_even,
     enumerate_characters,
-    rotation_multiset_cancels,
     unit_group_basis,
 )
 from ffvar.cli import main
 from ffvar.fields import make_field
 from ffvar.polys import (
-    enumerate_monic,
     from_coeffs,
     monic_from_index,
     monic_index,
@@ -240,8 +239,10 @@ def test_criterion_08_orthogonality_and_totients():
             basis = unit_group_basis(fld, t_power(fld, m))
             assert basis.phi == q ** (m - 1) * (q - 1), f"Phi(t^{m}) wrong for q={q}"
             assert count_even(basis) == q ** (m - 1), f"Phi_ev(t^{m}) wrong for q={q}"
-            chars = enumerate_characters(basis)
-            R = character_rotation_matrix(basis, [chi.exponents for chi in chars])
+            chars = characters_of(basis)
+            assert enumerate_characters(basis).tolist() == [list(chi.exponents) for chi in chars]
+            assert [chi.is_even for chi in chars] == [i < q ** (m - 1) for i in range(len(chars))]
+            R = character_rotation_matrix(basis, enumerate_characters(basis))
             one_col = int(np.where(basis.unit_codes == 1)[0][0])
             for i, chi in enumerate(chars):
                 cancels = rotation_multiset_cancels(R[i].tolist(), basis.exponent)

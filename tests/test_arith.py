@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import brute_unit_count
+from conftest import brute_unit_count, enumerate_monic
 from ffvar.arith import (
     FactorIndex,
     cache_file_name,
@@ -22,7 +22,7 @@ from ffvar.arith import (
 from ffvar.characters import unit_group_basis
 from ffvar.errors import BudgetError, IrreducibleCacheError, PreconditionError
 from ffvar.fields import make_field
-from ffvar.polys import enumerate_monic, from_coeffs, monic_index, one, t_power, zero
+from ffvar.polys import from_coeffs, monic_index, one, t_power, zero
 from ffvar.tables import get_tables
 
 # -- necklace counts -----------------------------------------------------------

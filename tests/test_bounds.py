@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import enumerate_monic, traced_peak
 from ffvar.bounds import (
     BoundReport,
     TrialConfig,
@@ -24,7 +24,7 @@ from ffvar import tables as tables_module
 from ffvar.characters import l_coefficients, unit_group_basis
 from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
-from ffvar.polys import enumerate_monic, from_coeffs, monic_index, t_power
+from ffvar.polys import from_coeffs, monic_index, t_power
 from ffvar.tables import get_tables, reduce_monic_mod
 
 ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
@@ -341,18 +341,18 @@ def test_von_mangoldt_reports_cost_one_transform_per_modulus(f3, monkeypatch):
     monkeypatch.setattr(characters_module, "character_sums",
                         lambda *args, **kwargs: calls.append(1) or transform(*args, **kwargs))
     moduli = [from_coeffs(f3, [2, 1, 0, 1, 1]), from_coeffs(f3, [1, 0, 1]) ** 2, t_power(f3, 5)]
-    for modulus in moduli:
-        unit_group_basis(f3, modulus)
 
     def no_tables(*args, **kwargs):
         raise AssertionError("a report read the sieve tables")
 
-    for module in (tables_module, bounds_module, arith_module):
-        monkeypatch.setattr(module, "get_tables", no_tables)
     bounds_module._psi_rows.cache_clear()
     for modulus in moduli:
-        for n_total in range(1, 11):
-            assert von_mangoldt_char_sum_ratio(f3, modulus, n_total).passed
+        unit_group_basis(f3, modulus)  # the basis factors Q through the sieve
+        with monkeypatch.context() as reports:
+            for module in (tables_module, bounds_module, arith_module):
+                reports.setattr(module, "get_tables", no_tables)
+            for n_total in range(1, 11):
+                assert von_mangoldt_char_sum_ratio(f3, modulus, n_total).passed
     assert len(calls) == len(moduli)
 
 

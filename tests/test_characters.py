@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -11,9 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_unit_count, power_columns, traced_peak
-from ffvar.characters import (
+from conftest import (
     DirichletChar,
+    brute_unit_count,
+    characters_of,
+    power_columns,
+    principal_character,
+    rotation_multiset_cancels,
+    traced_peak,
+)
+from ffvar import characters as characters_module
+from ffvar.characters import (
     basis_bytes,
     character_rotation_matrix,
     character_sums,
@@ -21,10 +30,7 @@ from ffvar.characters import (
     count_even,
     enumerate_characters,
     even_characters,
-    even_mask,
-    principal_character,
     residue_code,
-    rotation_multiset_cancels,
     rotation_rows_cancel,
     transform_bytes,
     unit_group_basis,
@@ -44,8 +50,15 @@ def _dlog(basis, i):
     return np.array(np.unravel_index(basis.grid_index[i], basis.orders), dtype=np.int64)
 
 
-def _exponent_rows(chars):
-    return [chi.exponents for chi in chars]
+def _linear_power(modulus):
+    """Q = (t + a)^m for some constant a: the moduli whose even characters
+    are defined for every q (the constants are then a grid axis)."""
+    fld, m = modulus.field, modulus.degree
+    return any(modulus == from_coeffs(fld, [a, 1]) ** m for a in range(fld.q))
+
+
+def _even_defined(basis):
+    return basis.field.q == 2 or _linear_power(basis.modulus)
 
 
 # -- unit group structure ------------------------------------------------------
@@ -206,6 +219,19 @@ def test_basis_is_cached(f2):
     assert unit_group_basis(f2, t_power(f2, 3)) is unit_group_basis(f2, t_power(f2, 3))
 
 
+def test_basis_cache_frees_the_last_basis_before_the_next_build(monkeypatch, f2):
+    last = weakref.ref(unit_group_basis(f2, t_power(f2, 5)))
+    build = characters_module._structural_basis
+
+    def checked(field, modulus):
+        assert last() is None, "the last basis is still alive during the next build"
+        return build(field, modulus)
+
+    monkeypatch.setattr(characters_module, "_structural_basis", checked)
+    basis = unit_group_basis(f2, t_power(f2, 6))
+    assert unit_group_basis(f2, t_power(f2, 6)) is basis
+
+
 def test_degree_one_modulus_edge(f2, f3):
     b = unit_group_basis(f2, t_power(f2, 1))
     assert (b.phi, b.generators, b.exponent) == (1, (), 1)
@@ -230,13 +256,14 @@ def test_principal_character(f3):
 
 
 def test_character_enumeration_counts(f2, f3):
+    # one exponent row per grid cell in C order, which is the oracle's
+    # lexicographic order; the principal character alone comes first
     for fld, m in ((f2, 4), (f3, 3)):
         basis = unit_group_basis(fld, t_power(fld, m))
-        chars = enumerate_characters(basis)
-        assert len(chars) == basis.phi
-        assert chars[0].is_principal
-        assert sum(1 for c in chars if c.is_principal) == 1
-        assert len({c.exponents for c in chars}) == len(chars)
+        rows = enumerate_characters(basis)
+        assert rows.shape == (basis.phi, len(basis.orders))
+        assert rows.tolist() == [list(chi.exponents) for chi in characters_of(basis)]
+        assert (rows.any(axis=1) == (np.arange(basis.phi) != 0)).all()
 
 
 def test_character_multiplicativity(f2, f3):
@@ -244,7 +271,7 @@ def test_character_multiplicativity(f2, f3):
     for fld, modulus in cases:
         basis = unit_group_basis(fld, modulus)
         m = modulus.degree
-        for chi in enumerate_characters(basis):
+        for chi in characters_of(basis):
             for a in basis.unit_codes:
                 for b in basis.unit_codes:
                     u = _code_poly(fld, m, int(a))
@@ -256,7 +283,7 @@ def test_character_multiplicativity(f2, f3):
 
 def test_rotation_denominators_divide_the_group_order(f2):
     basis = unit_group_basis(f2, t_power(f2, 4))
-    for chi in enumerate_characters(basis):
+    for chi in characters_of(basis):
         for code in basis.unit_codes:
             rot = Fraction(chi.rotation_numerator(int(code)), basis.exponent)
             assert 0 <= rot < 1
@@ -286,7 +313,8 @@ def test_even_characters_ignore_constant_scaling(f3):
     basis = unit_group_basis(f3, t_power(f3, 2))
     evens = even_characters(basis)
     assert len(evens) == count_even(basis) == 3
-    for chi in evens:
+    for exponents in evens.tolist():
+        chi = DirichletChar(basis, tuple(exponents))
         for code in basis.unit_codes:
             u = _code_poly(f3, 2, int(code))
             assert chi.evaluate(u.scale(2)) == chi.evaluate(u)
@@ -301,7 +329,33 @@ def test_totient_formulas_for_t_powers():
             basis = unit_group_basis(fld, t_power(fld, m))
             assert basis.phi == q ** (m - 1) * (q - 1)
             assert count_even(basis) == q ** (m - 1), (q, m)
-            assert [chi.is_even for chi in enumerate_characters(basis)] == even_mask(basis).tolist()
+            prefix = [i < count_even(basis) for i in range(basis.phi)]
+            assert [chi.is_even for chi in characters_of(basis)] == prefix
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWERS))
+def test_constants_are_axis_zero_and_even_characters_the_prefix(q):
+    # mod t^m and every (t + a)^m the nonzero constants are exactly the grid
+    # cells (x, 0, ..., 0), so the characters trivial on them, by the scalar
+    # oracle, are the first Phi/(q - 1) rows (all of them when q = 2)
+    fld = make_field(*PRIME_POWERS[q])
+    for a in range(q):
+        for m in range(1, 5):
+            if q**m > 4096:
+                break
+            basis = unit_group_basis(fld, from_coeffs(fld, [a, 1]) ** m)
+            cells = basis.grid_index[basis.unit_index(np.arange(1, q))]
+            grid = np.zeros(basis.phi, dtype=bool)
+            grid[cells] = True
+            if q > 2:
+                axis = np.zeros(basis.orders, dtype=bool)
+                axis[(slice(None), *(0,) * (len(basis.orders) - 1))] = True
+                assert (grid == axis.ravel()).all(), (q, a, m)
+            even = count_even(basis)
+            assert even == basis.phi // (q - 1 if q > 2 else 1)
+            if basis.phi <= 256 or m == 1:
+                prefix = [i < even for i in range(basis.phi)]
+                assert [chi.is_even for chi in characters_of(basis)] == prefix, (q, a, m)
 
 
 # -- orthogonality ------------------------------------------------------------------
@@ -310,9 +364,9 @@ def test_totient_formulas_for_t_powers():
 def test_row_orthogonality_exact(f2, f3):
     for fld, modulus in ((f2, t_power(f2, 4)), (f3, t_power(f3, 2)), (f2, from_coeffs(f2, [0, 1, 0, 1]))):
         basis = unit_group_basis(fld, modulus)
-        chars = enumerate_characters(basis)
-        R = character_rotation_matrix(basis, _exponent_rows(chars))
-        V = character_value_matrix(basis, _exponent_rows(chars))
+        chars = characters_of(basis)
+        R = character_rotation_matrix(basis, enumerate_characters(basis))
+        V = character_value_matrix(basis, enumerate_characters(basis))
         for i, chi in enumerate(chars):
             cancels = rotation_multiset_cancels(R[i].tolist(), basis.exponent)
             assert cancels == (not chi.is_principal)
@@ -325,8 +379,7 @@ def test_row_orthogonality_exact(f2, f3):
 
 def test_column_orthogonality_exact(f3):
     basis = unit_group_basis(f3, t_power(f3, 3))
-    chars = enumerate_characters(basis)
-    R = character_rotation_matrix(basis, _exponent_rows(chars))
+    R = character_rotation_matrix(basis, enumerate_characters(basis))
     one_col = int(np.where(basis.unit_codes == 1)[0][0])
     for j, code in enumerate(basis.unit_codes):
         cancels = rotation_multiset_cancels(R[:, j].tolist(), basis.exponent)
@@ -335,8 +388,8 @@ def test_column_orthogonality_exact(f3):
 
 def test_value_matrix_agrees_with_pointwise_values(f2):
     basis = unit_group_basis(f2, t_power(f2, 3))
-    chars = enumerate_characters(basis)
-    V = character_value_matrix(basis, _exponent_rows(chars))
+    chars = characters_of(basis)
+    V = character_value_matrix(basis, enumerate_characters(basis))
     for i, chi in enumerate(chars):
         for j, code in enumerate(basis.unit_codes):
             u = _code_poly(f2, 3, int(code))
@@ -347,7 +400,7 @@ def test_even_value_matrix_shape(f3):
     basis = unit_group_basis(f3, t_power(f3, 3))
     assert basis.value_matrix("all").shape == (basis.phi, basis.phi)
     assert basis.value_matrix("even").shape == (count_even(basis), basis.phi)
-    assert np.array_equal(basis.value_matrix("even"), basis.value_matrix("all")[even_mask(basis)])
+    assert np.array_equal(basis.value_matrix("even"), basis.value_matrix("all")[: count_even(basis)])
 
 
 # -- the FFT character-sum primitive against the dense reference ----------------
@@ -374,15 +427,20 @@ def test_character_sums_match_dense_value_matrix(p, k, kind):
         weights = rng.normal(size=fld.q**modulus.degree) + 1j * rng.normal(
             size=fld.q**modulus.degree
         )
-        V = basis.value_matrix(kind)
+        if kind == "even" and not _even_defined(basis):
+            with pytest.raises(PreconditionError):
+                character_sums(basis, weights, even_only=True)
+            continue
+        # the even sums are the dense matrix's prefix rows
+        rows = count_even(basis) if kind == "even" else basis.phi
+        V = basis.value_matrix("all")[:rows]
+        assert np.array_equal(V, basis.value_matrix(kind))
         got = character_sums(basis, weights, even_only=kind == "even")
         assert np.allclose(got, V @ weights[basis.unit_codes], rtol=0, atol=1e-12 * basis.phi)
         # the sums of chi^k are the gather of the chi-sums at power_columns
         sums = character_sums(basis, weights)
         for power in (2, 3):
-            got = sums[power_columns(basis, power)]
-            if kind == "even":
-                got = got[even_mask(basis)]
+            got = sums[power_columns(basis, power)][:rows]
             want = V**power @ weights[basis.unit_codes]
             assert np.allclose(got, want, rtol=0, atol=1e-12 * basis.phi), (modulus, power)
 
@@ -399,7 +457,7 @@ def test_character_sums_stack_rows_with_their_own_powers(p, k):
         basis = unit_group_basis(fld, modulus)
         ring, size = residue_ring(fld, modulus), fld.q**modulus.degree
         weights = rng.integers(-3, 4, size=(3, size))
-        for even_only in (False, True):
+        for even_only in (False, True)[: 1 + _even_defined(basis)]:
             rows = character_sums(basis, weights, even_only=even_only)
             for row, w in zip(rows, weights):
                 assert np.array_equal(row, character_sums(basis, w, even_only=even_only))
@@ -413,12 +471,12 @@ def test_character_sums_stack_rows_with_their_own_powers(p, k):
 
 @pytest.mark.parametrize("p,k", FIELDS_UP_TO_9)
 def test_power_columns_match_brute_character_powers(p, k):
-    # chi^k(u) = chi(u)^k, by each DirichletChar's own scalar evaluation;
+    # chi^k(u) = chi(u)^k, by each oracle character's own scalar evaluation;
     # k = 2..4 shares a factor with some order on most of these bases
     fld = make_field(p, k)
     for modulus in _moduli(fld):
         basis = unit_group_basis(fld, modulus)
-        chars = enumerate_characters(basis)
+        chars = characters_of(basis)
         L = basis.exponent
         rot = np.array([[chi.rotation_numerator(c) for c in basis.unit_codes.tolist()] for chi in chars])
         for power in range(1, 5):
@@ -432,32 +490,54 @@ def test_character_sums_trivial_group(f2):
     weights = np.array([5, -3])
     assert list(character_sums(basis, weights)) == [-3]
     assert list(character_sums(basis, weights, even_only=True)) == [-3]
-    assert list(even_mask(basis)) == [True]
+    assert count_even(basis) == 1
     assert list(power_columns(basis, 4)) == [0]
 
 
 @pytest.mark.parametrize("p,k", FIELDS_UP_TO_9)
 def test_even_mask_matches_is_even(p, k):
+    # the even mask is the prefix of count_even rows: the oracle's is_even
+    # marks exactly those. Where the constants are no grid axis (q > 2 and Q
+    # not a power of a linear polynomial) the even characters are refused
     fld = make_field(p, k)
     for modulus in _moduli(fld):
         basis = unit_group_basis(fld, modulus)
-        chars = enumerate_characters(basis)
-        expected = [all(chi.rotation_numerator(c) == 0 for c in range(1, fld.q)) for chi in chars]
-        assert even_mask(basis).tolist() == expected
-        assert [chi.is_even for chi in chars] == expected
+        if not _even_defined(basis):
+            for even_rows in (count_even, even_characters):
+                with pytest.raises(PreconditionError):
+                    even_rows(basis)
+            continue
+        expected = [chi.is_even for chi in characters_of(basis)]
+        assert expected == [i < count_even(basis) for i in range(basis.phi)]
+        assert even_characters(basis).tolist() == enumerate_characters(basis)[expected].tolist()
 
 
-def test_even_mask_peak_memory_stays_linear_in_phi(f3):
-    basis = unit_group_basis(f3, t_power(f3, 10))
-    even_mask.cache_clear()  # measure a fresh computation
-    tracemalloc.start()
-    try:
-        mask = even_mask(basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert int(mask.sum()) == f3.q**9
-    assert peak < 4 * 8 * basis.phi
+def test_even_sums_need_the_constants_as_an_axis():
+    # t^2 + t + 1 is irreducible over F_5: its first generator has order 24,
+    # and the constants are the cells of its fourth powers, not an axis
+    fld = make_field(5)
+    basis = unit_group_basis(fld, from_coeffs(fld, [1, 1, 1]))
+    assert basis.orders == (24,)
+    with pytest.raises(PreconditionError, match="constants"):
+        character_sums(basis, np.ones(25), even_only=True)
+    assert character_sums(basis, np.ones(25)).shape == (24,)
+
+
+def test_even_transform_runs_on_the_cells_off_the_constants_axis(monkeypatch, f3):
+    # mod t^m the even transform sums out axis 0 first and runs on q^(m-1)
+    # cells per row
+    basis = unit_group_basis(f3, t_power(f3, 6))
+    shapes, ifftn = [], np.fft.ifftn
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return ifftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", recorded)
+    weights = np.arange(2 * 3**6).reshape(2, 3**6) % 7
+    sums = character_sums(basis, weights, even_only=True)
+    assert sums.shape == (2, 3**5)
+    assert [(s[0], math.prod(s[1:])) for s in shapes] == [(2, 3**5)]
 
 
 def test_character_sums_peak_memory_stays_a_few_grids(f2):
@@ -466,7 +546,6 @@ def test_character_sums_peak_memory_stays_a_few_grids(f2):
     basis = unit_group_basis(f2, t_power(f2, 16))
     assert all(np.ndim(value) <= 1 for value in vars(basis).values())
     weights = np.random.default_rng(0).integers(-1, 2, size=f2.q**16)
-    even_mask(basis)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -521,8 +600,9 @@ def test_basis_and_transform_estimates_cover_their_peaks(cold_caches, p, k, lowe
     basis = unit_group_basis(fld, modulus)
     rng = np.random.default_rng(0)
     for rows, dtype, even_only in ((1, np.int64, True), (1, complex, False), (3, np.int64, False)):
+        if even_only and not _even_defined(basis):
+            continue
         weights = rng.integers(-3, 4, size=(rows, fld.q**modulus.degree)).astype(dtype)
-        even_mask.cache_clear()
         peak = traced_peak(character_sums, basis, weights, even_only=even_only)
         assert peak <= transform_bytes(fld, modulus, rows), (rows, dtype, even_only)
 
@@ -585,7 +665,7 @@ def test_rotation_rows_cancel_on_every_t_power_basis():
         fld = make_field(p, k)
         for m in range(1, 5 if fld.q < 9 else 3):
             basis = unit_group_basis(fld, t_power(fld, m))
-            R = character_rotation_matrix(basis, _exponent_rows(enumerate_characters(basis)))
+            R = character_rotation_matrix(basis, enumerate_characters(basis))
             rows = rotation_rows_cancel(R, basis.exponent)
             cols = rotation_rows_cancel(R.T, basis.exponent)
             assert rows.tolist() == (np.arange(basis.phi) != 0).tolist()

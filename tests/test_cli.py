@@ -185,6 +185,25 @@ def test_grid_refuses_its_last_cell_before_any_route(monkeypatch, capsys, comman
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
+def test_variance_grid_holds_one_basis_at_a_time(cold_caches, capsys):
+    # the bases mod t^18 and t^19 are dropped before the next one is built,
+    # so a cold N=19:21 grid holds and peaks no higher than its last cell
+    # alone, within 2 MiB (the held bases would add 6 MiB)
+    measured = []
+    for grid in ("19:21", "21"):
+        cold_caches()
+        tracemalloc.start()
+        try:
+            assert main(["variance", "--N", grid, "--h", "1"]) == EXIT_OK
+            measured.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    (held, peak), (alone_held, alone_peak) = measured
+    assert held <= alone_held + (2 << 20)
+    assert peak <= alone_peak + (2 << 20)
+
+
 # -- sweep subcommand ----------------------------------------------------------------
 
 
@@ -525,14 +544,13 @@ def test_orthogonality_suite_names_a_corrupted_character(monkeypatch, capsys, ph
     )
 
 
-def test_orthogonality_suite_builds_no_character_object(monkeypatch, capsys):
-    # the suite reads exponent rows straight off the grid shape
-    def refuse(self):
-        raise AssertionError("DirichletChar built")
-
-    monkeypatch.setattr(ffvar.characters.DirichletChar, "__post_init__", refuse)
-    assert main(["verify", "--suite", "orthogonality"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("PASS orthogonality")
+def test_orthogonality_suite_reads_the_even_rows_off_the_rotation_matrix(monkeypatch, capsys):
+    # a count_even that names a wrong prefix fails the suite: the even rows
+    # come from the rotation numerators at the constants, not from count_even
+    count_even = ffvar.characters.count_even
+    monkeypatch.setattr(ffvar.characters, "count_even", lambda b: count_even(b) - (b.phi == 6))
+    assert main(["verify", "--suite", "orthogonality"]) == EXIT_FAILURE
+    assert capsys.readouterr().out == "FAIL orthogonality: even count wrong for q=3, m=2\n"
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=FIELD_IDS)

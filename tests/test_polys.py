@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IntervalKey, interval_key, interval_members, poly_gcd
+from conftest import IntervalKey, enumerate_monic, interval_key, interval_members, poly_gcd
 from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
 from ffvar.polys import (
     Poly,
     constant,
-    enumerate_monic,
     from_coeffs,
     monic_from_index,
     monic_index,

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_factor, traced_peak
+from conftest import brute_factor, enumerate_monic, traced_peak
 from ffvar import tables as tables_module
 
 from ffvar.arith import factor, pi_q, sieve_irreducibles
@@ -13,7 +13,6 @@ from ffvar.errors import BudgetError
 from ffvar.fields import make_field
 from ffvar.polys import (
     Poly,
-    enumerate_monic,
     from_coeffs,
     monic_from_index,
     monic_index,

@@ -8,12 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_factor, interval_key, traced_peak
+from conftest import brute_factor, characters_of, enumerate_monic, interval_key, traced_peak
 from ffvar.arith import count_smooth_exact, factor
 from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError
 from ffvar.fields import make_field
 from ffvar.polys import (
-    enumerate_monic,
     from_coeffs,
     monic_from_index,
     monic_index,
@@ -146,24 +145,28 @@ def test_weighted_char_sum_pinned(f2):
 
     basis = unit_group_basis(f2, t_power(f2, 2))
     chi0, chi1 = enumerate_characters(basis)
-    assert weighted_char_sum(f2, "liouville", chi0, 3) == pytest.approx(-4 + 0j)
-    assert weighted_char_sum(f2, "liouville", chi1, 3) == pytest.approx(0j)
+    assert weighted_char_sum(f2, "liouville", basis, chi0, 3) == pytest.approx(-4 + 0j)
+    assert weighted_char_sum(f2, "liouville", basis, chi1, 3) == pytest.approx(0j)
+    for bad in ((2,), (0, 0)):
+        with pytest.raises(PreconditionError):
+            weighted_char_sum(f2, "liouville", basis, bad, 3)
 
 
 @pytest.mark.parametrize("lower", [(0, 0), (1, 0, 1), (1, 2, 0, 1)])
 def test_weighted_char_sum_matches_brute_sums(f3, lower):
     # t^2, (t + 1)^2 and t^3 + 2t + 1 over F_3: the t^m fold and the
     # general-modulus fold against chi(G) summed G by G
-    from ffvar.characters import enumerate_characters, unit_group_basis
+    from ffvar.characters import unit_group_basis
 
     basis = unit_group_basis(f3, from_coeffs(f3, [*lower, 1]))
     terms = [(v, g) for v in range(5) for g in enumerate_monic(f3, 4 - v)]
-    for chi in enumerate_characters(basis):
+    for chi in characters_of(basis):
         values = [chi.value(g) for _, g in terms]
         for name in FUNCTIONS:
             weight = get_function(name).t_power_value
             brute = sum(weight(v) * _brute_value(name, g) * x for (v, g), x in zip(terms, values))
-            assert weighted_char_sum(f3, name, chi, 4) == pytest.approx(brute, abs=1e-9)
+            got = weighted_char_sum(f3, name, basis, chi.exponents, 4)
+            assert got == pytest.approx(brute, abs=1e-9)
 
 
 def test_variance_charside_pinned(f2):
