@@ -54,7 +54,6 @@ from .variance import (
 )
 from .bounds import (
     BoundReport,
-    TrialConfig,
     large_factor_sum_ratio,
     mvt_check,
     mvt_trial,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, IrreducibleCacheError, PreconditionError
-from .fields import FieldSpec
+from .fields import FieldSpec, prime_factors
 from .polys import Poly, monic_from_index, monic_index, one
 from .tables import get_tables
 
@@ -241,18 +241,8 @@ class FactorIndex:
 def integer_moebius(n: int) -> int:
     if n < 1:
         raise PreconditionError("integer moebius needs n >= 1")
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    exponents = prime_factors(n).values()
+    return 0 if max(exponents, default=1) > 1 else (-1) ** len(exponents)
 
 
 def pi_q(field: FieldSpec, n: int) -> int:

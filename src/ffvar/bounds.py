@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, t_power
-from .characters import UnitGroupBasis, character_sums, l_coefficients, unit_group_basis
+from .characters import character_sums, l_coefficients, unit_group_basis
 from .tables import fold_monic_mod, get_tables, reduce_monic_mod
 
 MVT_SLACK = 1e-9
@@ -34,9 +34,13 @@ class BoundReport:
     params: dict[str, object]
     lhs: float
     rhs: float
-    hard: bool
     passed: bool | None
     extras: dict[str, float] = dc_field(default_factory=dict)
+
+    @property
+    def hard(self) -> bool:
+        """Hard checks are exactly the ones with a verdict."""
+        return self.passed is not None
 
     @property
     def ratio(self) -> float:
@@ -50,28 +54,32 @@ class BoundReport:
         return f"{self.bound} [{verdict}] {ps} lhs={self.lhs:.6g} rhs={self.rhs:.6g} ratio={self.ratio:.6g}"
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    """Deterministic random-trial settings: same seed, same draws."""
-
-    seed: int = 0
-    trials: int = 100
-    distribution: str = "signs"  # "signs" (+-1) or "phases" (unit modulus)
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise PreconditionError("trial count must be >= 1")
-        if self.distribution not in ("signs", "phases"):
-            raise PreconditionError(f"unknown distribution {self.distribution!r}")
-
-
-@lru_cache(maxsize=1)
-def _monic_codes(basis: UnitGroupBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codes mod Q of the monics of degree n, by mantissa, and their unit mask."""
-    codes = reduce_monic_mod(basis.field, basis.modulus, n, np.arange(basis.field.q**n))
+def _mvt_reports(
+    field: FieldSpec, modulus: Poly, n: int, rows: int, draws: Iterable[np.ndarray], budget: int
+) -> list[BoundReport]:
+    """The mean value theorem on `rows` coefficient vectors from `draws`, each
+    indexed by the mantissas of the monics of degree n: each vector is folded
+    by its residues mod Q into one row, and one transform sums every row."""
+    q, m = field.q, modulus.degree
+    basis = unit_group_basis(field, modulus, budget=budget)
+    codes = reduce_monic_mod(field, modulus, n, np.arange(q**n))
     units = basis.unit_index(codes) >= 0
-    codes.flags.writeable = units.flags.writeable = False
-    return codes, units
+    folded = np.empty((rows, q**m), dtype=np.complex128)
+    diag = np.empty(rows)
+    for i, coeffs in enumerate(draws):
+        folded[i] = np.bincount(codes, coeffs.real, q**m)
+        folded[i] += 1j * np.bincount(codes, coeffs.imag, q**m)
+        diag[i] = np.sum(np.abs(coeffs[units]) ** 2)
+    sums = character_sums(basis, folded, budget=budget)
+    scale = q ** (n - m) if n >= m else 1.0 / q ** (m - n)
+    reports = []
+    for row, d in zip(sums, diag):
+        lhs = float(np.sum(row.real**2 + row.imag**2))
+        rhs = 2.0 * basis.phi * (scale + 1.0) * float(d)
+        report = BoundReport("mvt", {"q": q, "Q": str(modulus), "n": n}, lhs, rhs, passed=None)
+        report.passed = report.ratio <= 1.0 + MVT_SLACK
+        reports.append(report)
+    return reports
 
 
 def mvt_check(
@@ -79,52 +87,46 @@ def mvt_check(
 ) -> BoundReport:
     """One instance of the mean value theorem: coeffs is a complex vector
     indexed by the mantissas of monic degree-n polynomials."""
-    q = field.q
-    if len(coeffs) != q**n:
-        raise PreconditionError(f"need q^n = {q**n} coefficients, got {len(coeffs)}")
-    basis = unit_group_basis(field, modulus, budget=budget)
-    m = modulus.degree
-    codes, units = _monic_codes(basis, n)
+    if len(coeffs) != field.q**n:
+        raise PreconditionError(f"need q^n = {field.q**n} coefficients, got {len(coeffs)}")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    folded = np.bincount(codes, coeffs.real, q**m) + 1j * np.bincount(codes, coeffs.imag, q**m)
-    sums = character_sums(basis, folded, budget=budget)
-    lhs = float(np.sum(sums.real**2 + sums.imag**2))
-    diag = float(np.sum(np.abs(coeffs[units]) ** 2))
-    scale = q ** (n - m) if n >= m else 1.0 / q ** (m - n)
-    rhs = 2.0 * basis.phi * (scale + 1.0) * diag
-    report = BoundReport(
-        bound="mvt",
-        params={"q": q, "Q": str(modulus), "n": n},
-        lhs=lhs,
-        rhs=rhs,
-        hard=True,
-        passed=None,
-    )
-    report.passed = report.ratio <= 1.0 + MVT_SLACK
-    return report
+    return _mvt_reports(field, modulus, n, 1, [coeffs], budget)[0]
 
 
 def mvt_trial(
     field: FieldSpec,
     modulus: Poly,
     n: int,
-    cfg: TrialConfig,
     *,
+    seed: int = 0,
+    trials: int = 100,
+    distribution: str = "signs",
     budget: int = DEFAULT_BUDGET,
-) -> Iterator[BoundReport]:
-    """Seeded random coefficient draws; every report must pass. The draws
-    are estimated at 64 bytes per monic of degree n (57 measured)."""
+) -> list[BoundReport]:
+    """Seeded random coefficient draws, "signs" (+-1) or "phases" (unit
+    modulus): same seed, same draws; every report must pass. A draw is
+    estimated at 64 bytes per monic of degree n (57 measured), its folded
+    row at 16 bytes per residue mod Q."""
+    if trials < 1:
+        raise PreconditionError("trial count must be >= 1")
+    if distribution not in ("signs", "phases"):
+        raise PreconditionError(f"unknown distribution {distribution!r}")
     size = field.q**n
-    check_budget(64 * size, budget, "mvt draws of {} coefficients", size)
-    rng = np.random.default_rng(cfg.seed)
-    for trial in range(cfg.trials):
-        if cfg.distribution == "signs":
-            coeffs = (rng.integers(0, 2, size=size) * 2 - 1).astype(np.complex128)
-        else:
-            coeffs = np.exp(2j * np.pi * rng.random(size))
-        report = mvt_check(field, modulus, n, coeffs, budget=budget)
-        report.params.update(trial=trial, seed=cfg.seed, distribution=cfg.distribution)
-        yield report
+    nbytes = 64 * size + 16 * trials * field.q**modulus.degree
+    check_budget(nbytes, budget, "mvt of {} draws of {} coefficients", trials, size)
+    rng = np.random.default_rng(seed)
+
+    def draws() -> Iterator[np.ndarray]:
+        for _ in range(trials):
+            if distribution == "signs":
+                yield (rng.integers(0, 2, size=size) * 2 - 1).astype(np.complex128)
+            else:
+                yield np.exp(2j * np.pi * rng.random(size))
+
+    reports = _mvt_reports(field, modulus, n, trials, draws(), budget)
+    for trial, report in enumerate(reports):
+        report.params.update(trial=trial, seed=seed, distribution=distribution)
+    return reports
 
 
 def prime_char_sum_ratio(field: FieldSpec, m: int, x: int) -> BoundReport:
@@ -148,7 +150,6 @@ def prime_char_sum_ratio(field: FieldSpec, m: int, x: int) -> BoundReport:
         params={"q": q, "m": m, "x": x},
         lhs=lhs,
         rhs=rhs,
-        hard=False,
         passed=None,
     )
 
@@ -201,7 +202,6 @@ def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -
         params={"q": q, "Q": str(modulus), "N": n_total},
         lhs=lhs,
         rhs=rhs,
-        hard=True,
         passed=None,
     )
     report.passed = report.ratio <= 1.0
@@ -251,7 +251,6 @@ def large_factor_sum_ratio(
         params={"q": q, "N": n_total, "n": n, "h": h},
         lhs=lhs,
         rhs=rhs,
-        hard=False,
         passed=None,
         extras=extras,
     )
@@ -271,7 +270,6 @@ def smooth_sum_ratio(
         params={"q": q, "N": n_total, "n": n, "h": h},
         lhs=lhs,
         rhs=rhs,
-        hard=False,
         passed=None,
     )
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .arith import factor, sieve_irreducibles
 from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
-from .fields import FieldSpec
+from .fields import FieldSpec, prime_factors
 from .polys import Poly, constant, from_coeffs, t_power
 from .tables import residue_ring
 
@@ -126,17 +126,6 @@ def unit_group_basis(
     return _BASIS_CACHE[key]
 
 
-def _prime_divisors(n: int) -> list[int]:
-    """By trial division up to sqrt(n)."""
-    out = []
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-    return out + [n] if n > 1 else out
-
-
 def _generators(field: FieldSpec, modulus: Poly):
     """(code, order) of each generator, factor by factor P^e || Q."""
     q, p, m = field.q, field.p, modulus.degree
@@ -150,7 +139,7 @@ def _generators(field: FieldSpec, modulus: Poly):
         if q**d > 2:
             # 1 + R z runs over F_q[t]/P as z does and is 1 mod R; the power
             # q^(d(e-1)) kills its principal part, leaving order | q^d - 1
-            order, primes = q**d - 1, _prime_divisors(q**d - 1)
+            order, primes = q**d - 1, prime_factors(q**d - 1)
             for z in range(q**d):
                 lift = one + R * from_coeffs(field, [z // q**j % q for j in range(d)])
                 y = ring.pow(residue_code(lift, modulus), q ** (d * (e - 1)))

@@ -430,10 +430,10 @@ def _suite_mvt(args: argparse.Namespace, fld: FieldSpec):
         if trials == 0:
             continue
         n = min(args.n_max + 2, 8)
-        trial_cfg = bounds.TrialConfig(
-            seed=args.seed + i, trials=trials, distribution="signs" if i % 2 == 0 else "phases"
-        )
-        for rep in bounds.mvt_trial(fld, modulus, n, trial_cfg):
+        distribution = "signs" if i % 2 == 0 else "phases"
+        for rep in bounds.mvt_trial(
+            fld, modulus, n, seed=args.seed + i, trials=trials, distribution=distribution
+        ):
             if not rep.passed:
                 raise AssertionError("mean value theorem violated: " + rep.summary())
             worst = max(worst, rep.ratio)

@@ -22,15 +22,19 @@ from .errors import PreconditionError
 MAX_FIELD_SIZE = 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: e} with n the product of the p^e, by trial division up to sqrt(n);
+    {} for n < 2."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,20 +70,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no inverse")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def element_pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
     def __str__(self) -> str:
         return f"F_{self.q}" if self.k == 1 else f"F_{self.q}=F_{self.p}^{self.k}"
 
@@ -88,7 +78,7 @@ class FieldSpec:
 def make_field(p: int, k: int = 1) -> FieldSpec:
     """Build F_{p^k}. For k > 1 the modulus is the lexicographically smallest
     monic irreducible of degree k over F_p (constant term compared first)."""
-    if not _is_prime(p):
+    if prime_factors(p) != {p: 1}:
         raise PreconditionError(f"p = {p} is not prime")
     if k < 1:
         raise PreconditionError(f"k = {k} must be >= 1")

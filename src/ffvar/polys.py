@@ -148,13 +148,6 @@ class Poly:
             raise PreconditionError("zero polynomial has no monic associate")
         return self if self.coeffs[-1] == 1 else self.scale(self.field.inv(self.coeffs[-1]))
 
-    def evaluate(self, x: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
     # -- rendering
 
     def __str__(self) -> str:

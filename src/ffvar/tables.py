@@ -33,7 +33,7 @@ links record it, and stay the same as that loop's.
 The same product pass, run again on demand for one degree, records a factor
 link per mantissa: one irreducible P | G and the cofactor G/P. Following the
 links from G factors it in Omega(G) lookups (ArithTables.factor_links). The
-window pairs (ArithTables.window_pairs) keep every (P, M, P * M) of one
+window pairs (ArithTables.window_pairs) keep every (deg P, M, P * M) of one
 degree, for the identity checks of the variance module.
 """
 
@@ -139,24 +139,23 @@ class ArithTables:
             self._links[m] = links
         return links
 
-    def window_pairs(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(deg P, mantissa of P, mantissa of M, mantissa of P * M) for every
-        monic irreducible P of degree 1..m and every monic M of degree
-        m - deg P, int64, ordered by (deg P, P, M): the pairs of one P are
-        q^(m - deg P) consecutive rows in M's mantissa order. Each G of degree
-        m appears once per distinct irreducible factor. Built by one
-        mul_monic_batch call per degree on first use."""
+    def window_pairs(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(deg P, mantissa of M, mantissa of P * M) for every monic
+        irreducible P of degree 1..m and every monic M of degree m - deg P,
+        int64, ordered by (deg P, P, M): the pairs of one P are q^(m - deg P)
+        consecutive rows in M's mantissa order. Each G of degree m appears
+        once per distinct irreducible factor. Built by one mul_monic_batch
+        call per degree on first use."""
         pairs = self._pairs.get(m)
         if pairs is None:
             q = self.field.q
-            deg, fac, cof, prod = ([np.empty(0, np.int64)] for _ in range(4))
+            deg, cof, prod = ([np.empty(0, np.int64)] for _ in range(3))
             for d in range(1, m + 1):
                 ups, size = self.irreducibles[d], q ** (m - d)
                 deg.append(np.full(len(ups) * size, d))
-                fac.append(np.repeat(ups, size))
                 cof.append(np.tile(np.arange(size), len(ups)))
                 prod += [block.ravel() for *_, block in mul_monic_batch(self.field, d, ups, m - d)]
-            pairs = self._pairs[m] = tuple(np.concatenate(c) for c in (deg, fac, cof, prod))
+            pairs = self._pairs[m] = tuple(np.concatenate(c) for c in (deg, cof, prod))
         return pairs
 
     def extend(self, max_degree: int, budget: int) -> None:

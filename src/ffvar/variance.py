@@ -88,37 +88,25 @@ def _as_handle(f: ArithmeticFunctionHandle | str) -> ArithmeticFunctionHandle:
 
 
 def interval_sums(
-    field: FieldSpec,
-    f: ArithmeticFunctionHandle | str,
-    n: int,
-    h: int,
-    *,
+    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int, *,
     budget: int = DEFAULT_BUDGET,
-    tables: ArithTables | None = None,
 ) -> np.ndarray:
     """S_I for every interval I, indexed by packed upper coefficients: an
     interval is a contiguous block of q^(h+1) mantissas."""
     f = _as_handle(f)
     if not 0 <= h < n:
         raise PreconditionError(f"need 0 <= h < n; got h={h}, n={n}")
-    if tables is None:
-        tables = get_tables(field, n, budget=budget)
-    values = f.degree_values(tables, n)
+    values = f.degree_values(get_tables(field, n, budget=budget), n)
     return values.reshape(-1, field.q ** (h + 1)).sum(axis=1, dtype=np.int64)
 
 
 def variance_direct(
-    field: FieldSpec,
-    f: ArithmeticFunctionHandle | str,
-    n: int,
-    h: int,
-    *,
+    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int, *,
     budget: int = DEFAULT_BUDGET,
-    tables: ArithTables | None = None,
 ) -> Fraction:
     """Exact mean square of interval sums: (q^(h+1)/q^n) * sum_I S_I^2."""
     q = field.q
-    acc = interval_sums(field, f, n, h, budget=budget, tables=tables)
+    acc = interval_sums(field, f, n, h, budget=budget)
     ssq = int(acc @ acc)
     return Fraction(q ** (h + 1) * ssq, q**n)
 
@@ -149,7 +137,6 @@ def weighted_char_sum(
     n_total: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    tables: ArithTables | None = None,
 ) -> complex:
     """U(chi) = sum_v f(t^v) * sum_{G in M_(n_total - v)} f(G) chi(G), chi the
     character mod basis.modulus with exponent vector `exponents`."""
@@ -163,21 +150,15 @@ def weighted_char_sum(
         0 <= e < o for e, o in zip(exponents, basis.orders)
     ):
         raise PreconditionError(f"exponents {exponents} out of range for orders {basis.orders}")
-    if tables is None:
-        tables = get_tables(field, n_total, budget=budget)
+    tables = get_tables(field, n_total, budget=budget)
     weights = _residue_weight_vector(field, f, basis.modulus, n_total, tables)
     row = np.ravel_multi_index(exponents, basis.orders)
     return complex(character_sums(basis, weights, budget=budget)[row])
 
 
 def variance_charside(
-    field: FieldSpec,
-    f: ArithmeticFunctionHandle | str,
-    n: int,
-    h: int,
-    *,
+    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int, *,
     budget: int = DEFAULT_BUDGET,
-    tables: ArithTables | None = None,
 ) -> float:
     """Average of |U(chi)|^2 over even chi mod t^(n-h), divided by the
     number of even characters; agrees with variance_direct for the symmetric
@@ -187,8 +168,7 @@ def variance_charside(
         raise PreconditionError(f"need 0 <= h <= n-2; got h={h}, n={n}")
     modulus = t_power(field, n - h)
     basis = unit_group_basis(field, modulus, budget=budget)
-    if tables is None:
-        tables = get_tables(field, n, budget=budget)
+    tables = get_tables(field, n, budget=budget)
     weights = _residue_weight_vector(field, f, modulus, n, tables)
     sums = character_sums(basis, weights, even_only=True, budget=budget)
     return float(np.sum(sums.real**2 + sums.imag**2)) / len(sums) ** 2
@@ -271,11 +251,12 @@ class WindowDefects:
 
 
 def window_bytes(field: FieldSpec, n: int, h: int) -> int:
-    """Peak bytes of window_defects: 32 per pair of degree n and of each degree
-    below n - h, 64 more per pair of degree n, 48 per G, 1 MiB for rings."""
+    """Peak bytes of window_defects: 24 per pair of degree n and of each degree
+    below n - h (three int64 columns), 64 more per pair of degree n (the
+    per-term arrays), 48 per G, 1 MiB for rings."""
     q = field.q
     pairs = [sum(pi_q(field, d) * q ** (m - d) for d in range(1, m + 1)) for m in range(n + 1)]
-    return 96 * pairs[n] + 32 * sum(pairs[1 : n - h]) + 48 * q**n + (1 << 20)
+    return 88 * pairs[n] + 24 * sum(pairs[1 : n - h]) + 48 * q**n + (1 << 20)
 
 
 def window_defects(
@@ -306,7 +287,7 @@ def window_defects(
 
     def window(m: int):
         """The pairs of degree m whose P is a window prime: deg P, M, P * M."""
-        deg, _, cof, prod = tables.window_pairs(m)
+        deg, cof, prod = tables.window_pairs(m)
         lo = np.searchsorted(deg, h + 1)
         return deg[lo:], cof[lo:], prod[lo:]
 
@@ -359,17 +340,12 @@ def ramare_identity_check(field: FieldSpec, g: Poly, h: int, n: int) -> Fraction
 
 
 def decomposition_check(
-    field: FieldSpec,
-    n: int,
-    h: int,
-    *,
-    tables: ArithTables | None = None,
-    budget: int = DEFAULT_BUDGET,
+    field: FieldSpec, n: int, h: int, *, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
     """Max abs defect over all monic G of degree n of the window
     decomposition: the (prime x cofactor) sum of -lambda(M) / (w + 1) at
     G = P * M and -lambda(P * M') / (w (w + 1)) at G = P^2 * M', w the
     window-prime count of the cofactor, must be lambda(G) * [G is not
     h-smooth] (see window_defects)."""
-    check = window_defects(field, n, h, tables=tables, budget=budget)
+    check = window_defects(field, n, h, budget=budget)
     return Fraction(int(np.abs(check.decomposition).max()), check.denominator)

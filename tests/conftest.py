@@ -50,14 +50,14 @@ def cache3(f3, sieve_dir) -> SieveCache:
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty the caches of tables, residue rings, bases, mvt codes and psi
-    rows, so that a measured peak includes building them; the fixture's value
-    empties them again."""
+    """Empty the caches of tables, residue rings, bases and psi rows, so that
+    a measured peak includes building them; the fixture's value empties them
+    again."""
 
     def clear() -> None:
         monkeypatch.setattr(tables, "_TABLE_CACHE", {})
         monkeypatch.setattr(characters, "_BASIS_CACHE", {})
-        for cached in (tables.residue_ring, bounds._monic_codes, bounds._psi_rows):
+        for cached in (tables.residue_ring, bounds._psi_rows):
             cached.cache_clear()
 
     clear()

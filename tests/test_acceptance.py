@@ -21,7 +21,7 @@ from ffvar.arith import (
     liouville_full_sum,
     smooth_asymptotic_ratio,
 )
-from ffvar.bounds import TrialConfig, mvt_trial, von_mangoldt_char_sum_ratio
+from ffvar.bounds import mvt_trial, von_mangoldt_char_sum_ratio
 from conftest import characters_of, enumerate_monic, rotation_multiset_cancels
 from ffvar.characters import (
     character_rotation_matrix,
@@ -79,11 +79,10 @@ def test_criterion_01_variance_identity_dual_route():
     cells = 0
     for fld, n_top in ((F2, 10), (F3, 7)):
         for n in range(2, n_top + 1):
-            tables = get_tables(fld, n)
             for name in ("liouville", "moebius"):
                 for h in range(0, n - 1):
-                    direct = variance_direct(fld, name, n, h, tables=tables)
-                    charside = variance_charside(fld, name, n, h, tables=tables)
+                    direct = variance_direct(fld, name, n, h)
+                    charside = variance_charside(fld, name, n, h)
                     gap = abs(float(direct) - charside)
                     tol = 1e-6 * max(1.0, float(direct))
                     assert gap <= tol, (
@@ -176,10 +175,9 @@ def test_criterion_04_ramare_identity_exact():
 def test_criterion_05_decomposition_defect_zero():
     cells = 0
     for fld in (F2, F3):
-        tables = get_tables(fld, 8)
         for n in range(2, 9):
             for h in range(1, n):
-                defect = decomposition_check(fld, n, h, tables=tables)
+                defect = decomposition_check(fld, n, h)
                 assert defect == 0, f"max |defect| = {defect} at (q={fld.q}, n={n}, h={h})"
                 cells += 1
     return f"{cells} (q, n, h) cells with max |defect| exactly 0 (q in {{2,3}}, n <= 8)"
@@ -200,9 +198,9 @@ def test_criterion_06_mvt_randomized_trials():
         n = 8 if fld.q == 2 else 6
         for modulus in mods:
             for dist in ("signs", "phases"):
-                cfg = TrialConfig(seed=seed, trials=25, distribution=dist)
+                reports = mvt_trial(fld, modulus, n, seed=seed, trials=25, distribution=dist)
                 seed += 1
-                for rep in mvt_trial(fld, modulus, n, cfg):
+                for rep in reports:
                     assert rep.passed, rep.summary()
                     worst = max(worst, rep.ratio)
                     trials += 1

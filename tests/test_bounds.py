@@ -8,7 +8,6 @@ import pytest
 from conftest import enumerate_monic, traced_peak
 from ffvar.bounds import (
     BoundReport,
-    TrialConfig,
     large_factor_sum_ratio,
     mvt_check,
     mvt_trial,
@@ -33,9 +32,15 @@ ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (
 
 
 def test_ratio_handles_zero_rhs():
-    assert BoundReport("x", {}, 0.0, 0.0, False, None).ratio == 0.0
-    assert BoundReport("x", {}, 2.0, 0.0, False, None).ratio == math.inf
-    assert BoundReport("x", {}, 3.0, 6.0, False, None).ratio == 0.5
+    assert BoundReport("x", {}, 0.0, 0.0, None).ratio == 0.0
+    assert BoundReport("x", {}, 2.0, 0.0, None).ratio == math.inf
+    assert BoundReport("x", {}, 3.0, 6.0, None).ratio == 0.5
+
+
+def test_hard_reports_are_the_ones_with_a_verdict():
+    assert not BoundReport("x", {}, 1.0, 2.0, None).hard
+    assert BoundReport("x", {}, 1.0, 2.0, True).hard
+    assert BoundReport("x", {}, 3.0, 2.0, False).hard
 
 
 def test_summary_mentions_verdict(f2):
@@ -45,12 +50,13 @@ def test_summary_mentions_verdict(f2):
     assert "ratio=0" in line
 
 
-def test_trial_config_validation():
-    TrialConfig(seed=0, trials=1, distribution="phases")
-    with pytest.raises(PreconditionError):
-        TrialConfig(trials=0)
-    with pytest.raises(PreconditionError):
-        TrialConfig(distribution="gaussian")
+def test_mvt_trial_validation(f2):
+    modulus = t_power(f2, 3)
+    assert len(mvt_trial(f2, modulus, 5, seed=0, trials=1, distribution="phases")) == 1
+    with pytest.raises(PreconditionError, match="trial count"):
+        mvt_trial(f2, modulus, 5, trials=0)
+    with pytest.raises(PreconditionError, match="unknown distribution 'gaussian'"):
+        mvt_trial(f2, modulus, 5, distribution="gaussian")
 
 
 # -- mean value theorem ------------------------------------------------------------
@@ -86,32 +92,69 @@ def test_mvt_coefficients_on_non_units_are_ignored(f2):
 
 
 def test_mvt_trial_frozen_run(f2):
-    reports = list(mvt_trial(f2, t_power(f2, 3), 5, TrialConfig(seed=1, trials=100)))
+    reports = mvt_trial(f2, t_power(f2, 3), 5, seed=1, trials=100)
     assert len(reports) == 100
     assert all(r.passed for r in reports)
     assert max(r.ratio for r in reports) == pytest.approx(0.3)
-    again = list(mvt_trial(f2, t_power(f2, 3), 5, TrialConfig(seed=1, trials=100)))
+    again = mvt_trial(f2, t_power(f2, 3), 5, seed=1, trials=100)
     assert [r.ratio for r in again] == [r.ratio for r in reports]
 
 
 def test_mvt_trial_phases_and_general_modulus(f2, f3):
     modulus = from_coeffs(f2, [0, 1, 0, 1])  # t (t+1)^2
-    for rep in mvt_trial(f2, modulus, 6, TrialConfig(seed=2, trials=20, distribution="phases")):
+    for rep in mvt_trial(f2, modulus, 6, seed=2, trials=20, distribution="phases"):
         assert rep.passed
-    for rep in mvt_trial(f3, t_power(f3, 2), 4, TrialConfig(seed=5, trials=20)):
+    for rep in mvt_trial(f3, t_power(f3, 2), 4, seed=5, trials=20):
         assert rep.passed
+
+
+@pytest.mark.parametrize("distribution", ["signs", "phases"])
+def test_mvt_trial_matches_mvt_check_on_the_same_draws(f2, f3, distribution):
+    # the trials are the draws of numpy's default_rng(seed), in turn; one
+    # transform over all of them reports what mvt_check reports on each
+    cases = ((f2, from_coeffs(f2, [0, 1, 0, 1]), 6), (f3, t_power(f3, 3), 4),
+             (f3, t_power(f3, 3), 2))
+    for fld, modulus, n in cases:
+        reports = mvt_trial(fld, modulus, n, seed=7, trials=6, distribution=distribution)
+        rng = np.random.default_rng(7)
+        for trial, rep in enumerate(reports):
+            if distribution == "signs":
+                coeffs = (rng.integers(0, 2, size=fld.q**n) * 2 - 1).astype(np.complex128)
+            else:
+                coeffs = np.exp(2j * np.pi * rng.random(fld.q**n))
+            one = mvt_check(fld, modulus, n, coeffs)
+            trial_params = {"trial": trial, "seed": 7, "distribution": distribution}
+            assert rep.params == {**one.params, **trial_params}
+            assert rep.passed == one.passed
+            assert rep.lhs == pytest.approx(one.lhs, rel=1e-12, abs=0)
+            assert rep.rhs == pytest.approx(one.rhs, rel=1e-12, abs=0)
+
+
+def test_mvt_trial_makes_one_transform(f2, monkeypatch):
+    calls = []
+    transform = bounds_module.character_sums
+
+    def counted(basis, weights, **kwargs):
+        calls.append(np.shape(weights))
+        return transform(basis, weights, **kwargs)
+
+    monkeypatch.setattr(bounds_module, "character_sums", counted)
+    reports = mvt_trial(f2, t_power(f2, 3), 5, seed=1, trials=40)
+    assert len(reports) == 40 and calls == [(40, 8)]
 
 
 def test_mvt_trial_budget_refusal_is_a_budget_error(f2, cold_caches):
-    # 64 bytes per drawn coefficient: F_2 n = 16 draws 65,536 of them
-    need = 64 * 2**16
-    cfg = TrialConfig(seed=1, trials=2)
-    trials = mvt_trial(f2, t_power(f2, 3), 16, cfg, budget=need - 1)
-    message = f"^mvt draws of 65536 coefficients needs {need} bytes, over the budget of {need - 1}$"
+    # 64 bytes per drawn coefficient, 16 per residue of each folded row:
+    # F_2 n = 16 draws 65,536 coefficients twice, folded mod t^3
+    need = 64 * 2**16 + 16 * 2 * 2**3
+    message = f"^mvt of 2 draws of 65536 coefficients needs {need} bytes, over the budget of "
+    message += f"{need - 1}$"
     with pytest.raises(BudgetError, match=message):
-        next(trials)
+        mvt_trial(f2, t_power(f2, 3), 16, seed=1, trials=2, budget=need - 1)
     reports = []
-    peak = traced_peak(lambda: reports.extend(mvt_trial(f2, t_power(f2, 3), 16, cfg, budget=need)))
+    peak = traced_peak(
+        lambda: reports.extend(mvt_trial(f2, t_power(f2, 3), 16, seed=1, trials=2, budget=need))
+    )
     assert [rep.passed for rep in reports] == [True, True]
     assert peak <= need
 

@@ -377,25 +377,26 @@ def test_verify_mvt_splits_trials_over_the_moduli(trials, split, monkeypatch, ca
     calls = []
     mvt_trial = ffvar.bounds.mvt_trial
 
-    def recorded(field, modulus, n, cfg):
-        calls.append((cfg.seed, cfg.trials))
-        return mvt_trial(field, modulus, n, cfg)
+    def recorded(field, modulus, n, *, seed, trials, distribution):
+        calls.append((seed, trials, distribution))
+        return mvt_trial(field, modulus, n, seed=seed, trials=trials, distribution=distribution)
 
     monkeypatch.setattr(ffvar.bounds, "mvt_trial", recorded)
     args = ["verify", "--suite", "mvt", "--n-max", "2", "--trials", str(trials), "--seed", "5"]
     assert main(args) == EXIT_OK
-    assert calls == [(5 + i, n) for i, n in enumerate(split) if n]
+    kinds = ("signs", "phases")
+    assert calls == [(5 + i, n, kinds[i % 2]) for i, n in enumerate(split) if n]
     assert capsys.readouterr().out.startswith(f"PASS mvt[q=2]: {trials} trials pass (")
 
 
 def test_verify_mvt_past_budget_exits_four(capsys):
     # F_16 with n-max 6 draws q^8 = 2^32 coefficients at 64 bytes each, past
-    # the 1 GiB default
+    # the 1 GiB default, and folds 20 of them mod t^2 at 16 bytes a residue
     rc = main(["verify", "--p", "2", "--k", "4", "--suite", "mvt", "--n-max", "6"])
     assert rc == EXIT_BUDGET
     assert capsys.readouterr().err == (
-        f"budget: mvt draws of {16**8} coefficients needs {64 * 16**8} bytes, "
-        f"over the budget of {1 << 30}\n"
+        f"budget: mvt of 20 draws of {16**8} coefficients needs "
+        f"{64 * 16**8 + 16 * 20 * 16**2} bytes, over the budget of {1 << 30}\n"
     )
 
 

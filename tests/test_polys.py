@@ -93,12 +93,6 @@ def test_monic_normalization(f3):
         zero(f3).monic()
 
 
-def test_evaluate(f3):
-    f = from_coeffs(f3, [1, 1, 1])
-    assert f.evaluate(2) == 1  # 4 + 2 + 1 = 7 = 1 mod 3
-    assert f.evaluate(0) == 1
-
-
 def test_str_forms(f2, f3):
     assert str(from_coeffs(f2, [1, 1, 0, 1])) == "t^3+t+1"
     assert str(zero(f2)) == "0"

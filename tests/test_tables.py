@@ -66,17 +66,17 @@ def test_window_pairs_match_poly_products(p, k):
     max_deg = max(m for m in range(1, 11) if q**m <= 1024)
     tab = build_tables(fld, max_deg)
     for m in range(0, max_deg + 1):
-        deg, fac, cof, prod = tab.window_pairs(m)
+        deg, cof, prod = tab.window_pairs(m)
         rows = [(d, int(up), u) for d in range(1, m + 1) for up in tab.irreducibles[d]
                 for u in range(q ** (m - d))]
-        assert list(zip(deg.tolist(), fac.tolist(), cof.tolist())) == rows
+        assert list(zip(deg.tolist(), cof.tolist())) == [(d, u) for d, _, u in rows]
         assert prod.tolist() == [
             monic_index(monic_from_index(fld, d, up) * monic_from_index(fld, m - d, u))
             for d, up, u in rows
         ]
         distinct = [len(set(brute_factor(g))) for g in enumerate_monic(fld, m)]
         assert np.bincount(prod, minlength=q**m).tolist() == distinct
-    assert tab.window_pairs(max_deg)[3] is tab.window_pairs(max_deg)[3]  # built once
+    assert tab.window_pairs(max_deg)[2] is tab.window_pairs(max_deg)[2]  # built once
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
@@ -278,15 +278,14 @@ def _per_p_links(fld, irreducibles, m: int):
 
 def _per_p_pairs(fld, irreducibles, m: int):
     q = fld.q
-    deg, fac, cof, prod = ([np.empty(0, np.int64)] for _ in range(4))
+    deg, cof, prod = ([np.empty(0, np.int64)] for _ in range(3))
     for d in range(1, m + 1):
         ups, size = irreducibles[d], q ** (m - d)
         deg.append(np.full(len(ups) * size, d))
-        fac.append(np.repeat(ups, size))
         cof.append(np.tile(np.arange(size), len(ups)))
         for up in ups.tolist():
             prod += [block for _, block in _per_p_products(fld, d, up, m - d)]
-    return tuple(np.concatenate(c) for c in (deg, fac, cof, prod))
+    return tuple(np.concatenate(c) for c in (deg, cof, prod))
 
 
 def _same_arrays(got, want) -> bool:

@@ -121,7 +121,7 @@ def test_direct_route_sums_the_int8_values_in_place(f2):
         sums = values.astype(np.int64).reshape(-1, 2 ** (h + 1)).sum(axis=1)
         tracemalloc.start()
         try:
-            got = variance_direct(f2, name, n, h, tables=tables)
+            got = variance_direct(f2, name, n, h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,7 +321,7 @@ def test_window_pairs_past_budget_raise(f3):
     tables = build_tables(f3, 5)
     need = window_bytes(f3, 5, 1)
     rows = [len(tables.window_pairs(m)[0]) for m in (5, 1, 2, 3)]
-    assert need == 96 * rows[0] + 32 * sum(rows[1:]) + 48 * 3**5 + (1 << 20)
+    assert need == 88 * rows[0] + 24 * sum(rows[1:]) + 48 * 3**5 + (1 << 20)
     message = f"^window pairs of degree 5 needs {need} bytes, over the budget of {need - 1}$"
     with pytest.raises(BudgetError, match=message):
         window_defects(f3, 5, 1, tables=tables, budget=need - 1)
