@@ -63,7 +63,7 @@ def _mvt_reports(
     q, m = field.q, modulus.degree
     basis = unit_group_basis(field, modulus, budget=budget)
     codes = reduce_monic_mod(field, modulus, n, np.arange(q**n))
-    units = basis.unit_index(codes) >= 0
+    units = np.isin(codes, basis.unit_codes, kind="table")
     folded = np.empty((rows, q**m), dtype=np.complex128)
     diag = np.empty(rows)
     for i, coeffs in enumerate(draws):

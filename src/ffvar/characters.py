@@ -6,10 +6,10 @@ order q^d - 1 and the principal units mod P^e, which 1 + w P^j R generate
 independently for 1 <= j < e, p not dividing j, and w over an F_p-basis of
 the polynomials of degree < d; each has order p^s, s least with j p^s >= e.
 The units are the span of the generators, built block by block on arrays of
-residue codes through tables.ResidueRing; a unit's discrete log is kept as one
-integer, the C-order flat index of its exponent vector in a grid shaped like
-the group, and unravelled only where a coordinate is read. A character is an
-exponent vector too, one grid cell, numbered the same way; its values are
+residue codes through tables.ResidueRing, and listed in grid order: the
+discrete log of the unit at position i is the exponent vector of flat index i
+in a C-order grid shaped like the group, so it is never stored. A character
+is an exponent vector too, one grid cell, numbered the same way; its values are
 rotation numerators k (chi = exp(2 pi i k/L), L the group exponent), so
 orthogonality sums can be tested for exact cancellation without touching
 floats. The even characters are those trivial on the nonzero constants:
@@ -17,8 +17,8 @@ all of them when q = 2. When Q = P^e with deg P = 1, the first generator is
 a primitive constant, so the constants are grid axis 0 alone and the even
 characters are the cells with first coordinate 0, the prefix of length
 Phi/(q-1). Bulk character sums go through character_sums: the weights
-are placed on the grid and one DFT over the unit group gives every character
-at once.
+gathered at the unit codes are the grid, and one DFT over the unit group
+gives every character at once.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ def residue_code(f: Poly, modulus: Poly) -> int:
 
 class UnitGroupBasis:
     """Direct-product decomposition of (F_q[t]/Q)^* with discrete logs:
-    grid_index[i] is the C-order flat index, in a grid of shape `orders`, of
-    the exponent vector of unit_codes[i] over the generators (a bijection of
-    the units onto range(phi)); unit_codes ascend, so unit_index finds a
-    code's position i by search."""
+    unit_codes[i] is the unit whose exponent vector over the generators has
+    C-order flat index i in a grid of shape `orders` (a bijection of range(phi)
+    onto the units)."""
 
     def __init__(
         self,
@@ -57,7 +56,6 @@ class UnitGroupBasis:
         generators: tuple[int, ...],
         orders: tuple[int, ...],
         unit_codes: np.ndarray,
-        grid_index: np.ndarray,
     ):
         self.field = field
         self.modulus = modulus
@@ -65,16 +63,17 @@ class UnitGroupBasis:
         self.orders = orders
         self.exponent = math.lcm(*orders) if orders else 1
         self.unit_codes = unit_codes
-        self.grid_index = grid_index
 
     @property
     def phi(self) -> int:
         return len(self.unit_codes)
 
     def unit_index(self, codes) -> np.ndarray:
-        """Position in unit_codes of each residue code, -1 for a non-unit."""
-        pos = np.minimum(np.searchsorted(self.unit_codes, codes), self.phi - 1)
-        return np.where(self.unit_codes[pos] == codes, pos, -1)
+        """Position in unit_codes of each residue code, -1 for a non-unit: an
+        inverse lookup over every residue code, built on each call."""
+        lookup = np.full(self.field.q**self.modulus.degree, -1, dtype=np.int64)
+        lookup[self.unit_codes] = np.arange(self.phi)
+        return lookup[codes]
 
     # dense value matrix over (characters x units), the reference that
     # character_sums is tested against; "all" rows are enumerate_characters,
@@ -91,9 +90,9 @@ def _phi_bound(field: FieldSpec, modulus: Poly) -> int:
 
 
 def basis_bytes(field: FieldSpec, modulus: Poly) -> int:
-    """Peak bytes of building the basis mod Q: 64 per unit for the codes, grid
-    index, span and sort (41 measured mod t^m; other Q add factor tables)."""
-    return 64 * _phi_bound(field, modulus) + _SCRATCH
+    """Peak bytes of building the basis mod Q: 40 per unit for the span and its
+    grid-order copy (16 measured mod t^m; other Q add factor tables, to 33)."""
+    return 40 * _phi_bound(field, modulus) + _SCRATCH
 
 
 def transform_bytes(field: FieldSpec, modulus: Poly, rows: int = 1) -> int:
@@ -104,8 +103,8 @@ def transform_bytes(field: FieldSpec, modulus: Poly, rows: int = 1) -> int:
 
 def route_bytes(field: FieldSpec, modulus: Poly) -> int:
     """Peak bytes of a basis mod Q and one transform: the larger of the build
-    and the built basis (16 per unit, codes and grid index) with the transform."""
-    held = 16 * _phi_bound(field, modulus) + _SCRATCH
+    and the built basis (8 per unit, its codes) with the transform."""
+    held = 8 * _phi_bound(field, modulus) + _SCRATCH
     return max(basis_bytes(field, modulus), held + transform_bytes(field, modulus))
 
 
@@ -160,11 +159,10 @@ def _generators(field: FieldSpec, modulus: Poly):
 
 def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     ring = residue_ring(field, modulus)
-    # the span of the generators so far: its codes and their grid indices;
-    # extending by y of order e appends the blocks span * y^j, j < e, whose
-    # exponent vectors gain a last coordinate j
+    # the span of the generators so far; extending by y of order e appends the
+    # blocks span * y^j, j < e, so the last generator's exponent varies
+    # slowest: the span is the grid with its axes reversed
     span = np.ones(1, dtype=np.int64)
-    index = np.zeros(1, dtype=np.int64)
     generators: list[int] = []
     orders: list[int] = []
     for y, e in _generators(field, modulus):
@@ -174,12 +172,13 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
         while len(span) < size:  # doubling: span holds c blocks and step = y^c
             span = np.concatenate((span, ring.mul(span[: size - len(span)], step)))
             step = ring.pow(step, 2)
-        index = (index * e + np.arange(e)[:, None]).ravel()
         generators.append(y)
         orders.append(e)
-    order = np.argsort(span)
-    codes = span[order]
-    if not (np.diff(codes) > 0).all():
+    codes = span.reshape(orders[::-1]).transpose().ravel()
+    del span
+    seen = np.zeros(field.q**modulus.degree, dtype=bool)
+    seen[codes] = True
+    if np.count_nonzero(seen) != len(codes):
         raise AssertionError("span extension collided; basis invariant broken")
     return UnitGroupBasis(
         field=field,
@@ -187,7 +186,6 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
         generators=tuple(generators),
         orders=tuple(orders),
         unit_codes=codes,
-        grid_index=index[order],
     )
 
 
@@ -223,9 +221,9 @@ def character_sums(
     once; `weights` is indexed by residue code (non-units are ignored). A 2-D
     `weights` gives one row of sums per row; past the budget, BudgetError.
 
-    Each row's unit weights are assigned to the grid cells of their discrete
-    logs (one cell per unit, as the group is a direct product); one inverse
-    DFT over Z/o_1 x ... x Z/o_r then yields all sums. Entries follow
+    Each row's weights gathered at unit_codes are its grid, as the units are
+    listed in grid order; one inverse DFT over Z/o_1 x ... x Z/o_r then yields
+    all sums, complex even for Phi = 1 (no axis). Entries follow
     enumerate_characters order, or even_characters order when even_only: an
     even character ignores the constants' axis, so for q > 2 the grid is
     summed over that axis and only the Phi/(q-1) cells left are transformed."""
@@ -234,15 +232,13 @@ def character_sums(
     nbytes = transform_bytes(basis.field, basis.modulus, count)
     check_budget(nbytes, budget, "character transform of {} x {}", count, basis.phi)
     w = weights[..., basis.unit_codes]
-    rows = w.reshape(-1, basis.phi)
-    grid = np.zeros(rows.shape, dtype=np.complex128)
-    grid[:, basis.grid_index] = rows
-    grid = grid.reshape(len(rows), *basis.orders)
+    grid = w.reshape(-1, *basis.orders)
     cells = basis.phi
     if even_only and basis.field.q > 2:
         cells = count_even(basis)
         grid = grid.sum(axis=1)
-    sums = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).reshape(*w.shape[:-1], cells)
+    sums = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).astype(complex, copy=False)
+    sums = sums.reshape(*w.shape[:-1], cells)
     sums *= cells
     return sums
 
@@ -264,7 +260,7 @@ def character_rotation_matrix(basis: UnitGroupBasis, exponents: np.ndarray) -> n
     if not basis.orders:
         return np.zeros((len(exponents), basis.phi), dtype=np.int64)
     L = basis.exponent
-    logs = np.stack(np.unravel_index(basis.grid_index, basis.orders))
+    logs = enumerate_characters(basis).T  # a unit's logs are its grid coordinates
     return (exponents * (L // np.array(basis.orders)) @ logs) % L
 
 

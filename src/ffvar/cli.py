@@ -101,8 +101,8 @@ def cmd_variance(args: argparse.Namespace) -> int:
     for flag, text, values in (("--N", args.N, n_values), ("--h", args.h, h_values)):
         if not values:
             raise PreconditionError(f"empty {flag} range {text}")
-    if args.tolerance <= 0:
-        raise PreconditionError("tolerance must be > 0")
+    if not np.isfinite(args.tolerance) or args.tolerance <= 0:  # gap > nan is never true
+        raise PreconditionError("tolerance must be finite and > 0")
     handle = variance.get_function(args.function)
     room = 2 if args.mode == "character" else 1
     pairs = [(n, h) for n in n_values for h in h_values if 0 <= h <= n - room]
@@ -470,6 +470,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise PreconditionError(f"verify needs --n-max >= 2; got {args.n_max}")
     if args.trials < 1:
         raise PreconditionError(f"verify needs --trials >= 1; got {args.trials}")
+    if args.seed < 0:  # numpy refuses it, after the first suites have printed
+        raise PreconditionError(f"verify needs --seed >= 0; got {args.seed}")
     if (args.p, args.k) == (2, 1) and not args.suite:
         fields = [make_field(2, 1), make_field(3, 1)]
     else:

@@ -211,7 +211,7 @@ class DirichletChar:
         if index < 0:
             raise PreconditionError(f"residue code {code} is not a unit")
         L = basis.exponent
-        logs = np.unravel_index(basis.grid_index[index], basis.orders)
+        logs = np.unravel_index(index, basis.orders)
         return sum(e * (L // o) * int(x) for e, o, x in zip(self.exponents, basis.orders, logs)) % L
 
     def evaluate(self, f: Poly) -> RotationNumber | None:

@@ -227,7 +227,7 @@ def _psi_per_n(field, modulus, n_total):
     ])
     # chi(P)^k = chi(P^k): each row's counts land at k times the discrete
     # logs of their units on a grid shaped like the group, then one inverse DFT
-    logs = np.unravel_index(basis.grid_index, basis.orders) if basis.orders else ()
+    logs = np.unravel_index(np.arange(basis.phi), basis.orders) if basis.orders else ()
     grid = np.zeros((len(divisors), basis.phi), dtype=np.complex128)
     for row, d, c in zip(grid, divisors, counts):
         cell = np.zeros(basis.phi, dtype=np.int64)

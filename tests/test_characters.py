@@ -46,8 +46,8 @@ def _code_poly(fld, m, code):
 
 
 def _dlog(basis, i):
-    """Exponent vector of unit_codes[i]: its grid index unravelled."""
-    return np.array(np.unravel_index(basis.grid_index[i], basis.orders), dtype=np.int64)
+    """Exponent vector of unit_codes[i]: its position i unravelled."""
+    return np.array(np.unravel_index(i, basis.orders), dtype=np.int64)
 
 
 def _linear_power(modulus):
@@ -98,9 +98,9 @@ def test_order_chain_and_phi(f2, f3, f4):
         assert basis.phi == brute_unit_count(modulus)
         assert math.prod(basis.orders) == basis.phi
         assert basis.exponent == math.lcm(*basis.orders) if basis.orders else basis.exponent == 1
-        # one grid cell per unit, no two units sharing a cell, and each
-        # unit is the product of the generators raised to its cell's vector
-        assert sorted(basis.grid_index.tolist()) == list(range(basis.phi))
+        # one grid cell per unit, no two cells holding the same unit, and
+        # each unit is the product of the generators raised to its cell's vector
+        assert len(set(basis.unit_codes.tolist())) == basis.phi
         m = modulus.degree
         gens = [_code_poly(fld, m, g) for g in basis.generators]
         for i, code in enumerate(basis.unit_codes.tolist()):
@@ -241,6 +241,20 @@ def test_degree_one_modulus_edge(f2, f3):
     assert count_even(b) == 1
 
 
+def test_a_repeated_generator_trips_the_bijection_check(monkeypatch, cold_caches, f2):
+    # a generator listed twice spans every unit twice, so the seen mask counts
+    # fewer codes than the span holds and the build refuses
+    generators = characters_module._generators
+
+    def first_twice(field, modulus):
+        found = list(generators(field, modulus))
+        yield from [found[0], *found]
+
+    monkeypatch.setattr(characters_module, "_generators", first_twice)
+    with pytest.raises(AssertionError, match="span extension collided"):
+        unit_group_basis(f2, t_power(f2, 5))
+
+
 # -- character values -----------------------------------------------------------
 
 
@@ -344,7 +358,7 @@ def test_constants_are_axis_zero_and_even_characters_the_prefix(q):
             if q**m > 4096:
                 break
             basis = unit_group_basis(fld, from_coeffs(fld, [a, 1]) ** m)
-            cells = basis.grid_index[basis.unit_index(np.arange(1, q))]
+            cells = basis.unit_index(np.arange(1, q))
             grid = np.zeros(basis.phi, dtype=bool)
             grid[cells] = True
             if q > 2:

@@ -78,6 +78,16 @@ def test_variance_character_mode_needs_room(capsys):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-6"])
+def test_variance_tolerance_must_be_finite_and_positive(tolerance, capsys):
+    # at nan no gap would exceed it (gap > nan is false), at inf none could
+    rc = main(["variance", "--N", "4", "--h", "1", f"--tolerance={tolerance}"])
+    assert rc == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "precondition: tolerance must be finite and > 0\n"
+
+
 def test_variance_budget_exit(capsys):
     assert main(["variance", "--N", "12", "--h", "1", "--budget", "100"]) == EXIT_BUDGET
     assert "budget" in capsys.readouterr().err
@@ -324,10 +334,12 @@ def test_verify_unknown_suite(capsys):
         (["--suite", "ramare", "--n-max", "1"], "--n-max >= 2; got 1"),
         (["--suite", "mvt", "--trials", "0"], "--trials >= 1; got 0"),
         (["--trials", "-2"], "--trials >= 1; got -2"),
+        (["--seed", "-1"], "--seed >= 0; got -1"),
     ],
 )
 def test_verify_rejects_vacuous_settings(args, message, capsys):
-    # below these the suites would print PASS on nothing checked
+    # below these the suites would print PASS on nothing checked, or, for a
+    # negative seed, die in numpy's generator after the first suites passed
     assert main(["verify", *args]) == EXIT_PRECONDITION
     out, err = capsys.readouterr()
     assert out == ""  # before any suite runs
