@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, IrreducibleCacheError, PreconditionError
+from .errors import IrreducibleCacheError, PreconditionError
 from .fields import FieldSpec, prime_factors
 from .polys import Poly, monic_from_index, monic_index, one
 from .tables import get_tables
@@ -134,11 +134,7 @@ def load_cache(field: FieldSpec, path: Path | str) -> SieveCache:
 
 
 def sieve_irreducibles(
-    field: FieldSpec,
-    max_degree: int,
-    *,
-    cache_dir: Path | str | None = None,
-    budget: int = DEFAULT_BUDGET,
+    field: FieldSpec, max_degree: int, *, cache_dir: Path | str | None = None
 ) -> SieveCache:
     """Complete irreducible lists up to max_degree, optionally persisted.
 
@@ -157,7 +153,7 @@ def sieve_irreducibles(
             log.info("cache %s only covers degree %d, resieving", path, cached.max_degree)
         except IrreducibleCacheError as exc:
             log.warning("discarding corrupt sieve cache: %s", exc)
-    tables = get_tables(field, max_degree, budget=budget)
+    tables = get_tables(field, max_degree)
     by_degree: list[tuple[Poly, ...]] = [()]
     for d in range(1, max_degree + 1):
         by_degree.append(tuple(tables.irreducible_polys(d)))
@@ -188,7 +184,7 @@ class Factorization:
         return out
 
 
-def factor(f: Poly, cache: SieveCache, *, budget: int = DEFAULT_BUDGET) -> Factorization:
+def factor(f: Poly, cache: SieveCache) -> Factorization:
     """Factor by walking the sieve's factor links, one lookup per prime factor.
     The tables and each walked degree's links must fit the budget: BudgetError."""
     if f.is_zero:
@@ -200,11 +196,11 @@ def factor(f: Poly, cache: SieveCache, *, budget: int = DEFAULT_BUDGET) -> Facto
         raise PreconditionError(
             f"cache depth {cache.max_degree} insufficient for degree {n} (needs {n // 2})"
         )
-    tables = get_tables(f.field, n, budget=budget)
+    tables = get_tables(f.field, n)
     found: Counter[tuple[int, int]] = Counter()
     u = monic_index(f.monic())
     while n:
-        deg, fac, cof = tables.factor_links(n, budget=budget)
+        deg, fac, cof = tables.factor_links(n)
         d = int(deg[u])
         if d == 0:
             found[n, u] += 1

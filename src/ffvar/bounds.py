@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
+from .errors import PreconditionError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, t_power
 from .characters import character_sums, l_coefficients, unit_group_basis
@@ -55,13 +55,13 @@ class BoundReport:
 
 
 def _mvt_reports(
-    field: FieldSpec, modulus: Poly, n: int, rows: int, draws: Iterable[np.ndarray], budget: int
+    field: FieldSpec, modulus: Poly, n: int, rows: int, draws: Iterable[np.ndarray]
 ) -> list[BoundReport]:
     """The mean value theorem on `rows` coefficient vectors from `draws`, each
     indexed by the mantissas of the monics of degree n: each vector is folded
     by its residues mod Q into one row, and one transform sums every row."""
     q, m = field.q, modulus.degree
-    basis = unit_group_basis(field, modulus, budget=budget)
+    basis = unit_group_basis(field, modulus)
     codes = reduce_monic_mod(field, modulus, n, np.arange(q**n))
     units = np.isin(codes, basis.unit_codes, kind="table")
     folded = np.empty((rows, q**m), dtype=np.complex128)
@@ -70,7 +70,7 @@ def _mvt_reports(
         folded[i] = np.bincount(codes, coeffs.real, q**m)
         folded[i] += 1j * np.bincount(codes, coeffs.imag, q**m)
         diag[i] = np.sum(np.abs(coeffs[units]) ** 2)
-    sums = character_sums(basis, folded, budget=budget)
+    sums = character_sums(basis, folded)
     scale = q ** (n - m) if n >= m else 1.0 / q ** (m - n)
     reports = []
     for row, d in zip(sums, diag):
@@ -82,15 +82,13 @@ def _mvt_reports(
     return reports
 
 
-def mvt_check(
-    field: FieldSpec, modulus: Poly, n: int, coeffs: np.ndarray, *, budget: int = DEFAULT_BUDGET
-) -> BoundReport:
+def mvt_check(field: FieldSpec, modulus: Poly, n: int, coeffs: np.ndarray) -> BoundReport:
     """One instance of the mean value theorem: coeffs is a complex vector
     indexed by the mantissas of monic degree-n polynomials."""
     if len(coeffs) != field.q**n:
         raise PreconditionError(f"need q^n = {field.q**n} coefficients, got {len(coeffs)}")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    return _mvt_reports(field, modulus, n, 1, [coeffs], budget)[0]
+    return _mvt_reports(field, modulus, n, 1, [coeffs])[0]
 
 
 def mvt_trial(
@@ -101,7 +99,6 @@ def mvt_trial(
     seed: int = 0,
     trials: int = 100,
     distribution: str = "signs",
-    budget: int = DEFAULT_BUDGET,
 ) -> list[BoundReport]:
     """Seeded random coefficient draws, "signs" (+-1) or "phases" (unit
     modulus): same seed, same draws; every report must pass. A draw is
@@ -113,7 +110,7 @@ def mvt_trial(
         raise PreconditionError(f"unknown distribution {distribution!r}")
     size = field.q**n
     nbytes = 64 * size + 16 * trials * field.q**modulus.degree
-    check_budget(nbytes, budget, "mvt of {} draws of {} coefficients", trials, size)
+    check_budget(nbytes, "mvt of {} draws of {} coefficients", trials, size)
     rng = np.random.default_rng(seed)
 
     def draws() -> Iterator[np.ndarray]:
@@ -123,7 +120,7 @@ def mvt_trial(
             else:
                 yield np.exp(2j * np.pi * rng.random(size))
 
-    reports = _mvt_reports(field, modulus, n, trials, draws(), budget)
+    reports = _mvt_reports(field, modulus, n, trials, draws())
     for trial, report in enumerate(reports):
         report.params.update(trial=trial, seed=seed, distribution=distribution)
     return reports
@@ -209,18 +206,18 @@ def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -
 
 
 def _masked_even_square_sum(
-    field: FieldSpec, n_total: int, n: int, h: int, keep_smooth: bool, budget: int
+    field: FieldSpec, n_total: int, n: int, h: int, keep_smooth: bool
 ) -> float:
     """Sum over even chi mod t^(N-h) of |sum_{G in M_n, smoothness-filtered}
     lambda(G) chi(G)|^2."""
     modulus = t_power(field, n_total - h)
-    basis = unit_group_basis(field, modulus, budget=budget)
-    tables = get_tables(field, max(n, n_total), budget=budget)
+    basis = unit_group_basis(field, modulus)
+    tables = get_tables(field, max(n, n_total))
     smooth = tables.max_factor_degree[n] <= h
     lam = np.where(smooth if keep_smooth else ~smooth, tables.liouville_values(n), 0)
     weights = np.zeros(field.q**modulus.degree, dtype=np.int64)
     fold_monic_mod(field, modulus, n, lam, weights)
-    sums = character_sums(basis, weights, even_only=True, budget=budget)
+    sums = character_sums(basis, weights, even_only=True)
     return float(np.sum(sums.real**2 + sums.imag**2))
 
 
@@ -231,15 +228,13 @@ def _check_window_params(n_total: int, n: int, h: int) -> None:
         raise PreconditionError(f"need 0 <= n <= N; got n={n}, N={n_total}")
 
 
-def large_factor_sum_ratio(
-    field: FieldSpec, n_total: int, n: int, h: int, *, budget: int = DEFAULT_BUDGET
-) -> BoundReport:
+def large_factor_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
     """Square sum over even characters of the non-h-smooth Liouville block,
     against the proof-form bound (N^3/h^2) q^(N+n-h); the statement-form
     bound (n-h)(N/h)^2 q^(N+n-h) rides along in extras. Observe-only."""
     _check_window_params(n_total, n, h)
     q = field.q
-    lhs = _masked_even_square_sum(field, n_total, n, h, False, budget)
+    lhs = _masked_even_square_sum(field, n_total, n, h, False)
     rhs = (n_total**3 / h**2) * float(q) ** (n_total + n - h)
     extras = {}
     stmt = (n - h) * (n_total / h) ** 2 * float(q) ** (n_total + n - h)
@@ -256,14 +251,12 @@ def large_factor_sum_ratio(
     )
 
 
-def smooth_sum_ratio(
-    field: FieldSpec, n_total: int, n: int, h: int, *, budget: int = DEFAULT_BUDGET
-) -> BoundReport:
+def smooth_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
     """Square sum over even characters of the h-smooth Liouville block,
     against q^(n+N-h) + q^(2(N-h)). Observe-only."""
     _check_window_params(n_total, n, h)
     q = field.q
-    lhs = _masked_even_square_sum(field, n_total, n, h, True, budget)
+    lhs = _masked_even_square_sum(field, n_total, n, h, True)
     rhs = float(q) ** (n + n_total - h) + float(q) ** (2 * (n_total - h))
     return BoundReport(
         bound="smooth_sum",

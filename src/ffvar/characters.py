@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .arith import factor, sieve_irreducibles
-from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
+from .errors import PreconditionError, check_budget
 from .fields import FieldSpec, prime_factors
 from .polys import Poly, constant, from_coeffs, t_power
 from .tables import residue_ring
@@ -112,12 +112,10 @@ def route_bytes(field: FieldSpec, modulus: Poly) -> int:
 _BASIS_CACHE: dict[tuple[FieldSpec, Poly], UnitGroupBasis] = {}
 
 
-def unit_group_basis(
-    field: FieldSpec, modulus: Poly, *, budget: int = DEFAULT_BUDGET
-) -> UnitGroupBasis:
+def unit_group_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
-    check_budget(basis_bytes(field, modulus), budget, "unit group mod {}", modulus)
+    check_budget(basis_bytes(field, modulus), "unit group mod {}", modulus)
     key = (field, modulus)
     if key not in _BASIS_CACHE:
         _BASIS_CACHE.clear()  # drop the last basis before building the next
@@ -214,8 +212,7 @@ def even_characters(basis: UnitGroupBasis) -> np.ndarray:
 
 
 def character_sums(
-    basis: UnitGroupBasis, weights: np.ndarray, *, even_only: bool = False,
-    budget: int = DEFAULT_BUDGET,
+    basis: UnitGroupBasis, weights: np.ndarray, *, even_only: bool = False
 ) -> np.ndarray:
     """sum over units u of weights[u] * chi(u), for every character chi at
     once; `weights` is indexed by residue code (non-units are ignored). A 2-D
@@ -230,7 +227,7 @@ def character_sums(
     weights = np.asarray(weights)
     count = weights.size // weights.shape[-1]
     nbytes = transform_bytes(basis.field, basis.modulus, count)
-    check_budget(nbytes, budget, "character transform of {} x {}", count, basis.phi)
+    check_budget(nbytes, "character transform of {} x {}", count, basis.phi)
     w = weights[..., basis.unit_codes]
     grid = w.reshape(-1, *basis.orders)
     cells = basis.phi

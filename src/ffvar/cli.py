@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import arith, bounds, characters, variance
 from .errors import DEFAULT_BUDGET, BudgetError, IrreducibleCacheError, PreconditionError
-from .errors import check_budget
+from .errors import budget, check_budget
 from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import from_coeffs, monic_from_index, t_power
 from .tables import get_tables
@@ -110,11 +111,8 @@ def cmd_variance(args: argparse.Namespace) -> int:
         need = "0 <= h <= N-2" if args.mode == "character" else "0 <= h < N"
         raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
     for n, h in pairs:  # every cell's estimate, before the first route runs
-        check_budget(variance.cell_bytes(fld, n, h, args.mode), args.budget, "cell N={} h={}", n, h)
-    reports = [
-        variance.variance_report(fld, handle, n, h, budget=args.budget, mode=args.mode)
-        for n, h in pairs
-    ]
+        check_budget(variance.cell_bytes(fld, n, h, args.mode), "cell N={} h={}", n, h)
+    reports = [variance.variance_report(fld, handle, n, h, mode=args.mode) for n, h in pairs]
     rows = [
         (
             rep.q,
@@ -167,16 +165,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if any(h < 1 for _, h in pairs):
         raise PreconditionError("sweep grid needs h >= 1")
     for n, h in pairs:  # every cell's estimate, before the first route runs
-        check_budget(variance.cell_bytes(fld, n, h), args.budget, "cell N={} h={}", n, h)
+        check_budget(variance.cell_bytes(fld, n, h), "cell N={} h={}", n, h)
 
     def one(pair: tuple[int, int]):
         n, h = pair
-        rep = variance.variance_report(fld, "liouville", n, h, budget=args.budget)
+        rep = variance.variance_report(fld, "liouville", n, h)
         bound = bounds.theorem_rhs(fld.q, n, h)
         largepf = smoothpf = None
         if rep.charside is not None:
-            largepf = bounds.large_factor_sum_ratio(fld, n, n, h, budget=args.budget).ratio
-            smoothpf = bounds.smooth_sum_ratio(fld, n, n, h, budget=args.budget).ratio
+            largepf = bounds.large_factor_sum_ratio(fld, n, n, h).ratio
+            smoothpf = bounds.smooth_sum_ratio(fld, n, n, h).ratio
         ratio = float(rep.direct) / bound
         return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 
@@ -211,9 +209,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
                 return EXIT_FAILURE
         print(f"{path}: ok ({sum(len(x) for x in cache.by_degree)} irreducibles)")
         return EXIT_OK
-    cache = arith.sieve_irreducibles(
-        fld, args.max_degree, cache_dir=cache_dir, budget=args.budget
-    )
+    cache = arith.sieve_irreducibles(fld, args.max_degree, cache_dir=cache_dir)
     total = sum(len(x) for x in cache.by_degree)
     print(f"{path}: {total} irreducibles up to degree {cache.max_degree}")
     return EXIT_OK
@@ -560,8 +556,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": cmd_sweep,
         "cache": cmd_cache,
     }
+    # --budget holds for the whole command; verify runs at the one in force
+    limit = budget(args.budget) if "budget" in args else nullcontext()
     try:
-        return commands[args.command](args)
+        with limit:
+            return commands[args.command](args)
     except Exception as exc:
         for kind, prefix, code in ERROR_EXITS:
             if isinstance(exc, kind):

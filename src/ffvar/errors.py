@@ -1,9 +1,15 @@
 """Exception types shared across the package, and the one byte budget.
 
 cli.ERROR_EXITS maps each to its exit code; the README tabulates the codes.
+The budget is one value, read by check_budget and set for a block by
+`with budget(nbytes):`; no function takes it as an argument.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
 
 
 class FFVarError(Exception):
@@ -27,9 +33,21 @@ class SmoothWindowError(PreconditionError):
 
 
 DEFAULT_BUDGET = 1 << 30  # bytes
+_BUDGET: ContextVar[int] = ContextVar("budget", default=DEFAULT_BUDGET)
 
 
-def check_budget(nbytes: int, budget: int, what: str, *args: object) -> None:
+@contextmanager
+def budget(nbytes: int) -> Iterator[None]:
+    """The budget is `nbytes` inside the block, and what it was again after."""
+    token = _BUDGET.set(nbytes)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def check_budget(nbytes: int, what: str, *args: object) -> None:
     """The one gate, before each allocation; `what` is formatted only to refuse."""
-    if nbytes > budget:
-        raise BudgetError(f"{what.format(*args)} needs {nbytes} bytes, over the budget of {budget}")
+    limit = _BUDGET.get()
+    if nbytes > limit:
+        raise BudgetError(f"{what.format(*args)} needs {nbytes} bytes, over the budget of {limit}")

@@ -44,7 +44,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, PreconditionError, check_budget
+from .errors import PreconditionError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, monic_from_index, t_power
 
@@ -123,14 +123,14 @@ class ArithTables:
     _pairs: dict[int, tuple] = dc_field(default_factory=dict, repr=False, compare=False)
     _packed: list[np.ndarray] = dc_field(default_factory=list, repr=False, compare=False)
 
-    def factor_links(self, m: int, *, budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, ...]:
+    def factor_links(self, m: int) -> tuple[np.ndarray, ...]:
         """(deg P, mantissa of P, mantissa of G/P) for one irreducible P | G
         per monic G of degree m <= max_degree, mantissa-indexed; deg P is 0
         where G is irreducible. Built by one product pass on first use, once
         links_bytes is checked against the budget."""
         links = self._links.get(m)
         if links is None:
-            check_budget(links_bytes(self.field, m), budget, "factor links of degree {}", m)
+            check_budget(links_bytes(self.field, m), "factor links of degree {}", m)
             size = self.field.q**m
             links = (np.zeros(size, np.int8), np.zeros(size, np.int32), np.zeros(size, np.int32))
             deg, fac, cof = links
@@ -158,11 +158,11 @@ class ArithTables:
             pairs = self._pairs[m] = tuple(np.concatenate(c) for c in (deg, cof, prod))
         return pairs
 
-    def extend(self, max_degree: int, budget: int) -> None:
+    def extend(self, max_degree: int) -> None:
         """Sieve degrees self.max_degree+1 .. max_degree onto these tables in
         place; the arrays and factor links built so far are kept."""
         nbytes = table_bytes(self.field, max_degree)
-        check_budget(nbytes, budget, "sieve tables to degree {}", max_degree)
+        check_budget(nbytes, "sieve tables to degree {}", max_degree)
         q = self.field.q
         for m in range(self.max_degree + 1, max_degree + 1):
             # P * M gets Omega(M) + 1 and max(max factor degree of M, deg P); 0 is unwritten
@@ -216,30 +216,26 @@ def table_bytes(field: FieldSpec, max_degree: int) -> int:
     return held + q**n + 8 * q**n // n + _SIEVE_SCRATCH
 
 
-def build_tables(
-    field: FieldSpec, max_degree: int, *, budget: int = DEFAULT_BUDGET
-) -> ArithTables:
+def build_tables(field: FieldSpec, max_degree: int) -> ArithTables:
     if max_degree < 0:
         raise PreconditionError("max_degree must be >= 0")
     tables = ArithTables(field, -1, [], [], [], [])
     # degree 0: the one monic polynomial 1, with no factor
     tables._push(np.zeros(1, "<i2"), np.ones(1, bool), np.empty(0, np.int64))
-    tables.extend(max_degree, budget)
+    tables.extend(max_degree)
     return tables
 
 
 _TABLE_CACHE: dict[FieldSpec, ArithTables] = {}
 
 
-def get_tables(
-    field: FieldSpec, max_degree: int, *, budget: int = DEFAULT_BUDGET
-) -> ArithTables:
+def get_tables(field: FieldSpec, max_degree: int) -> ArithTables:
     """Cached tables for `field`, extended in place to cover `max_degree`."""
     cached = _TABLE_CACHE.get(field)
     if cached is None:
-        cached = _TABLE_CACHE[field] = build_tables(field, max_degree, budget=budget)
+        cached = _TABLE_CACHE[field] = build_tables(field, max_degree)
     elif cached.max_degree < max_degree:
-        cached.extend(max_degree, budget)
+        cached.extend(max_degree)
     return cached
 
 

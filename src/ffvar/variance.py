@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import pi_q
-from .errors import DEFAULT_BUDGET, PreconditionError, SmoothWindowError, check_budget
+from .errors import PreconditionError, SmoothWindowError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, monic_index, t_power
 from .characters import UnitGroupBasis, character_sums, route_bytes, unit_group_basis
@@ -88,25 +88,23 @@ def _as_handle(f: ArithmeticFunctionHandle | str) -> ArithmeticFunctionHandle:
 
 
 def interval_sums(
-    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int, *,
-    budget: int = DEFAULT_BUDGET,
+    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int
 ) -> np.ndarray:
     """S_I for every interval I, indexed by packed upper coefficients: an
     interval is a contiguous block of q^(h+1) mantissas."""
     f = _as_handle(f)
     if not 0 <= h < n:
         raise PreconditionError(f"need 0 <= h < n; got h={h}, n={n}")
-    values = f.degree_values(get_tables(field, n, budget=budget), n)
+    values = f.degree_values(get_tables(field, n), n)
     return values.reshape(-1, field.q ** (h + 1)).sum(axis=1, dtype=np.int64)
 
 
 def variance_direct(
-    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int, *,
-    budget: int = DEFAULT_BUDGET,
+    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int
 ) -> Fraction:
     """Exact mean square of interval sums: (q^(h+1)/q^n) * sum_I S_I^2."""
     q = field.q
-    acc = interval_sums(field, f, n, h, budget=budget)
+    acc = interval_sums(field, f, n, h)
     ssq = int(acc @ acc)
     return Fraction(q ** (h + 1) * ssq, q**n)
 
@@ -135,8 +133,6 @@ def weighted_char_sum(
     basis: UnitGroupBasis,
     exponents,
     n_total: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
 ) -> complex:
     """U(chi) = sum_v f(t^v) * sum_{G in M_(n_total - v)} f(G) chi(G), chi the
     character mod basis.modulus with exponent vector `exponents`."""
@@ -150,15 +146,14 @@ def weighted_char_sum(
         0 <= e < o for e, o in zip(exponents, basis.orders)
     ):
         raise PreconditionError(f"exponents {exponents} out of range for orders {basis.orders}")
-    tables = get_tables(field, n_total, budget=budget)
+    tables = get_tables(field, n_total)
     weights = _residue_weight_vector(field, f, basis.modulus, n_total, tables)
     row = np.ravel_multi_index(exponents, basis.orders)
-    return complex(character_sums(basis, weights, budget=budget)[row])
+    return complex(character_sums(basis, weights)[row])
 
 
 def variance_charside(
-    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int, *,
-    budget: int = DEFAULT_BUDGET,
+    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int
 ) -> float:
     """Average of |U(chi)|^2 over even chi mod t^(n-h), divided by the
     number of even characters; agrees with variance_direct for the symmetric
@@ -167,10 +162,10 @@ def variance_charside(
     if not 0 <= h <= n - 2:
         raise PreconditionError(f"need 0 <= h <= n-2; got h={h}, n={n}")
     modulus = t_power(field, n - h)
-    basis = unit_group_basis(field, modulus, budget=budget)
-    tables = get_tables(field, n, budget=budget)
+    basis = unit_group_basis(field, modulus)
+    tables = get_tables(field, n)
     weights = _residue_weight_vector(field, f, modulus, n, tables)
-    sums = character_sums(basis, weights, even_only=True, budget=budget)
+    sums = character_sums(basis, weights, even_only=True)
     return float(np.sum(sums.real**2 + sums.imag**2)) / len(sums) ** 2
 
 
@@ -207,7 +202,6 @@ def variance_report(
     n: int,
     h: int,
     *,
-    budget: int = DEFAULT_BUDGET,
     mode: str = "both",
 ) -> VarianceReport:
     """One grid cell by the routes `mode` names (one of MODES); the
@@ -217,9 +211,9 @@ def variance_report(
     f = _as_handle(f)
     direct = charside = None
     if mode != "direct" and h <= n - 2:
-        charside = variance_charside(field, f, n, h, budget=budget)
+        charside = variance_charside(field, f, n, h)
     if mode != "character":
-        direct = variance_direct(field, f, n, h, budget=budget)
+        direct = variance_direct(field, f, n, h)
     return VarianceReport(
         q=field.q, n=n, h=h, function=f.name, direct=direct, charside=charside
     )
@@ -265,7 +259,6 @@ def window_defects(
     h: int,
     *,
     tables: ArithTables | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> WindowDefects:
     """One array pass over the window pairs (P, M), G = P * M, P a window
     prime (h < deg P <= n), reading each term from M: lambda(M),
@@ -281,9 +274,9 @@ def window_defects(
     if not 1 <= h < n:
         raise PreconditionError(f"need 1 <= h < n; got h={h}, n={n}")
     q = field.q
-    check_budget(window_bytes(field, n, h), budget, "window pairs of degree {}", n)
+    check_budget(window_bytes(field, n, h), "window pairs of degree {}", n)
     if tables is None:
-        tables = get_tables(field, n, budget=budget)
+        tables = get_tables(field, n)
 
     def window(m: int):
         """The pairs of degree m whose P is a window prime: deg P, M, P * M."""
@@ -339,13 +332,11 @@ def ramare_identity_check(field: FieldSpec, g: Poly, h: int, n: int) -> Fraction
     return defect
 
 
-def decomposition_check(
-    field: FieldSpec, n: int, h: int, *, budget: int = DEFAULT_BUDGET
-) -> Fraction:
+def decomposition_check(field: FieldSpec, n: int, h: int) -> Fraction:
     """Max abs defect over all monic G of degree n of the window
     decomposition: the (prime x cofactor) sum of -lambda(M) / (w + 1) at
     G = P * M and -lambda(P * M') / (w (w + 1)) at G = P^2 * M', w the
     window-prime count of the cofactor, must be lambda(G) * [G is not
     h-smooth] (see window_defects)."""
-    check = window_defects(field, n, h, budget=budget)
+    check = window_defects(field, n, h)
     return Fraction(int(np.abs(check.decomposition).max()), check.denominator)

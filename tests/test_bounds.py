@@ -21,7 +21,7 @@ from ffvar import bounds as bounds_module
 from ffvar import characters as characters_module
 from ffvar import tables as tables_module
 from ffvar.characters import l_coefficients, unit_group_basis
-from ffvar.errors import BudgetError, PreconditionError
+from ffvar.errors import BudgetError, PreconditionError, budget
 from ffvar.fields import make_field
 from ffvar.polys import from_coeffs, monic_index, t_power
 from ffvar.tables import get_tables, reduce_monic_mod
@@ -149,12 +149,13 @@ def test_mvt_trial_budget_refusal_is_a_budget_error(f2, cold_caches):
     need = 64 * 2**16 + 16 * 2 * 2**3
     message = f"^mvt of 2 draws of 65536 coefficients needs {need} bytes, over the budget of "
     message += f"{need - 1}$"
-    with pytest.raises(BudgetError, match=message):
-        mvt_trial(f2, t_power(f2, 3), 16, seed=1, trials=2, budget=need - 1)
+    with budget(need - 1), pytest.raises(BudgetError, match=message):
+        mvt_trial(f2, t_power(f2, 3), 16, seed=1, trials=2)
     reports = []
-    peak = traced_peak(
-        lambda: reports.extend(mvt_trial(f2, t_power(f2, 3), 16, seed=1, trials=2, budget=need))
-    )
+    with budget(need):
+        peak = traced_peak(
+            lambda: reports.extend(mvt_trial(f2, t_power(f2, 3), 16, seed=1, trials=2))
+        )
     assert [rep.passed for rep in reports] == [True, True]
     assert peak <= need
 

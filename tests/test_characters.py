@@ -22,6 +22,7 @@ from conftest import (
     traced_peak,
 )
 from ffvar import characters as characters_module
+from ffvar.arith import factor, sieve_irreducibles
 from ffvar.characters import (
     basis_bytes,
     character_rotation_matrix,
@@ -35,7 +36,7 @@ from ffvar.characters import (
     transform_bytes,
     unit_group_basis,
 )
-from ffvar.errors import BudgetError, PreconditionError
+from ffvar.errors import BudgetError, PreconditionError, budget
 from ffvar.fields import make_field
 from ffvar.polys import Poly, from_coeffs, t_power
 from ffvar.tables import get_tables, residue_ring
@@ -588,21 +589,26 @@ def _gate_modulus(p, k, lower):
 
 
 @pytest.mark.parametrize("p,k,lower", [(*f, c) for f, c in GATE_MODULI])
-def test_basis_and_transform_gates_refuse_one_byte_past_their_estimates(p, k, lower):
+def test_basis_and_transform_gates_refuse_one_byte_past_their_estimates(cold_caches, p, k, lower):
     fld, modulus = _gate_modulus(p, k, lower)
     need = basis_bytes(fld, modulus)
     message = f"^unit group mod .* needs {need} bytes, over the budget of {need - 1}$"
-    with pytest.raises(BudgetError, match=message):
-        unit_group_basis(fld, modulus, budget=need - 1)
-    basis = unit_group_basis(fld, modulus, budget=need)
+    with budget(need - 1), pytest.raises(BudgetError, match=message):
+        unit_group_basis(fld, modulus)
+    # factoring Q reads the tables and links under their own gates: built
+    # first at the default budget, so that `need` is the basis's alone
+    factor(modulus, sieve_irreducibles(fld, modulus.degree // 2))
+    with budget(need):
+        basis = unit_group_basis(fld, modulus)
     for shape in ((), (3,)):
         weights = np.ones((*shape, fld.q**modulus.degree))
         rows = 3 if shape else 1
         need = transform_bytes(fld, modulus, rows)
         message = f"^character transform of {rows} x {basis.phi} needs {need} bytes, over"
-        with pytest.raises(BudgetError, match=message):
-            character_sums(basis, weights, budget=need - 1)
-        assert character_sums(basis, weights, budget=need).shape == (*shape, basis.phi)
+        with budget(need - 1), pytest.raises(BudgetError, match=message):
+            character_sums(basis, weights)
+        with budget(need):
+            assert character_sums(basis, weights).shape == (*shape, basis.phi)
 
 
 @pytest.mark.parametrize("p,k,lower", [(*f, c) for f, c in GATE_MODULI])

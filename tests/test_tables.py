@@ -9,7 +9,7 @@ from conftest import brute_factor, enumerate_monic, traced_peak
 from ffvar import tables as tables_module
 
 from ffvar.arith import factor, pi_q, sieve_irreducibles
-from ffvar.errors import BudgetError
+from ffvar.errors import BudgetError, budget
 from ffvar.fields import make_field
 from ffvar.polys import (
     Poly,
@@ -476,9 +476,10 @@ def test_build_tables_budget(f2):
     # the gate reads table_bytes: one byte short refuses, the estimate builds
     need = table_bytes(f2, 12)
     message = f"^sieve tables to degree 12 needs {need} bytes, over the budget of {need - 1}$"
-    with pytest.raises(BudgetError, match=message):
-        build_tables(f2, 12, budget=need - 1)
-    assert build_tables(f2, 12, budget=need).max_degree == 12
+    with budget(need - 1), pytest.raises(BudgetError, match=message):
+        build_tables(f2, 12)
+    with budget(need):
+        assert build_tables(f2, 12).max_degree == 12
 
 
 def test_factor_links_budget(f2, f3):
@@ -488,14 +489,16 @@ def test_factor_links_budget(f2, f3):
         tab = build_tables(fld, m)
         need = links_bytes(fld, m)
         message = f"^factor links of degree {m} needs {need} bytes, over the budget of {need - 1}$"
-        with pytest.raises(BudgetError, match=message):
-            tab.factor_links(m, budget=need - 1)
+        with budget(need - 1), pytest.raises(BudgetError, match=message):
+            tab.factor_links(m)
         assert m not in tab._links
-        assert traced_peak(tab.factor_links, m, budget=need) <= need
-    f = t_power(f3, 9) + from_coeffs(f3, [1])
-    with pytest.raises(BudgetError, match="^factor links of degree 9 needs"):
-        factor(f, sieve_irreducibles(f3, 4), budget=links_bytes(f3, 9) - 1)
-    assert factor(f, sieve_irreducibles(f3, 4), budget=links_bytes(f3, 9)).product(f3) == f
+        with budget(need):
+            assert traced_peak(tab.factor_links, m) <= need
+    f, need = t_power(f3, 9) + from_coeffs(f3, [1]), links_bytes(f3, 9)
+    with budget(need - 1), pytest.raises(BudgetError, match="^factor links of degree 9 needs"):
+        factor(f, sieve_irreducibles(f3, 4))
+    with budget(need):
+        assert factor(f, sieve_irreducibles(f3, 4)).product(f3) == f
 
 
 def test_omega_and_max_factor_degree_share_one_packed_array():

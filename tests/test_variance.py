@@ -10,7 +10,7 @@ import pytest
 
 from conftest import brute_factor, characters_of, enumerate_monic, interval_key, traced_peak
 from ffvar.arith import count_smooth_exact, factor
-from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError
+from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError, budget
 from ffvar.fields import make_field
 from ffvar.polys import (
     from_coeffs,
@@ -88,8 +88,9 @@ def test_interval_sums_preconditions(f2):
         interval_sums(f2, "liouville", 3, 3)
     # the tables gate decides: one byte short of the degree-24 tables
     need = table_bytes(f2, 24)
-    with pytest.raises(BudgetError, match=f"^sieve tables to degree 24 needs {need} bytes"):
-        interval_sums(f2, "liouville", 24, 1, budget=need - 1)
+    message = f"^sieve tables to degree 24 needs {need} bytes"
+    with budget(need - 1), pytest.raises(BudgetError, match=message):
+        interval_sums(f2, "liouville", 24, 1)
 
 
 def test_variance_direct_pinned(f2):
@@ -323,10 +324,11 @@ def test_window_pairs_past_budget_raise(f3):
     rows = [len(tables.window_pairs(m)[0]) for m in (5, 1, 2, 3)]
     assert need == 88 * rows[0] + 24 * sum(rows[1:]) + 48 * 3**5 + (1 << 20)
     message = f"^window pairs of degree 5 needs {need} bytes, over the budget of {need - 1}$"
-    with pytest.raises(BudgetError, match=message):
-        window_defects(f3, 5, 1, tables=tables, budget=need - 1)
+    with budget(need - 1), pytest.raises(BudgetError, match=message):
+        window_defects(f3, 5, 1, tables=tables)
     fresh = build_tables(f3, 5)
-    assert traced_peak(window_defects, f3, 5, 1, tables=fresh, budget=need) <= need
+    with budget(need):
+        assert traced_peak(window_defects, f3, 5, 1, tables=fresh) <= need
 
 
 def test_ramare_identity_defect_zero_exhaustive(f2):
