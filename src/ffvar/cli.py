@@ -25,7 +25,7 @@ from .errors import DEFAULT_BUDGET, BudgetError, IrreducibleCacheError, Precondi
 from .errors import budget, check_budget
 from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import from_coeffs, monic_from_index, t_power
-from .tables import get_tables
+from .tables import get_tables, residue_ring, table_bytes
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -218,12 +218,17 @@ def cmd_cache(args: argparse.Namespace) -> int:
 # -- verification suites
 
 
+def _small_fields(fld: FieldSpec) -> list[FieldSpec]:
+    """F_2, F_3, F_4 and the field verify was given, ascending by q."""
+    fields = {f.q: f for f in (make_field(2), make_field(3), make_field(2, 2), fld)}
+    return [fields[q] for q in sorted(fields)]
+
+
 def _suite_fields(args: argparse.Namespace, fld: FieldSpec):
-    qs = sorted({fld.q, 2, 3, 4})
-    for q in qs:
-        p, k = (q, 1) if q != 4 else (2, 2)
-        verify_field_axioms(make_field(p, k))
-    return f"axioms hold for q in {qs}"
+    fields = _small_fields(fld)
+    for f in fields:
+        verify_field_axioms(f)
+    return f"axioms hold for q in {[f.q for f in fields]}"
 
 
 def _monic_star(fld: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -270,11 +275,19 @@ def _random_rows(fld: FieldSpec, rng, shape: tuple[int, ...], max_deg: int) -> n
     return rows.reshape(*shape, max_deg + 1)
 
 
+def involution_bytes(fld: FieldSpec, n: int) -> int:
+    """Peak bytes of the involution suite to degree n: the tables, 24 per
+    coefficient of each monic of degree n (its int64 row, the temporary that
+    builds it, the starred uint8 rows) and 1 MiB for the random pairs."""
+    return table_bytes(fld, n) + 24 * (n + 1) * fld.q**n + (1 << 20)
+
+
 def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
     # per degree, every monic F with F(0) != 0 at once, for each unit c: star
     # of c F made monic, starred back, must give F again, and lambda must
     # agree on the mantissas of F and of monic(star(c F))
     max_deg = min(args.n_max, 8)
+    check_budget(involution_bytes(fld, max_deg), "involution pass to degree {}", max_deg)
     tables = get_tables(fld, max_deg)
     q = fld.q
     checked = q - 1  # the nonzero constants, each its own star
@@ -295,7 +308,7 @@ def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
                     raise AssertionError(f"{what} at F = {f}")
             checked += len(us)
     # star(a b) = star(a) star(b) on random pairs of nonzero polynomials
-    a, b = _random_rows(fld, np.random.default_rng(args.seed), (2, 2000), args.n_max)
+    a, b = _random_rows(fld, np.random.default_rng(args.seed), (2, 2000), max_deg)
     lhs = _row_star(_row_mul(fld, a, b))
     bad = (lhs != _row_mul(fld, _row_star(a), _row_star(b))).any(axis=1)
     if bad.any():
@@ -349,16 +362,30 @@ def _suite_smooth(args: argparse.Namespace, fld: FieldSpec):
     return f"DP equals enumeration for q={fld.q}, N <= {n_hi}, all h"
 
 
+# the largest Phi(t^m) the orthogonality suite checks: its Phi x Phi rotation
+# numerators and their cancellation scratch take about 24 bytes an entry
+ORTHOGONALITY_PHI = 1 << 11
+
+
 def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
-    qs = sorted({fld.q, 2, 3, 4})
+    fields = _small_fields(fld)
     checked = 0
-    for q in qs:
-        p, k = (q, 1) if q != 4 else (2, 2)
-        f = make_field(p, k)
+    for f in fields:
+        q = f.q
         for m in range(1, 5):
+            phi = q ** (m - 1) * (q - 1)
+            if phi > ORTHOGONALITY_PHI:
+                break
             basis = characters.unit_group_basis(f, t_power(f, m))
-            if basis.phi != q ** (m - 1) * (q - 1):
+            if basis.phi != phi:
                 raise AssertionError(f"phi(t^{m}) wrong for q={q}")
+            # the grid is the ring's: 1 at the origin, and a step along a
+            # generator's axis is a product by that generator
+            grid, ring = basis.unit_codes.reshape(basis.orders), residue_ring(f, basis.modulus)
+            products = (ring.mul(basis.unit_codes, g) for g in basis.generators)
+            shifted = (np.roll(grid, -1, axis).ravel() for axis in range(grid.ndim))
+            if grid.flat[0] != 1 or not all(map(np.array_equal, products, shifted)):
+                raise AssertionError(f"unit grid is not the ring's at q={q}, m={m}")
             R = characters.character_rotation_matrix(
                 basis, characters.enumerate_characters(basis)
             )
@@ -377,7 +404,7 @@ def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
                     f"index {int(np.argmax(bad))}"
                 )
             checked += basis.phi
-    return f"exact cancellation for {checked} characters, q in {qs}"
+    return f"exact cancellation for {checked} characters, q in {[f.q for f in fields]}"
 
 
 def _suite_ramare(args: argparse.Namespace, fld: FieldSpec):

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import copy
 import json
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from conftest import traced_peak
 
 import ffvar.bounds
 import ffvar.characters
@@ -19,11 +22,13 @@ from ffvar.cli import (
     EXIT_GAP,
     EXIT_OK,
     EXIT_PRECONDITION,
+    ORTHOGONALITY_PHI,
     SUITES,
     _random_rows,
     _row_mul,
     _row_star,
     build_parser,
+    involution_bytes,
     main,
 )
 from ffvar.fields import make_field
@@ -357,6 +362,19 @@ def test_verify_smallest_n_max_checks_cases_in_every_suite(capsys):
             assert int(ln.split(": ")[1].split()[0]) > 0, ln
 
 
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (13, 1), (2, 4)], ids=["8", "9", "13", "16"])
+def test_verify_passes_every_suite_over_larger_fields(p, k, tmp_path, capsys):
+    # fields and orthogonality build the given field beside F_2, F_3 and F_4,
+    # not from q alone; orthogonality stays within its Phi cap
+    argv = ["verify", "--p", str(p), "--k", str(k), "--n-max", "2", "--trials", "5"]
+    assert main([*argv, "--cache-dir", str(tmp_path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(SUITES) and all(ln.startswith("PASS ") for ln in lines)
+    for line in lines:
+        if line.startswith(("PASS fields", "PASS orthogonality")):
+            assert line.endswith(f"q in [2, 3, 4, {p**k}]"), line
+
+
 def test_verify_necklace_ignores_a_deeper_cache_file(tmp_path, capsys):
     # the line names the degrees n-max asks for, not those the file holds
     args = ["verify", "--suite", "necklace", "--n-max", "4", "--cache-dir"]
@@ -566,6 +584,37 @@ def test_orthogonality_suite_reads_the_even_rows_off_the_rotation_matrix(monkeyp
     assert capsys.readouterr().out == "FAIL orthogonality: even count wrong for q=3, m=2\n"
 
 
+@pytest.mark.parametrize("min_phi, m", [(2, 2), (3, 3)])
+def test_orthogonality_suite_catches_swapped_units(monkeypatch, capsys, min_phi, m):
+    # the codes at the last two grid positions of every basis with at least
+    # min_phi units swapped: the rotation numerators read the grid alone and
+    # still cancel, but the grid no longer holds 1 at its origin (Phi = 2)
+    # or the products by the generators (t^3 over F_2, Phi = 4)
+    unit_group_basis = ffvar.characters.unit_group_basis
+
+    def swapped(field, modulus):
+        basis = copy.copy(unit_group_basis(field, modulus))
+        if basis.phi >= min_phi:
+            basis.unit_codes = basis.unit_codes.copy()
+            basis.unit_codes[[-2, -1]] = basis.unit_codes[[-1, -2]]
+        return basis
+
+    monkeypatch.setattr(ffvar.characters, "unit_group_basis", swapped)
+    assert main(["verify", "--suite", "orthogonality"]) == EXIT_FAILURE
+    assert capsys.readouterr().out == (
+        f"FAIL orthogonality: unit grid is not the ring's at q=2, m={m}\n"
+    )
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (13, 1), (2, 4)], ids=["8", "9", "13", "16"])
+def test_orthogonality_peak_is_bounded_by_its_phi_cap(p, k):
+    # m = 1..4 only while Phi(t^m) <= 2^11: at most 24 bytes for each entry
+    # of the largest Phi x Phi matrix, and 1 MiB besides
+    args = build_parser().parse_args(["verify"])
+    peak = traced_peak(SUITES["orthogonality"], args, make_field(p, k))
+    assert peak <= 24 * ORTHOGONALITY_PHI**2 + (1 << 20)
+
+
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=FIELD_IDS)
 def test_involution_suite_covers_every_q(p, k, capsys):
     # the array pass runs for every q <= 16 and counts each unit multiple of
@@ -589,6 +638,37 @@ def test_involution_suite_catches_an_asymmetric_lambda(monkeypatch):
     args = build_parser().parse_args(["verify", "--n-max", "4"])
     with pytest.raises(AssertionError, match=r"lambda not star-symmetric at F = "):
         SUITES["involution"](args, fld)
+
+
+def test_involution_past_budget_exits_four_before_allocating(monkeypatch, capsys):
+    # F_16 at the default n-max 6: about 17 million monics of degree 6
+    def built(*args):
+        raise AssertionError("tables built before the budget check")
+
+    monkeypatch.setattr(ffvar.cli, "get_tables", built)
+    need = involution_bytes(make_field(2, 4), 6)
+    argv, codes = ["verify", "--p", "2", "--k", "4", "--suite", "involution"], []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [EXIT_BUDGET] and peak < 1 << 20
+    assert capsys.readouterr().err == (
+        f"budget: involution pass to degree 6 needs {need} bytes, over the budget of {1 << 30}\n"
+    )
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 8), (3, 2, 5)])
+def test_involution_estimate_covers_its_peak(cold_caches, p, k, n):
+    fld = make_field(p, k)
+    args = build_parser().parse_args(["verify", "--n-max", str(n)])
+    assert traced_peak(SUITES["involution"], args, fld) <= involution_bytes(fld, n)
+
+
+def test_involution_random_pairs_are_capped_at_degree_eight(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "involution", "--n-max", "400"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (
+        "PASS involution[q=2]: involution/symmetry on 256 polynomials + 2000 random products\n"
+    )
 
 
 def test_suite_registry_names():
