@@ -45,6 +45,7 @@ from .variance import (
     ArithmeticFunctionHandle,
     VarianceReport,
     decomposition_check,
+    direct_variances,
     get_function,
     ramare_identity_check,
     variance_charside,

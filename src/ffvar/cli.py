@@ -106,13 +106,18 @@ def cmd_variance(args: argparse.Namespace) -> int:
         raise PreconditionError("tolerance must be finite and > 0")
     handle = variance.get_function(args.function)
     room = 2 if args.mode == "character" else 1
-    pairs = [(n, h) for n in n_values for h in h_values if 0 <= h <= n - room]
+    grid = {n: [h for h in h_values if 0 <= h <= n - room] for n in n_values}
+    pairs = [(n, h) for n, hs in grid.items() for h in hs]
     if not pairs:
         need = "0 <= h <= N-2" if args.mode == "character" else "0 <= h < N"
         raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
     for n, h in pairs:  # every cell's estimate, before the first route runs
         check_budget(variance.cell_bytes(fld, n, h, args.mode), "cell N={} h={}", n, h)
-    reports = [variance.variance_report(fld, handle, n, h, mode=args.mode) for n, h in pairs]
+    reports = [
+        rep
+        for n, hs in grid.items()
+        for rep in variance.variance_reports(fld, handle, n, hs, mode=args.mode)
+    ]
     rows = [
         (
             rep.q,
@@ -159,7 +164,8 @@ SWEEP_HEADER = (
 def cmd_sweep(args: argparse.Namespace) -> int:
     n_values, h_values = _parse_range(args.N), _parse_range(args.h)
     fld = make_field(args.p, args.k)
-    pairs = [(n, h) for n in sorted(n_values) for h in sorted(h_values) if h < n]
+    grid = {n: [h for h in sorted(h_values) if h < n] for n in sorted(n_values)}
+    pairs = [(n, h) for n, hs in grid.items() for h in hs]
     if not pairs:
         raise PreconditionError("empty sweep grid")
     if any(h < 1 for _, h in pairs):
@@ -167,9 +173,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for n, h in pairs:  # every cell's estimate, before the first route runs
         check_budget(variance.cell_bytes(fld, n, h), "cell N={} h={}", n, h)
 
-    def one(pair: tuple[int, int]):
-        n, h = pair
-        rep = variance.variance_report(fld, "liouville", n, h)
+    def one(rep: variance.VarianceReport):
+        n, h = rep.n, rep.h
         bound = bounds.theorem_rhs(fld.q, n, h)
         largepf = smoothpf = None
         if rep.charside is not None:
@@ -178,7 +183,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ratio = float(rep.direct) / bound
         return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 
-    rows = [one(p) for p in pairs]
+    rows = [
+        one(rep) for n, hs in grid.items() for rep in variance.variance_reports(fld, "liouville", n, hs)
+    ]
     _write_rows(args, SWEEP_HEADER, rows)
     best = max(rows, key=lambda r: r[6])
     where = f"(q={best[0]}, N={best[1]}, h={best[2]})"
@@ -276,10 +283,24 @@ def _random_rows(fld: FieldSpec, rng, shape: tuple[int, ...], max_deg: int) -> n
 
 
 def involution_bytes(fld: FieldSpec, n: int) -> int:
-    """Peak bytes of the involution suite to degree n: the tables, 24 per
-    coefficient of each monic of degree n (its int64 row, the temporary that
-    builds it, the starred uint8 rows) and 1 MiB for the random pairs."""
-    return table_bytes(fld, n) + 24 * (n + 1) * fld.q**n + (1 << 20)
+    """Peak bytes of the involution suite to degree n: the tables; per monic
+    of degree n, its uint8 row and the starred one (2 (n+1)), then the
+    larger of the star of the star with its comparison (2 (n+1)) and a
+    starred mantissa with the column that builds it (16), and 2 for lambda;
+    1 MiB for the random pairs."""
+    row = n + 1
+    return table_bytes(fld, n) + (2 * row + max(2 * row, 16) + 2) * fld.q**n + (1 << 20)
+
+
+def _mantissas(fld: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Mantissas of the monic polynomials with uint8 coefficient rows `rows`
+    (constant first), summed column by column, so that no int64 copy of the
+    rows is made."""
+    place = fld.q ** np.arange(rows.shape[1] - 1)
+    mant = np.zeros(len(rows), np.int64)
+    for j, worth in enumerate(place):
+        mant += rows[:, j] * worth
+    return mant
 
 
 def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
@@ -292,21 +313,25 @@ def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
     q = fld.q
     checked = q - 1  # the nonzero constants, each its own star
     for n in range(1, max_deg + 1):
-        place = q ** np.arange(n + 1)
-        us = np.arange(q**n)
-        us = us[us % q != 0]  # F(0) = 0: star is not an involution there
-        coeffs = (us + q**n)[:, None] // place % q
+        # F(0) = 0: star is not an involution there; the rest in mantissa order
+        us = (np.arange(q ** (n - 1))[:, None] * q + np.arange(1, q)).ravel()
+        coeffs = np.ones((len(us), n + 1), np.uint8)
+        for j in range(n):
+            coeffs[:, j] = us % q
+            us //= q
+        del us
         lam = tables.liouville_values(n)
+        lam_f = lam.reshape(-1, q)[:, 1:].ravel()
         for c in range(1, q):
             stars = _monic_star(fld, fld.mul_table[c][coeffs])
             for bad, what in (
                 ((_monic_star(fld, stars) != coeffs).any(axis=1), "star(star(F)) != F"),
-                (lam[stars @ place - q**n] != lam[us], "lambda not star-symmetric"),
+                (lam[_mantissas(fld, stars)] != lam_f, "lambda not star-symmetric"),
             ):
                 if bad.any():
-                    f = monic_from_index(fld, n, int(us[np.argmax(bad)])).scale(c)
+                    f = from_coeffs(fld, coeffs[np.argmax(bad)].tolist()).scale(c)
                     raise AssertionError(f"{what} at F = {f}")
-            checked += len(us)
+            checked += len(coeffs)
     # star(a b) = star(a) star(b) on random pairs of nonzero polynomials
     a, b = _random_rows(fld, np.random.default_rng(args.seed), (2, 2000), max_deg)
     lhs = _row_star(_row_mul(fld, a, b))
@@ -321,6 +346,8 @@ def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
 def _suite_fullsum(args: argparse.Namespace, fld: FieldSpec):
     q = fld.q
     n_hi = min(args.n_max + 2, {2: 16, 3: 10}.get(q, 8))
+    # the top degree's gate, before any degree is built
+    check_budget(table_bytes(fld, n_hi), "sieve tables to degree {}", n_hi)
     for n in range(0, n_hi + 1):
         got, note = arith.liouville_full_sum(fld, n), ""
         if args.self_test_fault and n == n_hi:

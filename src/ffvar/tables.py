@@ -17,12 +17,19 @@ so one scatter writes both. Whatever is never written is irreducible.
 Squarefree-ness is killed separately by marking P^2 * M products.
 
 The products of all P of one degree come from one mul_monic_batch call. It
-splits M at half its degree and gets every P times each half from one small
-ResidueRing product: the multiplication maps of the P sit side by side in
-one matmul, over at most 2 q^ceil(md/2) codes instead of q^md. It joins the
-halves by adding base-p digits mod p: one XOR for p = 2; for odd p an
-integer outer sum corrected at the deg P overlapping coefficients. Blocks of
-at most _CHUNK products bound memory.
+splits M = L + t^a H at half its degree, so it needs P times at most
+2 q^ceil(md/2) halves instead of q^md cofactors, and joins P * L and
+t^a P * H by adding base-p digits mod p. In characteristic 2 no ring is
+used: P * L is F_2-linear in the bits of L, so the codes of all L come from
+shifted copies of P (scaled by x^i for q = 2^k) XORed in code order, P^2
+spreads P's squared coefficients to even places, and the join is one XOR.
+For odd p the halves come from one small ResidueRing product, the
+multiplication maps of the P side by side in one matmul, and the join is
+an integer sum less its carries at the k deg P overlapping digits: the
+carries of the first few are read from a small cached table into one copy
+of P * L per value of those digits of P * H, so the block is a gather and
+an add, and any digits past them carry one at a time. Blocks of at most
+_CHUNK products bound memory.
 
 Write order: a block that holds several P holds every M of each of them, so
 the blocks run through the products in (deg P, P, M) order. Where several P
@@ -49,7 +56,90 @@ from .fields import FieldSpec
 from .polys import Poly, monic_from_index, t_power
 
 _CHUNK = 1 << 15
+_CARRY_ENTRIES = 1 << 12  # cap on one carry table: p^(2c) entries for c digits
 _SIEVE_SCRATCH = 2 << 20  # product blocks and rings: under 0.8 MiB measured, q <= 16
+
+
+def _binary_low_products(field: FieldSpec, dp: int, ups: np.ndarray, a: int) -> np.ndarray:
+    """Codes of P * L for every L of degree < a, in code order, one row per
+    monic P of degree dp with mantissa in `ups`, over a field of
+    characteristic 2. P * L is F_2-linear in the bits of L's code, so the
+    codes with top bit b are those below 2^b XOR P * e_b, e_b = x^i t^j for
+    b = j*k + i: P scaled by x^i (through mul_table) and shifted j places."""
+    q, k = field.q, field.k
+    place = q ** np.arange(dp + 1)
+    coeffs = (ups[:, None] + q**dp) // place % q
+    scaled = field.mul_table[coeffs[..., None], 1 << np.arange(k)].astype(np.int64)
+    basis = np.einsum("rli,l->ri", scaled, place)  # code of x^i P
+    low = np.zeros((len(ups), q**a), np.int64)
+    for b in range(k * a):
+        j, i = divmod(b, k)
+        np.bitwise_xor(low[:, : 1 << b], basis[:, i, None] << k * j, out=low[:, 1 << b : 2 << b])
+    return low
+
+
+def _binary_squares(field: FieldSpec, d: int, ups: np.ndarray) -> np.ndarray:
+    """Mantissas of P^2 for the monic P of degree d with mantissas `ups`, in
+    characteristic 2: P(t)^2 = sum of c_l^2 t^(2l), each coefficient squared
+    and spread to twice its place."""
+    q = field.q
+    coeffs = ups[:, None] // q ** np.arange(d) % q
+    return field.mul_table[coeffs, coeffs].astype(np.int64) @ q ** (2 * np.arange(d))
+
+
+@cache
+def _carry_table(p: int) -> tuple[int, np.ndarray]:
+    """(c, table): the most base-p digits c with p^(2c) <= _CARRY_ENTRIES,
+    and, at x * p^c + y for c-digit x and y, the excess of the integer sum
+    x + y over their digitwise sum mod p: sum over i < c of p^(i+1) where
+    digits i of x and y sum to p or more."""
+    c = 1
+    while p ** (2 * c + 2) <= _CARRY_ENTRIES:
+        c += 1
+    place = p ** np.arange(c)
+    digits = np.arange(p**c)[:, None] // place % p
+    carries = digits[:, None, :] + digits[None, :, :] >= p
+    return c, (carries @ (p * place)).ravel()
+
+
+def _digit_sums(p: int, lows: int, low: np.ndarray, high: np.ndarray, n_over: int,
+                p_rows: int, h_rows: int):
+    """Blocks (first row, first column, block) of the digitwise sums mod p of
+    low[P, L] and high[P, H] as (rows, H, L) arrays, high a multiple of lows
+    whose base-p digits meet low's at the n_over digits from lows.
+
+    The integer sum exceeds the digitwise one by p^(j+1) at each of those
+    digits j where the two digits sum to p or more. Over the first c0 of
+    them that excess depends only on low and on the value v of high's c0
+    digits there, so it is taken off one copy of low per v, read from the
+    carry table, and each row of high is added to the copy its v picks: a
+    gather and an add per block. The digits past c0 (a large P, or too few
+    H to share the copies) carry one at a time, each by a compare and a
+    masked subtract."""
+    c, table = _carry_table(p)
+    h0 = high.shape[1]
+
+    def digits(x, start, count):
+        return x // (lows * p**start) % p**count
+
+    for i in range(0, len(low), p_rows):
+        lo, hi = low[i : i + p_rows], high[i : i + p_rows]
+        c0 = 0  # p^c0 copies of lo: no more than the products, nor half a block
+        while c0 < min(c, n_over) and p ** (c0 + 1) <= h0 and 2 * p ** (c0 + 1) * lo.size <= _CHUNK:
+            c0 += 1
+        copies = lo - lows * table[np.arange(p**c0)[:, None, None] * p**c + digits(lo, 0, c0)]
+        copies = copies.reshape(-1, lo.shape[1])
+        pick = digits(hi, 0, c0) * len(lo) + np.arange(len(lo))[:, None]
+        rest = [(digits(hi, s, 1).astype(np.int8), (p - digits(lo, s, 1)).astype(np.int8),
+                 lows * p ** (s + 1)) for s in range(c0, n_over)]
+        for j in range(0, h0, h_rows):
+            cols = slice(j, j + h_rows)
+            block = copies[pick[:, cols]]
+            block += hi[:, cols, None]
+            for digit, room, carry in rest:
+                np.subtract(block, carry, out=block,
+                            where=np.greater_equal(digit[:, cols, None], room[:, None, :]))
+            yield i, j, block
 
 
 def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
@@ -60,11 +150,11 @@ def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
     Split M = L + t^a H at a = ceil(md/2), so deg L < a, H is monic of degree
     md - a and M's mantissa is l + q^a h. Then P * M = P * L + t^a P * H, and
     the mantissa of P * M is code(P * L) (+) q^a mant(P * H), where (+) adds
-    base-p digits mod p. The q^a codes of P * L and the q^(md-a) mantissas of
-    P * H come, for every P at once, from one small ResidueRing product. For
-    p = 2, (+) is XOR. For odd p, the digits overlap only in [k*a, k*(a+dp)),
-    so a block is the integer outer sum less p^(j+1) at each overlap digit j
-    whose two digits sum to p or more.
+    base-p digits mod p. For p = 2, the q^a codes of P * L come from shifts
+    and XORs, P * H is P * h (+) t^(md-a) P, and (+) is XOR. For odd p, the
+    codes of P * L and P * H come, for every P at once, from one small
+    ResidueRing product, and (+) is an integer sum less its carries, which
+    only the k*dp digits from k*a can make (_digit_sums).
 
     A block holds at most _CHUNK products (but at least one row of H). When
     every M of one P fits, a block holds every M of each of its P; otherwise
@@ -74,26 +164,23 @@ def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
     p, k, q = field.p, field.k, field.q
     a, m = (md + 1) // 2, md + dp
     h0, lows = q ** (md - a), q**a
-    # H's codes q^(md-a) + h lie below 2 q^a, so one product mod t^(a+dp+1)
-    # holds every P * L and P * H whole
-    ring = residue_ring(field, t_power(field, a + dp + 1))
-    codes = ring.mul(np.arange(max(lows, 2 * h0)), ups + q**dp)
-    low, high = codes[:, :lows], (codes[:, h0 : 2 * h0] - q ** (m - a)) * lows
-    overlap = p ** np.arange(k * dp) * lows  # the worth of overlap digit j
     h_rows = max(1, min(h0, _CHUNK // lows))
     p_rows = max(1, _CHUNK // q**md)
-    for i in range(0, len(codes), p_rows):
-        for j in range(0, h0, h_rows):
-            hi, lo = high[i : i + p_rows, j : j + h_rows, None], low[i : i + p_rows, None, :]
-            if p == 2:
-                block = hi ^ lo
-            else:
-                block = hi + lo
-                for worth in overlap:
-                    carries = np.greater_equal(hi // worth % p, p - lo // worth % p)
-                    np.subtract(block, worth * p, out=block, where=carries)
-            rows, size = len(block), block.shape[1] * lows
-            yield slice(i, i + rows), slice(j * lows, j * lows + size), block.reshape(rows, size)
+    if p == 2:
+        low = _binary_low_products(field, dp, ups, a)
+        high = (low[:, :h0] ^ (ups * h0)[:, None]) * lows
+        blocks = ((i, j, high[i : i + p_rows, j : j + h_rows, None] ^ low[i : i + p_rows, None, :])
+                  for i in range(0, len(ups), p_rows) for j in range(0, h0, h_rows))
+    else:
+        # H's codes q^(md-a) + h lie below 2 q^a, so one product mod t^(a+dp+1)
+        # holds every P * L and P * H whole
+        ring = residue_ring(field, t_power(field, a + dp + 1))
+        codes = ring.mul(np.arange(max(lows, 2 * h0)), ups + q**dp)
+        low, high = codes[:, :lows], (codes[:, h0 : 2 * h0] - q ** (m - a)) * lows
+        blocks = _digit_sums(p, lows, low, high, k * dp if a else 0, p_rows, h_rows)
+    for i, j, block in blocks:
+        rows, size = len(block), block.shape[1] * lows
+        yield slice(i, i + rows), slice(j * lows, j * lows + size), block.reshape(rows, size)
 
 
 def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: int = 1):
@@ -105,6 +192,8 @@ def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: i
         ups = irreducibles[d]
         if power == 1:
             mants = ups
+        elif field.p == 2:
+            mants = _binary_squares(field, d, ups)
         else:  # P^2 is monic of degree 2d, so its code mod t^(2d+1) holds it whole
             mants = residue_ring(field, t_power(field, 2 * d + 1)).square(ups + q**d) - q ** (2 * d)
         for rows, part, block in mul_monic_batch(field, power * d, mants, m - power * d):

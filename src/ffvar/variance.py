@@ -7,6 +7,9 @@ returns the exact rational
 
     Var = q^(h+1) / q^N * sum_I S_I^2.
 
+An interval at h + 1 is q consecutive intervals at h, so the sums of every h
+of one N come from one pass over the values (direct_variances).
+
 The character route never touches intervals: it averages |U(chi)|^2 over the
 even characters mod t^(N-h), where
 
@@ -33,6 +36,7 @@ numerators over lcm(1..n+1).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,26 +91,58 @@ def _as_handle(f: ArithmeticFunctionHandle | str) -> ArithmeticFunctionHandle:
     return f if isinstance(f, ArithmeticFunctionHandle) else get_function(f)
 
 
+def _fold(acc: np.ndarray, q: int, dtype) -> np.ndarray:
+    """Sums of q consecutive entries of acc, as `dtype`: q strided column
+    adds, several times faster than numpy's sum over a short axis."""
+    cols = acc.reshape(-1, q)
+    out = cols[:, 0].astype(dtype)
+    for i in range(1, q):
+        out += cols[:, i]
+    return out
+
+
 def interval_sums(
     field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int
 ) -> np.ndarray:
     """S_I for every interval I, indexed by packed upper coefficients: an
-    interval is a contiguous block of q^(h+1) mantissas."""
+    interval is a contiguous block of q^(h+1) mantissas. The int8 values are
+    summed q at a time, each level in the narrowest int that holds it."""
     f = _as_handle(f)
     if not 0 <= h < n:
         raise PreconditionError(f"need 0 <= h < n; got h={h}, n={n}")
-    values = f.degree_values(get_tables(field, n), n)
-    return values.reshape(-1, field.q ** (h + 1)).sum(axis=1, dtype=np.int64)
+    q = field.q
+    acc = f.degree_values(get_tables(field, n), n)
+    for level in range(1, h + 2):  # |S| <= q^level: a type that holds -q^level - 1 holds it
+        acc = _fold(acc, q, np.min_scalar_type(-(q**level) - 1))
+    return acc.astype(np.int64)
+
+
+def direct_variances(
+    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, hs: Iterable[int]
+) -> dict[int, Fraction]:
+    """variance_direct at degree n for every h in `hs`, from one read of the
+    values: the interval sums at h + 1 are those at h summed over q
+    consecutive intervals."""
+    q = field.q
+    out: dict[int, Fraction] = {}
+    for h in sorted(set(hs)):
+        if not out:
+            acc = interval_sums(field, f, n, h)
+        elif h >= n:
+            raise PreconditionError(f"need 0 <= h < n; got h={h}, n={n}")
+        else:
+            for _ in range(at, h):
+                acc = _fold(acc, q, np.int64)
+        at = h
+        out[h] = Fraction(q ** (h + 1) * int(acc @ acc), q**n)
+    return out
 
 
 def variance_direct(
     field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int
 ) -> Fraction:
     """Exact mean square of interval sums: (q^(h+1)/q^n) * sum_I S_I^2."""
-    q = field.q
-    acc = interval_sums(field, f, n, h)
-    ssq = int(acc @ acc)
-    return Fraction(q ** (h + 1) * ssq, q**n)
+    return direct_variances(field, f, n, (h,))[h]
 
 
 def _residue_weight_vector(
@@ -196,6 +232,31 @@ class VarianceReport:
 MODES = ("direct", "character", "both")
 
 
+def variance_reports(
+    field: FieldSpec,
+    f: ArithmeticFunctionHandle | str,
+    n: int,
+    hs: Sequence[int],
+    *,
+    mode: str = "both",
+) -> Iterator[VarianceReport]:
+    """The grid cells (n, h), h in `hs` in order, by the routes `mode` names
+    (one of MODES): the direct route for every h in one pass over the values
+    (direct_variances), then the character route per cell as it is yielded.
+    The character route needs h <= n-2 and is left out above that."""
+    if mode not in MODES:
+        raise PreconditionError(f"unknown mode {mode!r}")
+    f = _as_handle(f)
+    direct = direct_variances(field, f, n, hs) if mode != "character" else {}
+    for h in hs:
+        charside = None
+        if mode != "direct" and h <= n - 2:
+            charside = variance_charside(field, f, n, h)
+        yield VarianceReport(
+            q=field.q, n=n, h=h, function=f.name, direct=direct.get(h), charside=charside
+        )
+
+
 def variance_report(
     field: FieldSpec,
     f: ArithmeticFunctionHandle | str,
@@ -204,19 +265,8 @@ def variance_report(
     *,
     mode: str = "both",
 ) -> VarianceReport:
-    """One grid cell by the routes `mode` names (one of MODES); the
-    character route needs h <= n-2 and is left out above that."""
-    if mode not in MODES:
-        raise PreconditionError(f"unknown mode {mode!r}")
-    f = _as_handle(f)
-    direct = charside = None
-    if mode != "direct" and h <= n - 2:
-        charside = variance_charside(field, f, n, h)
-    if mode != "character":
-        direct = variance_direct(field, f, n, h)
-    return VarianceReport(
-        q=field.q, n=n, h=h, function=f.name, direct=direct, charside=charside
-    )
+    """One grid cell (see variance_reports)."""
+    return next(variance_reports(field, f, n, (h,), mode=mode))
 
 
 def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both") -> int:

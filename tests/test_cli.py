@@ -327,6 +327,20 @@ def test_verify_fault_injection_is_caught(capsys):
     assert "injected fault" in out
 
 
+def test_fullsum_past_budget_exits_four_before_building(cold_caches, capsys):
+    # F_16 at the default n-max 6 sums to degree 8: its gate refuses before
+    # any degree is sieved, so no table is built or extended
+    fld = make_field(2, 4)
+    need = ffvar.tables.table_bytes(fld, 8)
+    argv, codes = ["verify", "--p", "2", "--k", "4", "--suite", "fullsum"], []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [EXIT_BUDGET] and peak < 1 << 20
+    assert fld not in ffvar.tables._TABLE_CACHE
+    assert capsys.readouterr().err == (
+        f"budget: sieve tables to degree 8 needs {need} bytes, over the budget of {1 << 30}\n"
+    )
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == EXIT_PRECONDITION
     assert "choose from" in capsys.readouterr().err
@@ -641,21 +655,21 @@ def test_involution_suite_catches_an_asymmetric_lambda(monkeypatch):
 
 
 def test_involution_past_budget_exits_four_before_allocating(monkeypatch, capsys):
-    # F_16 at the default n-max 6: about 17 million monics of degree 6
+    # F_16 at n-max 7: about 268 million monics of degree 7
     def built(*args):
         raise AssertionError("tables built before the budget check")
 
     monkeypatch.setattr(ffvar.cli, "get_tables", built)
-    need = involution_bytes(make_field(2, 4), 6)
-    argv, codes = ["verify", "--p", "2", "--k", "4", "--suite", "involution"], []
+    need = involution_bytes(make_field(2, 4), 7)
+    argv, codes = ["verify", "--p", "2", "--k", "4", "--suite", "involution", "--n-max", "7"], []
     peak = traced_peak(lambda: codes.append(main(argv)))
     assert codes == [EXIT_BUDGET] and peak < 1 << 20
     assert capsys.readouterr().err == (
-        f"budget: involution pass to degree 6 needs {need} bytes, over the budget of {1 << 30}\n"
+        f"budget: involution pass to degree 7 needs {need} bytes, over the budget of {1 << 30}\n"
     )
 
 
-@pytest.mark.parametrize("p,k,n", [(2, 2, 8), (3, 2, 5)])
+@pytest.mark.parametrize("p,k,n", [(2, 2, 8), (3, 2, 5), (13, 1, 5)])
 def test_involution_estimate_covers_its_peak(cold_caches, p, k, n):
     fld = make_field(p, k)
     args = build_parser().parse_args(["verify", "--n-max", str(n)])

@@ -194,6 +194,96 @@ def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
     assert {"several P", "split P"} <= seen
 
 
+def _digitwise_sums(p: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Oracle: the base-p digits of x and y added mod p, one digit at a time."""
+    out, place = np.zeros(np.broadcast(x, y).shape, np.int64), 1
+    while (x // place).any() or (y // place).any():
+        out += (x // place % p + y // place % p) % p * place
+        place *= p
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_digit_sums_fold_and_carry_every_overlap_digit(p):
+    # random low (overlap digits from lows) and high (a multiple of lows),
+    # with overlaps of one chunk, one chunk and a digit, and over two chunks,
+    # and few or many rows of high, so the folded copies cover all, some or
+    # none of the overlap and single digits carry the rest; small blocks
+    # split both the rows of P and those of H
+    c, table = tables_module._carry_table(p)
+    assert len(table) == p ** (2 * c) <= tables_module._CARRY_ENTRIES < p ** (2 * c + 2)
+    rng = np.random.default_rng(p)
+    seen = set()
+    for n_over in (1, c, c + 1, 2 * c + 1):
+        for lows, h0 in ((p, 1), (p, p ** (c + 1)), (p**2, p), (1, p**2)):
+            low = rng.integers(0, lows * p**n_over, (5, lows))
+            high = rng.integers(0, p ** (n_over + 2), (5, h0)) * lows
+            want = _digitwise_sums(p, high[:, :, None], low[:, None, :])
+            for p_rows, h_rows in ((5, h0), (2, max(1, h0 // 3))):
+                got = np.zeros_like(want)
+                blocks = tables_module._digit_sums(p, lows, low, high, n_over, p_rows, h_rows)
+                for i, j, block in blocks:
+                    got[i : i + len(block), j : j + block.shape[1]] = block
+                    seen.add(block.shape[1] < h0)
+                assert np.array_equal(got, want), (p, n_over, lows, h0, p_rows, h_rows)
+    assert seen == {False, True}
+
+
+def _code(f: Poly) -> int:
+    return sum(c * f.field.q**j for j, c in enumerate(f.coeffs))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4)], ids=["2", "4", "8", "16"])
+def test_binary_shift_products_and_squares_match_poly_products(p, k):
+    # over F_2^k: P * L for every L of degree < a from shifts and XORs, and
+    # P^2 from its coefficients squared and spread, against Poly products
+    fld = make_field(p, k)
+    q = fld.q
+    tab = build_tables(fld, 4)
+    for d in range(1, 5):
+        ups = tab.irreducibles[d][:6]
+        polys = [monic_from_index(fld, d, int(up)) for up in ups]
+        squares = tables_module._binary_squares(fld, d, ups)
+        assert squares.tolist() == [monic_index(P * P) for P in polys]
+        for a in range(4):
+            if q**a > 1 << 12:
+                break
+            low = tables_module._binary_low_products(fld, d, ups, a)
+            assert low.shape == (len(ups), q**a)
+            for P, row in zip(polys, low.tolist()):
+                ls = [from_coeffs(fld, [u // q**j % q for j in range(a)]) for u in range(q**a)]
+                assert row == [_code(P * L) for L in ls], (q, P, a)
+
+
+@pytest.mark.parametrize(
+    "p,k", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2)], ids=["3", "5", "7", "13", "9"]
+)
+def test_mul_monic_batch_carries_overlaps_past_the_fold(p, k):
+    # P whose k deg P overlap digits outnumber one carry table's c (and, for
+    # q = 3, their squares) meet the products of L past the folded digits:
+    # P * M against the one-shot ring product for every M of a few degrees
+    fld = make_field(p, k)
+    q = fld.q
+    c, _ = tables_module._carry_table(p)
+    top = max(d for d in range(1, 8) if q**d <= 1 << 15)
+    tab = build_tables(fld, top)
+    rng = np.random.default_rng(q)
+    for dp in range(c // k + 1, top + 1):
+        ups = np.sort(rng.permutation(tab.irreducibles[dp])[:4])
+        batches = [(dp, ups)]
+        if q == 3:
+            ring = residue_ring(fld, t_power(fld, 2 * dp + 1))
+            batches.append((2 * dp, ring.square(ups + q**dp) - q ** (2 * dp)))
+        for dm, mants in batches:
+            assert k * dm > c  # the overlap outgrows one chunk
+            for md in range(1, 7):
+                if q**md > 1 << 12:
+                    break
+                expected = np.stack([_one_shot_products(fld, dm, int(u), md) for u in mants])
+                blocks = [block.ravel() for *_, block in mul_monic_batch(fld, dm, mants, md)]
+                assert np.array_equal(np.concatenate(blocks), expected.ravel()), (q, dm, md)
+
+
 def test_residue_ring_mul_stacks_multipliers(f3):
     # an array of multipliers gives one row per multiplier, equal to the
     # one-multiplier product, also when the multipliers span several chunks
@@ -457,8 +547,11 @@ def test_get_tables_extends_in_place(f3, monkeypatch):
 def test_build_tables_scratch_memory_stays_bounded(cold_caches):
     # the product pass emits blocks of at most _CHUNK products, never a q^md
     # array, so a build peaks within 2 MiB of the tables it keeps, and
-    # within the estimate that the budget gate reads
-    for (p, k), n in (((2, 1), 18), ((3, 1), 11), ((2, 2), 8), ((5, 1), 8), ((2, 4), 5)):
+    # within the estimate that the budget gate reads; F_3 to degree 13, F_7
+    # to 6 and F_9 to 6 carry overlaps past the folded digits
+    sizes = (((2, 1), 18), ((3, 1), 11), ((3, 1), 13), ((2, 2), 8), ((5, 1), 8), ((7, 1), 6),
+             ((3, 2), 6), ((2, 4), 5))
+    for (p, k), n in sizes:
         fld = make_field(p, k)
         tracemalloc.start()
         try:

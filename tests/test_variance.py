@@ -24,6 +24,7 @@ from ffvar.variance import (
     MODES,
     cell_bytes,
     decomposition_check,
+    direct_variances,
     get_function,
     interval_sums,
     ramare_identity_check,
@@ -128,6 +129,34 @@ def test_direct_route_sums_the_int8_values_in_place(f2):
             tracemalloc.stop()
         assert got == Fraction(2 ** (h + 1) * int(sums @ sums), 2**n)
         assert peak - sums.nbytes < 2 * 2**n, (name, peak)
+
+
+# every F_q with q <= 16, as (p, k)
+ALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_direct_variances_of_one_n_match_the_per_h_sums(p, k):
+    # one pass per N, the sums at h + 1 folded from those at h, against each
+    # h summed from the values on its own, for every h and for sparse sets of
+    # h that skip levels
+    fld = make_field(p, k)
+    q = fld.q
+    top = max(n for n in range(1, 9) if q**n <= 4096)
+    tables = get_tables(fld, top)
+    for name in FUNCTIONS:
+        for n in range(1, top + 1):
+            values = get_function(name).degree_values(tables, n).astype(np.int64)
+            want = {}
+            for h in range(n):
+                sums = values.reshape(-1, q ** (h + 1)).sum(axis=1)
+                want[h] = Fraction(q ** (h + 1) * int(sums @ sums), q**n)
+            assert direct_variances(fld, name, n, range(n)) == want
+            sparse = [n - 1, 0] if n > 1 else [0]
+            assert direct_variances(fld, name, n, sparse) == {h: want[h] for h in sparse}
+            assert interval_sums(fld, name, n, n - 1).tolist() == [int(values.sum())]
+    with pytest.raises(PreconditionError, match="need 0 <= h < n; got h=3, n=3"):
+        direct_variances(fld, "liouville", 3, [0, 3])
 
 
 def test_unit_function_closed_form(f2, f3):
