@@ -10,11 +10,11 @@ irreducible lists can be persisted in a small line-oriented text format
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,6 @@ from .errors import IrreducibleCacheError, PreconditionError
 from .fields import FieldSpec, prime_factors
 from .polys import Poly, monic_from_index, monic_index, one
 from .tables import get_tables
-
-log = logging.getLogger(__name__)
 
 CACHE_FORMAT_VERSION = 1
 
@@ -146,6 +144,9 @@ def sieve_irreducibles(
         raise PreconditionError("max_degree must be >= 1")
     path = Path(cache_dir) / cache_file_name(field) if cache_dir is not None else None
     if path is not None and path.exists():
+        import logging  # loaded only where a cache file may be stale or corrupt
+
+        log = logging.getLogger(__name__)
         try:
             cached = load_cache(field, path)
             if cached.max_degree >= max_degree:
@@ -241,8 +242,9 @@ def integer_moebius(n: int) -> int:
     return 0 if max(exponents, default=1) > 1 else (-1) ** len(exponents)
 
 
+@cache
 def pi_q(field: FieldSpec, n: int) -> int:
-    """Number of monic irreducibles of degree n (necklace formula)."""
+    """Number of monic irreducibles of degree n (necklace formula), memoized."""
     if n < 1:
         raise PreconditionError("pi_q needs n >= 1")
     q = field.q

@@ -10,11 +10,12 @@ Identical configurations (including seeds) produce byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
+from contextvars import ContextVar
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -76,6 +77,8 @@ def _write_rows(args: argparse.Namespace, header: Sequence[str], rows: Sequence[
     if args.format == "csv":
         text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
     else:
+        import json  # loaded only here: most commands never write JSON
+
         objs = [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows]
         text = json.dumps(objs, indent=2) + "\n"
     if args.out is None:
@@ -258,11 +261,12 @@ def _row_mul(fld: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficient rows (constant first) of the products of rows a and b, both
     of width w: a schoolbook product through the field tables, each
     coefficient of a times all of b per lookup, width 2w - 1."""
-    width = a.shape[-1]
+    q, width = fld.q, a.shape[-1]
+    add, mul = fld.add_table.ravel(), fld.mul_table.ravel()  # x q + y <= 255: uint8 holds it
     out = np.zeros((*a.shape[:-1], 2 * width - 1), dtype=np.uint8)
     for i in range(width):
         part = out[..., i : i + width]
-        part[...] = fld.add_table[part, fld.mul_table[a[..., i : i + 1], b]]
+        part[...] = add[part * q + mul[a[..., i : i + 1] * q + b]]
     return out
 
 
@@ -310,7 +314,15 @@ def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
     max_deg = min(args.n_max, 8)
     check_budget(involution_bytes(fld, max_deg), "involution pass to degree {}", max_deg)
     tables = get_tables(fld, max_deg)
-    q = fld.q
+    q, units = fld.q, np.arange(1, fld.q)
+    # monic(star(c F)) = monic(star(F)) entry by entry, for every F and unit
+    # c, exactly when inv(c a) (c b) = inv(a) b for units a, c and every b:
+    # checked on the tables once, so one pass at c = 1 stands for all q - 1
+    mul, inv = fld.mul_table, fld.inv_table
+    scaled = mul[inv[mul[units[:, None], units]][..., None], mul[units][:, None]]
+    for c, a, b in np.argwhere(scaled != mul[inv[units]])[:1].tolist():  # the first (c, a, b)
+        f = from_coeffs(fld, [a + 1, b, 1])
+        raise AssertionError(f"monic(star({c + 1} F)) != monic(star(F)) at F = {f}")
     checked = q - 1  # the nonzero constants, each its own star
     for n in range(1, max_deg + 1):
         # F(0) = 0: star is not an involution there; the rest in mantissa order
@@ -322,16 +334,15 @@ def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
         del us
         lam = tables.liouville_values(n)
         lam_f = lam.reshape(-1, q)[:, 1:].ravel()
-        for c in range(1, q):
-            stars = _monic_star(fld, fld.mul_table[c][coeffs])
-            for bad, what in (
-                ((_monic_star(fld, stars) != coeffs).any(axis=1), "star(star(F)) != F"),
-                (lam[_mantissas(fld, stars)] != lam_f, "lambda not star-symmetric"),
-            ):
-                if bad.any():
-                    f = from_coeffs(fld, coeffs[np.argmax(bad)].tolist()).scale(c)
-                    raise AssertionError(f"{what} at F = {f}")
-            checked += len(coeffs)
+        stars = _monic_star(fld, coeffs)
+        for bad, what in (
+            ((_monic_star(fld, stars) != coeffs).any(axis=1), "star(star(F)) != F"),
+            (lam[_mantissas(fld, stars)] != lam_f, "lambda not star-symmetric"),
+        ):
+            if bad.any():
+                f = from_coeffs(fld, coeffs[np.argmax(bad)].tolist())
+                raise AssertionError(f"{what} at F = {f}")
+        checked += (q - 1) * len(coeffs)
     # star(a b) = star(a) star(b) on random pairs of nonzero polynomials
     a, b = _random_rows(fld, np.random.default_rng(args.seed), (2, 2000), max_deg)
     lhs = _row_star(_row_mul(fld, a, b))
@@ -361,12 +372,11 @@ def _suite_fullsum(args: argparse.Namespace, fld: FieldSpec):
 
 
 def _suite_necklace(args: argparse.Namespace, fld: FieldSpec):
-    # a cache file may hold deeper degrees; only 1..n_hi are checked and reported
+    # counts read off the sieve tables; --cache-dir is accepted but not read
     n_hi = min(args.n_max + 2, 10)
-    cache = arith.sieve_irreducibles(fld, n_hi, cache_dir=args.cache_dir)
-    for d in range(1, n_hi + 1):
-        if cache.count(d) != arith.pi_q(fld, d):
-            raise AssertionError(f"pi_q mismatch at q={fld.q}, degree {d}: sieve {cache.count(d)}")
+    for d, ups in enumerate(get_tables(fld, n_hi).irreducibles[1 : n_hi + 1], start=1):
+        if len(ups) != arith.pi_q(fld, d):
+            raise AssertionError(f"pi_q mismatch at q={fld.q}, degree {d}: sieve {len(ups)}")
     return f"sieve counts equal necklace formula up to degree {n_hi}"
 
 
@@ -434,12 +444,17 @@ def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
     return f"exact cancellation for {checked} characters, q in {[f.q for f in fields]}"
 
 
+# window_defects as ramare and decomposition call it: while cmd_verify runs,
+# memoized per (field, n, h) so both read one pass per cell; it drops them on return
+_WINDOWS = ContextVar("windows", default=lambda fld, n, h: variance.window_defects(fld, n, h))
+
+
 def _suite_ramare(args: argparse.Namespace, fld: FieldSpec):
     n_hi = min(args.n_max, 8)
     checked = 0
     for n in range(n_hi, 1, -1):  # the largest cell first: its gate refuses before any pairs
         for h in range(1, n):
-            check = variance.window_defects(fld, n, h)
+            check = _WINDOWS.get()(fld, n, h)
             bad = np.flatnonzero(check.ramare)
             if bad.size:
                 u = int(bad[0])
@@ -456,11 +471,10 @@ def _suite_decomposition(args: argparse.Namespace, fld: FieldSpec):
     n_hi = min(args.n_max, 8 if fld.q == 2 else 6)
     for n in range(n_hi, 1, -1):  # the largest cell first, as in ramare
         for h in range(1, n):
-            worst = variance.decomposition_check(fld, n, h)
+            check = _WINDOWS.get()(fld, n, h)
+            worst = Fraction(int(np.abs(check.decomposition).max()), check.denominator)
             if worst != 0:
-                raise AssertionError(
-                    f"decomposition defect {worst} at q={fld.q} n={n} h={h}"
-                )
+                raise AssertionError(f"decomposition defect {worst} at q={fld.q} n={n} h={h}")
     return f"max defect 0 for q={fld.q}, n <= {n_hi}, all h"
 
 
@@ -528,17 +542,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fields = [make_field(args.p, args.k)]
     names = [args.suite] if args.suite else list(SUITES)
     failures = 0
-    for name in names:
-        fn = SUITES[name]
-        targets = fields[:1] if name in _GLOBAL_SUITES else fields
-        for fld in targets:
-            label = f"{name}[q={fld.q}]" if name not in _GLOBAL_SUITES else name
-            try:
-                detail = fn(args, fld)
-                print(f"PASS {label}: {detail}")
-            except AssertionError as exc:
-                print(f"FAIL {label}: {exc}")
-                failures += 1
+    windows = _WINDOWS.set(cache(variance.window_defects))
+    try:
+        for name in names:
+            fn = SUITES[name]
+            targets = fields[:1] if name in _GLOBAL_SUITES else fields
+            for fld in targets:
+                label = f"{name}[q={fld.q}]" if name not in _GLOBAL_SUITES else name
+                try:
+                    detail = fn(args, fld)
+                    print(f"PASS {label}: {detail}")
+                except AssertionError as exc:
+                    print(f"FAIL {label}: {exc}")
+                    failures += 1
+    finally:
+        _WINDOWS.reset(windows)
     return EXIT_FAILURE if failures else EXIT_OK
 
 

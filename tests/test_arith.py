@@ -41,6 +41,19 @@ def test_pi_q_matches_sieve(cache2, cache3):
             assert cache.count(n) == pi_q(cache.field, n)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_memoized_pi_q_equals_the_necklace_formula(p, k):
+    # asked twice, the memoized count is the Moebius sum and satisfies
+    # sum_{d | n} d pi_q(d) = q^n
+    fld = make_field(p, k)
+    q = fld.q
+    for n in range(1, 13):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        formula = sum(integer_moebius(d) * q ** (n // d) for d in divisors) // n
+        assert pi_q(fld, n) == pi_q(fld, n) == formula
+        assert sum(d * pi_q(fld, d) for d in divisors) == q**n
+
+
 def test_integer_moebius_frozen():
     got = [integer_moebius(n) for n in range(1, 21)]
     assert got == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]

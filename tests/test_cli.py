@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +407,56 @@ def test_verify_necklace_ignores_a_deeper_cache_file(tmp_path, capsys):
     assert capsys.readouterr().out == fresh
 
 
+def test_verify_necklace_reads_no_cache_dir(tmp_path, capsys):
+    # the counts come from the sieve tables: a corrupt file in --cache-dir is
+    # neither read nor replaced, and an empty one stays empty
+    args = ["verify", "--suite", "necklace", "--n-max", "4", "--cache-dir"]
+    corrupt = tmp_path / "corrupt" / cache_file_name(make_field(2))
+    corrupt.parent.mkdir()
+    corrupt.write_text("not a sieve file\n")
+    for cache_dir in (tmp_path / "empty", corrupt.parent):
+        cache_dir.mkdir(exist_ok=True)
+        assert main([*args, str(cache_dir)]) == EXIT_OK
+        assert capsys.readouterr() == (
+            "PASS necklace[q=2]: sieve counts equal necklace formula up to degree 6\n", ""
+        )
+    assert list((tmp_path / "empty").iterdir()) == []
+    assert corrupt.read_text() == "not a sieve file\n"
+
+
+def test_verify_runs_one_window_pass_per_cell(monkeypatch, capsys):
+    # ramare and decomposition share each (field, n, h) pass within a verify
+    # command; the next command holds nothing from it
+    calls = Counter()
+    window_defects = ffvar.variance.window_defects
+
+    def counted(field, n, h):
+        calls[field.q, n, h] += 1
+        return window_defects(field, n, h)
+
+    monkeypatch.setattr(ffvar.variance, "window_defects", counted)
+    assert main(["verify", "--n-max", "6", "--trials", "5"]) == EXIT_OK
+    assert calls == {(q, n, h): 1 for q in (2, 3) for n in range(2, 7) for h in range(1, n)}
+    assert main(["verify", "--suite", "decomposition", "--n-max", "3"]) == EXIT_OK
+    assert calls[2, 3, 1] == calls[2, 2, 1] == 2
+    assert capsys.readouterr().out.count("PASS decomposition") == 3
+
+
+def test_parser_setup_loads_neither_json_nor_logging():
+    # json is loaded by the JSON writer alone, logging by a sieve cache file
+    src = str(Path(ffvar.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, ffvar.cli; ffvar.cli.build_parser(); "
+        "print(sorted({'json', 'logging'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_verify_specific_field(capsys):
     assert main(["verify", "--p", "3", "--suite", "ramare", "--n-max", "4"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -652,6 +708,25 @@ def test_involution_suite_catches_an_asymmetric_lambda(monkeypatch):
     args = build_parser().parse_args(["verify", "--n-max", "4"])
     with pytest.raises(AssertionError, match=r"lambda not star-symmetric at F = "):
         SUITES["involution"](args, fld)
+
+
+@pytest.mark.parametrize("table", ["inv_table", "mul_table"])
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (13, 1)], ids=["3", "4", "5", "13"])
+def test_involution_suite_catches_a_corrupted_scaling(p, k, table, monkeypatch, capsys):
+    # one wrong entry that a scaling by c reads (inv(2), or 2 (q - 1)) breaks
+    # inv(c a) (c b) = inv(a) b, so the one pass at c = 1 no longer stands
+    # for the other scalings and the suite fails, naming a c and an F
+    fld = make_field(p, k)
+    q, bad = fld.q, getattr(fld, table).copy()
+    if table == "inv_table":
+        bad[2] = bad[2] % (q - 1) + 1
+    else:
+        bad[2, q - 1] = (bad[2, q - 1] + 1) % q
+    monkeypatch.setattr(ffvar.cli, "make_field", lambda *a: dataclasses.replace(fld, **{table: bad}))
+    argv = ["verify", "--p", str(p), "--k", str(k), "--suite", "involution", "--n-max", "4"]
+    assert main(argv) == EXIT_FAILURE
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL involution[q={q}]: monic(star(") and " F = t^2+" in out
 
 
 def test_involution_past_budget_exits_four_before_allocating(monkeypatch, capsys):
