@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -262,7 +261,7 @@ def _row_mul(fld: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of width w: a schoolbook product through the field tables, each
     coefficient of a times all of b per lookup, width 2w - 1."""
     q, width = fld.q, a.shape[-1]
-    add, mul = fld.add_table.ravel(), fld.mul_table.ravel()  # x q + y <= 255: uint8 holds it
+    add, mul = fld.add_table.ravel(), fld.mul_table.ravel()  # x q + y <= 255: q <= 16
     out = np.zeros((*a.shape[:-1], 2 * width - 1), dtype=np.uint8)
     for i in range(width):
         part = out[..., i : i + width]
@@ -315,9 +314,8 @@ def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
     check_budget(involution_bytes(fld, max_deg), "involution pass to degree {}", max_deg)
     tables = get_tables(fld, max_deg)
     q, units = fld.q, np.arange(1, fld.q)
-    # monic(star(c F)) = monic(star(F)) entry by entry, for every F and unit
-    # c, exactly when inv(c a) (c b) = inv(a) b for units a, c and every b:
-    # checked on the tables once, so one pass at c = 1 stands for all q - 1
+    # monic(star(c F)) = monic(star(F)) for all F and units c exactly when inv(c a) (c b)
+    # = inv(a) b for units a, c and all b: checked once, so c = 1 stands for all q - 1
     mul, inv = fld.mul_table, fld.inv_table
     scaled = mul[inv[mul[units[:, None], units]][..., None], mul[units][:, None]]
     for c, a, b in np.argwhere(scaled != mul[inv[units]])[:1].tolist():  # the first (c, a, b)
@@ -444,9 +442,18 @@ def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
     return f"exact cancellation for {checked} characters, q in {[f.q for f in fields]}"
 
 
-# window_defects as ramare and decomposition call it: while cmd_verify runs,
-# memoized per (field, n, h) so both read one pass per cell; it drops them on return
-_WINDOWS = ContextVar("windows", default=lambda fld, n, h: variance.window_defects(fld, n, h))
+@cache
+def _window_cell(fld: FieldSpec, n: int, h: int) -> tuple[str | None, int, Fraction]:
+    """ramare's first defect (or None) and case count, and decomposition's worst
+    defect, from one window_defects pass: memoized until cmd_verify returns."""
+    check = variance.window_defects(fld, n, h)
+    fault = None
+    for u in np.flatnonzero(check.ramare)[:1].tolist():  # the first defect, if any
+        defect = Fraction(int(check.ramare[u]), check.denominator)
+        g = monic_from_index(fld, n, u)
+        fault = f"recombination defect {defect} at q={fld.q} G={g} h={h} n={n}"
+    worst = Fraction(int(np.abs(check.decomposition).max()), check.denominator)
+    return fault, int(np.count_nonzero(~check.skipped)), worst
 
 
 def _suite_ramare(args: argparse.Namespace, fld: FieldSpec):
@@ -454,16 +461,10 @@ def _suite_ramare(args: argparse.Namespace, fld: FieldSpec):
     checked = 0
     for n in range(n_hi, 1, -1):  # the largest cell first: its gate refuses before any pairs
         for h in range(1, n):
-            check = _WINDOWS.get()(fld, n, h)
-            bad = np.flatnonzero(check.ramare)
-            if bad.size:
-                u = int(bad[0])
-                defect = Fraction(int(check.ramare[u]), check.denominator)
-                raise AssertionError(
-                    f"recombination defect {defect} at q={fld.q} "
-                    f"G={monic_from_index(fld, n, u)} h={h} n={n}"
-                )
-            checked += int(np.count_nonzero(~check.skipped))
+            fault, cases, _ = _window_cell(fld, n, h)
+            if fault is not None:
+                raise AssertionError(fault)
+            checked += cases
     return f"defect 0 on {checked} (G, h) cases, n <= {n_hi}"
 
 
@@ -471,8 +472,7 @@ def _suite_decomposition(args: argparse.Namespace, fld: FieldSpec):
     n_hi = min(args.n_max, 8 if fld.q == 2 else 6)
     for n in range(n_hi, 1, -1):  # the largest cell first, as in ramare
         for h in range(1, n):
-            check = _WINDOWS.get()(fld, n, h)
-            worst = Fraction(int(np.abs(check.decomposition).max()), check.denominator)
+            worst = _window_cell(fld, n, h)[2]
             if worst != 0:
                 raise AssertionError(f"decomposition defect {worst} at q={fld.q} n={n} h={h}")
     return f"max defect 0 for q={fld.q}, n <= {n_hi}, all h"
@@ -542,7 +542,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fields = [make_field(args.p, args.k)]
     names = [args.suite] if args.suite else list(SUITES)
     failures = 0
-    windows = _WINDOWS.set(cache(variance.window_defects))
     try:
         for name in names:
             fn = SUITES[name]
@@ -556,7 +555,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     print(f"FAIL {label}: {exc}")
                     failures += 1
     finally:
-        _WINDOWS.reset(windows)
+        _window_cell.cache_clear()
     return EXIT_FAILURE if failures else EXIT_OK
 
 
