@@ -158,6 +158,21 @@ def _psi_rows(field: FieldSpec, modulus: Poly) -> tuple[np.ndarray, list, list]:
     return l_coefficients(unit_group_basis(field, modulus)), [], []
 
 
+def _grown_psi_rows(field: FieldSpec, modulus: Poly, n_max: int) -> tuple[list, list]:
+    """The cached psi rows of Q, grown to at least N = n_max by Newton's
+    identity: the principal character's exact ints, and the complex rows of
+    the rest (row N - 1 for N)."""
+    q, m = field.q, modulus.degree
+    c, principal, rest = _psi_rows(field, modulus)
+    phi = c.shape[1]
+    c0 = [round(x.real) for x in c[:, 0]] + [q ** (j - m) * phi for j in range(m, n_max + 1)]
+    for n in range(len(rest) + 1, n_max + 1):
+        principal.append(n * c0[n] - sum(c0[j] * principal[n - j - 1] for j in range(1, n)))
+        row = n * c[n, 1:] if n < m else np.zeros(phi - 1, dtype=np.complex128)
+        rest.append(row - sum(c[j, 1:] * rest[n - j - 1] for j in range(1, min(n, m))))
+    return principal, rest
+
+
 def von_mangoldt_char_sums(field: FieldSpec, modulus: Poly, n_max: int) -> np.ndarray:
     """psi_N(chi) = sum_{G in M_N} Lambda(G) chi(G) for N = 1..n_max (row
     N - 1) and every chi mod Q (enumerate_characters order), read-only.
@@ -168,14 +183,7 @@ def von_mangoldt_char_sums(field: FieldSpec, modulus: Poly, n_max: int) -> np.nd
     Past m = deg Q, c_j = 0 but for the principal chi, whose column is exact
     integers. Rows are kept per modulus and grown on demand: N = 1..n_max in
     turn costs one transform."""
-    q, m = field.q, modulus.degree
-    c, principal, rest = _psi_rows(field, modulus)
-    phi = c.shape[1]
-    c0 = [round(x.real) for x in c[:, 0]] + [q ** (j - m) * phi for j in range(m, n_max + 1)]
-    for n in range(len(rest) + 1, n_max + 1):
-        principal.append(n * c0[n] - sum(c0[j] * principal[n - j - 1] for j in range(1, n)))
-        row = n * c[n, 1:] if n < m else np.zeros(phi - 1, dtype=np.complex128)
-        rest.append(row - sum(c[j, 1:] * rest[n - j - 1] for j in range(1, min(n, m))))
+    principal, rest = _grown_psi_rows(field, modulus, n_max)
     psi = np.column_stack(([float(x) for x in principal[:n_max]], rest[:n_max]))
     psi.flags.writeable = False
     return psi
@@ -184,15 +192,16 @@ def von_mangoldt_char_sums(field: FieldSpec, modulus: Poly, n_max: int) -> np.nd
 def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -> BoundReport:
     """Max over non-principal chi mod Q of |sum_{G in M_N} Lambda(G) chi(G)|
     against deg(Q) * q^(N/2). Hard pass: the Riemann-hypothesis bound for
-    these L-functions carries constant deg(Q) - 1. The sums are the last row
-    of von_mangoldt_char_sums(field, Q, N), which reads no sieve table."""
+    these L-functions carries constant deg(Q) - 1. The sums are row N of
+    von_mangoldt_char_sums(field, Q, N), read alone from the cached rows; no
+    sieve table is read."""
     if n_total < 1:
         raise PreconditionError("need N >= 1")
     q = field.q
-    psi = von_mangoldt_char_sums(field, modulus, n_total)
-    if psi.shape[1] < 2:
+    row = _grown_psi_rows(field, modulus, n_total)[1][n_total - 1]
+    if not row.size:
         raise PreconditionError(f"modulus {modulus} admits no non-principal character")
-    lhs = float(np.max(np.abs(psi[n_total - 1, 1:])))
+    lhs = float(np.max(np.abs(row)))
     rhs = modulus.degree * q ** (n_total / 2)
     report = BoundReport(
         bound="von_mangoldt_char_sum",

@@ -57,13 +57,14 @@ class ArithmeticFunctionHandle:
 
     name: str
 
-    def degree_values(self, tables: ArithTables, n: int) -> np.ndarray:
-        """Values over all monic of degree n, mantissa-indexed, int8."""
+    def degree_values(self, field: FieldSpec, n: int) -> np.ndarray:
+        """Values over all monic of degree n, mantissa-indexed, int8; only
+        liouville and moebius read the sieve tables."""
         if self.name == "liouville":
-            return tables.liouville_values(n)
+            return get_tables(field, n).liouville_values(n)
         if self.name == "moebius":
-            return tables.moebius_values(n)
-        return np.ones(tables.field.q**n, dtype=np.int8)
+            return get_tables(field, n).moebius_values(n)
+        return np.ones(field.q**n, dtype=np.int8)
 
     def t_power_value(self, v: int) -> int:
         if self.name == "liouville":
@@ -111,7 +112,7 @@ def interval_sums(
     if not 0 <= h < n:
         raise PreconditionError(f"need 0 <= h < n; got h={h}, n={n}")
     q = field.q
-    acc = f.degree_values(get_tables(field, n), n)
+    acc = f.degree_values(field, n)
     for level in range(1, h + 2):  # |S| <= q^level: a type that holds -q^level - 1 holds it
         acc = _fold(acc, q, np.min_scalar_type(-(q**level) - 1))
     return acc.astype(np.int64)
@@ -150,7 +151,6 @@ def _residue_weight_vector(
     f: ArithmeticFunctionHandle,
     modulus: Poly,
     n_total: int,
-    tables: ArithTables,
 ) -> np.ndarray:
     """W[r] = sum over v of f(t^v) * sum_{G in M_(n_total-v), G = r mod Q} f(G),
     as int64 over all q^deg(Q) residue codes."""
@@ -158,7 +158,7 @@ def _residue_weight_vector(
     for v in range(n_total + 1):
         wt = f.t_power_value(v)
         if wt != 0:
-            vals = f.degree_values(tables, n_total - v)
+            vals = f.degree_values(field, n_total - v)
             fold_monic_mod(field, modulus, n_total - v, vals if wt > 0 else -vals, weights)
     return weights
 
@@ -182,8 +182,7 @@ def weighted_char_sum(
         0 <= e < o for e, o in zip(exponents, basis.orders)
     ):
         raise PreconditionError(f"exponents {exponents} out of range for orders {basis.orders}")
-    tables = get_tables(field, n_total)
-    weights = _residue_weight_vector(field, f, basis.modulus, n_total, tables)
+    weights = _residue_weight_vector(field, f, basis.modulus, n_total)
     row = np.ravel_multi_index(exponents, basis.orders)
     return complex(character_sums(basis, weights)[row])
 
@@ -199,8 +198,7 @@ def variance_charside(
         raise PreconditionError(f"need 0 <= h <= n-2; got h={h}, n={n}")
     modulus = t_power(field, n - h)
     basis = unit_group_basis(field, modulus)
-    tables = get_tables(field, n)
-    weights = _residue_weight_vector(field, f, modulus, n, tables)
+    weights = _residue_weight_vector(field, f, modulus, n)
     sums = character_sums(basis, weights, even_only=True)
     return float(np.sum(sums.real**2 + sums.imag**2)) / len(sums) ** 2
 

@@ -362,6 +362,28 @@ def test_von_mangoldt_reports_do_not_depend_on_call_order(f3):
     assert ascending == descending == interleaved
 
 
+@pytest.mark.parametrize(
+    "p, coeffs",
+    [(3, (2, 1, 0, 1, 1)), (3, (1, 0, 2, 0, 1)), (3, (0, 0, 0, 1)), (3, (1, 2, 1, 0, 0, 1)),
+     (2, (1, 1, 0, 0, 1, 0, 1))],
+)
+def test_von_mangoldt_report_reads_row_n_of_the_table(p, coeffs):
+    # a report's lhs is row N of the table alone, bit for bit, whichever
+    # order the cached rows were grown in
+    fld = make_field(p)
+    modulus = from_coeffs(fld, coeffs)
+
+    def cold(ns):
+        bounds_module._psi_rows.cache_clear()
+        return {n: von_mangoldt_char_sum_ratio(fld, modulus, n).lhs for n in ns}
+
+    ascending, descending = cold(range(1, 11)), cold(range(10, 0, -1))
+    bounds_module._psi_rows.cache_clear()
+    table = {n: float(np.max(np.abs(von_mangoldt_char_sums(fld, modulus, n)[n - 1, 1:])))
+             for n in range(1, 11)}
+    assert ascending == descending == table
+
+
 def test_von_mangoldt_reports_survive_horizon_extension():
     # rows grown for a larger N leave the earlier rows as they were
     fld = make_field(5)

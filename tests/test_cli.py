@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -80,6 +81,25 @@ def test_variance_direct_mode_and_unit_function(capsys):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[4] == "16"
     assert row[5] == ""  # no character column in direct mode
+
+
+def test_variance_of_unit_reads_no_sieve_table(cold_caches, capsys):
+    # the constant 1 needs no factorization on either route: a cold unit
+    # command builds no tables, where liouville builds them to degree N
+    argv = ["variance", "--function", "unit", "--mode", "both", "--p", "3", "--N", "6"]
+    assert main([*argv, "--h", "0:5"]) == EXIT_OK
+    assert ffvar.tables._TABLE_CACHE == {}
+    assert capsys.readouterr().out == (
+        "q,N,h,function,variance_direct,variance_char,abs_gap,theorem_ratio\n"
+        "3,6,0,unit,9,9.0,0.0,\n"
+        "3,6,1,unit,81,81.0,0.0,0.003472222222222222\n"
+        "3,6,2,unit,729,729.0,0.0,0.041666666666666664\n"
+        "3,6,3,unit,6561,6561.0,0.0,0.28125\n"
+        "3,6,4,unit,59049,59049.0,0.0,1.5\n"
+        "3,6,5,unit,531441,,,7.03125\n"
+    )
+    assert main([*argv, "--h", "1", "--function", "liouville"]) == EXIT_OK
+    assert ffvar.tables._TABLE_CACHE[make_field(3)].max_degree == 6
 
 
 def test_variance_character_mode_needs_room(capsys):
@@ -442,19 +462,71 @@ def test_verify_runs_one_window_pass_per_cell(monkeypatch, capsys):
     assert capsys.readouterr().out.count("PASS decomposition") == 3
 
 
-def test_parser_setup_loads_neither_json_nor_logging():
-    # json is loaded by the JSON writer alone, logging by a sieve cache file
+def _python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's sources, its output captured."""
     src = str(Path(ffvar.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
+        capture_output=True, text=True,
+    )
+
+
+def test_parser_setup_loads_neither_json_nor_logging():
+    # json is loaded by the JSON writer alone, logging by a sieve cache file
     code = (
         "import sys, ffvar.cli; ffvar.cli.build_parser(); "
         "print(sorted({'json', 'logging'} & set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out == "[]\n"
+    out = _python("-c", code)
+    assert (out.returncode, out.stdout) == (0, "[]\n")
+
+
+# -- process entry -------------------------------------------------------------------
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # main is the in-process API: only run, the process entry, freezes
+    before = gc.get_freeze_count()
+    assert main(["variance", "--N", "3", "--h", "1"]) == EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["variance", "--N", "3:4", "--h", "1"], EXIT_OK, ""),
+        (["variance", "--N", "3", "--h", "2", "--mode", "character"], EXIT_PRECONDITION,
+         "precondition: "),
+        (["variance", "--N", "25", "--h", "1"], EXIT_BUDGET, "budget: "),
+    ],
+)
+def test_module_entry_matches_main(argv, code, prefix, capsys):
+    # python -m ffvar.cli goes through run: same streams and exit code as main
+    assert main(argv) == code
+    want = capsys.readouterr()
+    assert want.err.startswith(prefix) and want.err.count("\n") == (code != EXIT_OK)
+    got = _python("-m", "ffvar.cli", *argv)
+    assert (got.returncode, got.stdout, got.stderr) == (code, want.out, want.err)
+
+
+def test_module_entry_writes_the_out_file_in_full(tmp_path):
+    got = _python("-m", "ffvar.cli", "sweep", "--N", "3:5", "--h", "1:2", "--out", "s.csv",
+                  cwd=tmp_path)
+    assert got.returncode == EXIT_OK
+    assert (tmp_path / "s.csv").read_text() == PINNED_SWEEP
+
+
+@pytest.mark.parametrize("entry, frozen", [("run", True), ("main", False)])
+def test_run_freezes_the_collector_before_exit(entry, frozen):
+    code = (
+        "import atexit, gc, sys; from ffvar import cli; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+        f"sys.argv[1:] = ['variance', '--N', '3', '--h', '1']; sys.exit(cli.{entry}())"
+    )
+    got = _python("-c", code)
+    assert got.returncode == EXIT_OK
+    assert got.stdout == PINNED_VARIANCE + f"frozen {frozen}\n"
 
 
 def test_verify_specific_field(capsys):

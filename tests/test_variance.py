@@ -116,9 +116,9 @@ def test_direct_route_sums_the_int8_values_in_place(f2):
     # copy of the values alone would be 8 q^N), and the results are those of
     # an explicit int64 sum
     n, h = 20, 1
-    tables = get_tables(f2, n)
+    get_tables(f2, n)
     for name in ("liouville", "moebius"):
-        values = get_function(name).degree_values(tables, n)
+        values = get_function(name).degree_values(f2, n)
         assert values.dtype == np.int8
         sums = values.astype(np.int64).reshape(-1, 2 ** (h + 1)).sum(axis=1)
         tracemalloc.start()
@@ -143,10 +143,9 @@ def test_direct_variances_of_one_n_match_the_per_h_sums(p, k):
     fld = make_field(p, k)
     q = fld.q
     top = max(n for n in range(1, 9) if q**n <= 4096)
-    tables = get_tables(fld, top)
     for name in FUNCTIONS:
         for n in range(1, top + 1):
-            values = get_function(name).degree_values(tables, n).astype(np.int64)
+            values = get_function(name).degree_values(fld, n).astype(np.int64)
             want = {}
             for h in range(n):
                 sums = values.reshape(-1, q ** (h + 1)).sum(axis=1)
