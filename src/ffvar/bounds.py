@@ -1,7 +1,9 @@
 """Empirical monitors for the inequality layer: the character-sum mean value
 theorem, prime and von Mangoldt character sums, the large-prime-factor and
 smooth-factor square sums, and the right side of the headline variance
-bound, against which cmd_sweep reads its theorem ratio.
+bound, against which cmd_sweep reads its theorem ratio. The two square sums
+over the even characters mod t^(N-h) are exact class sums of the fold, with
+no basis and no transform; every other character sum is a transform.
 
 Two report classes, never mixed: hard-pass checks whose constant is fully
 justified (the mean value theorem with its explicit 2*Phi(Q)*(q^(n-deg Q)+1),
@@ -214,34 +216,47 @@ def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -
     return report
 
 
+def window_sum_bytes(field: FieldSpec, n: int, m: int) -> int:
+    """Peak bytes of one window sum mod t^m over degree n: 3 per monic of
+    degree n (values, mask), 8 per residue (the fold) and 32 per class (class
+    sums, scaled codes and their gather, the codes one digit shorter)."""
+    q = field.q
+    return 3 * q**n + 8 * q**m + 32 * q ** (m - 1) + (1 << 20)
+
+
 def _masked_even_square_sum(
     field: FieldSpec, n_total: int, n: int, h: int, keep_smooth: bool
 ) -> float:
-    """Sum over even chi mod t^(N-h) of |sum_{G in M_n, smoothness-filtered}
-    lambda(G) chi(G)|^2."""
-    modulus = t_power(field, n_total - h)
-    basis = unit_group_basis(field, modulus)
-    tables = get_tables(field, max(n, n_total))
-    smooth = tables.max_factor_degree[n] <= h
-    lam = np.where(smooth if keep_smooth else ~smooth, tables.liouville_values(n), 0)
-    weights = np.zeros(field.q**modulus.degree, dtype=np.int64)
-    fold_monic_mod(field, modulus, n, lam, weights)
-    sums = character_sums(basis, weights, even_only=True)
-    return float(np.sum(sums.real**2 + sums.imag**2))
-
-
-def _check_window_params(n_total: int, n: int, h: int) -> None:
+    """Sum over even chi mod t^m, m = N - h, of |sum_{G in M_n, smoothness-
+    filtered} lambda(G) chi(G)|^2. Even characters are those of the units mod
+    F_q^*, so by orthogonality this is q^(m-1) times the sum over the classes
+    v F_q^* of (the fold summed over the class)^2, an exact integer. The class
+    of v = 1 + q r is c v, each digit of v scaled by c, one digit per pass."""
     if not 1 <= h <= n_total - 2:
         raise PreconditionError(f"need 1 <= h <= N-2; got h={h}, N={n_total}")
     if not 0 <= n <= n_total:
         raise PreconditionError(f"need 0 <= n <= N; got n={n}, N={n_total}")
+    q, m = field.q, n_total - h
+    check_budget(window_sum_bytes(field, n, m), "window sum mod t^{} over degree {}", m, n)
+    tables = get_tables(field, n)
+    lam, top = tables.liouville_values(n), tables.max_factor_degree[n]
+    lam[top > h if keep_smooth else top <= h] = 0
+    fold = np.zeros(q**m, dtype=np.int64)
+    fold_monic_mod(field, t_power(field, m), n, lam, fold)
+    sums = np.zeros(q ** (m - 1), dtype=np.int64)
+    for row in field.mul_table[1:].astype(np.int64):  # row c scales a digit by c
+        codes = row[1:2]  # c v for v = 1; digit j of r then varies slowest
+        for j in range(1, m):
+            codes = np.add.outer(row * q**j, codes).ravel()
+        sums += fold[codes]
+    # below q^(2n-1), so int64-exact while the tables to degree n fit in 33 GB
+    return float(int(sums @ sums) * q ** (m - 1))
 
 
 def large_factor_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
     """Square sum over even characters of the non-h-smooth Liouville block,
     against the proof-form bound (N^3/h^2) q^(N+n-h); the statement-form
     bound (n-h)(N/h)^2 q^(N+n-h) rides along in extras. Observe-only."""
-    _check_window_params(n_total, n, h)
     q = field.q
     lhs = _masked_even_square_sum(field, n_total, n, h, False)
     rhs = (n_total**3 / h**2) * float(q) ** (n_total + n - h)
@@ -250,30 +265,18 @@ def large_factor_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> Bo
     if stmt > 0:
         extras["statement_rhs"] = stmt
         extras["statement_ratio"] = lhs / stmt
-    return BoundReport(
-        bound="large_factor_sum",
-        params={"q": q, "N": n_total, "n": n, "h": h},
-        lhs=lhs,
-        rhs=rhs,
-        passed=None,
-        extras=extras,
-    )
+    params = {"q": q, "N": n_total, "n": n, "h": h}
+    return BoundReport("large_factor_sum", params, lhs, rhs, passed=None, extras=extras)
 
 
 def smooth_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
     """Square sum over even characters of the h-smooth Liouville block,
     against q^(n+N-h) + q^(2(N-h)). Observe-only."""
-    _check_window_params(n_total, n, h)
     q = field.q
     lhs = _masked_even_square_sum(field, n_total, n, h, True)
     rhs = float(q) ** (n + n_total - h) + float(q) ** (2 * (n_total - h))
-    return BoundReport(
-        bound="smooth_sum",
-        params={"q": q, "N": n_total, "n": n, "h": h},
-        lhs=lhs,
-        rhs=rhs,
-        passed=None,
-    )
+    params = {"q": q, "N": n_total, "n": n, "h": h}
+    return BoundReport("smooth_sum", params, lhs, rhs, passed=None)
 
 
 def theorem_rhs(q: int, n: int, h: int) -> float:

@@ -108,19 +108,12 @@ def route_bytes(field: FieldSpec, modulus: Poly) -> int:
     return max(basis_bytes(field, modulus), held + transform_bytes(field, modulus))
 
 
-# the most recently built basis, keyed by (field, modulus): one at a time
-_BASIS_CACHE: dict[tuple[FieldSpec, Poly], UnitGroupBasis] = {}
-
-
 def unit_group_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
+    """The basis mod Q, built on each call; none is cached."""
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
     check_budget(basis_bytes(field, modulus), "unit group mod {}", modulus)
-    key = (field, modulus)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE.clear()  # drop the last basis before building the next
-        _BASIS_CACHE[key] = _structural_basis(field, modulus)
-    return _BASIS_CACHE[key]
+    return _structural_basis(field, modulus)
 
 
 def _generators(field: FieldSpec, modulus: Poly):

@@ -270,7 +270,8 @@ def variance_report(
 def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both") -> int:
     """Byte estimate of one cell of variance_report or a sweep row: the tables;
     direct, a copy of the values and the interval sums; character (h <= n-2),
-    route_bytes mod t^(n-h) (basis and transform), the weights, fold and masks."""
+    route_bytes mod t^(n-h) (basis and transform), the weights, fold and masks.
+    A sweep row's window sums (bounds.window_sum_bytes) need less than the character part."""
     q, m = field.q, n - h
     nbytes = table_bytes(field, n) + (q**n + 8 * q ** (m - 1) if mode != "character" else 0)
     if mode != "direct" and m >= 2:

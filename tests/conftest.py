@@ -14,7 +14,7 @@ from ffvar import bounds, characters, tables
 from ffvar.arith import SieveCache, sieve_irreducibles
 from ffvar.fields import FieldSpec, make_field
 from ffvar.errors import BudgetError, PreconditionError
-from ffvar.polys import Poly, from_coeffs, monic_from_index, monic_index
+from ffvar.polys import Poly, from_coeffs, monic_from_index, monic_index, t_power
 
 
 @pytest.fixture(scope="session")
@@ -50,13 +50,12 @@ def cache3(f3, sieve_dir) -> SieveCache:
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty the caches of tables, residue rings, bases and psi rows, so that
-    a measured peak includes building them; the fixture's value empties them
+    """Empty the caches of tables, residue rings and psi rows, so that a
+    measured peak includes building them; the fixture's value empties them
     again."""
 
     def clear() -> None:
         monkeypatch.setattr(tables, "_TABLE_CACHE", {})
-        monkeypatch.setattr(characters, "_BASIS_CACHE", {})
         for cached in (tables.residue_ring, bounds._psi_rows):
             cached.cache_clear()
 
@@ -160,6 +159,24 @@ def power_columns(basis: characters.UnitGroupBasis, k: int) -> np.ndarray:
     for o in basis.orders:
         columns = (columns[:, None] * o + k * np.arange(o) % o).ravel()
     return columns
+
+
+def transform_even_square_sum(
+    field: FieldSpec, n_total: int, n: int, h: int, keep_smooth: bool
+) -> float:
+    """The window sum of bounds.large_factor_sum_ratio (keep_smooth False) and
+    bounds.smooth_sum_ratio (True) by its definition: lambda on the monics of
+    degree n, masked by max_factor_degree <= h, folded mod t^(N-h); every even
+    character sum from one transform over the unit group, squared and added."""
+    modulus = t_power(field, n_total - h)
+    table = tables.get_tables(field, max(n, n_total))
+    smooth = table.max_factor_degree[n] <= h
+    lam = np.where(smooth if keep_smooth else ~smooth, table.liouville_values(n), 0)
+    weights = np.zeros(field.q**modulus.degree, dtype=np.int64)
+    tables.fold_monic_mod(field, modulus, n, lam, weights)
+    basis = characters.unit_group_basis(field, modulus)
+    sums = characters.character_sums(basis, weights, even_only=True)
+    return float(np.sum(sums.real**2 + sums.imag**2))
 
 
 def brute_unit_count(modulus: Poly) -> int:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import enumerate_monic, traced_peak
+from conftest import enumerate_monic, traced_peak, transform_even_square_sum
 from ffvar.bounds import (
     BoundReport,
     large_factor_sum_ratio,
@@ -211,11 +211,11 @@ def test_von_mangoldt_sum_grid_stays_bounded(f3):
             assert rep.passed, rep.summary()
 
 
-def _psi_per_n(field, modulus, n_total):
+def _psi_per_n(basis, n_total):
     """psi_N(chi) for one N from the primes, the way the monitor once built
     each report: the irreducibles of each divisor d of N reduced mod Q, and
     one stacked transform with chi(P)^(N/d) = chi(P^(N/d)) per row."""
-    basis = unit_group_basis(field, modulus)
+    field, modulus = basis.field, basis.modulus
     tables = get_tables(field, n_total)
     size = field.q**modulus.degree
     divisors = [d for d in range(1, n_total + 1) if n_total % d == 0]
@@ -245,10 +245,10 @@ def _check_against_primes(fld, modulus, n_max):
     part (the principal column, about q^N, and the others), and under the
     Riemann-hypothesis bound: deg Q - 1 inverse zeros of size 1 or sqrt(q)."""
     q, m = fld.q, modulus.degree
-    table = von_mangoldt_char_sums(fld, modulus, n_max)
-    assert table.shape == (n_max, unit_group_basis(fld, modulus).phi)
+    table, basis = von_mangoldt_char_sums(fld, modulus, n_max), unit_group_basis(fld, modulus)
+    assert table.shape == (n_max, basis.phi)
     for n_total in range(1, n_max + 1):
-        got, want = table[n_total - 1], _psi_per_n(fld, modulus, n_total)
+        got, want = table[n_total - 1], _psi_per_n(basis, n_total)
         where = (q, str(modulus), n_total)
         assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0]), where
         scale = max(1.0, float(np.max(np.abs(want[1:]), initial=0.0)))
@@ -337,9 +337,10 @@ def test_von_mangoldt_table_follows_the_explicit_formula():
 
 def test_von_mangoldt_report_at_n_40_reads_no_table(f2, monkeypatch):
     # the explicit formula reaches N = 40 mod a degree-6 Q, past any sieve:
-    # once the basis is built, the report leaves the table cache untouched
+    # once the rows are started (the basis factors Q through the sieve), the
+    # report grows them to N = 40 and leaves the table cache untouched
     modulus = from_coeffs(f2, [1, 1, 0, 0, 1, 0, 1])
-    unit_group_basis(f2, modulus)
+    von_mangoldt_char_sums(f2, modulus, 1)
     monkeypatch.setattr(tables_module, "_TABLE_CACHE", {})
     rep = von_mangoldt_char_sum_ratio(f2, modulus, 40)
     assert tables_module._TABLE_CACHE == {}
@@ -394,8 +395,9 @@ def test_von_mangoldt_reports_survive_horizon_extension():
     after = [_fields(von_mangoldt_char_sum_ratio(fld, modulus, n)) for n in range(1, 7)]
     assert np.array_equal(von_mangoldt_char_sums(fld, modulus, 6)[:3], short)
     assert after[:3] == before
+    basis = unit_group_basis(fld, modulus)
     for n_total, (_, _, lhs, *_) in enumerate(after, start=1):
-        want = float(np.max(np.abs(_psi_per_n(fld, modulus, n_total)[1:])))
+        want = float(np.max(np.abs(_psi_per_n(basis, n_total)[1:])))
         assert lhs == pytest.approx(want, rel=1e-12)
 
 
@@ -413,7 +415,7 @@ def test_von_mangoldt_reports_cost_one_transform_per_modulus(f3, monkeypatch):
 
     bounds_module._psi_rows.cache_clear()
     for modulus in moduli:
-        unit_group_basis(f3, modulus)  # the basis factors Q through the sieve
+        von_mangoldt_char_sums(f3, modulus, 1)  # the basis factors Q through the sieve
         with monkeypatch.context() as reports:
             for module in (tables_module, bounds_module, arith_module):
                 reports.setattr(module, "get_tables", no_tables)
@@ -441,10 +443,10 @@ def test_von_mangoldt_preconditions(f2):
 
 def test_large_factor_sum_pinned(f2):
     rep = large_factor_sum_ratio(f2, 4, 3, 1)
-    assert rep.lhs == pytest.approx(12.0)
-    assert rep.rhs == pytest.approx(4096.0)
-    assert rep.extras["statement_rhs"] == pytest.approx(2048.0)
-    assert rep.extras["statement_ratio"] == pytest.approx(12 / 2048)
+    assert rep.lhs == 12.0
+    assert rep.rhs == 4096.0
+    assert rep.extras["statement_rhs"] == 2048.0
+    assert rep.extras["statement_ratio"] == 12 / 2048
 
 
 def test_large_factor_sum_empty_window(f2):
@@ -464,11 +466,54 @@ def test_large_factor_sum_window_validation(f2):
 
 def test_smooth_sum_pinned(f2):
     rep = smooth_sum_ratio(f2, 4, 0, 1)
-    assert rep.lhs == pytest.approx(4.0)  # only G = 1, so the sum is Phi_ev
-    assert rep.rhs == pytest.approx(72.0)
+    assert rep.lhs == 4.0  # only G = 1, so the sum is Phi_ev
+    assert rep.rhs == 72.0
     rep = smooth_sum_ratio(f2, 5, 3, 2)
-    assert rep.lhs == pytest.approx(8.0)
-    assert rep.rhs == pytest.approx(128.0)
+    assert rep.lhs == 8.0
+    assert rep.rhs == 128.0
+
+
+@pytest.mark.parametrize("p, k, n_total", [(2, 1, 9), (3, 1, 6), (2, 2, 5), (5, 1, 4), (3, 2, 4)])
+def test_window_sums_are_the_even_character_square_sums(p, k, n_total):
+    # the class sums of the fold against every even character sum from the
+    # transform, both masks, n below and at or above m = N - h
+    fld = make_field(p, k)
+    for h in range(1, n_total - 1):
+        for n in range(n_total + 1):
+            for keep_smooth in (False, True):
+                got = bounds_module._masked_even_square_sum(fld, n_total, n, h, keep_smooth)
+                want = transform_even_square_sum(fld, n_total, n, h, keep_smooth)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-9), (n, h, keep_smooth)
+
+
+def test_window_sums_build_no_basis(f3, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a window sum built a basis")
+
+    monkeypatch.setattr(characters_module, "_structural_basis", built)
+    assert large_factor_sum_ratio(f3, 6, 6, 2).lhs > 0
+    assert smooth_sum_ratio(f3, 6, 6, 2).lhs > 0
+
+
+def test_window_sum_budget_refusal_is_a_budget_error(f2, monkeypatch, cold_caches):
+    # mod t^39 the fold alone is 2^42 bytes: refused before any table grows
+    def extended(*args, **kwargs):
+        raise AssertionError("a table was extended before the budget check")
+
+    monkeypatch.setattr(tables_module.ArithTables, "extend", extended)
+    for window_sum in (large_factor_sum_ratio, smooth_sum_ratio):
+        with pytest.raises(BudgetError, match="window sum mod t\\^39 over degree 3"):
+            window_sum(f2, 40, 3, 1)
+    assert tables_module._TABLE_CACHE == {}
+
+
+@pytest.mark.parametrize("p, n_total, n, h", [(2, 16, 16, 1), (2, 16, 3, 2), (3, 10, 10, 1), (3, 10, 4, 3)])
+def test_window_sum_bytes_cover_the_peak(p, n_total, n, h):
+    fld = make_field(p)
+    get_tables(fld, n)  # the tables are gated and held apart from the window sum
+    for keep_smooth in (False, True):
+        peak = traced_peak(bounds_module._masked_even_square_sum, fld, n_total, n, h, keep_smooth)
+        assert peak <= bounds_module.window_sum_bytes(fld, n, n_total - h)
 
 
 def test_window_sums_observed_ratios_finite(f2):

@@ -262,6 +262,25 @@ def test_sweep_repeat_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_builds_one_basis_per_character_row(monkeypatch, capsys):
+    # the variance route builds each row's basis; the window sums build none
+    built = []
+    build = ffvar.characters._structural_basis
+    monkeypatch.setattr(ffvar.characters, "_structural_basis",
+                        lambda field, modulus: built.append(modulus) or build(field, modulus))
+    assert main(["sweep", "--N", "3:10", "--h", "1:3"]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(built) == sum(int(h) <= int(n) - 2 for _, n, h, *_ in rows) == 21
+
+
+@pytest.mark.parametrize("p, n, h", [(2, 16, 1), (2, 16, 4), (3, 10, 1), (3, 10, 3)])
+def test_cell_bytes_cover_a_sweep_row(cold_caches, capsys, p, n, h):
+    # one row from cold: the tables, both variance routes and both window sums
+    peak = traced_peak(main, ["sweep", "--p", str(p), "--N", str(n), "--h", str(h)])
+    capsys.readouterr()
+    assert peak <= ffvar.variance.cell_bytes(make_field(p), n, h)
+
+
 def test_sweep_json(capsys):
     assert main(["sweep", "--N", "3:4", "--h", "1:1", "--format", "json"]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)
