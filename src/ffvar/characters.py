@@ -90,8 +90,8 @@ def _phi_bound(field: FieldSpec, modulus: Poly) -> int:
 
 
 def basis_bytes(field: FieldSpec, modulus: Poly) -> int:
-    """Peak bytes of building the basis mod Q: 40 per unit for the span and its
-    grid-order copy (16 measured mod t^m; other Q add factor tables, to 33)."""
+    """Peak bytes of building the basis mod Q: 40 per unit for the span as it
+    doubles (16 measured mod t^m; other Q add factor tables, to 33)."""
     return 40 * _phi_bound(field, modulus) + _SCRATCH
 
 
@@ -150,34 +150,23 @@ def _generators(field: FieldSpec, modulus: Poly):
 
 def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     ring = residue_ring(field, modulus)
+    gens = list(_generators(field, modulus))  # none for q = 2, m = 1
     # the span of the generators so far; extending by y of order e appends the
-    # blocks span * y^j, j < e, so the last generator's exponent varies
-    # slowest: the span is the grid with its axes reversed
-    span = np.ones(1, dtype=np.int64)
-    generators: list[int] = []
-    orders: list[int] = []
-    for y, e in _generators(field, modulus):
+    # blocks span * y^j, j < e, so the last generator taken varies slowest:
+    # taken last to first, the span is the C-order grid
+    codes = np.ones(1, dtype=np.int64)
+    for y, e in reversed(gens):
         if ring.pow(y, e) != 1:
             raise AssertionError(f"generator {y} does not have order dividing {e}")
-        size, step = e * len(span), y
-        while len(span) < size:  # doubling: span holds c blocks and step = y^c
-            span = np.concatenate((span, ring.mul(span[: size - len(span)], step)))
+        size, step = e * len(codes), y
+        while len(codes) < size:  # doubling: codes holds c blocks and step = y^c
+            codes = np.concatenate((codes, ring.mul(codes[: size - len(codes)], step)))
             step = ring.pow(step, 2)
-        generators.append(y)
-        orders.append(e)
-    codes = span.reshape(orders[::-1]).transpose().ravel()
-    del span
     seen = np.zeros(field.q**modulus.degree, dtype=bool)
     seen[codes] = True
     if np.count_nonzero(seen) != len(codes):
         raise AssertionError("span extension collided; basis invariant broken")
-    return UnitGroupBasis(
-        field=field,
-        modulus=modulus,
-        generators=tuple(generators),
-        orders=tuple(orders),
-        unit_codes=codes,
-    )
+    return UnitGroupBasis(field, modulus, tuple(y for y, _ in gens), tuple(e for _, e in gens), codes)
 
 
 def enumerate_characters(basis: UnitGroupBasis) -> np.ndarray:
@@ -239,6 +228,9 @@ def l_coefficients(basis: UnitGroupBasis) -> np.ndarray:
     of the indicators of the codes q^j .. 2q^j - 1, as a monic of degree j < m
     is its own residue. Past m, c_j is q^(j-m) Phi [chi principal]."""
     q, m = basis.field.q, basis.modulus.degree
+    # the transform's gate, before the m x q^m indicators are built
+    nbytes = transform_bytes(basis.field, basis.modulus, m)
+    check_budget(nbytes, "character transform of {} x {}", m, basis.phi)
     starts, codes = q ** np.arange(m)[:, None], np.arange(q**m)
     return character_sums(basis, (starts <= codes) & (codes < 2 * starts))
 

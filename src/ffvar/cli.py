@@ -32,7 +32,7 @@ from .errors import DEFAULT_BUDGET, BudgetError, IrreducibleCacheError, Precondi
 from .errors import budget, check_budget
 from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import from_coeffs, monic_from_index, t_power
-from .tables import get_tables, residue_ring, table_bytes
+from .tables import get_tables, residue_ring, row_mul, table_bytes
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -53,13 +53,20 @@ ERROR_EXITS = (
 )
 
 
-def _parse_range(text: str) -> tuple[int, ...]:
-    """'3' -> (3,); '3:8' -> (3,...,8) inclusive."""
+def _parse_range(text: str) -> range:
+    """'3' -> range(3, 4); '3:8' -> range(3, 9), 3..8 inclusive."""
     lo, colon, hi = text.partition(":")
     try:
-        return tuple(range(int(lo), int(hi if colon else lo) + 1))
+        return range(int(lo), int(hi if colon else lo) + 1)
     except ValueError as exc:
         raise PreconditionError(f"bad range syntax ({exc})")
+
+
+def _grid(n_values: range, h_values: range, room: int) -> tuple[range, Callable[[int], range]]:
+    """The N of an (N, h) grid with a cell h <= N - room, and the h of one such
+    N: ranges clipped by arithmetic, so no list grows with the flags' ranges."""
+    ns = range(max(n_values.start, h_values.start + room), n_values.stop)
+    return ns if h_values else range(0), lambda n: h_values[: n - room + 1 - h_values.start]
 
 
 def _csv_cell(x: Fraction | float | int | str | None) -> str:
@@ -115,17 +122,15 @@ def cmd_variance(args: argparse.Namespace) -> int:
         raise PreconditionError("tolerance must be finite and > 0")
     handle = variance.get_function(args.function)
     room = 2 if args.mode == "character" else 1
-    grid = {n: [h for h in h_values if 0 <= h <= n - room] for n in n_values}
-    pairs = [(n, h) for n, hs in grid.items() for h in hs]
-    if not pairs:
+    ns, hs = _grid(n_values, range(max(h_values.start, 0), h_values.stop), room)
+    if not ns:
         need = "0 <= h <= N-2" if args.mode == "character" else "0 <= h < N"
         raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
-    for n, h in pairs:  # every cell's estimate, before the first route runs
-        check_budget(variance.cell_bytes(fld, n, h, args.mode), "cell N={} h={}", n, h)
+    for n in ns:  # every cell's estimate, before the first route runs
+        for h in hs(n):
+            check_budget(variance.cell_bytes(fld, n, h, args.mode), "cell N={} h={}", n, h)
     reports = [
-        rep
-        for n, hs in grid.items()
-        for rep in variance.variance_reports(fld, handle, n, hs, mode=args.mode)
+        rep for n in ns for rep in variance.variance_reports(fld, handle, n, hs(n), mode=args.mode)
     ]
     rows = [
         (
@@ -173,14 +178,14 @@ SWEEP_HEADER = (
 def cmd_sweep(args: argparse.Namespace) -> int:
     n_values, h_values = _parse_range(args.N), _parse_range(args.h)
     fld = make_field(args.p, args.k)
-    grid = {n: [h for h in sorted(h_values) if h < n] for n in sorted(n_values)}
-    pairs = [(n, h) for n, hs in grid.items() for h in hs]
-    if not pairs:
+    ns, hs = _grid(n_values, h_values, 1)
+    if not ns:
         raise PreconditionError("empty sweep grid")
-    if any(h < 1 for _, h in pairs):
+    if h_values.start < 1:  # the first h of every row
         raise PreconditionError("sweep grid needs h >= 1")
-    for n, h in pairs:  # every cell's estimate, before the first route runs
-        check_budget(variance.cell_bytes(fld, n, h), "cell N={} h={}", n, h)
+    for n in ns:  # every cell's estimate, before the first route runs
+        for h in hs(n):
+            check_budget(variance.cell_bytes(fld, n, h), "cell N={} h={}", n, h)
 
     def one(rep: variance.VarianceReport):
         n, h = rep.n, rep.h
@@ -192,9 +197,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ratio = float(rep.direct) / bound
         return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 
-    rows = [
-        one(rep) for n, hs in grid.items() for rep in variance.variance_reports(fld, "liouville", n, hs)
-    ]
+    rows = [one(rep) for n in ns for rep in variance.variance_reports(fld, "liouville", n, hs(n))]
     _write_rows(args, SWEEP_HEADER, rows)
     best = max(rows, key=lambda r: r[6])
     where = f"(q={best[0]}, N={best[1]}, h={best[2]})"
@@ -261,19 +264,6 @@ def _row_star(coeffs: np.ndarray) -> np.ndarray:
     deg = width - 1 - np.argmax(coeffs[..., ::-1] != 0, axis=-1)
     src = deg[..., None] - np.arange(width)
     return np.take_along_axis(coeffs, np.maximum(src, 0), axis=-1) * (src >= 0)
-
-
-def _row_mul(fld: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient rows (constant first) of the products of rows a and b, both
-    of width w: a schoolbook product through the field tables, each
-    coefficient of a times all of b per lookup, width 2w - 1."""
-    q, width = fld.q, a.shape[-1]
-    add, mul = fld.add_table.ravel(), fld.mul_table.ravel()  # x q + y <= 255: q <= 16
-    out = np.zeros((*a.shape[:-1], 2 * width - 1), dtype=np.uint8)
-    for i in range(width):
-        part = out[..., i : i + width]
-        part[...] = add[part * q + mul[a[..., i : i + 1] * q + b]]
-    return out
 
 
 def _random_rows(fld: FieldSpec, rng, shape: tuple[int, ...], max_deg: int) -> np.ndarray:
@@ -350,8 +340,8 @@ def _suite_involution(args: argparse.Namespace, fld: FieldSpec):
         checked += (q - 1) * len(coeffs)
     # star(a b) = star(a) star(b) on random pairs of nonzero polynomials
     a, b = _random_rows(fld, np.random.default_rng(args.seed), (2, 2000), max_deg)
-    lhs = _row_star(_row_mul(fld, a, b))
-    bad = (lhs != _row_mul(fld, _row_star(a), _row_star(b))).any(axis=1)
+    lhs = _row_star(row_mul(fld, a, b))
+    bad = (lhs != row_mul(fld, _row_star(a), _row_star(b))).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         x, y = (from_coeffs(fld, rows[i].tolist()) for rows in (a, b))

@@ -50,4 +50,8 @@ def check_budget(nbytes: int, what: str, *args: object) -> None:
     """The one gate, before each allocation; `what` is formatted only to refuse."""
     limit = _BUDGET.get()
     if nbytes > limit:
-        raise BudgetError(f"{what.format(*args)} needs {nbytes} bytes, over the budget of {limit}")
+        try:
+            need = str(nbytes)
+        except ValueError:  # more digits than the interpreter converts to str
+            need = f"at least 2^{nbytes.bit_length() - 1}"
+        raise BudgetError(f"{what.format(*args)} needs {need} bytes, over the budget of {limit}")

@@ -14,15 +14,17 @@ irreducible divisor P of G produces the same value: overwrites are
 consistent). Omega and max-factor-degree are the low and high bytes of one
 int16 per polynomial (big_omega and max_factor_degree are its int8 views),
 so one scatter writes both. Whatever is never written is irreducible.
-Squarefree-ness is killed separately by marking P^2 * M products.
+Squarefree-ness is killed separately by marking P^2 * M products; the
+squares P^2 come from row_mul, the one product of coefficient rows, for
+every p.
 
 The products of all P of one degree come from one mul_monic_batch call. It
 splits M = L + t^a H at half its degree, so it needs P times at most
 2 q^ceil(md/2) halves instead of q^md cofactors, and joins P * L and
 t^a P * H by adding base-p digits mod p. In characteristic 2 no ring is
 used: P * L is F_2-linear in the bits of L, so the codes of all L come from
-shifted copies of P (scaled by x^i for q = 2^k) XORed in code order, P^2
-spreads P's squared coefficients to even places, and the join is one XOR.
+shifted copies of P (scaled by x^i for q = 2^k) XORed in code order, and
+the join is one XOR.
 For odd p the halves come from one small ResidueRing product, the
 multiplication maps of the P side by side in one matmul, and the join is
 an integer sum less its carries at the k deg P overlapping digits: the
@@ -76,15 +78,6 @@ def _binary_low_products(field: FieldSpec, dp: int, ups: np.ndarray, a: int) -> 
         j, i = divmod(b, k)
         np.bitwise_xor(low[:, : 1 << b], basis[:, i, None] << k * j, out=low[:, 1 << b : 2 << b])
     return low
-
-
-def _binary_squares(field: FieldSpec, d: int, ups: np.ndarray) -> np.ndarray:
-    """Mantissas of P^2 for the monic P of degree d with mantissas `ups`, in
-    characteristic 2: P(t)^2 = sum of c_l^2 t^(2l), each coefficient squared
-    and spread to twice its place."""
-    q = field.q
-    coeffs = ups[:, None] // q ** np.arange(d) % q
-    return field.mul_table[coeffs, coeffs].astype(np.int64) @ q ** (2 * np.arange(d))
 
 
 @cache
@@ -183,6 +176,19 @@ def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
         yield slice(i, i + rows), slice(j * lows, j * lows + size), block.reshape(rows, size)
 
 
+def row_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient rows (constant first) of the products of rows a and b, both
+    of width w: a schoolbook product through the field tables, each
+    coefficient of a times all of b per lookup, width 2w - 1."""
+    q, width = field.q, a.shape[-1]
+    add, mul = field.add_table.ravel(), field.mul_table.ravel()  # x q + y <= 255: q <= 16
+    out = np.zeros((*a.shape[:-1], 2 * width - 1), dtype=np.uint8)
+    for i in range(width):
+        part = out[..., i : i + width]
+        part[...] = add[part * q + mul[a[..., i : i + 1] * q + b]]
+    return out
+
+
 def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: int = 1):
     """Every product P^power * M of degree m, P monic irreducible of degree
     d <= m/2 and M monic, as blocks (d, the P's mantissas, the slice of M's
@@ -190,12 +196,10 @@ def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: i
     q = field.q
     for d in range(1, m // 2 + 1):
         ups = irreducibles[d]
-        if power == 1:
-            mants = ups
-        elif field.p == 2:
-            mants = _binary_squares(field, d, ups)
-        else:  # P^2 is monic of degree 2d, so its code mod t^(2d+1) holds it whole
-            mants = residue_ring(field, t_power(field, 2 * d + 1)).square(ups + q**d) - q ** (2 * d)
+        mants = ups
+        if power == 2:  # P^2 is monic of degree 2d: its mantissa is its 2d low coefficients
+            coeffs = ((ups[:, None] + q**d) // q ** np.arange(d + 1) % q).astype(np.uint8)
+            mants = row_mul(field, coeffs, coeffs)[:, :-1] @ q ** np.arange(2 * d)
         for rows, part, block in mul_monic_batch(field, power * d, mants, m - power * d):
             yield d, ups[rows], part, block
 
@@ -413,11 +417,6 @@ class ResidueRing:
             self._batched(out[i : i + step].T, maps.shape[1],
                           lambda s: self._digits(a[s], self.place) @ maps)
         return out[0] if np.ndim(b) == 0 else out
-
-    def square(self, a: np.ndarray) -> np.ndarray:
-        """Codes of a*a for each code in `a`: its digits times its own map."""
-        coords = lambda s: np.einsum("ij,ijk->ik", self._digits(a[s], self.place), self._maps(a[s]))
-        return self._batched(np.empty(len(a), np.int64), len(self.place) ** 2, coords)
 
     def _compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x @ y % self.p  # the map of a*b from the maps of a and b

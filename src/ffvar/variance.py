@@ -255,20 +255,8 @@ def variance_reports(
         )
 
 
-def variance_report(
-    field: FieldSpec,
-    f: ArithmeticFunctionHandle | str,
-    n: int,
-    h: int,
-    *,
-    mode: str = "both",
-) -> VarianceReport:
-    """One grid cell (see variance_reports)."""
-    return next(variance_reports(field, f, n, (h,), mode=mode))
-
-
 def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both") -> int:
-    """Byte estimate of one cell of variance_report or a sweep row: the tables;
+    """Byte estimate of one cell of variance_reports or a sweep row: the tables;
     direct, a copy of the values and the interval sums; character (h <= n-2),
     route_bytes mod t^(n-h) (basis and transform), the weights, fold and masks.
     A sweep row's window sums (bounds.window_sum_bytes) need less than the character part."""

@@ -606,6 +606,21 @@ def test_basis_and_transform_gates_refuse_one_byte_past_their_estimates(cold_cac
             assert character_sums(basis, weights).shape == (*shape, basis.phi)
 
 
+def test_l_coefficients_refuse_before_building_the_indicators():
+    # F_2 mod t^18: the 18 x 2^18 indicator rows alone are 4.5 MiB, so a
+    # refusal past a 4 MiB budget must come before them
+    fld = make_field(2)
+    basis = unit_group_basis(fld, t_power(fld, 18))
+    need = transform_bytes(fld, basis.modulus, 18)
+    message = f"^character transform of 18 x {basis.phi} needs {need} bytes, over"
+
+    def refused():
+        with budget(4 << 20), pytest.raises(BudgetError, match=message):
+            characters_module.l_coefficients(basis)
+
+    assert traced_peak(refused) < 4 << 20
+
+
 @pytest.mark.parametrize("p,k,lower", [(*f, c) for f, c in GATE_MODULI])
 def test_basis_and_transform_estimates_cover_their_peaks(cold_caches, p, k, lower):
     # what the gates read is at least what a cold build and each kind of

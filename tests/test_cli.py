@@ -32,7 +32,6 @@ from ffvar.cli import (
     ORTHOGONALITY_PHI,
     SUITES,
     _random_rows,
-    _row_mul,
     _row_star,
     build_parser,
     involution_bytes,
@@ -40,6 +39,7 @@ from ffvar.cli import (
 )
 from ffvar.fields import make_field
 from ffvar.polys import from_coeffs, star
+from ffvar.tables import row_mul
 
 PINNED_VARIANCE = (
     "q,N,h,function,variance_direct,variance_char,abs_gap,theorem_ratio\n"
@@ -163,6 +163,62 @@ def test_variance_gap_detection_exits_three(monkeypatch, capsys):
     assert "gap" in captured.err
     # the offending row is still emitted for inspection
     assert captured.out.splitlines()[1].split(",")[5] == "99.0"
+
+
+@pytest.mark.parametrize("command, n, limit", [("variance", 30000, None), ("sweep", 3000, 640)])
+def test_an_estimate_past_the_str_digit_limit_exits_four(capsys, command, n, limit):
+    # the cell's estimate has more digits than the interpreter's int-to-str
+    # limit (the default 4300, or the least allowed, 640, for a quicker
+    # cell): refused with a power-of-two bound, not a traceback
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit or sys.int_info.default_max_str_digits)
+    try:
+        assert main([command, "--N", str(n), "--h", "1"]) == EXIT_BUDGET
+    finally:
+        sys.set_int_max_str_digits(old)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"budget: cell N={n} h=1 needs at least 2^")
+
+
+def _traced_main(argv, capsys):
+    """(exit code, stdout, stderr, tracemalloc peak) of main(argv)."""
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    return (codes[0], *capsys.readouterr(), peak)
+
+
+@pytest.mark.parametrize(
+    "command, wide, narrow",
+    [
+        ("variance", "0:100000000", "0:9"),
+        ("variance --mode character", "0:100000000", "0:8"),
+        ("sweep", "1:100000000", "1:9"),
+    ],
+)
+def test_a_wide_h_range_costs_only_its_feasible_cells(capsys, command, wide, narrow):
+    # N = 10 keeps h <= 9 (h <= 8 in character mode): the rest of the range
+    # is clipped away by arithmetic, with no list as long as the range
+    argv = [*command.split(), "--N", "10", "--h"]
+    assert main([*argv, narrow]) == EXIT_OK  # warm the tables
+    capsys.readouterr()
+    rc, out, err, peak = _traced_main([*argv, narrow], capsys)
+    assert rc == EXIT_OK
+    got = _traced_main([*argv, wide], capsys)
+    assert got[:3] == (rc, out, err)
+    assert got[3] <= peak + (1 << 20)
+
+
+def test_a_wide_n_range_refuses_at_its_first_cell_over_budget(capsys):
+    # the cells are checked in grid order: N = 27 is the first over the
+    # default budget, with the same message as for a range that ends at 30
+    argv = ["variance", "--mode", "direct", "--h", "1", "--N"]
+    assert main([*argv, "1:30"]) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("budget: cell N=27 h=1 needs ")
+    got = _traced_main([*argv, "1:100000000"], capsys)
+    assert got[:3] == (EXIT_BUDGET, "", err)
+    assert got[3] < 1 << 20
 
 
 BAD_RANGE = "precondition: bad range syntax (invalid literal for int() with base 10: 'x')\n"
@@ -676,7 +732,7 @@ def test_row_product_and_row_star_match_poly(p, k):
     a[200:210] = 0  # the zero polynomial, a factor only
     a[:200, 0] = np.maximum(a[:200, 0], 1)
     b[:, 0] = np.maximum(b[:, 0], 1)
-    product = _row_mul(fld, a, b)
+    product = row_mul(fld, a, b)
     assert product.shape == (300, 9) and product.dtype == np.uint8
     for i in range(300):
         x, y = from_coeffs(fld, a[i].tolist()), from_coeffs(fld, b[i].tolist())
@@ -696,14 +752,14 @@ def test_involution_suite_names_a_pair_whose_product_is_corrupted(monkeypatch, c
     calls, pair = [], []
 
     def corrupted(field, a, b):
-        out = _row_mul(field, a, b)
+        out = row_mul(field, a, b)
         if not calls:
             pair.extend(from_coeffs(fld, rows[bad].tolist()) for rows in (a, b))
             out[bad, 0] = field.add_table[out[bad, 0], 1]
         calls.append(1)
         return out
 
-    monkeypatch.setattr(ffvar.cli, "_row_mul", corrupted)
+    monkeypatch.setattr(ffvar.cli, "row_mul", corrupted)
     rc = main(["verify", "--p", "3", "--suite", "involution", "--n-max", "4"])
     assert rc == EXIT_FAILURE
     assert capsys.readouterr().out == (

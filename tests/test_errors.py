@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import sys
 
 import pytest
 
@@ -54,3 +55,21 @@ def test_budget_nests_and_restores_after_an_exception():
         with pytest.raises(BudgetError, match="^the 3 tables needs 101 bytes, over the budget of 100$"):
             check_budget(101, "the {} {}", 3, "tables")
     assert limit() == DEFAULT_BUDGET
+
+
+def test_an_estimate_past_the_str_digit_limit_is_a_power_of_two_bound():
+    # at most the interpreter's int-to-str digit limit, the estimate prints
+    # whole; past it, as the largest power of two it reaches
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)  # 4300
+    try:
+        with budget(100):
+            whole = 10**4299  # 4300 digits
+            with pytest.raises(BudgetError) as info:
+                check_budget(whole, "cell")
+            assert str(info.value) == f"cell needs {whole} bytes, over the budget of 100"
+            bound = "^cell N=1 needs at least 2\\^20001 bytes, over the budget of 100$"
+            with pytest.raises(BudgetError, match=bound):
+                check_budget(3 << 20000, "cell N={}", 1)
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -145,6 +145,28 @@ def _one_shot_products(fld, dp: int, up: int, md: int) -> np.ndarray:
     return ring.mul(np.arange(q**md) + q**md, (up + q**dp) % q**m)
 
 
+def _poly_squares(fld, d: int, ups) -> np.ndarray:
+    """Oracle: mantissas of P^2 for the monic P of degree d with mantissas
+    `ups`, from Poly products."""
+    polys = (monic_from_index(fld, d, int(up)) for up in ups)
+    return np.array([monic_index(P * P) for P in polys], dtype=np.int64)
+
+
+def _squares_of_the_pass(fld, irreducibles, d: int) -> np.ndarray:
+    """Mantissas of P^2 for every irreducible P of degree d, as the squarefree
+    pass hands them to mul_monic_batch (which is stubbed out here)."""
+    built = {}
+
+    def record(field, dp, mants, md):
+        built[dp] = mants
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables_module, "mul_monic_batch", record)
+        list(tables_module._products(fld, irreducibles, 2 * d, power=2))
+    return built[2 * d]
+
+
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
 def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
     # up to 8 irreducible P of each degree 1..4 (all of them for q = 2)
@@ -161,9 +183,9 @@ def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
     batches = []
     for dp in (1, 2, 3, 4):
         ups = np.sort(rng.permutation(tab.irreducibles[dp])[:8])
-        polys = [monic_from_index(fld, dp, int(up)) for up in ups]
-        squares = residue_ring(fld, t_power(fld, 2 * dp + 1)).square(ups + q**dp) - q ** (2 * dp)
-        assert squares.tolist() == [monic_index(P * P) for P in polys]
+        squares = _poly_squares(fld, dp, ups)
+        built = _squares_of_the_pass(fld, tab.irreducibles, dp)
+        assert np.array_equal(built[np.searchsorted(tab.irreducibles[dp], ups)], squares)
         batches += [(dp, ups), (2 * dp, squares)]
     seen = set()
     for dp, ups in batches:
@@ -236,15 +258,15 @@ def _code(f: Poly) -> int:
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4)], ids=["2", "4", "8", "16"])
 def test_binary_shift_products_and_squares_match_poly_products(p, k):
     # over F_2^k: P * L for every L of degree < a from shifts and XORs, and
-    # P^2 from its coefficients squared and spread, against Poly products
+    # P^2 as the squarefree pass builds it, against Poly products
     fld = make_field(p, k)
     q = fld.q
     tab = build_tables(fld, 4)
     for d in range(1, 5):
         ups = tab.irreducibles[d][:6]
         polys = [monic_from_index(fld, d, int(up)) for up in ups]
-        squares = tables_module._binary_squares(fld, d, ups)
-        assert squares.tolist() == [monic_index(P * P) for P in polys]
+        squares = _squares_of_the_pass(fld, tab.irreducibles, d)[:6]
+        assert np.array_equal(squares, _poly_squares(fld, d, ups))
         for a in range(4):
             if q**a > 1 << 12:
                 break
@@ -272,8 +294,7 @@ def test_mul_monic_batch_carries_overlaps_past_the_fold(p, k):
         ups = np.sort(rng.permutation(tab.irreducibles[dp])[:4])
         batches = [(dp, ups)]
         if q == 3:
-            ring = residue_ring(fld, t_power(fld, 2 * dp + 1))
-            batches.append((2 * dp, ring.square(ups + q**dp) - q ** (2 * dp)))
+            batches.append((2 * dp, _poly_squares(fld, dp, ups)))
         for dm, mants in batches:
             assert k * dm > c  # the overlap outgrows one chunk
             for md in range(1, 7):
@@ -327,12 +348,11 @@ def _per_p_products(fld, dp: int, up: int, md: int):
 
 
 def _per_p_pass(fld, irreducibles, m: int, power: int = 1):
-    q = fld.q
     for d in range(1, m // 2 + 1):
         ups = irreducibles[d]
         mants = ups
         if power == 2:
-            mants = residue_ring(fld, t_power(fld, 2 * d + 1)).square(ups + q**d) - q ** (2 * d)
+            mants = _poly_squares(fld, d, ups)
         for up, mant in zip(ups, mants.tolist()):
             for part, codes in _per_p_products(fld, power * d, mant, m - power * d):
                 yield d, up, part, codes

@@ -30,7 +30,7 @@ from ffvar.variance import (
     ramare_identity_check,
     variance_charside,
     variance_direct,
-    variance_report,
+    variance_reports,
     weighted_char_sum,
     window_bytes,
     window_defects,
@@ -224,7 +224,7 @@ def test_both_routes_agree_on_a_medium_grid(f2, f3):
 
 
 def test_variance_report_fields(f2):
-    rep = variance_report(f2, "liouville", 3, 1)
+    (rep,) = variance_reports(f2, "liouville", 3, [1])
     assert (rep.q, rep.n, rep.h, rep.function) == (2, 3, 1, "liouville")
     assert rep.direct == 4
     assert rep.charside == pytest.approx(4.0)
@@ -233,16 +233,16 @@ def test_variance_report_fields(f2):
 
 
 def test_variance_report_edges(f2):
-    rep = variance_report(f2, "liouville", 3, 0)
+    (rep,) = variance_reports(f2, "liouville", 3, [0])
     assert rep.theorem_ratio is None  # the monitored bound divides by h
     assert rep.abs_gap == pytest.approx(0.0)
-    top = variance_report(f2, "liouville", 3, 1, mode="direct")
+    (top,) = variance_reports(f2, "liouville", 3, [1], mode="direct")
     assert top.charside is None and top.abs_gap is None
-    char = variance_report(f2, "liouville", 3, 1, mode="character")
+    char, past = variance_reports(f2, "liouville", 3, [1, 2], mode="character")
     assert char.direct is None and char.charside == pytest.approx(4.0)
-    assert variance_report(f2, "liouville", 3, 2, mode="character").charside is None
+    assert past.charside is None  # h = 2 > N - 2: no character route
     with pytest.raises(PreconditionError, match="unknown mode"):
-        variance_report(f2, "liouville", 3, 1, mode="dual")
+        next(variance_reports(f2, "liouville", 3, [1], mode="dual"))
 
 
 # -- exact identity checks ------------------------------------------------------------
@@ -417,5 +417,5 @@ def test_cell_bytes_cover_the_route_peak(cold_caches, p, n, h, mode):
     # the estimate the CLI checks per cell is at least what the cell's
     # routes peak at, tables and basis built from cold
     fld = make_field(p)
-    peak = traced_peak(variance_report, fld, "moebius", n, h, mode=mode)
+    peak = traced_peak(lambda: list(variance_reports(fld, "moebius", n, [h], mode=mode)))
     assert peak <= cell_bytes(fld, n, h, mode)
