@@ -197,9 +197,15 @@ def factor(f: Poly, cache: SieveCache) -> Factorization:
         raise PreconditionError(
             f"cache depth {cache.max_degree} insufficient for degree {n} (needs {n // 2})"
         )
-    tables = get_tables(f.field, n)
+    found = factor_mantissas(f.field, n, monic_index(f.monic()))
+    return Factorization(f.lead, tuple((monic_from_index(f.field, d, u), e) for d, u, e in found))
+
+
+def factor_mantissas(field: FieldSpec, n: int, u: int) -> list[tuple[int, int, int]]:
+    """(deg P, mantissa of P, e) for each P^e || G, G monic of degree n >= 1
+    with mantissa u, ascending: G's factor links walked, one lookup a factor."""
+    tables = get_tables(field, n)
     found: Counter[tuple[int, int]] = Counter()
-    u = monic_index(f.monic())
     while n:
         deg, fac, cof = tables.factor_links(n)
         d = int(deg[u])
@@ -208,8 +214,7 @@ def factor(f: Poly, cache: SieveCache) -> Factorization:
             break
         found[d, int(fac[u])] += 1
         n, u = n - d, int(cof[u])
-    factors = tuple((monic_from_index(f.field, d, u), e) for (d, u), e in sorted(found.items()))
-    return Factorization(unit=f.lead, factors=factors)
+    return [(d, u, e) for (d, u), e in sorted(found.items())]
 
 
 class FactorIndex:

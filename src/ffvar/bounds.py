@@ -154,21 +154,25 @@ def prime_char_sum_ratio(field: FieldSpec, m: int, x: int) -> BoundReport:
 
 
 @lru_cache(maxsize=1)
-def _psi_rows(field: FieldSpec, modulus: Poly) -> tuple[np.ndarray, list, list]:
-    """The L-coefficients mod Q (one transform) and the psi rows grown from
-    them: exact ints for the principal character, complex rows for the rest."""
-    return l_coefficients(unit_group_basis(field, modulus)), [], []
+def _psi_rows(field: FieldSpec, modulus: Poly) -> tuple[np.ndarray, list, list, list]:
+    """The L-coefficients mod Q (one transform), the principal c_j as exact
+    ints, and the psi rows grown from them: exact ints for the principal
+    character, complex rows for the rest."""
+    c = l_coefficients(unit_group_basis(field, modulus))
+    return c, [round(x.real) for x in c[:, 0]], [], []
 
 
 def _grown_psi_rows(field: FieldSpec, modulus: Poly, n_max: int) -> tuple[list, list]:
     """The cached psi rows of Q, grown to at least N = n_max by Newton's
     identity: the principal character's exact ints, and the complex rows of
-    the rest (row N - 1 for N)."""
+    the rest (row N - 1 for N). Past m = deg Q the principal c_N, q^(N-m)
+    Phi, is appended as its row is grown."""
     q, m = field.q, modulus.degree
-    c, principal, rest = _psi_rows(field, modulus)
+    c, c0, principal, rest = _psi_rows(field, modulus)
     phi = c.shape[1]
-    c0 = [round(x.real) for x in c[:, 0]] + [q ** (j - m) * phi for j in range(m, n_max + 1)]
     for n in range(len(rest) + 1, n_max + 1):
+        if n >= m:
+            c0.append(q ** (n - m) * phi)
         principal.append(n * c0[n] - sum(c0[j] * principal[n - j - 1] for j in range(1, n)))
         row = n * c[n, 1:] if n < m else np.zeros(phi - 1, dtype=np.complex128)
         rest.append(row - sum(c[j, 1:] * rest[n - j - 1] for j in range(1, min(n, m))))

@@ -5,8 +5,8 @@ by CRT, the product over P^e || Q (d = deg P, R = Q/P^e) of a cyclic group of
 order q^d - 1 and the principal units mod P^e, which 1 + w P^j R generate
 independently for 1 <= j < e, p not dividing j, and w over an F_p-basis of
 the polynomials of degree < d; each has order p^s, s least with j p^s >= e.
-The units are the span of the generators, built block by block on arrays of
-residue codes through tables.ResidueRing, and listed in grid order: the
+The generators are found and the units spanned on the multiplication maps
+of tables.ResidueRing, block by block, and listed in grid order: the
 discrete log of the unit at position i is the exponent vector of flat index i
 in a C-order grid shaped like the group, so it is never stored. A character
 is an exponent vector too, one grid cell, numbered the same way; its values are
@@ -28,19 +28,13 @@ import math
 
 import numpy as np
 
-from .arith import factor, sieve_irreducibles
+from .arith import factor_mantissas
 from .errors import PreconditionError, check_budget
 from .fields import FieldSpec, prime_factors
-from .polys import Poly, constant, from_coeffs, t_power
-from .tables import residue_ring
+from .polys import Poly, monic_index, t_power
+from .tables import ResidueRing, residue_ring
 
 _SCRATCH = 1 << 20  # residue rings and small arrays of one basis or transform
-
-
-def residue_code(f: Poly, modulus: Poly) -> int:
-    """Code of f mod Q: the coefficients of the remainder as base-q digits."""
-    q = f.field.q
-    return sum(c * q**j for j, c in enumerate((f % modulus).coeffs))
 
 
 class UnitGroupBasis:
@@ -116,57 +110,101 @@ def unit_group_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     return _structural_basis(field, modulus)
 
 
-def _generators(field: FieldSpec, modulus: Poly):
-    """(code, order) of each generator, factor by factor P^e || Q."""
-    q, p, m = field.q, field.p, modulus.degree
-    ring, one = residue_ring(field, modulus), constant(field, 1)
-    if modulus == t_power(field, m):
-        factors = [(t_power(field, 1), m)]
-    else:
-        factors = factor(modulus, sieve_irreducibles(field, max(1, m // 2)))
-    for P, e in factors:
-        d, R = P.degree, modulus // P**e
-        if q**d > 2:
-            # 1 + R z runs over F_q[t]/P as z does and is 1 mod R; the power
-            # q^(d(e-1)) kills its principal part, leaving order | q^d - 1
-            order, primes = q**d - 1, prime_factors(q**d - 1)
-            for z in range(q**d):
-                lift = one + R * from_coeffs(field, [z // q**j % q for j in range(d)])
-                y = ring.pow(residue_code(lift, modulus), q ** (d * (e - 1)))
-                if ring.pow(y, order) == 1 and all(
-                    ring.pow(y, order // ell) != 1 for ell in primes
-                ):
-                    break
-            else:
-                raise AssertionError(f"no primitive element mod {P}^{e}")
-            yield y, order
-        for j in range(1, e):
-            if j % p:
-                s = next(s for s in itertools.count() if j * p**s >= e)
-                for l, i in itertools.product(range(d), range(field.k)):
-                    omega = from_coeffs(field, [0] * l + [p**i])
-                    yield residue_code(one + omega * P**j * R, modulus), p**s
+def _generators(field: FieldSpec, modulus: Poly, ring: ResidueRing) -> list[tuple]:
+    """(code, order, map) of each generator, factor by factor P^e || Q: a
+    primitive lift when q^d > 2, then the principal units, for every factor
+    at once through chains of ResidueRing.powers."""
+    q, p, k, m = field.q, field.p, field.k, modulus.degree
+    n, one = len(ring.place), np.eye(len(ring.place))
+    factors = [(1, 0, m)]  # (deg P, mantissa of P, e) for each P^e || Q
+    if modulus != t_power(field, m):
+        factors = factor_mantissas(field, m, monic_index(modulus))
+    # one chain on the maps of the P (P = Q is 0 mod Q) gives each P^e and
+    # the P^j of the principal units, j < e prime to p; R = Q / P^e is the
+    # product of the other factors' P^e
+    r, es = len(factors), [e for *_, e in factors]
+    js = [[j for j in range(1, e) if j % p] for e in es]
+    exponents = sorted(set().union(*js, es if r > 1 else []))
+    ps = ring.maps([q**d + u if d < m else 0 for d, u, _ in factors])
+    pw, rs = dict(zip(exponents, ring.powers(ps, exponents))), one[None]
+    for o in range(1, r):  # R of factor i takes in the P^e of factor i + o
+        rs = rs @ np.stack([pw[es[(i + o) % r]][(i + o) % r] for i in range(r)]) % p
+    # 1 + x^i t^l P^j R (the maps of x^i t^l, l < d, are T's first kd rows)
+    # has order p^s, s least with j p^s >= e. 1 + R z runs over F_q[t]/P as
+    # z does and is 1 mod R; y, its power q^(d(e-1)), has order | q^d - 1,
+    # exactly when y^order = 1 and y^(order/ell) != 1 for each prime ell
+    units, orders, owners, search = [np.empty((0, n, n))], [], [], {}
+    for i, (d, _, e) in enumerate(factors):
+        if js[i]:
+            steps = np.stack([pw[j][i] for j in js[i]]) @ rs[i]
+            units.append(((ring.T[: k * d] @ steps[:, None] + one) % p).reshape(-1, n, n))
+            for j in js[i]:
+                orders += [p ** next(s for s in itertools.count() if j * p**s >= e)] * (k * d)
+            owners += [i] * len(units[-1])
+        if q**d > 2:  # the exponents of y, y^order and the y^(order/ell)
+            order = q**d - 1
+            parts = [order // ell for ell in prime_factors(order)]
+            search[i] = [q ** (d * (e - 1)) * x for x in (1, order, *parts)]
+    units, gens = np.concatenate(units), [[] for _ in factors]
+    for i, code, order, unit in zip(owners, ring.codes(units).tolist(), orders, units):
+        gens[i].append((code, order, unit))
+    # one chain tests the principal units' orders and every factor's first
+    # chunk of candidates z (degree by degree, within the scratch; z = 0 lifts
+    # to 1), then one more each chunk for the factors with no primitive lift
+    z, top = 1, q
+    while search or len(units):
+        live = list(search)
+        if any(z >= q ** factors[i][0] for i in live):
+            raise AssertionError(f"no primitive element mod a factor of {modulus}")
+        exponents = sorted({*orders, *(x for i in live for x in search[i])})
+        cap = max(1, _SCRATCH // (8 * n * n * (len(exponents) + 1) * max(1, len(live))))
+        zs = np.arange(z, min(top, z + cap) if live else z)
+        lifts = (ring.maps(zs) @ rs[live][:, None] + one) % p
+        powers = ring.powers(np.concatenate((units, lifts.reshape(-1, n, n))), exponents)
+        ones = ring.codes(powers) == 1
+        if not ones[[exponents.index(o) for o in orders], np.arange(len(orders))].all():
+            raise AssertionError(f"a principal unit mod {modulus} does not have its order")
+        ones = ones[:, len(units) :].reshape(len(exponents), len(live), len(zs))
+        for a, i in enumerate(live):
+            lift, full, *parts = (exponents.index(x) for x in search[i])
+            hit = np.flatnonzero(ones[full, a] & ~ones[parts, a].any(0))
+            if len(hit):
+                y = powers[lift, len(units) + a * len(zs) + hit[0]]
+                gens[i].insert(0, (int(ring.codes(y)), q ** factors[i][0] - 1, y))
+                del search[i]
+        units, orders, z = units[:0], [], z + len(zs)
+        top *= q if z == top else 1
+    return [g for own in gens for g in own]
 
 
 def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     ring = residue_ring(field, modulus)
-    gens = list(_generators(field, modulus))  # none for q = 2, m = 1
+    gens = _generators(field, modulus, ring)  # none for q = 2, m = 1
     # the span of the generators so far; extending by y of order e appends the
     # blocks span * y^j, j < e, so the last generator taken varies slowest:
-    # taken last to first, the span is the C-order grid
-    codes = np.ones(1, dtype=np.int64)
-    for y, e in reversed(gens):
-        if ring.pow(y, e) != 1:
-            raise AssertionError(f"generator {y} does not have order dividing {e}")
-        size, step = e * len(codes), y
-        while len(codes) < size:  # doubling: codes holds c blocks and step = y^c
-            codes = np.concatenate((codes, ring.mul(codes[: size - len(codes)], step)))
-            step = ring.pow(step, 2)
+    # taken last to first, the span is the C-order grid. It doubles: holding
+    # c blocks, it is multiplied by `step`, the map of y^c, squared after. It
+    # is held as digit rows while an eighth of the scratch holds them, then
+    # as codes, multiplied through ResidueRing.times
+    n, p = len(ring.place), field.p
+    span = np.eye(n)[:1]
+    for _, e, step in reversed(gens):
+        size = e * len(span)
+        if span.ndim == 2 and 64 * n * size > _SCRATCH:
+            span = span.astype(np.int64) @ ring.place
+        while len(span) < size:
+            more = span[: size - len(span)]
+            more = more @ step % p if span.ndim == 2 else ring.times(more, step[None])[0]
+            span = np.concatenate((span, more))
+            if len(span) < size:
+                step = step @ step % p
+    codes = span.astype(np.int64) @ ring.place if span.ndim == 2 else span
     seen = np.zeros(field.q**modulus.degree, dtype=bool)
     seen[codes] = True
     if np.count_nonzero(seen) != len(codes):
         raise AssertionError("span extension collided; basis invariant broken")
-    return UnitGroupBasis(field, modulus, tuple(y for y, _ in gens), tuple(e for _, e in gens), codes)
+    generators, orders = tuple(y for y, *_ in gens), tuple(e for _, e, _ in gens)
+    return UnitGroupBasis(field, modulus, generators, orders, codes)
 
 
 def enumerate_characters(basis: UnitGroupBasis) -> np.ndarray:

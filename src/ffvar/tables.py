@@ -16,7 +16,7 @@ int16 per polynomial (big_omega and max_factor_degree are its int8 views),
 so one scatter writes both. Whatever is never written is irreducible.
 Squarefree-ness is killed separately by marking P^2 * M products; the
 squares P^2 come from row_mul, the one product of coefficient rows, for
-every p.
+every p, once per degree of P in each extend call.
 
 The products of all P of one degree come from one mul_monic_batch call. It
 splits M = L + t^a H at half its degree, so it needs P times at most
@@ -189,18 +189,22 @@ def row_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int, power: int = 1):
-    """Every product P^power * M of degree m, P monic irreducible of degree
-    d <= m/2 and M monic, as blocks (d, the P's mantissas, the slice of M's
-    mantissas, the products' mantissas as a (P, M) array)."""
+def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int,
+              squares: dict | None = None):
+    """Every product P * M of degree m, P monic irreducible of degree d <= m/2
+    and M monic, as blocks (d, the P's mantissas, the slice of M's mantissas,
+    the products' mantissas as a (P, M) array); given a dict `squares`, every
+    P^2 * M, each degree's P^2 squared into it on first use."""
     q = field.q
     for d in range(1, m // 2 + 1):
-        ups = irreducibles[d]
-        mants = ups
-        if power == 2:  # P^2 is monic of degree 2d: its mantissa is its 2d low coefficients
-            coeffs = ((ups[:, None] + q**d) // q ** np.arange(d + 1) % q).astype(np.uint8)
-            mants = row_mul(field, coeffs, coeffs)[:, :-1] @ q ** np.arange(2 * d)
-        for rows, part, block in mul_monic_batch(field, power * d, mants, m - power * d):
+        ups = mants = irreducibles[d]
+        if squares is not None:
+            if d not in squares:  # P^2 is monic of degree 2d: its mantissa, its 2d low coefficients
+                coeffs = ((ups[:, None] + q**d) // q ** np.arange(d + 1) % q).astype(np.uint8)
+                squares[d] = row_mul(field, coeffs, coeffs)[:, :-1] @ q ** np.arange(2 * d)
+            mants = squares[d]
+        dp = d if squares is None else 2 * d
+        for rows, part, block in mul_monic_batch(field, dp, mants, m - dp):
             yield d, ups[rows], part, block
 
 
@@ -256,7 +260,7 @@ class ArithTables:
         place; the arrays and factor links built so far are kept."""
         nbytes = table_bytes(self.field, max_degree)
         check_budget(nbytes, "sieve tables to degree {}", max_degree)
-        q = self.field.q
+        q, squares = self.field.q, {}  # each degree's P^2, squared once
         for m in range(self.max_degree + 1, max_degree + 1):
             # P * M gets Omega(M) + 1 and max(max factor degree of M, deg P); 0 is unwritten
             packed = np.zeros(q**m, dtype="<i2")
@@ -264,7 +268,7 @@ class ArithTables:
             for d, _, part, block in _products(self.field, self.irreducibles, m):
                 below = self._packed[m - d][part]
                 packed[block] = np.maximum(below, below & 0xFF | d << 8) + 1
-            for *_, block in _products(self.field, self.irreducibles, m, power=2):
+            for *_, block in _products(self.field, self.irreducibles, m, squares):
                 sf[block] = False
             fresh = np.flatnonzero(packed == 0)
             packed[fresh] = m << 8 | 1
@@ -305,8 +309,11 @@ def table_bytes(field: FieldSpec, max_degree: int) -> int:
     """Bytes of the tables to max_degree: 3 per monic, 8 per irreducible (<= q^m/m
     of degree m), and the top degree's mask, irreducible indices and blocks."""
     q, n = field.q, max(max_degree, 1)
-    held = sum(3 * q**m + 8 * q**m // m for m in range(1, n + 1))
-    return held + q**n + 8 * q**n // n + _SIEVE_SCRATCH
+    held, qm = 0, 1
+    for m in range(1, n + 1):  # q**m afresh each time would cost seconds at large n
+        qm *= q
+        held += 3 * qm + 8 * qm // m
+    return held + qm + 8 * qm // n + _SIEVE_SCRATCH
 
 
 def build_tables(field: FieldSpec, max_degree: int) -> ArithTables:
@@ -397,41 +404,54 @@ class ResidueRing:
         return self._batched(np.empty(len(us), np.int64), len(rows),
                              lambda s: self._digits(us[s], place) @ rows)
 
-    def _maps(self, bs: np.ndarray) -> np.ndarray:
-        """The (n, n) maps of the codes `bs`, a's digits times b's being a*b's:
-        T is symmetric, so row c of T as (n, n*n) is the map of e_c."""
+    def maps(self, codes: np.ndarray) -> np.ndarray:
+        """The (n, n) maps of `codes`, a's digits times b's map being a*b's
+        (row c of T as (n, n*n) is the map of e_c, T being symmetric); the
+        map of a*b is the product of a's and b's."""
         n = len(self.place)
-        maps = self._digits(bs, self.place) @ self.T.reshape(n, n * n) % self.p
+        maps = self._digits(np.atleast_1d(codes), self.place) @ self.T.reshape(n, n * n) % self.p
         return maps.reshape(-1, n, n)
+
+    def times(self, a: np.ndarray, maps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Codes of a*b for the codes `a` and each b given by its map, a row
+        of `out` per map: a's digits times the maps side by side, chunked."""
+        n = len(self.place)
+        side = maps.transpose(1, 0, 2).reshape(n, -1)
+        del maps  # only its side-by-side copy is read
+        if out is None:
+            out = np.empty((side.shape[1] // n, len(a)), np.int64)
+        self._batched(out.T, side.shape[1], lambda s: self._digits(a[s], self.place) @ side)
+        return out
+
+    def powers(self, maps: np.ndarray, exponents) -> np.ndarray:
+        """Maps of a^e for each exponent e (axis 0) and each a given by its
+        map (axis 1), from one squaring chain: at bit b the chain holds the
+        maps of a^(2^b), and each exponent with bit b set takes them in."""
+        out = np.empty((len(exponents), *maps.shape))
+        out[[e == 0 for e in exponents]] = np.eye(len(self.place))
+        for bit in range(max(exponents, default=0).bit_length()):
+            if bit:
+                maps = maps @ maps % self.p
+            for i, e in enumerate(exponents):
+                if e >> bit & 1:
+                    out[i] = maps if e & ((1 << bit) - 1) == 0 else out[i] @ maps % self.p
+        return out
+
+    def codes(self, maps: np.ndarray) -> np.ndarray:
+        """The codes of elements given by their maps: row 0, the image of 1."""
+        return maps[..., 0, :].astype(np.int64) @ self.place
 
     def mul(self, a, b) -> np.ndarray:
         """Codes of a*b for the codes `a` and one code `b`, or, for an array
-        of codes `b`, a (len(b), len(a)) array with row i for b[i]: the digits
-        of `a` times the maps of the b, side by side in one matmul."""
+        of codes `b`, a (len(b), len(a)) array with row i for b[i]: times
+        the maps of the b, a chunk at a time."""
         a, bs = np.atleast_1d(a), np.atleast_1d(b)
         n = len(self.place)
         out = np.empty((len(bs), len(a)), np.int64)
         step = max(1, _SCRATCH_BYTES // (8 * n * n))
         for i in range(0, len(bs), step):
-            maps = self._maps(bs[i : i + step]).transpose(1, 0, 2).reshape(n, -1)
-            self._batched(out[i : i + step].T, maps.shape[1],
-                          lambda s: self._digits(a[s], self.place) @ maps)
+            self.times(a, self.maps(bs[i : i + step]), out[i : i + step])
         return out[0] if np.ndim(b) == 0 else out
-
-    def _compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x @ y % self.p  # the map of a*b from the maps of a and b
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply from the top bit of e down, on a's
-        multiplication map: row 0 of the map of a^e, the image of 1, is a^e."""
-        if e == 0:
-            return 1
-        base = out = self._maps(np.array([a]))[0]
-        for bit in bin(e)[3:]:
-            out = self._compose(out, out)
-            if bit == "1":
-                out = self._compose(out, base)
-        return int(out[0].astype(np.int64) @ self.place)
 
 
 @cache

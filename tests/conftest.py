@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from ffvar import bounds, characters, tables
-from ffvar.arith import SieveCache, sieve_irreducibles
-from ffvar.fields import FieldSpec, make_field
+from ffvar.arith import SieveCache, factor, sieve_irreducibles
+from ffvar.fields import FieldSpec, make_field, prime_factors
 from ffvar.errors import BudgetError, PreconditionError
-from ffvar.polys import Poly, from_coeffs, monic_from_index, monic_index, t_power
+from ffvar.polys import Poly, constant, from_coeffs, monic_from_index, monic_index, t_power
 
 
 @pytest.fixture(scope="session")
@@ -179,6 +179,81 @@ def transform_even_square_sum(
     return float(np.sum(sums.real**2 + sums.imag**2))
 
 
+def residue_code(f: Poly, modulus: Poly) -> int:
+    """Code of f mod Q: the coefficients of the remainder as base-q digits."""
+    q = f.field.q
+    return sum(c * q**j for j, c in enumerate((f % modulus).coeffs))
+
+
+# -- the unit-group basis by one power per test --------------------------------
+#
+# A second construction of the basis, one power at a time: each candidate
+# lift and each test raised to its power from its code by square-and-
+# multiply, one candidate after another, and a span doubled by
+# ResidueRing.mul with its step squared from the step's code. The library's
+# generators, orders and unit codes are pinned against it.
+
+
+def ring_pow(ring: tables.ResidueRing, a: int, e: int) -> int:
+    """a^e mod Q by square-and-multiply from the top bit of e down, on a's
+    multiplication map: row 0 of the map of a^e, the image of 1, is a^e."""
+    if e == 0:
+        return 1
+    base = out = ring.maps(a)[0]
+    for bit in bin(e)[3:]:
+        out = out @ out % ring.p
+        if bit == "1":
+            out = out @ base % ring.p
+    return int(ring.codes(out))
+
+
+def oracle_generators(field: FieldSpec, modulus: Poly) -> Iterator[tuple[int, int]]:
+    """(code, order) of each generator, factor by factor P^e || Q: the first
+    1 + R z whose power q^(d(e-1)) has order q^d - 1, then each principal
+    unit 1 + x^i t^l P^j R, j < e prime to p, of order p^s."""
+    q, p, m = field.q, field.p, modulus.degree
+    ring, one = tables.residue_ring(field, modulus), constant(field, 1)
+    if modulus == t_power(field, m):
+        factors = [(t_power(field, 1), m)]
+    else:
+        factors = factor(modulus, sieve_irreducibles(field, max(1, m // 2)))
+    for P, e in factors:
+        d, R = P.degree, modulus // P**e
+        if q**d > 2:
+            order, primes = q**d - 1, prime_factors(q**d - 1)
+            for z in range(q**d):
+                lift = one + R * from_coeffs(field, [z // q**j % q for j in range(d)])
+                y = ring_pow(ring, residue_code(lift, modulus), q ** (d * (e - 1)))
+                if ring_pow(ring, y, order) == 1 and all(
+                    ring_pow(ring, y, order // ell) != 1 for ell in primes
+                ):
+                    break
+            else:
+                raise AssertionError(f"no primitive element mod {P}^{e}")
+            yield y, order
+        for j in range(1, e):
+            if j % p:
+                s = next(s for s in itertools.count() if j * p**s >= e)
+                for l, i in itertools.product(range(d), range(field.k)):
+                    omega = from_coeffs(field, [0] * l + [p**i])
+                    yield residue_code(one + omega * P**j * R, modulus), p**s
+
+
+def oracle_basis(field: FieldSpec, modulus: Poly) -> tuple[tuple, tuple, np.ndarray]:
+    """(generators, orders, unit codes) mod Q: the span of oracle_generators,
+    taken last to first, so that it is the C-order grid of their exponents."""
+    ring = tables.residue_ring(field, modulus)
+    gens = list(oracle_generators(field, modulus))
+    codes = np.ones(1, dtype=np.int64)
+    for y, e in reversed(gens):
+        assert ring_pow(ring, y, e) == 1, (modulus, y, e)
+        size, step = e * len(codes), y
+        while len(codes) < size:  # doubling: codes holds c blocks and step = y^c
+            codes = np.concatenate((codes, ring.mul(codes[: size - len(codes)], step)))
+            step = ring_pow(ring, step, 2)
+    return tuple(y for y, _ in gens), tuple(e for _, e in gens), codes
+
+
 def brute_unit_count(modulus: Poly) -> int:
     """Euler's phi by gcd: the residues mod Q of degree < deg Q coprime to Q."""
     fld, m = modulus.field, modulus.degree
@@ -236,7 +311,7 @@ class DirichletChar:
         if f.is_zero:
             return None
         basis = self.basis
-        code = characters.residue_code(f, basis.modulus)
+        code = residue_code(f, basis.modulus)
         if basis.unit_index(code) < 0:
             return None
         return Fraction(self.rotation_numerator(code), basis.exponent)

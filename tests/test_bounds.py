@@ -395,6 +395,8 @@ def test_von_mangoldt_reports_survive_horizon_extension():
     after = [_fields(von_mangoldt_char_sum_ratio(fld, modulus, n)) for n in range(1, 7)]
     assert np.array_equal(von_mangoldt_char_sums(fld, modulus, 6)[:3], short)
     assert after[:3] == before
+    # the principal c_N are kept with the rows: one for each N grown, none rebuilt
+    assert len(bounds_module._psi_rows(fld, modulus)[1]) == 7
     basis = unit_group_basis(fld, modulus)
     for n_total, (_, _, lhs, *_) in enumerate(after, start=1):
         want = float(np.max(np.abs(_psi_per_n(basis, n_total)[1:])))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from conftest import (
     DirichletChar,
     brute_unit_count,
     characters_of,
+    oracle_basis,
     power_columns,
     principal_character,
+    residue_code,
     rotation_multiset_cancels,
     traced_peak,
 )
@@ -31,14 +35,13 @@ from ffvar.characters import (
     count_even,
     enumerate_characters,
     even_characters,
-    residue_code,
     rotation_rows_cancel,
     transform_bytes,
     unit_group_basis,
 )
 from ffvar.errors import BudgetError, PreconditionError, budget
 from ffvar.fields import make_field
-from ffvar.polys import Poly, from_coeffs, t_power
+from ffvar.polys import Poly, from_coeffs, monic_from_index, t_power
 from ffvar.tables import get_tables, residue_ring
 
 
@@ -242,13 +245,59 @@ def test_a_repeated_generator_trips_the_bijection_check(monkeypatch, cold_caches
     # fewer codes than the span holds and the build refuses
     generators = characters_module._generators
 
-    def first_twice(field, modulus):
-        found = list(generators(field, modulus))
-        yield from [found[0], *found]
+    def first_twice(field, modulus, ring):
+        found = generators(field, modulus, ring)
+        return [found[0], *found]
 
     monkeypatch.setattr(characters_module, "_generators", first_twice)
     with pytest.raises(AssertionError, match="span extension collided"):
         unit_group_basis(f2, t_power(f2, 5))
+
+
+# -- the bases against the one-power-per-test oracle -------------------------------
+
+MODULI_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "moduli.json"
+
+
+def _assert_oracle_basis(fld, modulus):
+    basis = unit_group_basis(fld, modulus)
+    generators, orders, codes = oracle_basis(fld, modulus)
+    assert (basis.generators, basis.orders) == (generators, orders), (fld.q, modulus)
+    assert np.array_equal(basis.unit_codes, codes), (fld.q, modulus)
+
+
+def test_bases_match_the_oracle_on_the_benchmark_and_gate_moduli():
+    # every degree-4 and degree-5 modulus over F_3 the charsums workload
+    # draws from, and the moduli of the budget gate tests
+    f3 = make_field(3)
+    for deg, classes in json.loads(MODULI_FILE.read_text()).items():
+        for u in itertools.chain(*classes):
+            _assert_oracle_basis(f3, monic_from_index(f3, int(deg), u))
+    for (p, k), lower in GATE_MODULI:
+        _assert_oracle_basis(*_gate_modulus(p, k, lower))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_bases_match_the_oracle_on_every_small_modulus(q):
+    # every monic Q with q^deg Q <= 2^10; for q >= 4, a seeded sample of 40
+    # per degree
+    fld = make_field(*PRIME_POWERS[q])
+    rng = np.random.default_rng(q)
+    for m in range(1, 11):
+        if q**m > 1 << 10:
+            break
+        mantissas = range(q**m) if q <= 3 else rng.choice(q**m, min(q**m, 40), replace=False)
+        for u in mantissas:
+            _assert_oracle_basis(fld, monic_from_index(fld, m, int(u)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_bases_match_the_oracle_on_t_powers(q):
+    fld = make_field(*PRIME_POWERS[q])
+    for m in range(1, 17):
+        if q**m > 1 << 16:
+            break
+        _assert_oracle_basis(fld, t_power(fld, m))
 
 
 # -- character values -----------------------------------------------------------
@@ -473,7 +522,7 @@ def test_character_sums_stack_rows_with_their_own_powers(p, k):
                 assert np.array_equal(row, character_sums(basis, w, even_only=even_only))
         rows = character_sums(basis, weights)
         for row, w, e in zip(rows, weights, (1, 2, 6)):
-            images = [ring.pow(u, e) for u in basis.unit_codes.tolist()]
+            images = ring.codes(ring.powers(ring.maps(basis.unit_codes), [e])[0])
             pushed = np.bincount(images, weights=w[basis.unit_codes], minlength=size)
             want = character_sums(basis, pushed)
             assert np.allclose(row[power_columns(basis, e)], want, rtol=0, atol=1e-9 * basis.phi), (modulus, e)

@@ -163,7 +163,7 @@ def _squares_of_the_pass(fld, irreducibles, d: int) -> np.ndarray:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tables_module, "mul_monic_batch", record)
-        list(tables_module._products(fld, irreducibles, 2 * d, power=2))
+        list(tables_module._products(fld, irreducibles, 2 * d, {}))
     return built[2 * d]
 
 
@@ -493,18 +493,34 @@ def test_residue_ring_table_grows_on_demand(f2, f3, f4):
                 assert grown[j * k + i].tolist() == expected
 
 
-def test_residue_ring_pow_squares_from_the_top_bit(f3, f4):
-    # one map product per bit below the top, and one more per set bit
+class _CountedMaps(np.ndarray):
+    """Maps that count the matrix products they enter."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedMaps.products += 1
+        return np.ndarray.__matmul__(self, other)
+
+    def __rmatmul__(self, other):
+        _CountedMaps.products += 1
+        return np.ndarray.__rmatmul__(self, other)
+
+
+def test_residue_ring_powers_share_one_squaring_chain(f3, f4):
+    # one map product per bit below the top of the largest exponent, and one
+    # more per set bit below the top of each exponent; exponent 0 is 1
     for fld, coeffs in ((f3, [2, 1, 0, 1, 1]), (f4, [3, 1, 2, 1])):
         ring = ResidueRing(fld, from_coeffs(fld, coeffs))
-        compose, products = ring._compose, []
-        ring._compose = lambda x, y: products.append(1) or compose(x, y)
-        for e, count in ((1, 0), (2, 1), (3, 2), (8, 3)):
-            products.clear()
-            ring.pow(5, e)
-            assert len(products) == count, e
-        assert ring.pow(5, 0) == 1
-    # against repeated Poly products mod Q, for every q <= 16
+        cases = (([1], 0), ([2], 1), ([3], 2), ([8], 3), ([3, 8], 4), ([5, 6, 7], 2 + 1 + 1 + 2))
+        for exponents, count in cases:
+            _CountedMaps.products = 0
+            ring.powers(ring.maps(5).view(_CountedMaps), exponents)
+            assert _CountedMaps.products == count, exponents
+        assert ring.codes(ring.powers(ring.maps([5, 7]), [0])).tolist() == [[1, 1]]
+    # against repeated Poly products mod Q, for every q <= 16: a batch of
+    # elements and of exponents at once; an element's map holds its code in
+    # row 0, and times is mul
     rng = np.random.default_rng(3)
     for p, k in ALL_FIELDS:
         fld = make_field(p, k)
@@ -519,13 +535,19 @@ def test_residue_ring_pow_squares_from_the_top_bit(f3, f4):
             moduli.append(from_coeffs(fld, [3, 1, 2, 1]))
         for modulus in moduli:
             ring, m = ResidueRing(fld, modulus), modulus.degree
-            for _ in range(10):
-                a, e = int(rng.integers(0, q**m)), int(rng.integers(0, 40))
+            elements = rng.integers(0, q**m, size=10)
+            exponents = rng.integers(0, 40, size=4).tolist()
+            maps = ring.maps(elements)
+            assert np.array_equal(ring.codes(maps), elements)
+            assert np.array_equal(ring.times(elements, maps), ring.mul(elements, elements))
+            got = ring.codes(ring.powers(maps, exponents))
+            for a, column in zip(elements.tolist(), got.T):
                 base = from_coeffs(fld, [a // q**j % q for j in range(m)])
-                expected = from_coeffs(fld, [1])
-                for _ in range(e):
-                    expected = (expected * base) % modulus
-                assert ring.pow(a, e) == _residue_code(expected, q), (q, modulus, a, e)
+                for e, code in zip(exponents, column.tolist()):
+                    expected = from_coeffs(fld, [1])
+                    for _ in range(e):
+                        expected = (expected * base) % modulus
+                    assert code == _residue_code(expected, q), (q, modulus, a, e)
 
 
 # -- caching -------------------------------------------------------------------
@@ -593,6 +615,28 @@ def test_build_tables_budget(f2):
         build_tables(f2, 12)
     with budget(need):
         assert build_tables(f2, 12).max_degree == 12
+
+
+def test_the_sieve_squares_each_degree_once(f2, monkeypatch):
+    # build_tables(F_2, 18) marks P^2 M for every P of degree 1..9: one
+    # row_mul batch of squares per degree, not one per (degree, m)
+    calls = []
+    row_mul = tables_module.row_mul
+    monkeypatch.setattr(tables_module, "row_mul", lambda *a: calls.append(1) or row_mul(*a))
+    build_tables(f2, 18)
+    assert len(calls) == 9
+
+
+def test_table_bytes_is_its_closed_form():
+    # 3 bytes per monic (a geometric sum), 8 per irreducible bound q^m/m, and
+    # the top degree's mask, irreducible indices and blocks
+    for q, (p, k) in ((2, (2, 1)), (3, (3, 1)), (16, (2, 4))):
+        fld = make_field(p, k)
+        for n in range(1, 61):
+            held = 3 * q * (q**n - 1) // (q - 1) + sum(8 * q**m // m for m in range(1, n + 1))
+            want = held + q**n + 8 * q**n // n + tables_module._SIEVE_SCRATCH
+            assert table_bytes(fld, n) == want, (q, n)
+    assert table_bytes(make_field(2), 0) == table_bytes(make_field(2), 1)
 
 
 def test_factor_links_budget(f2, f3):
