@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -22,18 +21,16 @@ import numpy as np
 from .errors import IrreducibleCacheError, PreconditionError
 from .fields import FieldSpec, prime_factors
 from .polys import Poly, monic_from_index, monic_index, one
+from .records import Frozen
 from .tables import get_tables
 
 CACHE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SieveCache:
-    """Complete ascending lists of monic irreducibles per degree."""
+class SieveCache(Frozen):
+    """Complete ascending lists of monic irreducibles per degree d: by_degree[d], [0] empty."""
 
-    field: FieldSpec
-    max_degree: int
-    by_degree: tuple[tuple[Poly, ...], ...]  # index d; [0] is empty
+    __slots__ = ("field", "max_degree", "by_degree")
 
     def degree(self, d: int) -> tuple[Poly, ...]:
         if not 1 <= d <= self.max_degree:
@@ -168,12 +165,10 @@ def sieve_irreducibles(
 # -- factorization
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """unit * prod(P_i^e_i) with factors ascending by (degree, mantissa)."""
 
-    unit: int
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ("unit", "factors")
 
     def __iter__(self):
         return iter(self.factors)

@@ -15,7 +15,6 @@ finite ratio without asserting a threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -24,20 +23,20 @@ import numpy as np
 from .errors import PreconditionError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, t_power
+from .records import Record
 from .characters import character_sums, l_coefficients, unit_group_basis
 from .tables import fold_monic_mod, get_tables, reduce_monic_mod
 
 MVT_SLACK = 1e-9
 
 
-@dataclass
-class BoundReport:
-    bound: str
-    params: dict[str, object]
-    lhs: float
-    rhs: float
-    passed: bool | None
-    extras: dict[str, float] = dc_field(default_factory=dict)
+class BoundReport(Record):
+    __slots__ = ("bound", "params", "lhs", "rhs", "passed", "extras")
+
+    def __init__(self, bound: str, params: dict[str, object], lhs: float, rhs: float,
+                 passed: bool | None, extras: dict[str, float] | None = None):
+        self.bound, self.params, self.lhs, self.rhs, self.passed = bound, params, lhs, rhs, passed
+        self.extras = {} if extras is None else extras
 
     @property
     def hard(self) -> bool:
@@ -221,21 +220,23 @@ def von_mangoldt_char_sum_ratio(field: FieldSpec, modulus: Poly, n_total: int) -
 
 
 def window_sum_bytes(field: FieldSpec, n: int, m: int) -> int:
-    """Peak bytes of one window sum mod t^m over degree n: 3 per monic of
-    degree n (values, mask), 8 per residue (the fold) and 32 per class (class
-    sums, scaled codes and their gather, the codes one digit shorter)."""
+    """Peak bytes of the window sums mod t^m over degree n: 3 per monic of
+    degree n (values, mask), 16 per residue (both blocks' folds) and 48 per
+    class (their class sums and gathers, the scaled codes, the codes one
+    digit shorter)."""
     q = field.q
-    return 3 * q**n + 8 * q**m + 32 * q ** (m - 1) + (1 << 20)
+    return 3 * q**n + 16 * q**m + 48 * q ** (m - 1) + (1 << 20)
 
 
-def _masked_even_square_sum(
-    field: FieldSpec, n_total: int, n: int, h: int, keep_smooth: bool
-) -> float:
-    """Sum over even chi mod t^m, m = N - h, of |sum_{G in M_n, smoothness-
-    filtered} lambda(G) chi(G)|^2. Even characters are those of the units mod
-    F_q^*, so by orthogonality this is q^(m-1) times the sum over the classes
-    v F_q^* of (the fold summed over the class)^2, an exact integer. The class
-    of v = 1 + q r is c v, each digit of v scaled by c, one digit per pass."""
+def _window_square_sums(field: FieldSpec, n_total: int, n: int, h: int) -> tuple[float, float]:
+    """Sum over even chi mod t^m, m = N - h, of |sum_{G in M_n} lambda(G)
+    chi(G)|^2 over the G with an irreducible factor of degree > h, and over
+    the h-smooth G. Even characters are those of the units mod F_q^*, so by
+    orthogonality each is q^(m-1) times the sum over the classes v F_q^* of
+    (the block's fold summed over the class)^2, an exact integer. lambda and
+    the max factor degrees are read once, and the smooth block's fold is the
+    whole fold less the other block's. The class of v = 1 + q r is c v, each
+    digit of v scaled by c, one digit per pass."""
     if not 1 <= h <= n_total - 2:
         raise PreconditionError(f"need 1 <= h <= N-2; got h={h}, N={n_total}")
     if not 0 <= n <= n_total:
@@ -244,43 +245,46 @@ def _masked_even_square_sum(
     check_budget(window_sum_bytes(field, n, m), "window sum mod t^{} over degree {}", m, n)
     tables = get_tables(field, n)
     lam, top = tables.liouville_values(n), tables.max_factor_degree[n]
-    lam[top > h if keep_smooth else top <= h] = 0
-    fold = np.zeros(q**m, dtype=np.int64)
-    fold_monic_mod(field, t_power(field, m), n, lam, fold)
-    sums = np.zeros(q ** (m - 1), dtype=np.int64)
+    folds = np.zeros((2, q**m), dtype=np.int64)  # (not h-smooth, h-smooth)
+    fold_monic_mod(field, t_power(field, m), n, lam, folds[1])
+    lam *= top > h
+    fold_monic_mod(field, t_power(field, m), n, lam, folds[0])
+    folds[1] -= folds[0]
+    sums = np.zeros((2, q ** (m - 1)), dtype=np.int64)
     for row in field.mul_table[1:].astype(np.int64):  # row c scales a digit by c
         codes = row[1:2]  # c v for v = 1; digit j of r then varies slowest
         for j in range(1, m):
             codes = np.add.outer(row * q**j, codes).ravel()
-        sums += fold[codes]
+        sums += folds.take(codes, axis=1)
     # below q^(2n-1), so int64-exact while the tables to degree n fit in 33 GB
-    return float(int(sums @ sums) * q ** (m - 1))
+    return tuple(float(int(s @ s) * q ** (m - 1)) for s in sums)
 
 
-def large_factor_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
-    """Square sum over even characters of the non-h-smooth Liouville block,
-    against the proof-form bound (N^3/h^2) q^(N+n-h); the statement-form
-    bound (n-h)(N/h)^2 q^(N+n-h) rides along in extras. Observe-only."""
+def window_sum_reports(field: FieldSpec, n_total: int, n: int, h: int) -> tuple[BoundReport, ...]:
+    """Both window monitors, observe-only, from one pass (_window_square_sums):
+    the even-character square sum of the non-h-smooth Liouville block against
+    the proof form (N^3/h^2) q^(N+n-h), the statement form (n-h)(N/h)^2 q^(N+n-h)
+    in extras, and that of the h-smooth block against q^(n+N-h) + q^(2(N-h))."""
     q = field.q
-    lhs = _masked_even_square_sum(field, n_total, n, h, False)
+    rough, smooth = _window_square_sums(field, n_total, n, h)
     rhs = (n_total**3 / h**2) * float(q) ** (n_total + n - h)
     extras = {}
     stmt = (n - h) * (n_total / h) ** 2 * float(q) ** (n_total + n - h)
     if stmt > 0:
         extras["statement_rhs"] = stmt
-        extras["statement_ratio"] = lhs / stmt
+        extras["statement_ratio"] = rough / stmt
     params = {"q": q, "N": n_total, "n": n, "h": h}
-    return BoundReport("large_factor_sum", params, lhs, rhs, passed=None, extras=extras)
+    large = BoundReport("large_factor_sum", params, rough, rhs, passed=None, extras=extras)
+    rhs = float(q) ** (n + n_total - h) + float(q) ** (2 * (n_total - h))
+    return large, BoundReport("smooth_sum", dict(params), smooth, rhs, passed=None)
+
+
+def large_factor_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
+    return window_sum_reports(field, n_total, n, h)[0]
 
 
 def smooth_sum_ratio(field: FieldSpec, n_total: int, n: int, h: int) -> BoundReport:
-    """Square sum over even characters of the h-smooth Liouville block,
-    against q^(n+N-h) + q^(2(N-h)). Observe-only."""
-    q = field.q
-    lhs = _masked_even_square_sum(field, n_total, n, h, True)
-    rhs = float(q) ** (n + n_total - h) + float(q) ** (2 * (n_total - h))
-    params = {"q": q, "N": n_total, "n": n, "h": h}
-    return BoundReport("smooth_sum", params, lhs, rhs, passed=None)
+    return window_sum_reports(field, n_total, n, h)[1]
 
 
 def theorem_rhs(q: int, n: int, h: int) -> float:

@@ -128,7 +128,7 @@ def _generators(field: FieldSpec, modulus: Poly, ring: ResidueRing) -> list[tupl
     ps = ring.maps([q**d + u if d < m else 0 for d, u, _ in factors])
     pw, rs = dict(zip(exponents, ring.powers(ps, exponents))), one[None]
     for o in range(1, r):  # R of factor i takes in the P^e of factor i + o
-        rs = rs @ np.stack([pw[es[(i + o) % r]][(i + o) % r] for i in range(r)]) % p
+        rs = ring.mod(rs @ np.stack([pw[es[(i + o) % r]][(i + o) % r] for i in range(r)]))
     # 1 + x^i t^l P^j R (the maps of x^i t^l, l < d, are T's first kd rows)
     # has order p^s, s least with j p^s >= e. 1 + R z runs over F_q[t]/P as
     # z does and is 1 mod R; y, its power q^(d(e-1)), has order | q^d - 1,
@@ -137,7 +137,7 @@ def _generators(field: FieldSpec, modulus: Poly, ring: ResidueRing) -> list[tupl
     for i, (d, _, e) in enumerate(factors):
         if js[i]:
             steps = np.stack([pw[j][i] for j in js[i]]) @ rs[i]
-            units.append(((ring.T[: k * d] @ steps[:, None] + one) % p).reshape(-1, n, n))
+            units.append(ring.mod(ring.T[: k * d] @ steps[:, None] + one).reshape(-1, n, n))
             for j in js[i]:
                 orders += [p ** next(s for s in itertools.count() if j * p**s >= e)] * (k * d)
             owners += [i] * len(units[-1])
@@ -159,7 +159,7 @@ def _generators(field: FieldSpec, modulus: Poly, ring: ResidueRing) -> list[tupl
         exponents = sorted({*orders, *(x for i in live for x in search[i])})
         cap = max(1, _SCRATCH // (8 * n * n * (len(exponents) + 1) * max(1, len(live))))
         zs = np.arange(z, min(top, z + cap) if live else z)
-        lifts = (ring.maps(zs) @ rs[live][:, None] + one) % p
+        lifts = ring.mod(ring.maps(zs) @ rs[live][:, None] + one)
         powers = ring.powers(np.concatenate((units, lifts.reshape(-1, n, n))), exponents)
         ones = ring.codes(powers) == 1
         if not ones[[exponents.index(o) for o in orders], np.arange(len(orders))].all():
@@ -186,7 +186,7 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
     # c blocks, it is multiplied by `step`, the map of y^c, squared after. It
     # is held as digit rows while an eighth of the scratch holds them, then
     # as codes, multiplied through ResidueRing.times
-    n, p = len(ring.place), field.p
+    n = len(ring.place)
     span = np.eye(n)[:1]
     for _, e, step in reversed(gens):
         size = e * len(span)
@@ -194,10 +194,10 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
             span = span.astype(np.int64) @ ring.place
         while len(span) < size:
             more = span[: size - len(span)]
-            more = more @ step % p if span.ndim == 2 else ring.times(more, step[None])[0]
+            more = ring.mod(more @ step) if span.ndim == 2 else ring.times(more, step[None])[0]
             span = np.concatenate((span, more))
             if len(span) < size:
-                step = step @ step % p
+                step = ring.mod(step @ step)
     codes = span.astype(np.int64) @ ring.place if span.ndim == 2 else span
     seen = np.zeros(field.q**modulus.degree, dtype=bool)
     seen[codes] = True

@@ -192,8 +192,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         bound = bounds.theorem_rhs(fld.q, n, h)
         largepf = smoothpf = None
         if rep.charside is not None:
-            largepf = bounds.large_factor_sum_ratio(fld, n, n, h).ratio
-            smoothpf = bounds.smooth_sum_ratio(fld, n, n, h).ratio
+            largepf, smoothpf = (r.ratio for r in bounds.window_sum_reports(fld, n, n, h))
         ratio = float(rep.direct) / bound
         return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 

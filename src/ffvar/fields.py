@@ -12,12 +12,12 @@ and inv_table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import PreconditionError
+from .records import Frozen
 
 MAX_FIELD_SIZE = 16
 
@@ -37,21 +37,14 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """A concrete F_q with lookup tables for all four operations."""
+class FieldSpec(Frozen):
+    """A concrete F_q with lookup tables for all four operations (the module
+    docstring), equal, hashed and shown by (p, k, q, modulus) alone; the
+    modulus is ascending monic coefficients over F_p, None when k == 1."""
 
-    p: int
-    k: int
-    q: int
-    # modulus coefficients over F_p, ascending, monic; None when k == 1
-    modulus: tuple[int, ...] | None
-    add_table: np.ndarray = field(compare=False, repr=False)
-    mul_table: np.ndarray = field(compare=False, repr=False)
-    neg_table: np.ndarray = field(compare=False, repr=False)
-    inv_table: np.ndarray = field(compare=False, repr=False)
-    add_rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    mul_rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "neg_table",
+                 "inv_table", "add_rows", "mul_rows")
+    _shown = 4
 
     def add(self, a: int, b: int) -> int:
         return self.add_rows[a][b]
@@ -111,18 +104,8 @@ def make_field(p: int, k: int = 1) -> FieldSpec:
     for arr in (add_np, mul_np, neg_np, inv_np):
         arr.flags.writeable = False
 
-    return FieldSpec(
-        p=p,
-        k=k,
-        q=q,
-        modulus=modulus,
-        add_table=add_np,
-        mul_table=mul_np,
-        neg_table=neg_np,
-        inv_table=inv_np,
-        add_rows=tuple(tuple(row) for row in add.tolist()),
-        mul_rows=tuple(tuple(row) for row in mul.tolist()),
-    )
+    rows = (tuple(tuple(row) for row in table.tolist()) for table in (add, mul))
+    return FieldSpec(p, k, q, modulus, add_np, mul_np, neg_np, inv_np, *rows)
 
 
 def verify_field_axioms(fld: FieldSpec) -> None:

@@ -10,25 +10,26 @@ everywhere (constant term varies fastest).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
 from .fields import FieldSpec
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class Poly:
-    field: FieldSpec
-    coeffs: tuple[int, ...]
+class Poly(Frozen):
+    """Equal and hashed by (field, coeffs), trailing zeros stripped."""
 
-    def __post_init__(self) -> None:
-        c = self.coeffs
-        if c and c[-1] == 0:
-            i = len(c)
-            while i > 0 and c[i - 1] == 0:
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+        if coeffs and coeffs[-1] == 0:
+            i = len(coeffs)
+            while i > 0 and coeffs[i - 1] == 0:
                 i -= 1
-            object.__setattr__(self, "coeffs", c[:i])
+            coeffs = coeffs[:i]
+        object.__setattr__(self, "field", field)  # not Frozen.__init__: the hot constructor
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- shape
 

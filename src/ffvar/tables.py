@@ -48,7 +48,6 @@ degree, for the identity checks of the variance module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cache
 
 import numpy as np
@@ -208,17 +207,17 @@ def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int,
             yield d, ups[rows], part, block
 
 
-@dataclass
 class ArithTables:
-    field: FieldSpec
-    max_degree: int
-    big_omega: list[np.ndarray]
-    squarefree: list[np.ndarray]
-    max_factor_degree: list[np.ndarray]
-    irreducibles: list[np.ndarray]
-    _links: dict[int, tuple] = dc_field(default_factory=dict, repr=False, compare=False)
-    _pairs: dict[int, tuple] = dc_field(default_factory=dict, repr=False, compare=False)
-    _packed: list[np.ndarray] = dc_field(default_factory=list, repr=False, compare=False)
+    """The tables of `field` (the module docstring) for degrees 0..max_degree: built
+    holding degree 0, the one monic 1 with no factor, and grown in place by extend."""
+
+    __slots__ = ("field", "max_degree", "big_omega", "squarefree", "max_factor_degree",
+                 "irreducibles", "_links", "_pairs", "_packed")
+
+    def __init__(self, field: FieldSpec):
+        self.field, self._links, self._pairs, self._packed = field, {}, {}, []
+        self.big_omega, self.squarefree, self.max_factor_degree, self.irreducibles = [], [], [], []
+        self._push(np.zeros(1, "<i2"), np.ones(1, bool), np.empty(0, np.int64))
 
     def factor_links(self, m: int) -> tuple[np.ndarray, ...]:
         """(deg P, mantissa of P, mantissa of G/P) for one irreducible P | G
@@ -319,9 +318,7 @@ def table_bytes(field: FieldSpec, max_degree: int) -> int:
 def build_tables(field: FieldSpec, max_degree: int) -> ArithTables:
     if max_degree < 0:
         raise PreconditionError("max_degree must be >= 0")
-    tables = ArithTables(field, -1, [], [], [], [])
-    # degree 0: the one monic polynomial 1, with no factor
-    tables._push(np.zeros(1, "<i2"), np.ones(1, bool), np.empty(0, np.int64))
+    tables = ArithTables(field)
     tables.extend(max_degree)
     return tables
 
@@ -370,15 +367,26 @@ class ResidueRing:
         s = field.mul_table[xpow[:, None], xpow][..., None] // xpow % p
         rows = self.rows((2 * m - 1) * k).reshape(2 * m - 1, k, n)
         prod = np.einsum("abl,jJlc->jaJbc", s, rows[np.add.outer(np.arange(m), np.arange(m))])
-        self.T = (prod % p).reshape(n, n, n)
+        self.T = self.mod(prod).reshape(n, n, n)
 
     def rows(self, count: int) -> np.ndarray:
-        """The first `count` rows of the table, stepping it by t as needed."""
-        k = self.k
-        while len(self.table) < count:
-            step = self.table[k : len(self.place) + k]
-            self.table = np.vstack((self.table, self.table[-k:] @ step % self.p))
+        """The first `count` rows of the table, stepping it by t as needed, k
+        rows a step, into one array."""
+        k, have = self.k, len(self.table)
+        if have < count:
+            table = np.empty((have + (count - have + k - 1) // k * k, len(self.place)))
+            table[:have], step = self.table, self.table[k : len(self.place) + k]
+            for j in range(have, len(table), k):
+                table[j : j + k] = self.mod(table[j - k : j] @ step)
+            self.table = table
         return self.table[:count]
+
+    def mod(self, x: np.ndarray) -> np.ndarray:
+        """x mod p as float64, x float64 holding exact integers, through int64:
+        several times faster than float % (and than int64 %)."""
+        x = x.astype(np.int64)
+        x -= x // self.p * self.p
+        return x.astype(np.float64)
 
     def _digits(self, values: np.ndarray, place: np.ndarray) -> np.ndarray:
         """Base-p digits of `values` as float rows."""
@@ -390,9 +398,7 @@ class ResidueRing:
         `width`-float rows stay in the cap."""
         step = max(1, _SCRATCH_BYTES // (8 * width))
         for part in (slice(i, i + step) for i in range(0, len(out), step)):
-            coords = coords_of(part).astype(np.int64)  # float % is several times slower
-            coords -= coords // self.p * self.p  # and int64 % about twice as slow
-            out[part] = coords.reshape(*out[part].shape, -1) @ self.place
+            out[part] = self.mod(coords_of(part)).reshape(*out[part].shape, -1) @ self.place
         return out
 
     def reduce(self, d: int, us: np.ndarray) -> np.ndarray:
@@ -409,8 +415,8 @@ class ResidueRing:
         (row c of T as (n, n*n) is the map of e_c, T being symmetric); the
         map of a*b is the product of a's and b's."""
         n = len(self.place)
-        maps = self._digits(np.atleast_1d(codes), self.place) @ self.T.reshape(n, n * n) % self.p
-        return maps.reshape(-1, n, n)
+        maps = self._digits(np.atleast_1d(codes), self.place) @ self.T.reshape(n, n * n)
+        return self.mod(maps).reshape(-1, n, n)
 
     def times(self, a: np.ndarray, maps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Codes of a*b for the codes `a` and each b given by its map, a row
@@ -431,10 +437,10 @@ class ResidueRing:
         out[[e == 0 for e in exponents]] = np.eye(len(self.place))
         for bit in range(max(exponents, default=0).bit_length()):
             if bit:
-                maps = maps @ maps % self.p
+                maps = self.mod(maps @ maps)
             for i, e in enumerate(exponents):
                 if e >> bit & 1:
-                    out[i] = maps if e & ((1 << bit) - 1) == 0 else out[i] @ maps % self.p
+                    out[i] = maps if e & ((1 << bit) - 1) == 0 else self.mod(out[i] @ maps)
         return out
 
     def codes(self, maps: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,16 +45,16 @@ from .arith import pi_q
 from .errors import PreconditionError, SmoothWindowError, check_budget
 from .fields import FieldSpec
 from .polys import Poly, monic_index, t_power
+from .records import Frozen
 from .characters import UnitGroupBasis, character_sums, route_bytes, unit_group_basis
 from .tables import ArithTables, fold_monic_mod, get_tables, table_bytes
 
 
-@dataclass(frozen=True)
-class ArithmeticFunctionHandle:
+class ArithmeticFunctionHandle(Frozen):
     """A symmetric (star-invariant away from t), completely or squarefree
     multiplicative function with values in {-1, 0, 1}."""
 
-    name: str
+    __slots__ = ("name",)
 
     def degree_values(self, field: FieldSpec, n: int) -> np.ndarray:
         """Values over all monic of degree n, mantissa-indexed, int8; only
@@ -203,14 +202,8 @@ def variance_charside(
     return float(np.sum(sums.real**2 + sums.imag**2)) / len(sums) ** 2
 
 
-@dataclass(frozen=True)
-class VarianceReport:
-    q: int
-    n: int
-    h: int
-    function: str
-    direct: Fraction | None
-    charside: float | None
+class VarianceReport(Frozen):
+    __slots__ = ("q", "n", "h", "function", "direct", "charside")
 
     @property
     def abs_gap(self) -> float | None:
@@ -270,15 +263,12 @@ def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both") -> int:
 # -- identity checks (exact rationals; defects must be literally zero)
 
 
-@dataclass(frozen=True)
-class WindowDefects:
+class WindowDefects(Frozen):
     """Defects of both window identities for every monic G of degree n,
-    mantissa-indexed, as int64 numerators over one `denominator`."""
+    mantissa-indexed, as int64 numerators over one `denominator`; `skipped`
+    marks the G no window prime divides (h-smooth by the pairs)."""
 
-    denominator: int
-    ramare: np.ndarray
-    decomposition: np.ndarray
-    skipped: np.ndarray  # no window prime divides G: h-smooth by the pairs
+    __slots__ = ("denominator", "ramare", "decomposition", "skipped")
 
 
 def window_bytes(field: FieldSpec, n: int, h: int) -> int:

@@ -483,7 +483,7 @@ def test_window_sums_are_the_even_character_square_sums(p, k, n_total):
     for h in range(1, n_total - 1):
         for n in range(n_total + 1):
             for keep_smooth in (False, True):
-                got = bounds_module._masked_even_square_sum(fld, n_total, n, h, keep_smooth)
+                got = bounds_module._window_square_sums(fld, n_total, n, h)[keep_smooth]
                 want = transform_even_square_sum(fld, n_total, n, h, keep_smooth)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-9), (n, h, keep_smooth)
 
@@ -513,9 +513,8 @@ def test_window_sum_budget_refusal_is_a_budget_error(f2, monkeypatch, cold_cache
 def test_window_sum_bytes_cover_the_peak(p, n_total, n, h):
     fld = make_field(p)
     get_tables(fld, n)  # the tables are gated and held apart from the window sum
-    for keep_smooth in (False, True):
-        peak = traced_peak(bounds_module._masked_even_square_sum, fld, n_total, n, h, keep_smooth)
-        assert peak <= bounds_module.window_sum_bytes(fld, n, n_total - h)
+    peak = traced_peak(bounds_module._window_square_sums, fld, n_total, n, h)
+    assert peak <= bounds_module.window_sum_bytes(fld, n, n_total - h)
 
 
 def test_window_sums_observed_ratios_finite(f2):

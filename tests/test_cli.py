@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import gc
 import json
 import os
@@ -37,7 +36,7 @@ from ffvar.cli import (
     involution_bytes,
     main,
 )
-from ffvar.fields import make_field
+from ffvar.fields import FieldSpec, make_field
 from ffvar.polys import from_coeffs, star
 from ffvar.tables import row_mul
 
@@ -869,7 +868,9 @@ def test_involution_suite_catches_a_corrupted_scaling(p, k, table, monkeypatch, 
         bad[2] = bad[2] % (q - 1) + 1
     else:
         bad[2, q - 1] = (bad[2, q - 1] + 1) % q
-    monkeypatch.setattr(ffvar.cli, "make_field", lambda *a: dataclasses.replace(fld, **{table: bad}))
+    fields = {name: getattr(fld, name) for name in FieldSpec.__slots__}
+    corrupted = FieldSpec(**{**fields, table: bad})
+    monkeypatch.setattr(ffvar.cli, "make_field", lambda *a: corrupted)
     argv = ["verify", "--p", str(p), "--k", str(k), "--suite", "involution", "--n-max", "4"]
     assert main(argv) == EXIT_FAILURE
     out = capsys.readouterr().out

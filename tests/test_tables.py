@@ -486,11 +486,25 @@ def test_residue_ring_table_grows_on_demand(f2, f3, f4):
         grown = ring.rows(len(built) + 4 * k)
         assert grown.shape == (len(built) + 4 * k, k * m) and len(ring.table) == len(grown)
         assert np.array_equal(grown[: len(built)], built)
+        # a count short of a whole step still grows the table by k rows
+        assert len(ring.rows(len(grown) + 1)) == len(grown) + 1
+        assert len(ring.table) == len(grown) + k
+        grown = ring.table
         for j in range(len(grown) // k):
             for i in range(k):
                 x_i = from_coeffs(fld, [fld.p**i])
                 expected = _coordinates(fld, (x_i * t_power(fld, j)) % modulus, m)
                 assert grown[j * k + i].tolist() == expected
+
+
+def test_residue_ring_mod_equals_float_mod():
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 13):
+        ring = ResidueRing(make_field(p), from_coeffs(make_field(p), [1, 1]))
+        for shape in ((0,), (1,), (7, 7), (4096,)):
+            x = rng.integers(0, 1 << 40, size=shape).astype(np.float64)
+            got = ring.mod(x)
+            assert got.dtype == np.float64 and np.array_equal(got, x % p), (p, shape)
 
 
 class _CountedMaps(np.ndarray):
