@@ -10,7 +10,6 @@ equivalence in rational arithmetic, and monitors the inequality layer
 from .errors import (
     BudgetError,
     FFVarError,
-    IrreducibleCacheError,
     PreconditionError,
     SmoothWindowError,
 )

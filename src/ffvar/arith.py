@@ -3,9 +3,10 @@
 factor() takes any nonzero F: it walks the factor links of the sieve tables
 (tables.ArithTables.factor_links) from the monic associate, one lookup per
 prime factor, and returns the leading coefficient as the unit. lambda, mu
-and Omega over all monic of a degree live in the tables themselves. The
-irreducible lists can be persisted in a small line-oriented text format
-(FFSIEVE) so repeated runs skip the sieve.
+and Omega over all monic of a degree live in the tables themselves, and so
+do the irreducibles: sieve_irreducibles lists them as Poly values per degree.
+The sieve tables are the one source of factorizations; nothing is read from
+or written to a file.
 """
 
 from __future__ import annotations
@@ -14,17 +15,14 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
-from .errors import IrreducibleCacheError, PreconditionError
+from .errors import PreconditionError
 from .fields import FieldSpec, prime_factors
 from .polys import Poly, monic_from_index, monic_index, one
 from .records import Frozen
 from .tables import get_tables
-
-CACHE_FORMAT_VERSION = 1
 
 
 class SieveCache(Frozen):
@@ -41,125 +39,14 @@ class SieveCache(Frozen):
         return len(self.degree(d))
 
 
-def cache_file_name(field: FieldSpec) -> str:
-    if field.modulus is None:
-        return f"ffsieve_p{field.p}_k{field.k}.txt"
-    digits = "".join(str(c) for c in field.modulus)
-    return f"ffsieve_p{field.p}_k{field.k}_m{digits}.txt"
-
-
-def _modulus_header(field: FieldSpec) -> str:
-    if field.modulus is None:
-        return "-"
-    return ",".join(str(c) for c in field.modulus)
-
-
-def write_cache(cache: SieveCache, path: Path | str) -> None:
-    path = Path(path)
-    total = sum(len(lst) for lst in cache.by_degree)
-    lines = [
-        f"FFSIEVE {CACHE_FORMAT_VERSION} p={cache.field.p} k={cache.field.k} "
-        f"mod={_modulus_header(cache.field)} maxdeg={cache.max_degree} count={total}"
-    ]
-    for d in range(1, cache.max_degree + 1):
-        for poly in cache.by_degree[d]:
-            coeffs = [poly.coeff(j) for j in range(d + 1)]
-            lines.append(" ".join([str(d)] + [str(c) for c in coeffs]))
-    lines.append(f"END {total}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def load_cache(field: FieldSpec, path: Path | str) -> SieveCache:
-    """Parse an FFSIEVE file. Raises IrreducibleCacheError on any structural
-    problem (the caller decides whether to fall back to recomputation)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IrreducibleCacheError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise IrreducibleCacheError(f"{path}: empty file")
-    head = lines[0].split()
-    if len(head) != 7 or head[0] != "FFSIEVE":
-        raise IrreducibleCacheError(f"{path}: bad header {lines[0]!r}")
-    if head[1] != str(CACHE_FORMAT_VERSION):
-        raise IrreducibleCacheError(f"{path}: unsupported version {head[1]}")
-    fields = dict(part.split("=", 1) for part in head[2:])
-    if fields.get("p") != str(field.p) or fields.get("k") != str(field.k):
-        raise IrreducibleCacheError(f"{path}: header is for F_{fields.get('p')}^{fields.get('k')}")
-    if fields.get("mod") != _modulus_header(field):
-        raise IrreducibleCacheError(f"{path}: modulus mismatch")
-    try:
-        max_degree = int(fields["maxdeg"])
-        count = int(fields["count"])
-    except (KeyError, ValueError) as exc:
-        raise IrreducibleCacheError(f"{path}: bad header numbers") from exc
-
-    if lines[-1].split() != ["END", str(count)]:
-        raise IrreducibleCacheError(f"{path}: missing or inconsistent END line")
-    body = lines[1:-1]
-    if len(body) != count:
-        raise IrreducibleCacheError(f"{path}: {len(body)} entries, header says {count}")
-
-    by_degree: list[list[Poly]] = [[] for _ in range(max_degree + 1)]
-    prev_key: tuple[int, int] | None = None
-    for lineno, line in enumerate(body, start=2):
-        toks = line.split()
-        try:
-            d = int(toks[0])
-            coeffs = [int(t) for t in toks[1:]]
-        except ValueError as exc:
-            raise IrreducibleCacheError(f"{path}:{lineno}: unparsable entry") from exc
-        if not 1 <= d <= max_degree:
-            raise IrreducibleCacheError(f"{path}:{lineno}: degree {d} out of range")
-        if len(coeffs) != d + 1:
-            raise IrreducibleCacheError(f"{path}:{lineno}: wrong coefficient count")
-        if any(not 0 <= c < field.q for c in coeffs):
-            raise IrreducibleCacheError(f"{path}:{lineno}: coefficient code out of range")
-        if coeffs[-1] != 1:
-            raise IrreducibleCacheError(f"{path}:{lineno}: entry is not monic")
-        poly = Poly(field, tuple(coeffs))
-        key = (d, monic_index(poly))
-        if prev_key is not None and key <= prev_key:
-            raise IrreducibleCacheError(f"{path}:{lineno}: entries out of order")
-        prev_key = key
-        by_degree[d].append(poly)
-    return SieveCache(field=field, max_degree=max_degree, by_degree=tuple(tuple(lst) for lst in by_degree))
-
-
-def sieve_irreducibles(
-    field: FieldSpec, max_degree: int, *, cache_dir: Path | str | None = None
-) -> SieveCache:
-    """Complete irreducible lists up to max_degree, optionally persisted.
-
-    A readable cache file that covers the requested range is trusted after
-    structural validation; a corrupt or short file is reported and replaced
-    by a fresh sieve.
-    """
+def sieve_irreducibles(field: FieldSpec, max_degree: int) -> SieveCache:
+    """The monic irreducibles of each degree up to max_degree, read off the
+    sieve tables (built or extended to max_degree under the budget)."""
     if max_degree < 1:
         raise PreconditionError("max_degree must be >= 1")
-    path = Path(cache_dir) / cache_file_name(field) if cache_dir is not None else None
-    if path is not None and path.exists():
-        import logging  # loaded only where a cache file may be stale or corrupt
-
-        log = logging.getLogger(__name__)
-        try:
-            cached = load_cache(field, path)
-            if cached.max_degree >= max_degree:
-                return cached
-            log.info("cache %s only covers degree %d, resieving", path, cached.max_degree)
-        except IrreducibleCacheError as exc:
-            log.warning("discarding corrupt sieve cache: %s", exc)
     tables = get_tables(field, max_degree)
-    by_degree: list[tuple[Poly, ...]] = [()]
-    for d in range(1, max_degree + 1):
-        by_degree.append(tuple(tables.irreducible_polys(d)))
-    cache = SieveCache(field=field, max_degree=max_degree, by_degree=tuple(by_degree))
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_cache(cache, path)
-    return cache
+    by_degree = ((),) + tuple(tuple(tables.irreducible_polys(d)) for d in range(1, max_degree + 1))
+    return SieveCache(field=field, max_degree=max_degree, by_degree=by_degree)
 
 
 # -- factorization

@@ -1,5 +1,5 @@
 """Command-line front end: variance runs, verification suites, parameter
-sweeps, and sieve-cache management.
+sweeps, and a check of the sieve's irreducible counts.
 
 build_parser is the one home of every option and its default; each command
 reads the parsed namespace. Exit codes are the machine contract: main() maps
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -28,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import arith, bounds, characters, variance
-from .errors import DEFAULT_BUDGET, BudgetError, IrreducibleCacheError, PreconditionError
+from .errors import DEFAULT_BUDGET, BudgetError, PreconditionError
 from .errors import budget, check_budget
 from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import from_coeffs, monic_from_index, t_power
@@ -48,7 +47,6 @@ ERROR_EXITS = (
     (BudgetError, "budget", EXIT_BUDGET),
     (MemoryError, "budget: out of memory", EXIT_BUDGET),
     (PreconditionError, "precondition", EXIT_PRECONDITION),
-    (IrreducibleCacheError, "corrupt cache", EXIT_FAILURE),
     (OSError, "io", EXIT_FAILURE),
 )
 
@@ -210,26 +208,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    """Sieve to --maxdeg and count the irreducibles; with --check, each
+    degree's count must equal the necklace formula. Writes no file."""
     fld = make_field(args.p, args.k)
-    cache_dir = args.cache_dir or "."
-    path = Path(cache_dir) / arith.cache_file_name(fld)
-    if args.check:
-        cache = arith.load_cache(fld, path)
-        for d in range(1, cache.max_degree + 1):
-            expected = arith.pi_q(fld, d)
-            got = len(cache.by_degree[d])
-            if got != expected:
-                print(
-                    f"count mismatch at degree {d}: file has {got}, "
-                    f"necklace formula gives {expected}",
-                    file=sys.stderr,
-                )
-                return EXIT_FAILURE
-        print(f"{path}: ok ({sum(len(x) for x in cache.by_degree)} irreducibles)")
-        return EXIT_OK
-    cache = arith.sieve_irreducibles(fld, args.max_degree, cache_dir=cache_dir)
-    total = sum(len(x) for x in cache.by_degree)
-    print(f"{path}: {total} irreducibles up to degree {cache.max_degree}")
+    if args.max_degree < 1:
+        raise PreconditionError("--maxdeg must be >= 1")
+    irreducibles = get_tables(fld, args.max_degree).irreducibles[1 : args.max_degree + 1]
+    counts = [len(ups) for ups in irreducibles]
+    for d, got in enumerate(counts if args.check else (), start=1):
+        if got != (expected := arith.pi_q(fld, d)):
+            print(
+                f"count mismatch at degree {d}: sieve has {got}, necklace formula gives {expected}",
+                file=sys.stderr,
+            )
+            return EXIT_FAILURE
+    checked = "; each degree's count equals the necklace formula" if args.check else ""
+    print(f"q={fld.q}: {sum(counts)} irreducibles up to degree {args.max_degree}{checked}")
     return EXIT_OK
 
 
@@ -574,9 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", default="csv", choices=["csv", "json"])
         add_budget(sp)
 
-    def add_cache_dir(sp):
-        sp.add_argument("--cache-dir", default=os.environ.get("FFVAR_CACHE_DIR"))
-
     sp = sub.add_parser("variance", help="compute interval variance one or both ways")
     add_field_args(sp)
     sp.add_argument("--N", required=True, help="degree or inclusive range a:b")
@@ -592,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=100)
-    add_cache_dir(sp)
+    sp.add_argument("--cache-dir", help="accepted and not read")
     sp.add_argument(
         "--self-test-fault",
         action="store_true",
@@ -605,10 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", required=True, help="interval range a:b (h >= 1)")
     add_rows_args(sp)
 
-    sp = sub.add_parser("cache", help="build or validate the irreducible sieve file")
+    sp = sub.add_parser("cache", help="count the sieve's irreducibles up to --maxdeg")
     add_field_args(sp)
     sp.add_argument("--maxdeg", dest="max_degree", type=int, default=8)
-    add_cache_dir(sp)
     sp.add_argument("--check", action="store_true", help="validate counts against pi_q")
     add_budget(sp)
 

@@ -24,10 +24,6 @@ class BudgetError(FFVarError):
     """A path's byte estimate exceeds the budget."""
 
 
-class IrreducibleCacheError(FFVarError):
-    """A sieve cache file is malformed or inconsistent."""
-
-
 class SmoothWindowError(PreconditionError):
     """No prime factor in the requested degree window."""
 

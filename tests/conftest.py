@@ -33,19 +33,13 @@ def f4() -> FieldSpec:
 
 
 @pytest.fixture(scope="session")
-def sieve_dir(tmp_path_factory):
-    # one shared directory so the sieve files are built once per session
-    return tmp_path_factory.mktemp("sieve")
+def cache2(f2) -> SieveCache:
+    return sieve_irreducibles(f2, 10)
 
 
 @pytest.fixture(scope="session")
-def cache2(f2, sieve_dir) -> SieveCache:
-    return sieve_irreducibles(f2, 10, cache_dir=sieve_dir)
-
-
-@pytest.fixture(scope="session")
-def cache3(f3, sieve_dir) -> SieveCache:
-    return sieve_irreducibles(f3, 8, cache_dir=sieve_dir)
+def cache3(f3) -> SieveCache:
+    return sieve_irreducibles(f3, 8)
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import logging
 import tracemalloc
 
 import pytest
@@ -8,19 +7,16 @@ import pytest
 from conftest import brute_unit_count, enumerate_monic
 from ffvar.arith import (
     FactorIndex,
-    cache_file_name,
     count_smooth_exact,
     factor,
     integer_moebius,
     liouville_full_sum,
-    load_cache,
     pi_q,
     sieve_irreducibles,
     smooth_asymptotic_ratio,
-    write_cache,
 )
 from ffvar.characters import unit_group_basis
-from ffvar.errors import BudgetError, IrreducibleCacheError, PreconditionError
+from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
 from ffvar.polys import from_coeffs, monic_index, one, t_power, zero
 from ffvar.tables import get_tables
@@ -59,87 +55,17 @@ def test_integer_moebius_frozen():
     assert got == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]
 
 
-# -- sieve cache file format ----------------------------------------------------
+# -- the irreducible lists ------------------------------------------------------
 
 
-def test_cache_file_names(f2, f4):
-    assert cache_file_name(f2) == "ffsieve_p2_k1.txt"
-    assert cache_file_name(f4) == "ffsieve_p2_k2_m111.txt"
-
-
-def test_cache_round_trip(f2, tmp_path):
-    cache = sieve_irreducibles(f2, 6)
-    path = tmp_path / cache_file_name(f2)
-    write_cache(cache, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "FFSIEVE 1 p=2 k=1 mod=- maxdeg=6 count=23"
-    loaded = load_cache(f2, path)
-    assert loaded == cache
-
-
-def test_cache_detects_corruption(f2, tmp_path):
-    cache = sieve_irreducibles(f2, 4)
-    path = tmp_path / "sieve.txt"
-    write_cache(cache, path)
-    good = path.read_text().splitlines()
-
-    def expect_error(lines, fragment):
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IrreducibleCacheError, match=fragment):
-            load_cache(f2, path)
-
-    expect_error(["FFSIEVE 1 junk"], "bad header")
-    expect_error(["FFSIEVE 2" + good[0][9:]] + good[1:], "unsupported version")
-    expect_error([good[0].replace("p=2", "p=3")] + good[1:], "header is for")
-    expect_error([good[0].replace("mod=-", "mod=1,1")] + good[1:], "modulus mismatch")
-    expect_error(good[:-2] + [good[-1]], "entries, header says")
-    expect_error(good[:-1], "END line")
-    # non-monic entry: flip the leading coefficient on the first body line
-    bad = good.copy()
-    bad[1] = "1 1 0"
-    expect_error(bad, ":2: entry is not monic")
-    bad = good.copy()
-    bad[1], bad[2] = bad[2], bad[1]
-    expect_error(bad, "out of order")
-    bad = good.copy()
-    bad[1] = "1 x 1"
-    expect_error(bad, "unparsable")
-    bad = good.copy()
-    bad[1] = "1 7 1"
-    expect_error(bad, "coefficient code out of range")
-    path.write_text("")
-    with pytest.raises(IrreducibleCacheError, match="empty"):
-        load_cache(f2, path)
-    with pytest.raises(IrreducibleCacheError, match="cannot read"):
-        load_cache(f2, tmp_path / "missing.txt")
-
-
-def test_sieve_recovers_from_corrupt_file(f2, tmp_path, caplog):
-    path = tmp_path / cache_file_name(f2)
-    path.write_text("FFSIEVE 1 garbage\n")
-    with caplog.at_level(logging.WARNING, logger="ffvar.arith"):
-        cache = sieve_irreducibles(f2, 5, cache_dir=tmp_path)
-    assert any("corrupt" in rec.message for rec in caplog.records)
-    # the replacement file is valid and loads back identically
-    assert load_cache(f2, path) == cache
-
-
-def test_sieve_extends_short_file(f2, tmp_path, caplog):
-    sieve_irreducibles(f2, 3, cache_dir=tmp_path)
-    with caplog.at_level(logging.INFO, logger="ffvar.arith"):
-        deeper = sieve_irreducibles(f2, 6, cache_dir=tmp_path)
-    assert any("resieving" in rec.message for rec in caplog.records)
-    assert deeper.max_degree == 6
-    assert load_cache(f2, tmp_path / cache_file_name(f2)).max_degree == 6
-
-
-def test_sieve_trusts_covering_file(f2, tmp_path):
-    first = sieve_irreducibles(f2, 6, cache_dir=tmp_path)
-    path = tmp_path / cache_file_name(f2)
-    stamp = path.read_text()
-    again = sieve_irreducibles(f2, 4, cache_dir=tmp_path)
-    assert again == first  # deeper cached file is served as-is
-    assert path.read_text() == stamp  # and not rewritten
+def test_sieve_irreducibles_lists_the_tables_to_the_asked_degree(f2, cache2):
+    # deeper tables in the process do not deepen the lists
+    get_tables(f2, 12)
+    shallow = sieve_irreducibles(f2, 4)
+    assert shallow.max_degree == 4 and shallow.by_degree == cache2.by_degree[:5]
+    assert shallow.degree(4) == tuple(get_tables(f2, 4).irreducible_polys(4))
+    with pytest.raises(PreconditionError, match="max_degree must be >= 1"):
+        sieve_irreducibles(f2, 0)
 
 
 # -- factorization ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import gc
 import json
@@ -16,12 +17,12 @@ import pytest
 
 from conftest import traced_peak
 
+import ffvar.arith
 import ffvar.bounds
 import ffvar.characters
 import ffvar.cli
 import ffvar.tables
 import ffvar.variance
-from ffvar.arith import cache_file_name
 from ffvar.cli import (
     EXIT_BUDGET,
     EXIT_FAILURE,
@@ -361,43 +362,41 @@ def test_sweep_rejects_empty_grid(capsys):
 # -- cache subcommand ----------------------------------------------------------------
 
 
-def test_cache_build_and_check(tmp_path, capsys):
-    assert main(["cache", "--maxdeg", "7", "--cache-dir", str(tmp_path)]) == EXIT_OK
-    path = tmp_path / "ffsieve_p2_k1.txt"
-    assert path.exists()
-    assert main(["cache", "--maxdeg", "7", "--cache-dir", str(tmp_path), "--check"]) == EXIT_OK
+def test_cache_build_and_check(tmp_path, monkeypatch, capsys):
+    # the count comes from the sieve tables, and no file is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["cache", "--maxdeg", "7"]) == EXIT_OK
+    assert capsys.readouterr() == ("q=2: 41 irreducibles up to degree 7\n", "")
+    assert main(["cache", "--maxdeg", "7", "--check"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "q=2: 41 irreducibles up to degree 7; each degree's count equals the necklace formula\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_check_catches_wrong_counts(monkeypatch, capsys):
+    pi_q = ffvar.arith.pi_q
+    monkeypatch.setattr(ffvar.arith, "pi_q", lambda fld, d: pi_q(fld, d) + (d == 5))
+    assert main(["cache", "--maxdeg", "7"]) == EXIT_OK  # counted, not checked
     capsys.readouterr()
-    # duplicate the first degree-1 entry: ordering is violated on line 3
-    lines = path.read_text().splitlines()
-    lines[2] = lines[1]
-    path.write_text("\n".join(lines) + "\n")
-    assert main(["cache", "--maxdeg", "7", "--cache-dir", str(tmp_path), "--check"]) == EXIT_FAILURE
-    assert ":3:" in capsys.readouterr().err
+    assert main(["cache", "--maxdeg", "7", "--check"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "count mismatch at degree 5: sieve has 6, necklace formula gives 7\n"
 
 
-def test_cache_env_var_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("FFVAR_CACHE_DIR", str(tmp_path))
-    assert main(["cache", "--maxdeg", "4"]) == EXIT_OK
-    assert (tmp_path / "ffsieve_p2_k1.txt").exists()
+def test_cache_for_extension_field(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["cache", "--p", "2", "--k", "2", "--maxdeg", "4", "--check"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("q=4: 90 irreducibles up to degree 4;")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_check_catches_wrong_counts(tmp_path, capsys):
-    assert main(["cache", "--maxdeg", "5", "--cache-dir", str(tmp_path)]) == EXIT_OK
-    path = tmp_path / "ffsieve_p2_k1.txt"
-    # drop the last irreducible but keep the file structurally valid
-    lines = path.read_text().splitlines()
-    body = lines[1:-1]
-    body = body[:-1]
-    head = lines[0].replace(f"count={len(body) + 1}", f"count={len(body)}")
-    path.write_text("\n".join([head] + body + [f"END {len(body)}"]) + "\n")
-    assert main(["cache", "--maxdeg", "5", "--cache-dir", str(tmp_path), "--check"]) == EXIT_FAILURE
-
-
-def test_cache_for_extension_field(tmp_path):
-    from ffvar.fields import make_field
-
-    assert main(["cache", "--p", "2", "--k", "2", "--maxdeg", "4", "--cache-dir", str(tmp_path)]) == EXIT_OK
-    assert (tmp_path / cache_file_name(make_field(2, 2))).exists()
+def test_cache_past_budget_or_below_degree_one_exits_before_sieving(capsys):
+    assert main(["cache", "--maxdeg", "40"]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget: sieve tables to degree 40 needs ")
+    assert main(["cache", "--maxdeg", "0", "--check"]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == "precondition: --maxdeg must be >= 1\n"
 
 
 # -- verify subcommand ----------------------------------------------------------------
@@ -489,33 +488,21 @@ def test_verify_passes_every_suite_over_larger_fields(p, k, tmp_path, capsys):
             assert line.endswith(f"q in [2, 3, 4, {p**k}]"), line
 
 
-def test_verify_necklace_ignores_a_deeper_cache_file(tmp_path, capsys):
-    # the line names the degrees n-max asks for, not those the file holds
-    args = ["verify", "--suite", "necklace", "--n-max", "4", "--cache-dir"]
-    assert main([*args, str(tmp_path / "fresh")]) == EXIT_OK
-    fresh = capsys.readouterr().out
-    assert fresh.endswith("up to degree 6\n")
-    assert main(["cache", "--maxdeg", "12", "--cache-dir", str(tmp_path / "full")]) == EXIT_OK
-    capsys.readouterr()
-    assert main([*args, str(tmp_path / "full")]) == EXIT_OK
-    assert capsys.readouterr().out == fresh
-
-
 def test_verify_necklace_reads_no_cache_dir(tmp_path, capsys):
-    # the counts come from the sieve tables: a corrupt file in --cache-dir is
-    # neither read nor replaced, and an empty one stays empty
+    # the counts come from the sieve tables: a file in --cache-dir is neither
+    # read nor replaced, and a missing --cache-dir is not created
     args = ["verify", "--suite", "necklace", "--n-max", "4", "--cache-dir"]
-    corrupt = tmp_path / "corrupt" / cache_file_name(make_field(2))
-    corrupt.parent.mkdir()
-    corrupt.write_text("not a sieve file\n")
-    for cache_dir in (tmp_path / "empty", corrupt.parent):
-        cache_dir.mkdir(exist_ok=True)
+    held = tmp_path / "held" / "ffsieve_p2_k1.txt"
+    held.parent.mkdir()
+    held.write_text("not a sieve file\n")
+    for cache_dir in (held.parent, tmp_path / "missing" / "ffvar"):
         assert main([*args, str(cache_dir)]) == EXIT_OK
         assert capsys.readouterr() == (
             "PASS necklace[q=2]: sieve counts equal necklace formula up to degree 6\n", ""
         )
-    assert list((tmp_path / "empty").iterdir()) == []
-    assert corrupt.read_text() == "not a sieve file\n"
+    assert list(tmp_path.iterdir()) == [held.parent]
+    assert list(held.parent.iterdir()) == [held]
+    assert held.read_text() == "not a sieve file\n"
 
 
 def test_verify_runs_one_window_pass_per_cell(monkeypatch, capsys):
@@ -547,13 +534,40 @@ def _python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
 
 
 def test_parser_setup_loads_neither_json_nor_logging():
-    # json is loaded by the JSON writer alone, logging by a sieve cache file
+    # json is loaded by the JSON writer alone, and no module loads logging
     code = (
         "import sys, ffvar.cli; ffvar.cli.build_parser(); "
         "print(sorted({'json', 'logging'} & set(sys.modules)))"
     )
     out = _python("-c", code)
     assert (out.returncode, out.stdout) == (0, "[]\n")
+
+
+FILE_IO = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir"}
+
+
+def _file_io_calls(node: ast.AST, where: str):
+    """(enclosing function, called name) of each file I/O call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_IO:
+                yield where, name
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _file_io_calls(child, inner)
+
+
+def test_only_the_out_writer_touches_files():
+    # the sieve tables are the one source of irreducibles: no module reads,
+    # writes or makes a file or directory but the --out writer
+    package = Path(ffvar.cli.__file__).parent
+    found = {
+        (f"{path.stem}.{where}", name)
+        for path in sorted(package.glob("*.py"))
+        for where, name in _file_io_calls(ast.parse(path.read_text()), "<module>")
+    }
+    assert found == {("cli._write_rows", "write_text")}
 
 
 # -- process entry -------------------------------------------------------------------
@@ -933,22 +947,12 @@ def test_suite_registry_names():
 def test_every_command_runs_on_its_required_arguments(argv, tmp_path, monkeypatch, capsys):
     # each option a command reads must come from its own subparser: with no
     # defaults besides the parser's, a missing one fails only at run time
-    monkeypatch.delenv("FFVAR_CACHE_DIR", raising=False)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_OK
     if argv == ["verify"]:  # every suite, each on q=2 and q=3 unless global
         lines = capsys.readouterr().out.splitlines()
         assert all(ln.startswith("PASS ") for ln in lines)
         assert {ln.split()[1].split("[")[0].rstrip(":") for ln in lines} == set(SUITES)
-
-
-def test_cache_dir_defaults_to_the_environment(monkeypatch):
-    monkeypatch.setenv("FFVAR_CACHE_DIR", "from-env")
-    for command in (["verify"], ["cache"]):
-        assert build_parser().parse_args(command).cache_dir == "from-env"
-        assert build_parser().parse_args([*command, "--cache-dir", "x"]).cache_dir == "x"
-    monkeypatch.delenv("FFVAR_CACHE_DIR")
-    assert build_parser().parse_args(["verify"]).cache_dir is None
 
 
 def test_missing_subcommand_is_a_usage_error():

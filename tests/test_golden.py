@@ -1,10 +1,6 @@
 """Golden guard: four of the benchmark's commands run in-process and are
 checked against the outputs stored in perfbench/golden with the benchmark's
 own checker, so output drift fails here before it fails the benchmark.
-
-FFVAR_CACHE_DIR is unset so that the run neither reads nor writes a sieve
-file outside the test: the benchmark runs verify with a fresh empty cache
-directory, and the golden lines are those of such a run.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ def golden() -> Golden:
     ],
     ids=["verify", "variance", "variance-direct", "charsums"],
 )
-def test_matches_golden_output(golden, cmd, run, capsys, monkeypatch):
-    monkeypatch.delenv("FFVAR_CACHE_DIR", raising=False)
+def test_matches_golden_output(golden, cmd, run, capsys):
     returncode = run(list(cmd.args))
     assert golden.check(cmd, returncode, capsys.readouterr().out) is None
