@@ -24,7 +24,6 @@ from .polys import (
 )
 from .arith import (
     Factorization,
-    SieveCache,
     count_smooth_exact,
     factor,
     liouville_full_sum,
@@ -41,11 +40,9 @@ from .characters import (
     unit_group_basis,
 )
 from .variance import (
-    ArithmeticFunctionHandle,
     VarianceReport,
     decomposition_check,
     direct_variances,
-    get_function,
     ramare_identity_check,
     variance_charside,
     variance_direct,

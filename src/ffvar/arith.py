@@ -4,7 +4,8 @@ factor() takes any nonzero F: it walks the factor links of the sieve tables
 (tables.ArithTables.factor_links) from the monic associate, one lookup per
 prime factor, and returns the leading coefficient as the unit. lambda, mu
 and Omega over all monic of a degree live in the tables themselves, and so
-do the irreducibles: sieve_irreducibles lists them as Poly values per degree.
+do the irreducibles: sieve_irreducibles returns the tables deep enough to
+list them per degree.
 The sieve tables are the one source of factorizations; nothing is read from
 or written to a file.
 """
@@ -22,31 +23,16 @@ from .errors import PreconditionError
 from .fields import FieldSpec, prime_factors
 from .polys import Poly, monic_from_index, monic_index, one
 from .records import Frozen
-from .tables import get_tables
+from .tables import ArithTables, get_tables
 
 
-class SieveCache(Frozen):
-    """Complete ascending lists of monic irreducibles per degree d: by_degree[d], [0] empty."""
-
-    __slots__ = ("field", "max_degree", "by_degree")
-
-    def degree(self, d: int) -> tuple[Poly, ...]:
-        if not 1 <= d <= self.max_degree:
-            raise PreconditionError(f"degree {d} outside cache range 1..{self.max_degree}")
-        return self.by_degree[d]
-
-    def count(self, d: int) -> int:
-        return len(self.degree(d))
-
-
-def sieve_irreducibles(field: FieldSpec, max_degree: int) -> SieveCache:
-    """The monic irreducibles of each degree up to max_degree, read off the
-    sieve tables (built or extended to max_degree under the budget)."""
+def sieve_irreducibles(field: FieldSpec, max_degree: int) -> ArithTables:
+    """The sieve tables, built or extended to at least max_degree under the
+    budget: tables.irreducibles[d] lists the monic irreducibles of degree d
+    as ascending mantissas."""
     if max_degree < 1:
         raise PreconditionError("max_degree must be >= 1")
-    tables = get_tables(field, max_degree)
-    by_degree = ((),) + tuple(tuple(tables.irreducible_polys(d)) for d in range(1, max_degree + 1))
-    return SieveCache(field=field, max_degree=max_degree, by_degree=by_degree)
+    return get_tables(field, max_degree)
 
 
 # -- factorization
@@ -67,18 +53,15 @@ class Factorization(Frozen):
         return out
 
 
-def factor(f: Poly, cache: SieveCache) -> Factorization:
+def factor(f: Poly, cache: object) -> Factorization:
     """Factor by walking the sieve's factor links, one lookup per prime factor.
-    The tables and each walked degree's links must fit the budget: BudgetError."""
+    The tables and each walked degree's links must fit the budget: BudgetError.
+    `cache` is accepted and unread: the tables are the one source."""
     if f.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
     n = f.degree
     if n == 0:
         return Factorization(unit=f.lead, factors=())
-    if cache.max_degree < n // 2:
-        raise PreconditionError(
-            f"cache depth {cache.max_degree} insufficient for degree {n} (needs {n // 2})"
-        )
     found = factor_mantissas(f.field, n, monic_index(f.monic()))
     return Factorization(f.lead, tuple((monic_from_index(f.field, d, u), e) for d, u, e in found))
 
@@ -100,23 +83,16 @@ def factor_mantissas(field: FieldSpec, n: int, u: int) -> list[tuple[int, int, i
 
 
 class FactorIndex:
-    """Memoized factorizations, keyed by monic associate."""
+    """Factorizations over `field` by factor(): the factor links make each
+    one a lookup per prime factor, so nothing is kept between calls."""
 
-    def __init__(self, field: FieldSpec, cache: SieveCache):
+    __slots__ = ("field",)
+
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.cache = cache
-        self._memo: dict[tuple[int, int], tuple[tuple[Poly, int], ...]] = {}
 
     def factor(self, f: Poly) -> Factorization:
-        if f.is_zero:
-            raise PreconditionError("cannot factor the zero polynomial")
-        g = f.monic()
-        key = (g.degree, monic_index(g))
-        got = self._memo.get(key)
-        if got is None:
-            got = factor(g, self.cache).factors
-            self._memo[key] = got
-        return Factorization(unit=f.lead, factors=got)
+        return factor(f, None)
 
 
 # -- counting

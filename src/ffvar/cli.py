@@ -118,7 +118,6 @@ def cmd_variance(args: argparse.Namespace) -> int:
             raise PreconditionError(f"empty {flag} range {text}")
     if not np.isfinite(args.tolerance) or args.tolerance <= 0:  # gap > nan is never true
         raise PreconditionError("tolerance must be finite and > 0")
-    handle = variance.get_function(args.function)
     room = 2 if args.mode == "character" else 1
     ns, hs = _grid(n_values, range(max(h_values.start, 0), h_values.stop), room)
     if not ns:
@@ -128,7 +127,9 @@ def cmd_variance(args: argparse.Namespace) -> int:
         for h in hs(n):
             check_budget(variance.cell_bytes(fld, n, h, args.mode), "cell N={} h={}", n, h)
     reports = [
-        rep for n in ns for rep in variance.variance_reports(fld, handle, n, hs(n), mode=args.mode)
+        rep
+        for n in ns
+        for rep in variance.variance_reports(fld, args.function, n, hs(n), mode=args.mode)
     ]
     rows = [
         (

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import PreconditionError, check_budget
 from .fields import FieldSpec
-from .polys import Poly, monic_from_index, t_power
+from .polys import Poly, t_power
 
 _CHUNK = 1 << 15
 _CARRY_ENTRIES = 1 << 12  # cap on one carry table: p^(2c) entries for c digits
@@ -293,9 +293,6 @@ class ArithTables:
         mu = self.liouville_values(n)
         mu *= self.squarefree[n]
         return mu
-
-    def irreducible_polys(self, d: int) -> list[Poly]:
-        return [monic_from_index(self.field, d, int(u)) for u in self.irreducibles[d]]
 
 
 def links_bytes(field: FieldSpec, m: int) -> int:

@@ -47,48 +47,38 @@ from .fields import FieldSpec
 from .polys import Poly, monic_index, t_power
 from .records import Frozen
 from .characters import UnitGroupBasis, character_sums, route_bytes, unit_group_basis
-from .tables import ArithTables, fold_monic_mod, get_tables, table_bytes
+from .tables import fold_monic_mod, get_tables, table_bytes
 
 
-class ArithmeticFunctionHandle(Frozen):
-    """A symmetric (star-invariant away from t), completely or squarefree
-    multiplicative function with values in {-1, 0, 1}."""
-
-    __slots__ = ("name",)
-
-    def degree_values(self, field: FieldSpec, n: int) -> np.ndarray:
-        """Values over all monic of degree n, mantissa-indexed, int8; only
-        liouville and moebius read the sieve tables."""
-        if self.name == "liouville":
-            return get_tables(field, n).liouville_values(n)
-        if self.name == "moebius":
-            return get_tables(field, n).moebius_values(n)
-        return np.ones(field.q**n, dtype=np.int8)
-
-    def t_power_value(self, v: int) -> int:
-        if self.name == "liouville":
-            return -1 if v & 1 else 1
-        if self.name == "moebius":
-            return (1, -1, 0)[min(v, 2)]
-        return 1
+FUNCTIONS = ("liouville", "moebius", "unit")
 
 
-FUNCTIONS = {
-    name: ArithmeticFunctionHandle(name) for name in ("liouville", "moebius", "unit")
-}
+def _check_function(f: str) -> None:
+    if f not in FUNCTIONS:
+        raise PreconditionError(f"unknown function {f!r}; choose from {sorted(FUNCTIONS)}")
 
 
-def get_function(name: str) -> ArithmeticFunctionHandle:
-    try:
-        return FUNCTIONS[name]
-    except KeyError:
-        raise PreconditionError(
-            f"unknown function {name!r}; choose from {sorted(FUNCTIONS)}"
-        ) from None
+def degree_values(field: FieldSpec, f: str, n: int) -> np.ndarray:
+    """Values of the function named `f` (one of FUNCTIONS, each symmetric, i.e.
+    star-invariant away from t, completely or squarefree multiplicative, with
+    values in {-1, 0, 1}) over all monic of degree n, mantissa-indexed, int8;
+    only liouville and moebius read the sieve tables."""
+    _check_function(f)
+    if f == "liouville":
+        return get_tables(field, n).liouville_values(n)
+    if f == "moebius":
+        return get_tables(field, n).moebius_values(n)
+    return np.ones(field.q**n, dtype=np.int8)
 
 
-def _as_handle(f: ArithmeticFunctionHandle | str) -> ArithmeticFunctionHandle:
-    return f if isinstance(f, ArithmeticFunctionHandle) else get_function(f)
+def t_power_value(f: str, v: int) -> int:
+    """The function named `f` at t^v."""
+    _check_function(f)
+    if f == "liouville":
+        return -1 if v & 1 else 1
+    if f == "moebius":
+        return (1, -1, 0)[min(v, 2)]
+    return 1
 
 
 def _fold(acc: np.ndarray, q: int, dtype) -> np.ndarray:
@@ -102,27 +92,28 @@ def _fold(acc: np.ndarray, q: int, dtype) -> np.ndarray:
 
 
 def interval_sums(
-    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int
+    field: FieldSpec, f: str, n: int, h: int
 ) -> np.ndarray:
     """S_I for every interval I, indexed by packed upper coefficients: an
     interval is a contiguous block of q^(h+1) mantissas. The int8 values are
     summed q at a time, each level in the narrowest int that holds it."""
-    f = _as_handle(f)
+    _check_function(f)
     if not 0 <= h < n:
         raise PreconditionError(f"need 0 <= h < n; got h={h}, n={n}")
     q = field.q
-    acc = f.degree_values(field, n)
+    acc = degree_values(field, f, n)
     for level in range(1, h + 2):  # |S| <= q^level: a type that holds -q^level - 1 holds it
         acc = _fold(acc, q, np.min_scalar_type(-(q**level) - 1))
     return acc.astype(np.int64)
 
 
 def direct_variances(
-    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, hs: Iterable[int]
+    field: FieldSpec, f: str, n: int, hs: Iterable[int]
 ) -> dict[int, Fraction]:
     """variance_direct at degree n for every h in `hs`, from one read of the
     values: the interval sums at h + 1 are those at h summed over q
     consecutive intervals."""
+    _check_function(f)
     q = field.q
     out: dict[int, Fraction] = {}
     for h in sorted(set(hs)):
@@ -139,7 +130,7 @@ def direct_variances(
 
 
 def variance_direct(
-    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int
+    field: FieldSpec, f: str, n: int, h: int
 ) -> Fraction:
     """Exact mean square of interval sums: (q^(h+1)/q^n) * sum_I S_I^2."""
     return direct_variances(field, f, n, (h,))[h]
@@ -147,7 +138,7 @@ def variance_direct(
 
 def _residue_weight_vector(
     field: FieldSpec,
-    f: ArithmeticFunctionHandle,
+    f: str,
     modulus: Poly,
     n_total: int,
 ) -> np.ndarray:
@@ -155,23 +146,23 @@ def _residue_weight_vector(
     as int64 over all q^deg(Q) residue codes."""
     weights = np.zeros(field.q**modulus.degree, dtype=np.int64)
     for v in range(n_total + 1):
-        wt = f.t_power_value(v)
+        wt = t_power_value(f, v)
         if wt != 0:
-            vals = f.degree_values(field, n_total - v)
+            vals = degree_values(field, f, n_total - v)
             fold_monic_mod(field, modulus, n_total - v, vals if wt > 0 else -vals, weights)
     return weights
 
 
 def weighted_char_sum(
     field: FieldSpec,
-    f: ArithmeticFunctionHandle | str,
+    f: str,
     basis: UnitGroupBasis,
     exponents,
     n_total: int,
 ) -> complex:
     """U(chi) = sum_v f(t^v) * sum_{G in M_(n_total - v)} f(G) chi(G), chi the
     character mod basis.modulus with exponent vector `exponents`."""
-    f = _as_handle(f)
+    _check_function(f)
     if n_total < 0:
         raise PreconditionError("total degree must be >= 0")
     if basis.field != field:
@@ -187,12 +178,12 @@ def weighted_char_sum(
 
 
 def variance_charside(
-    field: FieldSpec, f: ArithmeticFunctionHandle | str, n: int, h: int
+    field: FieldSpec, f: str, n: int, h: int
 ) -> float:
     """Average of |U(chi)|^2 over even chi mod t^(n-h), divided by the
     number of even characters; agrees with variance_direct for the symmetric
     multiplicative functions handled here."""
-    f = _as_handle(f)
+    _check_function(f)
     if not 0 <= h <= n - 2:
         raise PreconditionError(f"need 0 <= h <= n-2; got h={h}, n={n}")
     modulus = t_power(field, n - h)
@@ -225,7 +216,7 @@ MODES = ("direct", "character", "both")
 
 def variance_reports(
     field: FieldSpec,
-    f: ArithmeticFunctionHandle | str,
+    f: str,
     n: int,
     hs: Sequence[int],
     *,
@@ -235,16 +226,16 @@ def variance_reports(
     (one of MODES): the direct route for every h in one pass over the values
     (direct_variances), then the character route per cell as it is yielded.
     The character route needs h <= n-2 and is left out above that."""
+    _check_function(f)
     if mode not in MODES:
         raise PreconditionError(f"unknown mode {mode!r}")
-    f = _as_handle(f)
     direct = direct_variances(field, f, n, hs) if mode != "character" else {}
     for h in hs:
         charside = None
         if mode != "direct" and h <= n - 2:
             charside = variance_charside(field, f, n, h)
         yield VarianceReport(
-            q=field.q, n=n, h=h, function=f.name, direct=direct.get(h), charside=charside
+            q=field.q, n=n, h=h, function=f, direct=direct.get(h), charside=charside
         )
 
 
@@ -284,8 +275,6 @@ def window_defects(
     field: FieldSpec,
     n: int,
     h: int,
-    *,
-    tables: ArithTables | None = None,
 ) -> WindowDefects:
     """One array pass over the window pairs (P, M), G = P * M, P a window
     prime (h < deg P <= n), reading each term from M: lambda(M),
@@ -302,8 +291,7 @@ def window_defects(
         raise PreconditionError(f"need 1 <= h < n; got h={h}, n={n}")
     q = field.q
     check_budget(window_bytes(field, n, h), "window pairs of degree {}", n)
-    if tables is None:
-        tables = get_tables(field, n)
+    tables = get_tables(field, n)
 
     def window(m: int):
         """The pairs of degree m whose P is a window prime: deg P, M, P * M."""

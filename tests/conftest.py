@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ffvar import bounds, characters, tables
-from ffvar.arith import SieveCache, factor, sieve_irreducibles
+from ffvar.arith import factor, sieve_irreducibles
 from ffvar.fields import FieldSpec, make_field, prime_factors
 from ffvar.errors import BudgetError, PreconditionError
 from ffvar.polys import Poly, constant, from_coeffs, monic_from_index, monic_index, t_power
@@ -33,12 +33,12 @@ def f4() -> FieldSpec:
 
 
 @pytest.fixture(scope="session")
-def cache2(f2) -> SieveCache:
+def cache2(f2) -> tables.ArithTables:
     return sieve_irreducibles(f2, 10)
 
 
 @pytest.fixture(scope="session")
-def cache3(f3) -> SieveCache:
+def cache3(f3) -> tables.ArithTables:
     return sieve_irreducibles(f3, 8)
 
 

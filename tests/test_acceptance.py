@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from ffvar.arith import (
-    FactorIndex,
     count_smooth_exact,
     liouville_full_sum,
     smooth_asymptotic_ratio,

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import ffvar.tables
 from conftest import brute_unit_count, enumerate_monic
 from ffvar.arith import (
     FactorIndex,
@@ -32,9 +33,9 @@ def test_pi_q_frozen_values(f2, f3):
 
 
 def test_pi_q_matches_sieve(cache2, cache3):
-    for cache in (cache2, cache3):
-        for n in range(1, cache.max_degree + 1):
-            assert cache.count(n) == pi_q(cache.field, n)
+    for cache, top in ((cache2, 10), (cache3, 8)):
+        for n in range(1, top + 1):
+            assert len(cache.irreducibles[n]) == pi_q(cache.field, n)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
@@ -58,12 +59,15 @@ def test_integer_moebius_frozen():
 # -- the irreducible lists ------------------------------------------------------
 
 
-def test_sieve_irreducibles_lists_the_tables_to_the_asked_degree(f2, cache2):
-    # deeper tables in the process do not deepen the lists
-    get_tables(f2, 12)
+def test_sieve_irreducibles_lists_the_tables_to_the_asked_degree(monkeypatch, f2):
+    # the process's sieve tables, built to the asked degree or deeper, whose
+    # irreducibles[d] are the ascending mantissas of degree d
+    monkeypatch.setattr(ffvar.tables, "_TABLE_CACHE", {})
     shallow = sieve_irreducibles(f2, 4)
-    assert shallow.max_degree == 4 and shallow.by_degree == cache2.by_degree[:5]
-    assert shallow.degree(4) == tuple(get_tables(f2, 4).irreducible_polys(4))
+    assert shallow is get_tables(f2, 4) and shallow.max_degree == 4
+    assert [m.tolist() for m in shallow.irreducibles[1:]] == [[0, 1], [3], [3, 5], [3, 9, 15]]
+    get_tables(f2, 6)
+    assert sieve_irreducibles(f2, 4) is shallow and shallow.max_degree == 6
     with pytest.raises(PreconditionError, match="max_degree must be >= 1"):
         sieve_irreducibles(f2, 0)
 
@@ -93,10 +97,12 @@ def test_factor_units_and_errors(f3, cache3):
         factor(zero(f3), cache3)
 
 
-def test_factor_needs_enough_cache_depth(f2):
-    shallow = sieve_irreducibles(f2, 2)
-    with pytest.raises(PreconditionError, match="cache depth"):
-        factor(t_power(f2, 9), shallow)
+def test_factor_reads_no_cache(f2):
+    # the second argument is accepted and unread: the factor links are the
+    # one source, whatever is passed
+    want = factor(t_power(f2, 9), sieve_irreducibles(f2, 2))
+    assert [(str(p), e) for p, e in want] == [("t", 9)]
+    assert factor(t_power(f2, 9), None) == want
 
 
 def test_factor_past_table_budget_raises_before_allocating():
@@ -114,14 +120,14 @@ def test_factor_past_table_budget_raises_before_allocating():
     assert peak < 1 << 20
 
 
-def test_factor_index_memoizes(f3, cache3):
-    idx = FactorIndex(f3, cache3)
-    f = from_coeffs(f3, [1, 0, 1, 1])
-    # the factors tuple is shared between calls; the unit rides along fresh
-    assert idx.factor(f).factors is idx.factor(f).factors
-    scaled = idx.factor(f.scale(2))
-    assert scaled.unit == 2
-    assert scaled.factors is idx.factor(f).factors
+def test_factor_index_is_factor(f3):
+    # no memo: each call walks the factor links, and gives factor's answer
+    idx = FactorIndex(f3)
+    assert not hasattr(idx, "__dict__") and type(idx).__slots__ == ("field",)
+    for f in enumerate_monic(f3, 4):
+        for c in (1, 2):
+            assert idx.factor(f.scale(c)) == factor(f.scale(c), None)
+    assert idx.factor(f.scale(2)).unit == 2
 
 
 # -- Omega, lambda and mu on the sieve tables ----------------------------------------
@@ -169,9 +175,9 @@ def test_liouville_full_sum_closed_form():
             assert liouville_full_sum(fld, n) == (-1) ** n * fld.q ** ((n + 1) // 2)
 
 
-def test_count_smooth_matches_factor_enumeration(f2, f3, cache2, cache3):
-    for fld, cache, top in ((f2, cache2, 7), (f3, cache3, 5)):
-        idx = FactorIndex(fld, cache)
+def test_count_smooth_matches_factor_enumeration(f2, f3):
+    for fld, top in ((f2, 7), (f3, 5)):
+        idx = FactorIndex(fld)
         for n in range(0, top + 1):
             for h in range(1, n + 2):
                 brute = sum(

@@ -161,7 +161,7 @@ def test_t_power_unit_group_structure(q):
     order and phi is Euler's function."""
     fld = make_field(*PRIME_POWERS[q])
     t, t1 = t_power(fld, 1), from_coeffs(fld, [1, 1])
-    quad = get_tables(fld, 2).irreducible_polys(2)[0]
+    quad = monic_from_index(fld, 2, int(get_tables(fld, 2).irreducibles[2][0]))
     cases = [[(t, m)] for m in range(1, 13) if q**m <= 4096]
     cases += [[(quad, 2)], [(t, 2), (t1, 1)]]
     if q**5 <= 1 << 16:

@@ -237,6 +237,15 @@ def test_variance_names_an_empty_range(capsys, args, flag, text):
     assert capsys.readouterr().err == f"precondition: empty {flag} range {text}\n"
 
 
+def test_variance_unknown_function_is_a_usage_error(capsys):
+    # argparse checks the name against variance.FUNCTIONS, before any route
+    with pytest.raises(SystemExit) as exc:
+        main(["variance", "--N", "3", "--h", "1", "--function", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err and "'liouville', 'moebius', 'unit'" in err
+
+
 def _forbid_routes(monkeypatch):
     """Fail the test if any route sieves a table or builds a basis."""
 

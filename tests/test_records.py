@@ -15,15 +15,14 @@ import numpy as np
 import pytest
 
 import ffvar
-from ffvar.arith import Factorization, SieveCache
+from ffvar.arith import FactorIndex, Factorization
 from ffvar.bounds import BoundReport
 from ffvar.fields import FieldSpec, make_field
 from ffvar.polys import Poly, from_coeffs
 from ffvar.tables import ArithTables, build_tables
-from ffvar.variance import ArithmeticFunctionHandle, VarianceReport, WindowDefects
+from ffvar.variance import VarianceReport, WindowDefects
 
-FROZEN = (FieldSpec, Poly, SieveCache, Factorization, ArithmeticFunctionHandle, VarianceReport,
-          WindowDefects)
+FROZEN = (FieldSpec, Poly, Factorization, VarianceReport, WindowDefects)
 
 
 def _rebuilt(fld: FieldSpec, **changes) -> FieldSpec:
@@ -124,8 +123,6 @@ def test_reprs_and_strs(f2, f4):
     assert repr(f4) == "FieldSpec(p=2, k=2, q=4, modulus=(1, 1, 1))"
     assert repr(Poly(f2, (1, 1, 0))) == f"Poly(field={f2!r}, coeffs=(1, 1))"
     assert str(Poly(f2, (1, 1))) == "t+1" and str(f4) == "F_4=F_2^2"
-    handle = ArithmeticFunctionHandle("liouville")
-    assert repr(handle) == "ArithmeticFunctionHandle(name='liouville')"
     report = VarianceReport(2, 5, 1, "liouville", None, 0.5)
     assert repr(report) == (
         "VarianceReport(q=2, n=5, h=1, function='liouville', direct=None, charside=0.5)"
@@ -133,7 +130,8 @@ def test_reprs_and_strs(f2, f4):
     assert repr(Factorization(1, ())) == "Factorization(unit=1, factors=())"
 
 
-@pytest.mark.parametrize("cls", [*FROZEN, BoundReport, ArithTables], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [*FROZEN, BoundReport, ArithTables, FactorIndex],
+                         ids=lambda c: c.__name__)
 def test_record_instances_hold_no_dict(cls):
     assert cls.__dictoffset__ == 0
 

@@ -91,7 +91,7 @@ def test_sieve_irreducible_counts_match_necklace_formula(p, k):
 def test_irreducible_polys_are_irreducible(f3):
     tab = build_tables(f3, 4)
     for n in range(1, 5):
-        for p in tab.irreducible_polys(n):
+        for p in (monic_from_index(f3, n, int(u)) for u in tab.irreducibles[n]):
             assert p.is_monic and p.degree == n
             assert len(brute_factor(p)) == 1
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ffvar.variance
 from conftest import brute_factor, characters_of, enumerate_monic, interval_key, traced_peak
 from ffvar.arith import count_smooth_exact, factor
 from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError, budget
@@ -18,40 +19,62 @@ from ffvar.polys import (
     monic_index,
     t_power,
 )
+from ffvar import tables as tables_module
+from ffvar.characters import unit_group_basis
 from ffvar.tables import build_tables, get_tables, table_bytes
 from ffvar.variance import (
     FUNCTIONS,
     MODES,
     cell_bytes,
     decomposition_check,
+    degree_values,
     direct_variances,
-    get_function,
     interval_sums,
     ramare_identity_check,
     variance_charside,
     variance_direct,
+    t_power_value,
     variance_reports,
     weighted_char_sum,
     window_bytes,
     window_defects,
 )
 
-# -- function handles -----------------------------------------------------------
+# -- function names ---------------------------------------------------------------
 
 
-def test_function_registry():
-    assert sorted(FUNCTIONS) == ["liouville", "moebius", "unit"]
-    with pytest.raises(PreconditionError, match="unknown function"):
-        get_function("nope")
+def test_function_registry(monkeypatch, cold_caches, f2):
+    # an unknown name is refused, naming the three choices, before any table
+    # or basis is built
+    assert FUNCTIONS == ("liouville", "moebius", "unit")
+    basis = unit_group_basis(f2, t_power(f2, 2))
+    cold_caches()
+
+    def no_basis(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(ffvar.variance, "unit_group_basis", no_basis)
+    message = r"^unknown function 'nope'; choose from \['liouville', 'moebius', 'unit'\]$"
+    for call in (
+        lambda: interval_sums(f2, "nope", 6, 1),
+        lambda: variance_direct(f2, "nope", 6, 1),
+        lambda: direct_variances(f2, "nope", 6, []),
+        lambda: variance_charside(f2, "nope", 6, 1),
+        lambda: weighted_char_sum(f2, "nope", basis, (0,), 6),
+        lambda: next(variance_reports(f2, "nope", 6, [1])),
+        lambda: next(variance_reports(f2, "nope", 6, [1], mode="character")),
+        lambda: degree_values(f2, "nope", 6),
+        lambda: t_power_value("nope", 1),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            call()
+        assert tables_module._TABLE_CACHE == {}
 
 
 def test_t_power_weights():
-    lam = get_function("liouville")
-    mu = get_function("moebius")
-    unit = get_function("unit")
-    assert [lam.t_power_value(v) for v in range(5)] == [1, -1, 1, -1, 1]
-    assert [mu.t_power_value(v) for v in range(5)] == [1, -1, 0, 0, 0]
-    assert all(unit.t_power_value(v) == 1 for v in range(5))
+    assert [t_power_value("liouville", v) for v in range(5)] == [1, -1, 1, -1, 1]
+    assert [t_power_value("moebius", v) for v in range(5)] == [1, -1, 0, 0, 0]
+    assert all(t_power_value("unit", v) == 1 for v in range(5))
 
 
 # -- direct route -----------------------------------------------------------------
@@ -118,7 +141,7 @@ def test_direct_route_sums_the_int8_values_in_place(f2):
     n, h = 20, 1
     get_tables(f2, n)
     for name in ("liouville", "moebius"):
-        values = get_function(name).degree_values(f2, n)
+        values = degree_values(f2, name, n)
         assert values.dtype == np.int8
         sums = values.astype(np.int64).reshape(-1, 2 ** (h + 1)).sum(axis=1)
         tracemalloc.start()
@@ -145,7 +168,7 @@ def test_direct_variances_of_one_n_match_the_per_h_sums(p, k):
     top = max(n for n in range(1, 9) if q**n <= 4096)
     for name in FUNCTIONS:
         for n in range(1, top + 1):
-            values = get_function(name).degree_values(fld, n).astype(np.int64)
+            values = degree_values(fld, name, n).astype(np.int64)
             want = {}
             for h in range(n):
                 sums = values.reshape(-1, q ** (h + 1)).sum(axis=1)
@@ -192,8 +215,10 @@ def test_weighted_char_sum_matches_brute_sums(f3, lower):
     for chi in characters_of(basis):
         values = [chi.value(g) for _, g in terms]
         for name in FUNCTIONS:
-            weight = get_function(name).t_power_value
-            brute = sum(weight(v) * _brute_value(name, g) * x for (v, g), x in zip(terms, values))
+            brute = sum(
+                t_power_value(name, v) * _brute_value(name, g) * x
+                for (v, g), x in zip(terms, values)
+            )
             got = weighted_char_sum(f3, name, basis, chi.exponents, 4)
             assert got == pytest.approx(brute, abs=1e-9)
 
@@ -279,7 +304,7 @@ def _oracle_decomposition(fld, n: int, h: int, cache) -> list[Fraction]:
     tables = get_tables(fld, n)
     weights: defaultdict[int, Fraction] = defaultdict(Fraction)
     for x in range(h + 1, n + 1):
-        for p in tables.irreducible_polys(x):
+        for p in (monic_from_index(fld, x, int(u)) for u in tables.irreducibles[x]):
             for m in enumerate_monic(fld, n - x):
                 mfac = factor(m, cache).factors
                 weights[monic_index(p * m)] -= Fraction(_liouville(mfac), _omega_w(mfac, h, n) + 1)
@@ -310,17 +335,18 @@ def test_window_defects_match_per_g_oracle(f2, f3, cache2, cache3):
                 )
 
 
-def test_window_defects_catch_corrupted_tables(f3):
+def test_window_defects_catch_corrupted_tables(monkeypatch, f3):
     clean = build_tables(f3, 5)
     omega = copy.deepcopy(clean)
     omega.big_omega[3][7] += 1
     smooth = copy.deepcopy(clean)
     smooth.max_factor_degree[5][clean.irreducibles[5][0]] = 1
     for tables in (omega, smooth):
+        monkeypatch.setattr(ffvar.variance, "get_tables", lambda field, n, tables=tables: tables)
         ramare = decomposition = 0
         for n in range(2, 6):
             for h in range(1, n):
-                check = window_defects(f3, n, h, tables=tables)
+                check = window_defects(f3, n, h)
                 ramare += np.count_nonzero(check.ramare)
                 decomposition += np.count_nonzero(check.decomposition)
         assert ramare > 0 and decomposition > 0
@@ -344,7 +370,7 @@ def test_window_identities_hold_for_every_q():
     assert cells == 136
 
 
-def test_window_pairs_past_budget_raise(f3):
+def test_window_pairs_past_budget_raise(monkeypatch, f3):
     # the estimate counts the pairs the pass reads (degree 5 and the
     # cofactor degrees 1..3) without building them: one byte short refuses
     tables = build_tables(f3, 5)
@@ -352,11 +378,13 @@ def test_window_pairs_past_budget_raise(f3):
     rows = [len(tables.window_pairs(m)[0]) for m in (5, 1, 2, 3)]
     assert need == 88 * rows[0] + 24 * sum(rows[1:]) + 48 * 3**5 + (1 << 20)
     message = f"^window pairs of degree 5 needs {need} bytes, over the budget of {need - 1}$"
+    monkeypatch.setattr(ffvar.variance, "get_tables", lambda field, n: tables)
     with budget(need - 1), pytest.raises(BudgetError, match=message):
-        window_defects(f3, 5, 1, tables=tables)
+        window_defects(f3, 5, 1)
     fresh = build_tables(f3, 5)
+    monkeypatch.setattr(ffvar.variance, "get_tables", lambda field, n: fresh)
     with budget(need):
-        assert traced_peak(window_defects, f3, 5, 1, tables=fresh) <= need
+        assert traced_peak(window_defects, f3, 5, 1) <= need
 
 
 def test_ramare_identity_defect_zero_exhaustive(f2):
