@@ -19,7 +19,6 @@ from ffvar.polys import (
     monic_index,
     t_power,
 )
-from ffvar import tables as tables_module
 from ffvar.characters import unit_group_basis
 from ffvar.tables import build_tables, get_tables, table_bytes
 from ffvar.variance import (
@@ -31,9 +30,9 @@ from ffvar.variance import (
     direct_variances,
     interval_sums,
     ramare_identity_check,
+    t_power_value,
     variance_charside,
     variance_direct,
-    t_power_value,
     variance_reports,
     weighted_char_sum,
     window_bytes,
@@ -68,7 +67,7 @@ def test_function_registry(monkeypatch, cold_caches, f2):
     ):
         with pytest.raises(PreconditionError, match=message):
             call()
-        assert tables_module._TABLE_CACHE == {}
+        assert ffvar.tables._TABLE_CACHE == {}
 
 
 def test_t_power_weights():
