@@ -40,6 +40,7 @@ EXIT_GAP = 3
 EXIT_BUDGET = 4
 
 RNG_DESCRIPTION = "numpy-default-rng"
+DEFAULT_TOLERANCE = 1e-6  # variance --tolerance, and sweep's gap check
 BUDGET_HELP = "memory budget in bytes (default %(default)s); past it, exit 4"
 
 # exception -> (stderr prefix, exit code) for every command; first match wins
@@ -145,19 +146,22 @@ def cmd_variance(args: argparse.Namespace) -> int:
         for rep in reports
     ]
     _write_rows(args, VARIANCE_HEADER, rows)
-    if args.mode == "both":
-        for rep in reports:
-            gap = rep.abs_gap
-            if gap is None:
-                continue
-            scale = max(1.0, abs(float(rep.direct)))
-            if gap > args.tolerance * scale:
-                print(
-                    f"gap failure: q={rep.q} N={rep.n} h={rep.h} f={rep.function} "
-                    f"direct={float(rep.direct)!r} char={rep.charside!r} gap={gap!r}",
-                    file=sys.stderr,
-                )
-                return EXIT_GAP
+    return _gap_exit(reports, args.tolerance)
+
+
+def _gap_exit(reports: Sequence[variance.VarianceReport], tolerance: float) -> int:
+    """EXIT_GAP, after a `gap failure` line on stderr, at the first report
+    whose two routes differ by more than tolerance * max(1, |direct|); a
+    report with one route has no gap. EXIT_OK if none does."""
+    for rep in reports:
+        gap = rep.abs_gap
+        if gap is not None and gap > tolerance * max(1.0, abs(float(rep.direct))):
+            print(
+                f"gap failure: q={rep.q} N={rep.n} h={rep.h} f={rep.function} "
+                f"direct={float(rep.direct)!r} char={rep.charside!r} gap={gap!r}",
+                file=sys.stderr,
+            )
+            return EXIT_GAP
     return EXIT_OK
 
 
@@ -195,7 +199,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ratio = float(rep.direct) / bound
         return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 
-    rows = [one(rep) for n in ns for rep in variance.variance_reports(fld, "liouville", n, hs(n))]
+    reports = [rep for n in ns for rep in variance.variance_reports(fld, "liouville", n, hs(n))]
+    rows = [one(rep) for rep in reports]
     _write_rows(args, SWEEP_HEADER, rows)
     best = max(rows, key=lambda r: r[6])
     where = f"(q={best[0]}, N={best[1]}, h={best[2]})"
@@ -205,7 +210,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         + f"; max theorem ratio {best[6]!r} at {where}",
         file=sys.stderr if args.out is None else sys.stdout,
     )
-    return EXIT_OK
+    return _gap_exit(reports, DEFAULT_TOLERANCE)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -575,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", required=True, help="interval parameter or range a:b")
     sp.add_argument("--function", default="liouville", choices=sorted(variance.FUNCTIONS))
     sp.add_argument("--mode", default="both", choices=variance.MODES)
-    sp.add_argument("--tolerance", type=float, default=1e-6)
+    sp.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     add_rows_args(sp)
 
     sp = sub.add_parser("verify", help="run the exact-identity verification suites")

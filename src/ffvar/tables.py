@@ -27,10 +27,8 @@ shifted copies of P (scaled by x^i for q = 2^k) XORed in code order, and
 the join is one XOR.
 For odd p the halves come from one small ResidueRing product, the
 multiplication maps of the P side by side in one matmul, and the join is
-an integer sum less its carries at the k deg P overlapping digits: the
-carries of the first few are read from a small cached table into one copy
-of P * L per value of those digits of P * H, so the block is a gather and
-an add, and any digits past them carry one at a time. Blocks of at most
+an integer sum less its carries at the k deg P overlapping digits, each
+digit carried by one compare and one masked subtract. Blocks of at most
 _CHUNK products bound memory.
 
 Write order: a block that holds several P holds every M of each of them, so
@@ -57,7 +55,6 @@ from .fields import FieldSpec
 from .polys import Poly, t_power
 
 _CHUNK = 1 << 15
-_CARRY_ENTRIES = 1 << 12  # cap on one carry table: p^(2c) entries for c digits
 _SIEVE_SCRATCH = 2 << 20  # product blocks and rings: under 0.8 MiB measured, q <= 16
 
 
@@ -79,58 +76,30 @@ def _binary_low_products(field: FieldSpec, dp: int, ups: np.ndarray, a: int) -> 
     return low
 
 
-@cache
-def _carry_table(p: int) -> tuple[int, np.ndarray]:
-    """(c, table): the most base-p digits c with p^(2c) <= _CARRY_ENTRIES,
-    and, at x * p^c + y for c-digit x and y, the excess of the integer sum
-    x + y over their digitwise sum mod p: sum over i < c of p^(i+1) where
-    digits i of x and y sum to p or more."""
-    c = 1
-    while p ** (2 * c + 2) <= _CARRY_ENTRIES:
-        c += 1
-    place = p ** np.arange(c)
-    digits = np.arange(p**c)[:, None] // place % p
-    carries = digits[:, None, :] + digits[None, :, :] >= p
-    return c, (carries @ (p * place)).ravel()
-
-
 def _digit_sums(p: int, lows: int, low: np.ndarray, high: np.ndarray, n_over: int,
                 p_rows: int, h_rows: int):
     """Blocks (first row, first column, block) of the digitwise sums mod p of
     low[P, L] and high[P, H] as (rows, H, L) arrays, high a multiple of lows
     whose base-p digits meet low's at the n_over digits from lows.
 
-    The integer sum exceeds the digitwise one by p^(j+1) at each of those
-    digits j where the two digits sum to p or more. Over the first c0 of
-    them that excess depends only on low and on the value v of high's c0
-    digits there, so it is taken off one copy of low per v, read from the
-    carry table, and each row of high is added to the copy its v picks: a
-    gather and an add per block. The digits past c0 (a large P, or too few
-    H to share the copies) carry one at a time, each by a compare and a
-    masked subtract."""
-    c, table = _carry_table(p)
-    h0 = high.shape[1]
+    The integer sum exceeds the digitwise one by p^(s+1) lows at each of
+    those digits s where the two digits sum to p or more, so each block is
+    the integer sum less that carry wherever digit s of high is at least p
+    less digit s of low: one compare and one masked subtract per digit."""
 
-    def digits(x, start, count):
-        return x // (lows * p**start) % p**count
+    def digit(x, s):
+        return x // (lows * p**s) % p
 
     for i in range(0, len(low), p_rows):
         lo, hi = low[i : i + p_rows], high[i : i + p_rows]
-        c0 = 0  # p^c0 copies of lo: no more than the products, nor half a block
-        while c0 < min(c, n_over) and p ** (c0 + 1) <= h0 and 2 * p ** (c0 + 1) * lo.size <= _CHUNK:
-            c0 += 1
-        copies = lo - lows * table[np.arange(p**c0)[:, None, None] * p**c + digits(lo, 0, c0)]
-        copies = copies.reshape(-1, lo.shape[1])
-        pick = digits(hi, 0, c0) * len(lo) + np.arange(len(lo))[:, None]
-        rest = [(digits(hi, s, 1).astype(np.int8), (p - digits(lo, s, 1)).astype(np.int8),
-                 lows * p ** (s + 1)) for s in range(c0, n_over)]
-        for j in range(0, h0, h_rows):
+        carries = [(digit(hi, s).astype(np.int8), (p - digit(lo, s)).astype(np.int8),
+                    lows * p ** (s + 1)) for s in range(n_over)]
+        for j in range(0, high.shape[1], h_rows):
             cols = slice(j, j + h_rows)
-            block = copies[pick[:, cols]]
-            block += hi[:, cols, None]
-            for digit, room, carry in rest:
+            block = hi[:, cols, None] + lo[:, None, :]
+            for digits, room, carry in carries:
                 np.subtract(block, carry, out=block,
-                            where=np.greater_equal(digit[:, cols, None], room[:, None, :]))
+                            where=np.greater_equal(digits[:, cols, None], room[:, None, :]))
             yield i, j, block
 
 
@@ -146,7 +115,8 @@ def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
     and XORs, P * H is P * h (+) t^(md-a) P, and (+) is XOR. For odd p, the
     codes of P * L and P * H come, for every P at once, from one small
     ResidueRing product, and (+) is an integer sum less its carries, which
-    only the k*dp digits from k*a can make (_digit_sums).
+    only the k*dp digits from k*a can make, one carry step per digit
+    (_digit_sums).
 
     A block holds at most _CHUNK products (but at least one row of H). When
     every M of one P fits, a block holds every M of each of its P; otherwise

@@ -165,6 +165,18 @@ def test_variance_gap_detection_exits_three(monkeypatch, capsys):
     assert captured.out.splitlines()[1].split(",")[5] == "99.0"
 
 
+def test_sweep_gap_detection_exits_three(monkeypatch, capsys):
+    # sweep compares its two routes as variance does, at its default
+    # tolerance, once its rows and summary line are written
+    monkeypatch.setattr(ffvar.variance, "variance_charside", lambda *a, **k: 99.0)
+    assert main(["sweep", "--N", "3", "--h", "1"]) == EXIT_GAP
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].split(",")[4] == "99.0"
+    summary, failure = captured.err.splitlines()
+    assert summary.startswith("sweep: 1 rows;")
+    assert failure.startswith("gap failure: q=2 N=3 h=1 f=liouville direct=4.0 char=99.0 gap=95.0")
+
+
 @pytest.mark.parametrize("command, n, limit", [("variance", 30000, None), ("sweep", 3000, 640)])
 def test_an_estimate_past_the_str_digit_limit_exits_four(capsys, command, n, limit):
     # the cell's estimate has more digits than the interpreter's int-to-str

@@ -228,16 +228,13 @@ def _digitwise_sums(p: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_digit_sums_fold_and_carry_every_overlap_digit(p):
     # random low (overlap digits from lows) and high (a multiple of lows),
-    # with overlaps of one chunk, one chunk and a digit, and over two chunks,
-    # and few or many rows of high, so the folded copies cover all, some or
-    # none of the overlap and single digits carry the rest; small blocks
-    # split both the rows of P and those of H
-    c, table = tables_module._carry_table(p)
-    assert len(table) == p ** (2 * c) <= tables_module._CARRY_ENTRIES < p ** (2 * c + 2)
+    # with every overlap from 1 to 8 digits (deg P up to 8 over F_p), and
+    # few or many rows of high, so each digit carries by its own masked
+    # subtract; small blocks split both the rows of P and those of H
     rng = np.random.default_rng(p)
     seen = set()
-    for n_over in (1, c, c + 1, 2 * c + 1):
-        for lows, h0 in ((p, 1), (p, p ** (c + 1)), (p**2, p), (1, p**2)):
+    for n_over in range(1, 9):
+        for lows, h0 in ((p, 1), (p, p**2), (p**2, p), (1, p**2)):
             low = rng.integers(0, lows * p**n_over, (5, lows))
             high = rng.integers(0, p ** (n_over + 2), (5, h0)) * lows
             want = _digitwise_sums(p, high[:, :, None], low[:, None, :])
@@ -281,22 +278,17 @@ def test_binary_shift_products_and_squares_match_poly_products(p, k):
     "p,k", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2)], ids=["3", "5", "7", "13", "9"]
 )
 def test_mul_monic_batch_carries_overlaps_past_the_fold(p, k):
-    # P whose k deg P overlap digits outnumber one carry table's c (and, for
-    # q = 3, their squares) meet the products of L past the folded digits:
-    # P * M against the one-shot ring product for every M of a few degrees
+    # P of every degree from 1, and their squares, so the k deg P overlap
+    # digits run from k to 2 k top, each carried on its own: P * M against
+    # the one-shot ring product for every M of a few degrees
     fld = make_field(p, k)
     q = fld.q
-    c, _ = tables_module._carry_table(p)
     top = max(d for d in range(1, 8) if q**d <= 1 << 15)
     tab = build_tables(fld, top)
     rng = np.random.default_rng(q)
-    for dp in range(c // k + 1, top + 1):
+    for dp in range(1, top + 1):
         ups = np.sort(rng.permutation(tab.irreducibles[dp])[:4])
-        batches = [(dp, ups)]
-        if q == 3:
-            batches.append((2 * dp, _poly_squares(fld, dp, ups)))
-        for dm, mants in batches:
-            assert k * dm > c  # the overlap outgrows one chunk
+        for dm, mants in ((dp, ups), (2 * dp, _poly_squares(fld, dp, ups))):
             for md in range(1, 7):
                 if q**md > 1 << 12:
                     break
@@ -604,7 +596,7 @@ def test_build_tables_scratch_memory_stays_bounded(cold_caches):
     # the product pass emits blocks of at most _CHUNK products, never a q^md
     # array, so a build peaks within 2 MiB of the tables it keeps, and
     # within the estimate that the budget gate reads; F_3 to degree 13, F_7
-    # to 6 and F_9 to 6 carry overlaps past the folded digits
+    # to 6 and F_9 to 6 carry up to 6 overlap digits, one step each
     sizes = (((2, 1), 18), ((3, 1), 11), ((3, 1), 13), ((2, 2), 8), ((5, 1), 8), ((7, 1), 6),
              ((3, 2), 6), ((2, 4), 5))
     for (p, k), n in sizes:
