@@ -68,6 +68,16 @@ def _grid(n_values: range, h_values: range, room: int) -> tuple[range, Callable[
     return ns if h_values else range(0), lambda n: h_values[: n - room + 1 - h_values.start]
 
 
+def _reports(fld: FieldSpec, f: str, mode: str, ns: range,
+             hs: Callable[[int], range]) -> list[variance.VarianceReport]:
+    """The reports of every cell of the grid, each cell's estimate checked
+    against the budget before the first route runs."""
+    for n in ns:
+        for h in hs(n):
+            check_budget(variance.cell_bytes(fld, n, h, mode, f), "cell N={} h={}", n, h)
+    return [rep for n in ns for rep in variance.variance_reports(fld, f, n, hs(n), mode=mode)]
+
+
 def _csv_cell(x: Fraction | float | int | str | None) -> str:
     if x is None:
         return ""
@@ -124,27 +134,9 @@ def cmd_variance(args: argparse.Namespace) -> int:
     if not ns:
         need = "0 <= h <= N-2" if args.mode == "character" else "0 <= h < N"
         raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
-    for n in ns:  # every cell's estimate, before the first route runs
-        for h in hs(n):
-            check_budget(variance.cell_bytes(fld, n, h, args.mode), "cell N={} h={}", n, h)
-    reports = [
-        rep
-        for n in ns
-        for rep in variance.variance_reports(fld, args.function, n, hs(n), mode=args.mode)
-    ]
-    rows = [
-        (
-            rep.q,
-            rep.n,
-            rep.h,
-            rep.function,
-            rep.direct,
-            rep.charside,
-            rep.abs_gap,
-            rep.theorem_ratio,
-        )
-        for rep in reports
-    ]
+    reports = _reports(fld, args.function, args.mode, ns, hs)
+    rows = [(r.q, r.n, r.h, r.function, r.direct, r.charside, r.abs_gap, r.theorem_ratio)
+            for r in reports]
     _write_rows(args, VARIANCE_HEADER, rows)
     return _gap_exit(reports, args.tolerance)
 
@@ -186,9 +178,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise PreconditionError("empty sweep grid")
     if h_values.start < 1:  # the first h of every row
         raise PreconditionError("sweep grid needs h >= 1")
-    for n in ns:  # every cell's estimate, before the first route runs
-        for h in hs(n):
-            check_budget(variance.cell_bytes(fld, n, h), "cell N={} h={}", n, h)
 
     def one(rep: variance.VarianceReport):
         n, h = rep.n, rep.h
@@ -199,7 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ratio = float(rep.direct) / bound
         return (fld.q, n, h, rep.direct, rep.charside, bound, ratio, largepf, smoothpf)
 
-    reports = [rep for n in ns for rep in variance.variance_reports(fld, "liouville", n, hs(n))]
+    reports = _reports(fld, "liouville", "both", ns, hs)
     rows = [one(rep) for rep in reports]
     _write_rows(args, SWEEP_HEADER, rows)
     best = max(rows, key=lambda r: r[6])

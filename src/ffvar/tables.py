@@ -3,20 +3,20 @@
 For each degree m up to a bound this sieve produces, indexed by mantissa:
 
   * big_omega[m][u]  -- number of irreducible factors with multiplicity
-  * squarefree[m][u] -- no repeated factor
   * max_factor_degree[m][u] -- degree of the largest irreducible factor
   * irreducibles[m]  -- sorted mantissas of the monic irreducibles
+  * squarefree[m][u] -- no repeated factor, built when mu is first read
 
-The sieve walks degrees upward. At degree m, every product P*M with P
-irreducible of degree d <= m/2 and M monic of degree m-d gets its entries
-written from M's row (Omega is additive, max-factor-degree is a max, so any
-irreducible divisor P of G produces the same value: overwrites are
-consistent). Omega and max-factor-degree are the low and high bytes of one
-int16 per polynomial (big_omega and max_factor_degree are its int8 views),
-so one scatter writes both. Whatever is never written is irreducible.
-Squarefree-ness is killed separately by marking P^2 * M products; the
-squares P^2 come from row_mul, the one product of coefficient rows, for
-every p, once per degree of P in each extend call.
+The sieve walks degrees upward, one product pass per degree. At degree m,
+every product P*M with P irreducible of degree d <= m/2 and M monic of
+degree m-d gets its entries written from M's row (Omega is additive,
+max-factor-degree is a max, so any irreducible divisor P of G produces the
+same value: overwrites are consistent). Omega and max-factor-degree are the
+low and high bytes of one int16 per polynomial (big_omega and
+max_factor_degree are its int8 views), so one scatter writes both. Whatever
+is never written is irreducible. Only mu reads squarefree-ness: moebius_values
+kills the flags on first use by marking P^2 * M products, the squares P^2
+from row_mul, the one product of coefficient rows, once per degree of P.
 
 The products of all P of one degree come from one mul_monic_batch call. It
 splits M = L + t^a H at half its degree, so it needs P times at most
@@ -158,36 +158,20 @@ def row_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _products(field: FieldSpec, irreducibles: list[np.ndarray], m: int,
-              squares: dict | None = None):
-    """Every product P * M of degree m, P monic irreducible of degree d <= m/2
-    and M monic, as blocks (d, the P's mantissas, the slice of M's mantissas,
-    the products' mantissas as a (P, M) array); given a dict `squares`, every
-    P^2 * M, each degree's P^2 squared into it on first use."""
-    q = field.q
-    for d in range(1, m // 2 + 1):
-        ups = mants = irreducibles[d]
-        if squares is not None:
-            if d not in squares:  # P^2 is monic of degree 2d: its mantissa, its 2d low coefficients
-                coeffs = ((ups[:, None] + q**d) // q ** np.arange(d + 1) % q).astype(np.uint8)
-                squares[d] = row_mul(field, coeffs, coeffs)[:, :-1] @ q ** np.arange(2 * d)
-            mants = squares[d]
-        dp = d if squares is None else 2 * d
-        for rows, part, block in mul_monic_batch(field, dp, mants, m - dp):
-            yield d, ups[rows], part, block
-
-
 class ArithTables:
     """The tables of `field` (the module docstring) for degrees 0..max_degree: built
-    holding degree 0, the one monic 1 with no factor, and grown in place by extend."""
+    holding degree 0, the one monic 1 with no factor, and grown in place by extend.
+    `squarefree` holds degrees 0..k only, k the highest degree whose mu was read
+    (moebius_values), or 0 before any was."""
 
     __slots__ = ("field", "max_degree", "big_omega", "squarefree", "max_factor_degree",
                  "irreducibles", "_links", "_pairs", "_packed")
 
     def __init__(self, field: FieldSpec):
         self.field, self._links, self._pairs, self._packed = field, {}, {}, []
-        self.big_omega, self.squarefree, self.max_factor_degree, self.irreducibles = [], [], [], []
-        self._push(np.zeros(1, "<i2"), np.ones(1, bool), np.empty(0, np.int64))
+        self.big_omega, self.max_factor_degree, self.irreducibles = [], [], []
+        self.squarefree = [np.ones(1, bool)]
+        self._push(np.zeros(1, "<i2"), np.empty(0, np.int64))
 
     def factor_links(self, m: int) -> tuple[np.ndarray, ...]:
         """(deg P, mantissa of P, mantissa of G/P) for one irreducible P | G
@@ -200,8 +184,11 @@ class ArithTables:
             size = self.field.q**m
             links = (np.zeros(size, np.int8), np.zeros(size, np.int32), np.zeros(size, np.int32))
             deg, fac, cof = links
-            for d, ups, part, block in _products(self.field, self.irreducibles, m):
-                deg[block], fac[block], cof[block] = d, ups[:, None], np.arange(part.start, part.stop)
+            for d in range(1, m // 2 + 1):  # P * M for every P of degree d <= m/2
+                ups = self.irreducibles[d]
+                for rows, part, block in mul_monic_batch(self.field, d, ups, m - d):
+                    deg[block], fac[block] = d, ups[rows, None]
+                    cof[block] = np.arange(part.start, part.stop)
             self._links[m] = links
         return links
 
@@ -226,29 +213,26 @@ class ArithTables:
 
     def extend(self, max_degree: int) -> None:
         """Sieve degrees self.max_degree+1 .. max_degree onto these tables in
-        place; the arrays and factor links built so far are kept."""
-        nbytes = table_bytes(self.field, max_degree)
-        check_budget(nbytes, "sieve tables to degree {}", max_degree)
-        q, squares = self.field.q, {}  # each degree's P^2, squared once
+        place, one product pass per degree; the arrays and factor links built
+        so far are kept."""
+        check_budget(table_bytes(self.field, max_degree), "sieve tables to degree {}", max_degree)
+        q = self.field.q
         for m in range(self.max_degree + 1, max_degree + 1):
             # P * M gets Omega(M) + 1 and max(max factor degree of M, deg P); 0 is unwritten
             packed = np.zeros(q**m, dtype="<i2")
-            sf = np.ones(q**m, dtype=bool)
-            for d, _, part, block in _products(self.field, self.irreducibles, m):
-                below = self._packed[m - d][part]
-                packed[block] = np.maximum(below, below & 0xFF | d << 8) + 1
-            for *_, block in _products(self.field, self.irreducibles, m, squares):
-                sf[block] = False
+            for d in range(1, m // 2 + 1):
+                for _, part, block in mul_monic_batch(self.field, d, self.irreducibles[d], m - d):
+                    below = self._packed[m - d][part]
+                    packed[block] = np.maximum(below, below & 0xFF | d << 8) + 1
             fresh = np.flatnonzero(packed == 0)
             packed[fresh] = m << 8 | 1
-            self._push(packed, sf, fresh.astype(np.int64))
+            self._push(packed, fresh.astype(np.int64, copy=False))
 
-    def _push(self, packed: np.ndarray, squarefree: np.ndarray, irreducibles: np.ndarray) -> None:
+    def _push(self, packed: np.ndarray, irreducibles: np.ndarray) -> None:
         """Append a degree: Omega and max factor degree are int8 views of `packed`."""
         self._packed.append(packed)
         self.big_omega.append(packed.view(np.int8)[0::2])
         self.max_factor_degree.append(packed.view(np.int8)[1::2])
-        self.squarefree.append(squarefree)
         self.irreducibles.append(irreducibles)
         self.max_degree = len(self._packed) - 1
 
@@ -259,7 +243,24 @@ class ArithTables:
         return np.subtract(1, lam, out=lam)
 
     def moebius_values(self, n: int) -> np.ndarray:
-        """mu over all monic of degree n, int8, mantissa-indexed."""
+        """mu over all monic of degree n, int8, mantissa-indexed. The squarefree
+        flags of the degrees to n not yet held are built first, once flag_bytes
+        is checked against the budget: P^2 * M is marked for every irreducible
+        P of degree d <= n/2, each d's squares P^2 built once."""
+        if not 0 <= n <= self.max_degree:  # an IndexError, as from liouville_values
+            raise IndexError(f"degree {n} is past the tables' {self.max_degree}")
+        q, first = self.field.q, len(self.squarefree)
+        if first <= n:
+            check_budget(flag_bytes(self.field, n), "squarefree flags to degree {}", n)
+            flags = [np.ones(q**m, dtype=bool) for m in range(first, n + 1)]
+            for d in range(1, n // 2 + 1):  # P^2 is monic: its mantissa, its 2d low coefficients
+                ups = self.irreducibles[d]
+                coeffs = ((ups[:, None] + q**d) // q ** np.arange(d + 1) % q).astype(np.uint8)
+                squares = row_mul(self.field, coeffs, coeffs)[:, :-1] @ q ** np.arange(2 * d)
+                for m in range(max(first, 2 * d), n + 1):
+                    for *_, block in mul_monic_batch(self.field, 2 * d, squares, m - 2 * d):
+                        flags[m - first][block] = False
+            self.squarefree += flags
         mu = self.liouville_values(n)
         mu *= self.squarefree[n]
         return mu
@@ -272,14 +273,21 @@ def links_bytes(field: FieldSpec, m: int) -> int:
 
 
 def table_bytes(field: FieldSpec, max_degree: int) -> int:
-    """Bytes of the tables to max_degree: 3 per monic, 8 per irreducible (<= q^m/m
+    """Bytes of the tables to max_degree: 2 per monic, 8 per irreducible (<= q^m/m
     of degree m), and the top degree's mask, irreducible indices and blocks."""
     q, n = field.q, max(max_degree, 1)
     held, qm = 0, 1
     for m in range(1, n + 1):  # q**m afresh each time would cost seconds at large n
         qm *= q
-        held += 3 * qm + 8 * qm // m
+        held += 2 * qm + 8 * qm // m
     return held + qm + 8 * qm // n + _SIEVE_SCRATCH
+
+
+def flag_bytes(field: FieldSpec, n: int) -> int:
+    """Bytes of the squarefree flags to degree n: 1 per monic, 24 per monic of degree
+    n/2 for one degree's squares P^2 and their coefficient rows, and the blocks."""
+    q = field.q
+    return (q ** (n + 1) - 1) // (q - 1) + 24 * q ** (n // 2) + _SIEVE_SCRATCH
 
 
 def build_tables(field: FieldSpec, max_degree: int) -> ArithTables:

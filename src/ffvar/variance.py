@@ -47,7 +47,7 @@ from .fields import FieldSpec
 from .polys import Poly, monic_index, t_power
 from .records import Frozen
 from .characters import UnitGroupBasis, character_sums, route_bytes, unit_group_basis
-from .tables import fold_monic_mod, get_tables, table_bytes
+from .tables import flag_bytes, fold_monic_mod, get_tables, table_bytes
 
 
 FUNCTIONS = ("liouville", "moebius", "unit")
@@ -239,13 +239,15 @@ def variance_reports(
         )
 
 
-def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both") -> int:
-    """Byte estimate of one cell of variance_reports or a sweep row: the tables;
-    direct, a copy of the values and the interval sums; character (h <= n-2),
-    route_bytes mod t^(n-h) (basis and transform), the weights, fold and masks.
-    A sweep row's window sums (bounds.window_sum_bytes) need less than the character part."""
+def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both", f: str = "liouville") -> int:
+    """Byte estimate of one cell of variance_reports for `f` or a sweep row: the
+    tables, and for moebius their squarefree flags; direct, a copy of the values
+    and the interval sums; character (h <= n-2), route_bytes mod t^(n-h) (basis
+    and transform), the weights, fold and masks. A sweep row's window sums
+    (bounds.window_sum_bytes) need less than the character part."""
     q, m = field.q, n - h
-    nbytes = table_bytes(field, n) + (q**n + 8 * q ** (m - 1) if mode != "character" else 0)
+    nbytes = table_bytes(field, n) + (flag_bytes(field, n) if f == "moebius" else 0)
+    nbytes += q**n + 8 * q ** (m - 1) if mode != "character" else 0
     if mode != "direct" and m >= 2:
         nbytes += route_bytes(field, t_power(field, m)) + 4 * q**n + 16 * q**m
     return nbytes

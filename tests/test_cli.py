@@ -37,6 +37,7 @@ from ffvar.cli import (
     involution_bytes,
     main,
 )
+from ffvar.errors import DEFAULT_BUDGET
 from ffvar.fields import FieldSpec, make_field
 from ffvar.polys import from_coeffs, star
 from ffvar.tables import row_mul
@@ -279,6 +280,38 @@ def test_variance_refuses_past_the_unit_budget_before_sieving(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"budget: cell N=25 h=1 needs {need} bytes, over the budget of {1 << 30}\n"
+
+
+def test_moebius_cell_counts_its_flags_and_refuses_before_sieving(monkeypatch, capsys):
+    # F_3 N=17 h=1 direct: the tables, values and interval sums fit the
+    # 1 GiB default, mu's squarefree flags (1 byte per monic of each degree
+    # <= 17) do not, and the refusal comes before any table is sieved
+    fld = make_field(3)
+    need = ffvar.variance.cell_bytes(fld, 17, 1, "direct", "moebius")
+    assert ffvar.variance.cell_bytes(fld, 17, 1, "direct") <= DEFAULT_BUDGET < need
+    assert need == ffvar.variance.cell_bytes(fld, 17, 1, "direct") + ffvar.tables.flag_bytes(fld, 17)
+    _forbid_routes(monkeypatch)
+    argv = ["variance", "--mode", "direct", "--p", "3", "--N", "17", "--h", "1"]
+    assert main([*argv, "--function", "moebius"]) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"budget: cell N=17 h=1 needs {need} bytes, over the budget of {1 << 30}\n"
+
+
+@pytest.mark.parametrize("function, flags", [("liouville", 1), ("unit", None), ("moebius", 9)])
+def test_only_moebius_builds_squarefree_flags(cold_caches, monkeypatch, capsys, function, flags):
+    # both routes over F_3 to N = 8: lambda reads the tables and builds no
+    # flag past degree 0 (no square is taken), the constant 1 builds no
+    # tables, and mu flags every degree up to N
+    squared = []
+    row_mul = ffvar.tables.row_mul
+    monkeypatch.setattr(ffvar.tables, "row_mul", lambda *a: squared.append(1) or row_mul(*a))
+    argv = ["variance", "--mode", "both", "--p", "3", "--N", "8", "--h", "1:4"]
+    assert main([*argv, "--function", function]) == EXIT_OK
+    capsys.readouterr()
+    tab = ffvar.tables._TABLE_CACHE.get(make_field(3))
+    assert (None if tab is None else len(tab.squarefree)) == flags
+    assert bool(squared) == (function == "moebius")
 
 
 @pytest.mark.parametrize("command", ["variance", "sweep"])

@@ -20,6 +20,7 @@ from ffvar.polys import (
 )
 from ffvar.tables import (
     build_tables,
+    flag_bytes,
     get_tables,
     links_bytes,
     mul_monic_batch,
@@ -105,13 +106,25 @@ def test_liouville_column_sums_match_zeta_identity(f2, f3):
             assert total == (-1) ** n * fld.q ** ((n + 1) // 2)
 
 
-def test_moebius_column_sums_vanish(f2, f3):
-    # 1/zeta = 1 - q x: degree-1 sum is -q, all higher degrees cancel exactly
-    for fld in (f2, f3):
-        tab = build_tables(fld, 6)
-        assert int(tab.moebius_values(1).sum()) == -fld.q
-        for n in range(2, 7):
-            assert int(tab.moebius_values(n).sum()) == 0
+def test_moebius_column_sums_vanish():
+    # 1/zeta = 1 - q x: degree-1 sum is -q, all higher degrees cancel
+    # exactly, and q^n - q^(n-1) monics of each degree n >= 2 are squarefree;
+    # for every q <= 16 up to q^n <= 2^16, the flags read one degree a call
+    # before an extend and many degrees in one call after it
+    for p, k in ALL_FIELDS:
+        fld = make_field(p, k)
+        q = fld.q
+        top = max(n for n in range(1, 17) if q**n <= 1 << 16)
+        tab = build_tables(fld, (top + 1) // 2)
+        reads = [*range(1, tab.max_degree + 1), top, *range(top - 1, tab.max_degree, -1)]
+        for n in reads:
+            if n > tab.max_degree:
+                tab.extend(top)
+            mu = tab.moebius_values(n)
+            assert len(tab.squarefree) == (n if tab.max_degree < top else top) + 1
+            assert int(mu.sum()) == (-q if n == 1 else 0), (q, n)
+            if n >= 2:
+                assert np.count_nonzero(mu) == q**n - q ** (n - 1), (q, n)
 
 
 def test_factor_matches_brute_factor():
@@ -152,9 +165,11 @@ def _poly_squares(fld, d: int, ups) -> np.ndarray:
     return np.array([monic_index(P * P) for P in polys], dtype=np.int64)
 
 
-def _squares_of_the_pass(fld, irreducibles, d: int) -> np.ndarray:
-    """Mantissas of P^2 for every irreducible P of degree d, as the squarefree
-    pass hands them to mul_monic_batch (which is stubbed out here)."""
+def _squares_of_the_pass(fld, d: int) -> np.ndarray:
+    """Mantissas of P^2 for every irreducible P of degree d, as the flags pass
+    of moebius_values(2d) hands them to mul_monic_batch (which is stubbed out
+    for that call, so it marks nothing)."""
+    tab = build_tables(fld, 2 * d)
     built = {}
 
     def record(field, dp, mants, md):
@@ -163,16 +178,17 @@ def _squares_of_the_pass(fld, irreducibles, d: int) -> np.ndarray:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tables_module, "mul_monic_batch", record)
-        list(tables_module._products(fld, irreducibles, 2 * d, {}))
+        tab.moebius_values(2 * d)
     return built[2 * d]
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
 def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
     # up to 8 irreducible P of each degree 1..4 (all of them for q = 2)
-    # and their squares as the squarefree pass builds them, one batch per
-    # degree, for every md with q^md <= 2^14 against the one-shot ring
-    # product per P, so overlaps of several digits carry for each p and k.
+    # and their squares (the flags pass builds the same ones, checked where
+    # q^(2 deg P) <= 2^20), one batch per degree, for every md with
+    # q^md <= 2^14 against the one-shot ring product per P, so overlaps of
+    # several digits carry for each p and k.
     # A _CHUNK of half of one P's products spreads it over several blocks;
     # the default one puts several P in one block. Either way the blocks
     # run in (P, M) order.
@@ -184,8 +200,9 @@ def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
     for dp in (1, 2, 3, 4):
         ups = np.sort(rng.permutation(tab.irreducibles[dp])[:8])
         squares = _poly_squares(fld, dp, ups)
-        built = _squares_of_the_pass(fld, tab.irreducibles, dp)
-        assert np.array_equal(built[np.searchsorted(tab.irreducibles[dp], ups)], squares)
+        if q ** (2 * dp) <= 1 << 20:
+            built = _squares_of_the_pass(fld, dp)
+            assert np.array_equal(built[np.searchsorted(tab.irreducibles[dp], ups)], squares)
         batches += [(dp, ups), (2 * dp, squares)]
     seen = set()
     for dp, ups in batches:
@@ -255,15 +272,16 @@ def _code(f: Poly) -> int:
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4)], ids=["2", "4", "8", "16"])
 def test_binary_shift_products_and_squares_match_poly_products(p, k):
     # over F_2^k: P * L for every L of degree < a from shifts and XORs, and
-    # P^2 as the squarefree pass builds it, against Poly products
+    # P^2 as the flags pass builds it (where q^(2d) <= 2^20), against Poly products
     fld = make_field(p, k)
     q = fld.q
     tab = build_tables(fld, 4)
     for d in range(1, 5):
         ups = tab.irreducibles[d][:6]
         polys = [monic_from_index(fld, d, int(up)) for up in ups]
-        squares = _squares_of_the_pass(fld, tab.irreducibles, d)[:6]
-        assert np.array_equal(squares, _poly_squares(fld, d, ups))
+        if q ** (2 * d) <= 1 << 20:
+            squares = _squares_of_the_pass(fld, d)[:6]
+            assert np.array_equal(squares, _poly_squares(fld, d, ups))
         for a in range(4):
             if q**a > 1 << 12:
                 break
@@ -398,13 +416,15 @@ def _same_arrays(got, want) -> bool:
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
 def test_batched_sieve_matches_the_per_p_loop(p, k):
-    # every degree with q^m <= 2^16 for the tables and factor links; the
-    # window pairs run one per-P product per irreducible of every degree up
-    # to m, so they are compared up to q^m <= 2^12
+    # every degree with q^m <= 2^16 for the tables (the squarefree flags
+    # once mu is read) and factor links; the window pairs run one per-P
+    # product per irreducible of every degree up to m, so they are compared
+    # up to q^m <= 2^12
     fld = make_field(p, k)
     q = fld.q
     top = max(n for n in range(1, 17) if q**n <= 1 << 16)
     tab = build_tables(fld, top)
+    tab.moebius_values(top)
     want = _per_p_tables(fld, top)
     got = (tab.big_omega, tab.squarefree, tab.max_factor_degree, tab.irreducibles)
     for got_group, want_group in zip(got, want):
@@ -571,12 +591,16 @@ def test_get_tables_reuses_and_extends(f2):
 def test_get_tables_extends_in_place(f3, monkeypatch):
     monkeypatch.setattr(tables_module, "_TABLE_CACHE", {})
     tab = get_tables(f3, 3)
-    links = tab.factor_links(3)
+    links, mu = tab.factor_links(3), tab.moebius_values(3)
     earlier = [list(group) for group in (tab.big_omega, tab.squarefree,
                                          tab.max_factor_degree, tab.irreducibles)]
     assert get_tables(f3, 5) is tab and tab.max_degree == 5
     assert tab.factor_links(3) is links
+    assert len(tab.squarefree) == 4  # an extend builds no flags
+    assert np.array_equal(tab.moebius_values(3), mu)
     fresh = build_tables(f3, 5)
+    for tables in (tab, fresh):
+        tables.moebius_values(5)
     for old, group, want in zip(
         earlier,
         (tab.big_omega, tab.squarefree, tab.max_factor_degree, tab.irreducibles),
@@ -592,25 +616,38 @@ def test_get_tables_extends_in_place(f3, monkeypatch):
     assert tab.max_degree == 5
 
 
+def _traced(fn, *args):
+    """(fn(*args), its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_build_tables_scratch_memory_stays_bounded(cold_caches):
     # the product pass emits blocks of at most _CHUNK products, never a q^md
-    # array, so a build peaks within 2 MiB of the tables it keeps, and
-    # within the estimate that the budget gate reads; F_3 to degree 13, F_7
-    # to 6 and F_9 to 6 carry up to 6 overlap digits, one step each
+    # array, so a build peaks within 1 MiB of the tables it keeps and the
+    # top degree's q^n byte mask of unwritten entries (counted by
+    # table_bytes), and within the estimate that the budget gate reads; F_3
+    # to degree 13, F_7 to 6 and F_9 to 6 carry up to 6 overlap digits, one
+    # step each. The flags pass of moebius_values(n) keeps the same two
+    # bounds against flag_bytes, less the mu values it returns
     sizes = (((2, 1), 18), ((3, 1), 11), ((3, 1), 13), ((2, 2), 8), ((5, 1), 8), ((7, 1), 6),
              ((3, 2), 6), ((2, 4), 5))
+    blocks = tables_module._SIEVE_SCRATCH // 2
     for (p, k), n in sizes:
         fld = make_field(p, k)
-        tracemalloc.start()
-        try:
-            tab = build_tables(fld, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tab, peak = _traced(build_tables, fld, n)
         groups = (tab.big_omega, tab.squarefree, tab.max_factor_degree, tab.irreducibles)
         held = sum(a.nbytes for group in groups for a in group)
-        assert peak - held <= 2 << 20, (fld.q, n, peak - held)
+        assert peak - held - fld.q**n <= blocks, (fld.q, n, peak - held - fld.q**n)
         assert peak <= table_bytes(fld, n), (fld.q, n, peak)
+        mu, peak = _traced(tab.moebius_values, n)
+        held = sum(a.nbytes for a in tab.squarefree)
+        assert peak - held - mu.nbytes <= blocks, (fld.q, n, peak - held - mu.nbytes)
+        assert peak - mu.nbytes <= flag_bytes(fld, n), (fld.q, n, peak)
 
 
 def test_build_tables_budget(f2):
@@ -623,25 +660,67 @@ def test_build_tables_budget(f2):
         assert build_tables(f2, 12).max_degree == 12
 
 
+def test_moebius_flags_budget(f2):
+    # the flags gate reads flag_bytes before anything is allocated: one byte
+    # short refuses with no flag built, the estimate builds every degree
+    tab = build_tables(f2, 16)
+    need = flag_bytes(f2, 16)
+    message = f"^squarefree flags to degree 16 needs {need} bytes, over the budget of {need - 1}$"
+    tracemalloc.start()
+    try:
+        with budget(need - 1), pytest.raises(BudgetError, match=message):
+            tab.moebius_values(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tab.squarefree) == 1 and peak < 2**16 // 4  # degree 16's flags alone: 2^16
+    with budget(need):
+        assert int(tab.moebius_values(16).sum()) == 0
+    assert len(tab.squarefree) == 17
+
+
+def test_moebius_past_the_tables_raises_before_building(f3, monkeypatch):
+    # mu past max_degree raises as lambda does, with no gate read and no flag built
+    tab = build_tables(f3, 4)
+    monkeypatch.setattr(tables_module, "check_budget", lambda *a: pytest.fail("gate read"))
+    for read in (tab.liouville_values, tab.moebius_values):
+        with pytest.raises(IndexError):
+            read(5)
+    assert len(tab.squarefree) == 1
+
+
 def test_the_sieve_squares_each_degree_once(f2, monkeypatch):
-    # build_tables(F_2, 18) marks P^2 M for every P of degree 1..9: one
-    # row_mul batch of squares per degree, not one per (degree, m)
-    calls = []
-    row_mul = tables_module.row_mul
-    monkeypatch.setattr(tables_module, "row_mul", lambda *a: calls.append(1) or row_mul(*a))
-    build_tables(f2, 18)
-    assert len(calls) == 9
+    # build_tables(F_2, 18) runs one mul_monic_batch call per (m, d <= m/2)
+    # and squares nothing: no row_mul call, no flag past degree 0. The first
+    # moebius_values(18) marks P^2 M for every P of degree 1..9: one row_mul
+    # batch of squares per degree, not one per (degree, m); reading mu again
+    # builds nothing
+    calls = {"row_mul": 0, "mul_monic_batch": 0}
+    for name in calls:
+        wrapped = getattr(tables_module, name)
+        monkeypatch.setattr(tables_module, name, lambda *a, name=name, wrapped=wrapped: (
+            calls.__setitem__(name, calls[name] + 1) or wrapped(*a)))
+    tab = build_tables(f2, 18)
+    assert calls == {"row_mul": 0, "mul_monic_batch": sum(m // 2 for m in range(19))}
+    assert len(tab.squarefree) == 1
+    tab.moebius_values(18)
+    assert calls["row_mul"] == 9 and len(tab.squarefree) == 19
+    tab.moebius_values(18), tab.moebius_values(7)
+    assert calls["row_mul"] == 9
 
 
 def test_table_bytes_is_its_closed_form():
-    # 3 bytes per monic (a geometric sum), 8 per irreducible bound q^m/m, and
-    # the top degree's mask, irreducible indices and blocks
+    # 2 bytes per monic (a geometric sum), 8 per irreducible bound q^m/m, and
+    # the top degree's mask, irreducible indices and blocks; the flags, 1
+    # byte per monic, 24 per monic of degree n/2 and the blocks
     for q, (p, k) in ((2, (2, 1)), (3, (3, 1)), (16, (2, 4))):
         fld = make_field(p, k)
         for n in range(1, 61):
-            held = 3 * q * (q**n - 1) // (q - 1) + sum(8 * q**m // m for m in range(1, n + 1))
+            held = 2 * q * (q**n - 1) // (q - 1) + sum(8 * q**m // m for m in range(1, n + 1))
             want = held + q**n + 8 * q**n // n + tables_module._SIEVE_SCRATCH
             assert table_bytes(fld, n) == want, (q, n)
+            flags = sum(q**m for m in range(n + 1)) + 24 * q ** (n // 2)
+            assert flag_bytes(fld, n) == flags + tables_module._SIEVE_SCRATCH, (q, n)
     assert table_bytes(make_field(2), 0) == table_bytes(make_field(2), 1)
 
 

@@ -442,7 +442,7 @@ def test_decomposition_rejects_bad_window(f2):
 @pytest.mark.parametrize("p, n, h", [(2, 16, 1), (2, 16, 2), (3, 10, 1)])
 def test_cell_bytes_cover_the_route_peak(cold_caches, p, n, h, mode):
     # the estimate the CLI checks per cell is at least what the cell's
-    # routes peak at, tables and basis built from cold
+    # routes peak at, tables, mu's squarefree flags and basis built from cold
     fld = make_field(p)
     peak = traced_peak(lambda: list(variance_reports(fld, "moebius", n, [h], mode=mode)))
-    assert peak <= cell_bytes(fld, n, h, mode)
+    assert peak <= cell_bytes(fld, n, h, mode, "moebius")
