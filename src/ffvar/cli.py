@@ -74,7 +74,7 @@ def _reports(fld: FieldSpec, f: str, mode: str, ns: range,
     against the budget before the first route runs."""
     for n in ns:
         for h in hs(n):
-            check_budget(variance.cell_bytes(fld, n, h, mode, f), "cell N={} h={}", n, h)
+            check_budget(variance.cell_bytes(fld, f, n, h, mode), "cell N={} h={}", n, h)
     return [rep for n in ns for rep in variance.variance_reports(fld, f, n, hs(n), mode=mode)]
 
 
@@ -135,8 +135,19 @@ def cmd_variance(args: argparse.Namespace) -> int:
         need = "0 <= h <= N-2" if args.mode == "character" else "0 <= h < N"
         raise PreconditionError(f"no feasible (N, h) pairs in the grid (need {need})")
     reports = _reports(fld, args.function, args.mode, ns, hs)
-    rows = [(r.q, r.n, r.h, r.function, r.direct, r.charside, r.abs_gap, r.theorem_ratio)
-            for r in reports]
+    rows = [
+        (
+            rep.q,
+            rep.n,
+            rep.h,
+            rep.function,
+            rep.direct,
+            rep.charside,
+            rep.abs_gap,
+            rep.theorem_ratio,
+        )
+        for rep in reports
+    ]
     _write_rows(args, VARIANCE_HEADER, rows)
     return _gap_exit(reports, args.tolerance)
 

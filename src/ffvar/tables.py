@@ -158,6 +158,14 @@ def row_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squares(field: FieldSpec, d: int, ups: np.ndarray) -> np.ndarray:
+    """Mantissas of P^2 for the monic P of degree d with mantissas `ups`: P^2
+    is monic, so its mantissa is its 2d low coefficients, from one row_mul."""
+    q = field.q
+    coeffs = ((ups[:, None] + q**d) // q ** np.arange(d + 1) % q).astype(np.uint8)
+    return row_mul(field, coeffs, coeffs)[:, :-1] @ q ** np.arange(2 * d)
+
+
 class ArithTables:
     """The tables of `field` (the module docstring) for degrees 0..max_degree: built
     holding degree 0, the one monic 1 with no factor, and grown in place by extend.
@@ -253,10 +261,8 @@ class ArithTables:
         if first <= n:
             check_budget(flag_bytes(self.field, n), "squarefree flags to degree {}", n)
             flags = [np.ones(q**m, dtype=bool) for m in range(first, n + 1)]
-            for d in range(1, n // 2 + 1):  # P^2 is monic: its mantissa, its 2d low coefficients
-                ups = self.irreducibles[d]
-                coeffs = ((ups[:, None] + q**d) // q ** np.arange(d + 1) % q).astype(np.uint8)
-                squares = row_mul(self.field, coeffs, coeffs)[:, :-1] @ q ** np.arange(2 * d)
+            for d in range(1, n // 2 + 1):
+                squares = _squares(self.field, d, self.irreducibles[d])
                 for m in range(max(first, 2 * d), n + 1):
                     for *_, block in mul_monic_batch(self.field, 2 * d, squares, m - 2 * d):
                         flags[m - first][block] = False

@@ -239,9 +239,9 @@ def variance_reports(
         )
 
 
-def cell_bytes(field: FieldSpec, n: int, h: int, mode: str = "both", f: str = "liouville") -> int:
-    """Byte estimate of one cell of variance_reports for `f` or a sweep row: the
-    tables, and for moebius their squarefree flags; direct, a copy of the values
+def cell_bytes(field: FieldSpec, f: str, n: int, h: int, mode: str = "both") -> int:
+    """Byte estimate of one cell of variance_reports for `f`, or of a sweep row
+    (liouville): the tables, and for moebius their squarefree flags; direct, a copy of the values
     and the interval sums; character (h <= n-2), route_bytes mod t^(n-h) (basis
     and transform), the weights, fold and masks. A sweep row's window sums
     (bounds.window_sum_bytes) need less than the character part."""

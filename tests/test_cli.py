@@ -273,8 +273,8 @@ def test_variance_refuses_past_the_unit_budget_before_sieving(monkeypatch, capsy
     # F_2 N=25 h=1: the basis and transform mod t^24 put the cell past the
     # 1 GiB default (the direct route alone would fit); the refusal comes
     # before the sieve extends any table and before any basis is built
-    need = ffvar.variance.cell_bytes(make_field(2), 25, 1)
-    assert ffvar.variance.cell_bytes(make_field(2), 25, 1, "direct") < 1 << 30 < need
+    need = ffvar.variance.cell_bytes(make_field(2), "liouville", 25, 1)
+    assert ffvar.variance.cell_bytes(make_field(2), "liouville", 25, 1, "direct") < 1 << 30 < need
     _forbid_routes(monkeypatch)
     assert main(["variance", "--N", "25", "--h", "1"]) == EXIT_BUDGET
     out, err = capsys.readouterr()
@@ -287,9 +287,9 @@ def test_moebius_cell_counts_its_flags_and_refuses_before_sieving(monkeypatch, c
     # 1 GiB default, mu's squarefree flags (1 byte per monic of each degree
     # <= 17) do not, and the refusal comes before any table is sieved
     fld = make_field(3)
-    need = ffvar.variance.cell_bytes(fld, 17, 1, "direct", "moebius")
-    assert ffvar.variance.cell_bytes(fld, 17, 1, "direct") <= DEFAULT_BUDGET < need
-    assert need == ffvar.variance.cell_bytes(fld, 17, 1, "direct") + ffvar.tables.flag_bytes(fld, 17)
+    lam = ffvar.variance.cell_bytes(fld, "liouville", 17, 1, "direct")
+    need = ffvar.variance.cell_bytes(fld, "moebius", 17, 1, "direct")
+    assert lam <= DEFAULT_BUDGET < need == lam + ffvar.tables.flag_bytes(fld, 17)
     _forbid_routes(monkeypatch)
     argv = ["variance", "--mode", "direct", "--p", "3", "--N", "17", "--h", "1"]
     assert main([*argv, "--function", "moebius"]) == EXIT_BUDGET
@@ -318,7 +318,7 @@ def test_only_moebius_builds_squarefree_flags(cold_caches, monkeypatch, capsys, 
 def test_grid_refuses_its_last_cell_before_any_route(monkeypatch, capsys, command):
     # every cell's estimate is checked first: one byte short for the last
     # cell stops the grid with nothing sieved, built or written
-    need = ffvar.variance.cell_bytes(make_field(2), 12, 2)
+    need = ffvar.variance.cell_bytes(make_field(2), "liouville", 12, 2)
     grid = [command, "--N", "10:12", "--h", "2"]
     _forbid_routes(monkeypatch)
     tracemalloc.start()
@@ -388,7 +388,7 @@ def test_cell_bytes_cover_a_sweep_row(cold_caches, capsys, p, n, h):
     # one row from cold: the tables, both variance routes and both window sums
     peak = traced_peak(main, ["sweep", "--p", str(p), "--N", str(n), "--h", str(h)])
     capsys.readouterr()
-    assert peak <= ffvar.variance.cell_bytes(make_field(p), n, h)
+    assert peak <= ffvar.variance.cell_bytes(make_field(p), "liouville", n, h)
 
 
 def test_sweep_json(capsys):

@@ -165,30 +165,12 @@ def _poly_squares(fld, d: int, ups) -> np.ndarray:
     return np.array([monic_index(P * P) for P in polys], dtype=np.int64)
 
 
-def _squares_of_the_pass(fld, d: int) -> np.ndarray:
-    """Mantissas of P^2 for every irreducible P of degree d, as the flags pass
-    of moebius_values(2d) hands them to mul_monic_batch (which is stubbed out
-    for that call, so it marks nothing)."""
-    tab = build_tables(fld, 2 * d)
-    built = {}
-
-    def record(field, dp, mants, md):
-        built[dp] = mants
-        return iter(())
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tables_module, "mul_monic_batch", record)
-        tab.moebius_values(2 * d)
-    return built[2 * d]
-
-
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
 def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
     # up to 8 irreducible P of each degree 1..4 (all of them for q = 2)
-    # and their squares (the flags pass builds the same ones, checked where
-    # q^(2 deg P) <= 2^20), one batch per degree, for every md with
-    # q^md <= 2^14 against the one-shot ring product per P, so overlaps of
-    # several digits carry for each p and k.
+    # and their squares as the flags pass builds them, one batch per
+    # degree, for every md with q^md <= 2^14 against the one-shot ring
+    # product per P, so overlaps of several digits carry for each p and k.
     # A _CHUNK of half of one P's products spreads it over several blocks;
     # the default one puts several P in one block. Either way the blocks
     # run in (P, M) order.
@@ -200,9 +182,8 @@ def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
     for dp in (1, 2, 3, 4):
         ups = np.sort(rng.permutation(tab.irreducibles[dp])[:8])
         squares = _poly_squares(fld, dp, ups)
-        if q ** (2 * dp) <= 1 << 20:
-            built = _squares_of_the_pass(fld, dp)
-            assert np.array_equal(built[np.searchsorted(tab.irreducibles[dp], ups)], squares)
+        built = tables_module._squares(fld, dp, tab.irreducibles[dp])
+        assert np.array_equal(built[np.searchsorted(tab.irreducibles[dp], ups)], squares)
         batches += [(dp, ups), (2 * dp, squares)]
     seen = set()
     for dp, ups in batches:
@@ -272,16 +253,15 @@ def _code(f: Poly) -> int:
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4)], ids=["2", "4", "8", "16"])
 def test_binary_shift_products_and_squares_match_poly_products(p, k):
     # over F_2^k: P * L for every L of degree < a from shifts and XORs, and
-    # P^2 as the flags pass builds it (where q^(2d) <= 2^20), against Poly products
+    # P^2 as the flags pass builds it, against Poly products
     fld = make_field(p, k)
     q = fld.q
     tab = build_tables(fld, 4)
     for d in range(1, 5):
         ups = tab.irreducibles[d][:6]
         polys = [monic_from_index(fld, d, int(up)) for up in ups]
-        if q ** (2 * d) <= 1 << 20:
-            squares = _squares_of_the_pass(fld, d)[:6]
-            assert np.array_equal(squares, _poly_squares(fld, d, ups))
+        squares = tables_module._squares(fld, d, tab.irreducibles[d])[:6]
+        assert np.array_equal(squares, _poly_squares(fld, d, ups))
         for a in range(4):
             if q**a > 1 << 12:
                 break

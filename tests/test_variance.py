@@ -445,4 +445,4 @@ def test_cell_bytes_cover_the_route_peak(cold_caches, p, n, h, mode):
     # routes peak at, tables, mu's squarefree flags and basis built from cold
     fld = make_field(p)
     peak = traced_peak(lambda: list(variance_reports(fld, "moebius", n, [h], mode=mode)))
-    assert peak <= cell_bytes(fld, n, h, mode, "moebius")
+    assert peak <= cell_bytes(fld, "moebius", n, h, mode)
