@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -56,21 +56,22 @@ class BoundReport(Record):
 
 
 def _mvt_reports(
-    field: FieldSpec, modulus: Poly, n: int, rows: int, draws: Iterable[np.ndarray]
+    field: FieldSpec, modulus: Poly, n: int, rows: int, draws: Callable[[np.ndarray], Iterable]
 ) -> list[BoundReport]:
-    """The mean value theorem on `rows` coefficient vectors from `draws`, each
-    indexed by the mantissas of the monics of degree n: each vector is folded
-    by its residues mod Q into one row, and one transform sums every row."""
+    """The mean value theorem on `rows` coefficient vectors from draws(units),
+    each at the mantissas `units` of the monics of degree n prime to Q alone:
+    each is folded by its residues into one row, one transform sums them."""
     q, m = field.q, modulus.degree
     basis = unit_group_basis(field, modulus)
     codes = reduce_monic_mod(field, modulus, n, np.arange(q**n))
-    units = np.isin(codes, basis.unit_codes, kind="table")
+    units = np.flatnonzero(np.isin(codes, basis.unit_codes, kind="table"))
+    codes = codes[units]
     folded = np.empty((rows, q**m), dtype=np.complex128)
     diag = np.empty(rows)
-    for i, coeffs in enumerate(draws):
+    for i, coeffs in enumerate(draws(units)):
         folded[i] = np.bincount(codes, coeffs.real, q**m)
         folded[i] += 1j * np.bincount(codes, coeffs.imag, q**m)
-        diag[i] = np.sum(np.abs(coeffs[units]) ** 2)
+        diag[i] = np.sum(np.abs(coeffs) ** 2)
     sums = character_sums(basis, folded)
     scale = q ** (n - m) if n >= m else 1.0 / q ** (m - n)
     reports = []
@@ -89,7 +90,7 @@ def mvt_check(field: FieldSpec, modulus: Poly, n: int, coeffs: np.ndarray) -> Bo
     if len(coeffs) != field.q**n:
         raise PreconditionError(f"need q^n = {field.q**n} coefficients, got {len(coeffs)}")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    return _mvt_reports(field, modulus, n, 1, [coeffs])[0]
+    return _mvt_reports(field, modulus, n, 1, lambda units: [coeffs[units]])[0]
 
 
 def mvt_trial(
@@ -114,14 +115,14 @@ def mvt_trial(
     check_budget(nbytes, "mvt of {} draws of {} coefficients", trials, size)
     rng = np.random.default_rng(seed)
 
-    def draws() -> Iterator[np.ndarray]:
-        for _ in range(trials):
+    def draws(units: np.ndarray) -> Iterator[np.ndarray]:
+        for _ in range(trials):  # one full draw a trial keeps the stream
             if distribution == "signs":
-                yield (rng.integers(0, 2, size=size) * 2 - 1).astype(np.complex128)
+                yield (rng.integers(0, 2, size=size)[units] * 2 - 1).astype(np.complex128)
             else:
-                yield np.exp(2j * np.pi * rng.random(size))
+                yield np.exp(2j * np.pi * rng.random(size)[units])
 
-    reports = _mvt_reports(field, modulus, n, trials, draws())
+    reports = _mvt_reports(field, modulus, n, trials, draws)
     for trial, report in enumerate(reports):
         report.params.update(trial=trial, seed=seed, distribution=distribution)
     return reports

@@ -5,8 +5,9 @@ by CRT, the product over P^e || Q (d = deg P, R = Q/P^e) of a cyclic group of
 order q^d - 1 and the principal units mod P^e, which 1 + w P^j R generate
 independently for 1 <= j < e, p not dividing j, and w over an F_p-basis of
 the polynomials of degree < d; each has order p^s, s least with j p^s >= e.
-The generators are found and the units spanned on the multiplication maps
-of tables.ResidueRing, block by block, and listed in grid order: the
+Mod t^m they are written down and spanned by shift-and-add (Rosen, ch. 4);
+for any other Q found and spanned on the multiplication maps of
+tables.ResidueRing. Either way the units are listed in grid order: the
 discrete log of the unit at position i is the exponent vector of flat index i
 in a C-order grid shaped like the group, so it is never stored. A character
 is an exponent vector too, one grid cell, numbered the same way; its values are
@@ -23,6 +24,7 @@ gives every character at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -41,22 +43,17 @@ class UnitGroupBasis:
     """Direct-product decomposition of (F_q[t]/Q)^* with discrete logs:
     unit_codes[i] is the unit whose exponent vector over the generators has
     C-order flat index i in a grid of shape `orders` (a bijection of range(phi)
-    onto the units)."""
+    onto the units, checked to hold no code twice)."""
 
-    def __init__(
-        self,
-        field: FieldSpec,
-        modulus: Poly,
-        generators: tuple[int, ...],
-        orders: tuple[int, ...],
-        unit_codes: np.ndarray,
-    ):
-        self.field = field
-        self.modulus = modulus
-        self.generators = generators
-        self.orders = orders
+    def __init__(self, field: FieldSpec, modulus: Poly, generators: tuple[int, ...],
+                 orders: tuple[int, ...], unit_codes: np.ndarray):
+        self.field, self.modulus, self.generators, self.orders = field, modulus, generators, orders
         self.exponent = math.lcm(*orders) if orders else 1
         self.unit_codes = unit_codes
+        seen = np.zeros(field.q**modulus.degree, dtype=bool)
+        seen[unit_codes] = True
+        if np.count_nonzero(seen) != len(unit_codes):
+            raise AssertionError("span extension collided; basis invariant broken")
 
     @property
     def phi(self) -> int:
@@ -84,9 +81,13 @@ def _phi_bound(field: FieldSpec, modulus: Poly) -> int:
 
 
 def basis_bytes(field: FieldSpec, modulus: Poly) -> int:
-    """Peak bytes of building the basis mod Q: 40 per unit for the span as it
-    doubles (16 measured mod t^m; other Q add factor tables, to 33)."""
-    return 40 * _phi_bound(field, modulus) + _SCRATCH
+    """Peak bytes of building the basis mod Q: mod t^m, 16 per unit for the
+    codes and a temporary, m more for the digit rows when q > 2 (12 and m + 8
+    to m + 13 measured); for any other Q, 40 for the ring's span as it
+    doubles, with its factor tables (33 measured)."""
+    m = modulus.degree
+    per_unit = 16 + m * (field.q > 2) if modulus == t_power(field, m) else 40
+    return per_unit * _phi_bound(field, modulus) + _SCRATCH
 
 
 def transform_bytes(field: FieldSpec, modulus: Poly, rows: int = 1) -> int:
@@ -103,11 +104,64 @@ def route_bytes(field: FieldSpec, modulus: Poly) -> int:
 
 
 def unit_group_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
-    """The basis mod Q, built on each call; none is cached."""
+    """The basis mod Q, built on each call; none is cached: mod t^m from its
+    written-down generators, on the residue ring otherwise."""
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
     check_budget(basis_bytes(field, modulus), "unit group mod {}", modulus)
+    if modulus == t_power(field, modulus.degree):
+        return _t_power_basis(field, modulus)
     return _structural_basis(field, modulus)
+
+
+def _t_power_generators(field: FieldSpec, m: int) -> list[tuple[int, int, int, int]]:
+    """(code, order, w, j) of each generator 1 + w t^j mod t^m: the first 1 + z
+    that is a primitive constant (j = 0; none for q = 2), then 1 + x^i t^j for
+    i < k and p not dividing j, of order p^s, s least with j p^s >= m."""
+    q, p = field.q, field.p
+    gens = []
+    if q > 2:  # c is primitive when c, c^2, ..., c^(q-1) are q - 1 constants
+        c = next(c for c in map(field.add, [1] * q, range(1, q))
+                 if len(set(itertools.accumulate([c] * (q - 1), field.mul))) == q - 1)
+        gens.append((c, q - 1, field.sub(c, 1), 0))
+    for j in filter(lambda j: j % p, range(1, m)):
+        order = p ** next(s for s in itertools.count() if j * p**s >= m)
+        gens += [(1 + p**i * q**j, order, p**i, j) for i in range(field.k)]
+    return gens
+
+
+def _t_power_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
+    """The span of _t_power_generators with no ring: by y = 1 + w t^j of order
+    e it grows by e - 1 blocks, each the last times y (p - 1 blocks, then y
+    steps to y^p = 1 + w^p t^(jp)). Over F_2 it is codes, u y = u ^ (u << j);
+    else one uint8 row per coefficient, and u y adds w times the rows j lower."""
+    q, p, m = field.q, field.p, modulus.degree
+    gens = _t_power_generators(field, m)
+    phi, size = math.prod(e for _, e, *_ in gens), 1
+    span = np.ones(phi, np.int64) if q == 2 else np.eye(m, phi, dtype=np.uint8)  # column 0 is 1
+    for _, e, w, j in reversed(gens):
+        while e > 1:
+            step = p if e % p == 0 else e  # the constant's e - 1 blocks at once
+            for a in range(1, step):
+                old, new = span[..., (a - 1) * size : a * size], span[..., a * size : (a + 1) * size]
+                if q == 2:
+                    np.bitwise_xor(old, old << j & (1 << m) - 1, out=new)
+                    continue
+                new[:j], times = old[:j], old[: m - j] if w == 1 else field.mul_table[w][old[: m - j]]
+                if p == 2:
+                    np.bitwise_xor(old[j:], times, out=new[j:])
+                elif field.k == 1:  # digits below p: the sum, less p where it reaches p
+                    np.add(old[j:], times, out=new[j:])
+                    np.minimum(new[j:], new[j:] - p, out=new[j:])
+                else:
+                    new[j:] = field.add_table[old[j:], times]
+            size, e, j, w = size * step, e // step, j * p, functools.reduce(field.mul, [w] * p)
+    codes = span if q == 2 else span[-1].astype(np.int64)
+    for row in span[-2::-1] if q > 2 else ():  # Horner over the coefficient rows
+        codes *= q
+        codes += row
+    generators, orders = tuple(y for y, *_ in gens), tuple(e for _, e, *_ in gens)
+    return UnitGroupBasis(field, modulus, generators, orders, codes)
 
 
 def _generators(field: FieldSpec, modulus: Poly, ring: ResidueRing) -> list[tuple]:
@@ -116,9 +170,7 @@ def _generators(field: FieldSpec, modulus: Poly, ring: ResidueRing) -> list[tupl
     at once through chains of ResidueRing.powers."""
     q, p, k, m = field.q, field.p, field.k, modulus.degree
     n, one = len(ring.place), np.eye(len(ring.place))
-    factors = [(1, 0, m)]  # (deg P, mantissa of P, e) for each P^e || Q
-    if modulus != t_power(field, m):
-        factors = factor_mantissas(field, m, monic_index(modulus))
+    factors = factor_mantissas(field, m, monic_index(modulus))  # (deg P, mantissa of P, e)
     # one chain on the maps of the P (P = Q is 0 mod Q) gives each P^e and
     # the P^j of the principal units, j < e prime to p; R = Q / P^e is the
     # product of the other factors' P^e
@@ -199,12 +251,9 @@ def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
             if len(span) < size:
                 step = ring.mod(step @ step)
     codes = span.astype(np.int64) @ ring.place if span.ndim == 2 else span
-    seen = np.zeros(field.q**modulus.degree, dtype=bool)
-    seen[codes] = True
-    if np.count_nonzero(seen) != len(codes):
-        raise AssertionError("span extension collided; basis invariant broken")
     generators, orders = tuple(y for y, *_ in gens), tuple(e for _, e, _ in gens)
     return UnitGroupBasis(field, modulus, generators, orders, codes)
+
 
 
 def enumerate_characters(basis: UnitGroupBasis) -> np.ndarray:

@@ -241,12 +241,12 @@ def variance_reports(
 
 def cell_bytes(field: FieldSpec, f: str, n: int, h: int, mode: str = "both") -> int:
     """Byte estimate of one cell of variance_reports for `f`, or of a sweep row
-    (liouville): the tables, and for moebius their squarefree flags; direct, a copy of the values
+    (liouville): the tables but for unit, and for moebius their flags; direct, a copy of the values
     and the interval sums; character (h <= n-2), route_bytes mod t^(n-h) (basis
     and transform), the weights, fold and masks. A sweep row's window sums
     (bounds.window_sum_bytes) need less than the character part."""
     q, m = field.q, n - h
-    nbytes = table_bytes(field, n) + (flag_bytes(field, n) if f == "moebius" else 0)
+    nbytes = (table_bytes(field, n) if f != "unit" else 0) + (flag_bytes(field, n) if f == "moebius" else 0)
     nbytes += q**n + 8 * q ** (m - 1) if mode != "character" else 0
     if mode != "direct" and m >= 2:
         nbytes += route_bytes(field, t_power(field, m)) + 4 * q**n + 16 * q**m

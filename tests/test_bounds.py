@@ -160,6 +160,45 @@ def test_mvt_trial_budget_refusal_is_a_budget_error(f2, cold_caches):
     assert peak <= need
 
 
+def _full_fold_mvt_reports(fld, modulus, n, seed, trials, distribution):
+    """The mvt trial reports from whole draws: each trial's q^n coefficients,
+    non-units included, folded by residue, the diagonal read through a unit
+    mask; the draws, fold and transform otherwise as mvt_trial makes them."""
+    q, m = fld.q, modulus.degree
+    basis = unit_group_basis(fld, modulus)
+    codes = reduce_monic_mod(fld, modulus, n, np.arange(q**n))
+    units = np.isin(codes, basis.unit_codes)
+    rng = np.random.default_rng(seed)
+    folded, diag = np.empty((trials, q**m), dtype=complex), np.empty(trials)
+    for i in range(trials):
+        if distribution == "signs":
+            coeffs = (rng.integers(0, 2, size=q**n) * 2 - 1).astype(complex)
+        else:
+            coeffs = np.exp(2j * np.pi * rng.random(q**n))
+        folded[i] = np.bincount(codes, coeffs.real, q**m)
+        folded[i] += 1j * np.bincount(codes, coeffs.imag, q**m)
+        diag[i] = np.sum(np.abs(coeffs[units]) ** 2)
+    sums = characters_module.character_sums(basis, folded)
+    scale = q ** (n - m) if n >= m else 1.0 / q ** (m - n)
+    return [(float(np.sum(row.real**2 + row.imag**2)), 2.0 * basis.phi * (scale + 1.0) * float(d))
+            for row, d in zip(sums, diag)]
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_mvt_trial_reports_equal_the_full_fold_bitwise(p, k):
+    # the draws gathered at the units before the exponential, the fold and
+    # the diagonal report what the whole draws report, to the last bit: mod
+    # t^m with n >= m and n < m, and mod a general Q
+    fld = make_field(p, k)
+    moduli = [(t_power(fld, 2), 4), (t_power(fld, 3), 2), (from_coeffs(fld, [1, 1, 1]), 3)]
+    for modulus, n in moduli:
+        for distribution in ("signs", "phases"):
+            reports = mvt_trial(fld, modulus, n, seed=5, trials=7, distribution=distribution)
+            want = _full_fold_mvt_reports(fld, modulus, n, 5, 7, distribution)
+            assert [(r.lhs, r.rhs) for r in reports] == want, (modulus, n, distribution)
+            assert all(r.passed for r in reports)
+
+
 def test_mvt_short_side(f2):
     # n below deg Q exercises the q^(n - deg Q) < 1 branch
     coeffs = np.zeros(4, dtype=np.complex128)
@@ -492,7 +531,8 @@ def test_window_sums_build_no_basis(f3, monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a window sum built a basis")
 
-    monkeypatch.setattr(characters_module, "_structural_basis", built)
+    for builder in ("_t_power_basis", "_structural_basis"):
+        monkeypatch.setattr(characters_module, builder, built)
     assert large_factor_sum_ratio(f3, 6, 6, 2).lhs > 0
     assert smooth_sum_ratio(f3, 6, 6, 2).lhs > 0
 

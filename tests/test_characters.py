@@ -26,6 +26,7 @@ from conftest import (
     traced_peak,
 )
 from ffvar import characters as characters_module
+from ffvar import tables as tables_module
 from ffvar.arith import factor, sieve_irreducibles
 from ffvar.characters import (
     basis_bytes,
@@ -220,15 +221,17 @@ def test_dlog_is_a_homomorphism_by_poly_arithmetic(q, data):
 
 
 def test_no_basis_outlives_its_caller_into_the_next_build(monkeypatch, f2):
-    last = weakref.ref(unit_group_basis(f2, t_power(f2, 5)))
-    build = characters_module._structural_basis
+    # t^5 then t^6 through the closed form; t^5 + 1 then t^6 + 1 on the ring
+    for builder, lower in (("_t_power_basis", 0), ("_structural_basis", 1)):
+        last = weakref.ref(unit_group_basis(f2, from_coeffs(f2, [lower, 0, 0, 0, 0, 1])))
+        build = getattr(characters_module, builder)
 
-    def checked(field, modulus):
-        assert last() is None, "the last basis is still alive during the next build"
-        return build(field, modulus)
+        def checked(field, modulus):
+            assert last() is None, "the last basis is still alive during the next build"
+            return build(field, modulus)
 
-    monkeypatch.setattr(characters_module, "_structural_basis", checked)
-    unit_group_basis(f2, t_power(f2, 6))
+        monkeypatch.setattr(characters_module, builder, checked)
+        unit_group_basis(f2, from_coeffs(f2, [lower, 0, 0, 0, 0, 0, 1]))
 
 
 def test_degree_one_modulus_edge(f2, f3):
@@ -240,18 +243,24 @@ def test_degree_one_modulus_edge(f2, f3):
     assert count_even(b) == 1
 
 
-def test_a_repeated_generator_trips_the_bijection_check(monkeypatch, cold_caches, f2):
+def test_a_repeated_generator_trips_the_bijection_check(monkeypatch, cold_caches):
     # a generator listed twice spans every unit twice, so the seen mask counts
-    # fewer codes than the span holds and the build refuses
-    generators = characters_module._generators
+    # fewer codes than the span holds and the build refuses: mod t^5 over F_2
+    # and t^4 over F_3 through the closed form, mod t^5 + 1 on the ring
+    cases = ((2, [0] * 5, "_t_power_generators"), (3, [0] * 4, "_t_power_generators"),
+             (2, [1, 0, 0, 0, 0], "_generators"))
+    for p, lower, finder in cases:
+        generators = getattr(characters_module, finder)
 
-    def first_twice(field, modulus, ring):
-        found = generators(field, modulus, ring)
-        return [found[0], *found]
+        def first_twice(*args):
+            found = generators(*args)
+            return [found[0], *found]
 
-    monkeypatch.setattr(characters_module, "_generators", first_twice)
-    with pytest.raises(AssertionError, match="span extension collided"):
-        unit_group_basis(f2, t_power(f2, 5))
+        with monkeypatch.context() as patched:
+            patched.setattr(characters_module, finder, first_twice)
+            fld = make_field(p)
+            with pytest.raises(AssertionError, match="span extension collided"):
+                unit_group_basis(fld, from_coeffs(fld, [*lower, 1]))
 
 
 # -- the bases against the one-power-per-test oracle -------------------------------
@@ -298,6 +307,45 @@ def test_bases_match_the_oracle_on_t_powers(q):
         if q**m > 1 << 16:
             break
         _assert_oracle_basis(fld, t_power(fld, m))
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWERS))
+def test_closed_form_bases_match_the_oracle_and_the_ring(cold_caches, q):
+    # mod t^m, the written-down generators and their shift-and-add span give
+    # the oracle's basis for q^m <= 4096, and the ring route's, bit for bit,
+    # for q^m <= 2^17 (which factors t^m on tables of its own)
+    fld = make_field(*PRIME_POWERS[q])
+    for m in itertools.takewhile(lambda m: q**m <= 1 << 17, itertools.count(1)):
+        modulus = t_power(fld, m)
+        basis, ring = unit_group_basis(fld, modulus), characters_module._structural_basis(fld, modulus)
+        assert (basis.generators, basis.orders) == (ring.generators, ring.orders), m
+        assert basis.unit_codes.dtype == ring.unit_codes.dtype
+        assert np.array_equal(basis.unit_codes, ring.unit_codes), m
+        if q**m <= 4096:
+            _assert_oracle_basis(fld, modulus)
+
+
+def test_t_power_bases_construct_no_residue_ring(monkeypatch):
+    fields = [make_field(*PRIME_POWERS[q]) for q in sorted(PRIME_POWERS)]  # F_q's own rings first
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a t^m basis constructed a residue ring")
+
+    for owner in (characters_module, tables_module):
+        monkeypatch.setattr(owner, "residue_ring", refused)
+    monkeypatch.setattr(tables_module.ResidueRing, "__init__", refused)
+    for fld in fields:
+        for m in range(1, 5):
+            assert unit_group_basis(fld, t_power(fld, m)).phi == (fld.q - 1) * fld.q ** (m - 1)
+
+
+@pytest.mark.parametrize("p, k, m", [(2, 1, 20), (3, 1, 12), (2, 2, 9), (5, 1, 8), (3, 2, 6), (13, 1, 5), (2, 4, 5)])
+def test_t_power_basis_bytes_cover_the_closed_form_peak(p, k, m):
+    # past the scratch, the estimate is the measured peak with a margin under 2x
+    fld = make_field(p, k)
+    modulus = t_power(fld, m)
+    peak = traced_peak(unit_group_basis, fld, modulus)
+    assert peak <= basis_bytes(fld, modulus) < 2 * peak
 
 
 # -- character values -----------------------------------------------------------

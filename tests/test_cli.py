@@ -266,7 +266,8 @@ def _forbid_routes(monkeypatch):
         raise AssertionError("a route ran before the budget check")
 
     monkeypatch.setattr(ffvar.tables.ArithTables, "extend", ran)
-    monkeypatch.setattr(ffvar.characters, "_structural_basis", ran)
+    for builder in ("_t_power_basis", "_structural_basis"):
+        monkeypatch.setattr(ffvar.characters, builder, ran)
 
 
 def test_variance_refuses_past_the_unit_budget_before_sieving(monkeypatch, capsys):
@@ -375,8 +376,8 @@ def test_sweep_repeat_is_byte_identical(tmp_path):
 def test_sweep_builds_one_basis_per_character_row(monkeypatch, capsys):
     # the variance route builds each row's basis; the window sums build none
     built = []
-    build = ffvar.characters._structural_basis
-    monkeypatch.setattr(ffvar.characters, "_structural_basis",
+    build = ffvar.characters._t_power_basis
+    monkeypatch.setattr(ffvar.characters, "_t_power_basis",
                         lambda field, modulus: built.append(modulus) or build(field, modulus))
     assert main(["sweep", "--N", "3:10", "--h", "1:3"]) == EXIT_OK
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]

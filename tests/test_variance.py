@@ -442,7 +442,18 @@ def test_decomposition_rejects_bad_window(f2):
 @pytest.mark.parametrize("p, n, h", [(2, 16, 1), (2, 16, 2), (3, 10, 1)])
 def test_cell_bytes_cover_the_route_peak(cold_caches, p, n, h, mode):
     # the estimate the CLI checks per cell is at least what the cell's
-    # routes peak at, tables, mu's squarefree flags and basis built from cold
+    # routes peak at, tables, mu's squarefree flags and basis built from cold;
+    # unit builds no table on either route
     fld = make_field(p)
-    peak = traced_peak(lambda: list(variance_reports(fld, "moebius", n, [h], mode=mode)))
-    assert peak <= cell_bytes(fld, "moebius", n, h, mode)
+    for f in ("moebius", "unit"):
+        peak = traced_peak(lambda: list(variance_reports(fld, f, n, [h], mode=mode)))
+        assert peak <= cell_bytes(fld, f, n, h, mode), f
+
+
+def test_unit_cell_bytes_count_no_tables():
+    # F_2 N=27 --mode direct --function unit needs about 403 MB, its values
+    # and interval sums: under the default budget, though the tables it never
+    # builds would take it past
+    fld = make_field(2)
+    assert cell_bytes(fld, "unit", 27, 1, "direct") < 1 << 30
+    assert cell_bytes(fld, "unit", 27, 1, "direct") + table_bytes(fld, 27) > 1 << 30
