@@ -19,7 +19,6 @@ from .polys import (
     from_coeffs,
     monic_from_index,
     monic_index,
-    star,
     t_power,
 )
 from .arith import (

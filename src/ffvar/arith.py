@@ -1,11 +1,12 @@
 """Factorization over F_q[t], irreducible counts, and smooth counts.
 
 factor() takes any nonzero F: it walks the factor links of the sieve tables
-(tables.ArithTables.factor_links) from the monic associate, one lookup per
-prime factor, and returns the leading coefficient as the unit. lambda, mu
-and Omega over all monic of a degree live in the tables themselves, and so
-do the irreducibles: sieve_irreducibles returns the tables deep enough to
-list them per degree.
+(tables.ArithTables.factor_links) from the mantissa of the monic associate,
+F's coefficients times the lead's inverse read off the field's mul_table,
+one lookup per prime factor, and returns the leading coefficient as the
+unit. lambda, mu and Omega over all monic of a degree live in the tables
+themselves, and so do the irreducibles: sieve_irreducibles returns the
+tables deep enough to list them per degree.
 The sieve tables are the one source of factorizations; nothing is read from
 or written to a file.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fields import FieldSpec, prime_factors
-from .polys import Poly, monic_from_index, monic_index, one
+from .polys import Poly, monic_from_index, monic_index
 from .records import Frozen
 from .tables import ArithTables, get_tables
 
@@ -46,12 +47,6 @@ class Factorization(Frozen):
     def __iter__(self):
         return iter(self.factors)
 
-    def product(self, field: FieldSpec) -> Poly:
-        out = one(field).scale(self.unit)
-        for p, e in self.factors:
-            out = out * p**e
-        return out
-
 
 def factor(f: Poly, cache: object) -> Factorization:
     """Factor by walking the sieve's factor links, one lookup per prime factor.
@@ -62,7 +57,8 @@ def factor(f: Poly, cache: object) -> Factorization:
     n = f.degree
     if n == 0:
         return Factorization(unit=f.lead, factors=())
-    found = factor_mantissas(f.field, n, monic_index(f.monic()))
+    monic = f.field.mul_table[f.field.inv_table[f.lead], list(f.coeffs)]
+    found = factor_mantissas(f.field, n, monic_index(Poly(f.field, tuple(monic.tolist()))))
     return Factorization(f.lead, tuple((monic_from_index(f.field, d, u), e) for d, u, e in found))
 
 

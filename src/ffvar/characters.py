@@ -121,9 +121,10 @@ def _t_power_generators(field: FieldSpec, m: int) -> list[tuple[int, int, int, i
     q, p = field.q, field.p
     gens = []
     if q > 2:  # c is primitive when c, c^2, ..., c^(q-1) are q - 1 constants
-        c = next(c for c in map(field.add, [1] * q, range(1, q))
-                 if len(set(itertools.accumulate([c] * (q - 1), field.mul))) == q - 1)
-        gens.append((c, q - 1, field.sub(c, 1), 0))
+        mul, one_plus = field.mul_table.tolist(), field.add_table[1].tolist()
+        w = next(w for w, c in enumerate(one_plus)
+                 if len({*itertools.accumulate([c] * (q - 1), lambda x, y: mul[x][y])}) == q - 1)
+        gens.append((one_plus[w], q - 1, w, 0))
     for j in filter(lambda j: j % p, range(1, m)):
         order = p ** next(s for s in itertools.count() if j * p**s >= m)
         gens += [(1 + p**i * q**j, order, p**i, j) for i in range(field.k)]
@@ -155,7 +156,8 @@ def _t_power_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
                     np.minimum(new[j:], new[j:] - p, out=new[j:])
                 else:
                     new[j:] = field.add_table[old[j:], times]
-            size, e, j, w = size * step, e // step, j * p, functools.reduce(field.mul, [w] * p)
+            size, e, j = size * step, e // step, j * p
+            w = int(functools.reduce(lambda x, y: field.mul_table[x, y], [w] * p))  # w^p
     codes = span if q == 2 else span[-1].astype(np.int64)
     for row in span[-2::-1] if q > 2 else ():  # Horner over the coefficient rows
         codes *= q

@@ -480,7 +480,7 @@ def _suite_mvt(args: argparse.Namespace, fld: FieldSpec):
         t_power(fld, 3),
         t_power(fld, 4),
         from_coeffs(fld, (1, 1, 1)),
-        from_coeffs(fld, (0, 1)) * from_coeffs(fld, (1, 1)) ** 2,
+        from_coeffs(fld, (0, 1, int(fld.add_table[1, 1]), 1)),  # t (t + 1)^2
     ]
     count = 0
     worst = 0.0

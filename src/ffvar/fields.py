@@ -5,9 +5,9 @@ the coordinates in the power basis 1, x, ..., x^(k-1) of F_p[x]/(P). For
 k = 1 the code is just the residue mod p. For k > 1, F_{p^k} is built on F_p:
 P is the first degree-k irreducible of the F_p sieve (tables.build_tables),
 and products come from the residue ring F_p[x]/(P) (tables.ResidueRing).
-Addition is digitwise mod p. Scalar work reads the nested tuples add_rows and
-mul_rows; bulk work reads the read-only numpy add_table, mul_table, neg_table
-and inv_table.
+Addition is digitwise mod p. A field is its four read-only numpy tables,
+add_table, mul_table, neg_table and inv_table; every reader indexes them,
+one element or whole arrays at a time.
 """
 
 from __future__ import annotations
@@ -42,26 +42,8 @@ class FieldSpec(Frozen):
     docstring), equal, hashed and shown by (p, k, q, modulus) alone; the
     modulus is ascending monic coefficients over F_p, None when k == 1."""
 
-    __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "neg_table",
-                 "inv_table", "add_rows", "mul_rows")
+    __slots__ = ("p", "k", "q", "modulus", "add_table", "mul_table", "neg_table", "inv_table")
     _shown = 4
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_rows[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_rows[a][self.neg(b)]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_rows[a][b]
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(self.inv_table[a])
 
     def __str__(self) -> str:
         return f"F_{self.q}" if self.k == 1 else f"F_{self.q}=F_{self.p}^{self.k}"
@@ -103,33 +85,34 @@ def make_field(p: int, k: int = 1) -> FieldSpec:
     add_np, mul_np, neg_np, inv_np = (a.astype(np.uint8) for a in (add, mul, neg, inv))
     for arr in (add_np, mul_np, neg_np, inv_np):
         arr.flags.writeable = False
-
-    rows = (tuple(tuple(row) for row in table.tolist()) for table in (add, mul))
-    return FieldSpec(p, k, q, modulus, add_np, mul_np, neg_np, inv_np, *rows)
+    return FieldSpec(p, k, q, modulus, add_np, mul_np, neg_np, inv_np)
 
 
 def verify_field_axioms(fld: FieldSpec) -> None:
-    """Exhaustively check the field axioms on the tables. Raises on the first
-    violation; intended for q <= 16 where the cubic loops are trivial."""
-    q = fld.q
-    rng = range(q)
-    for a in rng:
-        if fld.add(a, 0) != a or fld.mul(a, 1) != a:
-            raise AssertionError(f"identity fails at {a}")
-        if fld.add(a, fld.neg(a)) != 0:
-            raise AssertionError(f"negation fails at {a}")
-        if a and fld.mul(a, fld.inv(a)) != 1:
-            raise AssertionError(f"inverse fails at {a}")
-    for a in rng:
-        for b in rng:
-            if fld.add(a, b) != fld.add(b, a) or fld.mul(a, b) != fld.mul(b, a):
-                raise AssertionError(f"commutativity fails at ({a}, {b})")
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if fld.add(fld.add(a, b), c) != fld.add(a, fld.add(b, c)):
-                    raise AssertionError(f"additive associativity fails at ({a},{b},{c})")
-                if fld.mul(fld.mul(a, b), c) != fld.mul(a, fld.mul(b, c)):
-                    raise AssertionError(f"multiplicative associativity fails at ({a},{b},{c})")
-                if fld.mul(a, fld.add(b, c)) != fld.add(fld.mul(a, b), fld.mul(a, c)):
-                    raise AssertionError(f"distributivity fails at ({a},{b},{c})")
+    """Exhaustively check the field axioms on the tables, one broadcast per
+    axiom over every a, (a, b) or (a, b, c). Raises on the first violation in
+    (a, b, c) order, naming the first axiom below that fails there."""
+    add, mul, neg, inv = fld.add_table, fld.mul_table, fld.neg_table, fld.inv_table
+    a = np.arange(fld.q)
+    _first_violation(
+        [(add[:, 0] != a) | (mul[:, 1] != a), add[a, neg] != 0, (mul[a, inv] != 1) & (a > 0)],
+        ["identity fails at {}", "negation fails at {}", "inverse fails at {}"],
+    )
+    _first_violation([(add != add.T) | (mul != mul.T)], ["commutativity fails at ({}, {})"])
+    a, b, c = a[:, None, None], a[None, :, None], a[None, None, :]
+    _first_violation(
+        [add[add[a, b], c] != add[a, add[b, c]], mul[mul[a, b], c] != mul[a, mul[b, c]],
+         mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]],
+        ["additive associativity fails at ({},{},{})",
+         "multiplicative associativity fails at ({},{},{})", "distributivity fails at ({},{},{})"],
+    )
+
+
+def _first_violation(bad: list[np.ndarray], messages: list[str]) -> None:
+    """bad[i] marks where axiom i fails, all over one grid of codes: raise
+    messages[i] for the first grid point in C order, and the first i there."""
+    hit = np.logical_or.reduce(bad)
+    if hit.any():
+        at = np.unravel_index(np.argmax(hit), hit.shape)
+        first = next(i for i, fails in enumerate(bad) if fails[at])
+        raise AssertionError(messages[first].format(*map(int, at)))

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from ffvar import bounds, characters, tables
-from ffvar.arith import factor, sieve_irreducibles
+from ffvar.arith import Factorization, factor, sieve_irreducibles
 from ffvar.fields import FieldSpec, make_field, prime_factors
 from ffvar.errors import BudgetError, PreconditionError
-from ffvar.polys import Poly, constant, from_coeffs, monic_from_index, monic_index, t_power
+from ffvar.polys import Poly, from_coeffs, monic_from_index, monic_index, t_power
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +67,188 @@ def traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
+# -- the field and polynomial ring, one element at a time ----------------------
+#
+# The package computes on mantissas, residue codes and coefficient rows, and
+# a field is only its four numpy tables. This scalar arithmetic, on element
+# codes and on coefficient tuples, one coefficient at a time, is the reference
+# those computations are checked against.
+
+
+@functools.cache
+def _rows(fld: FieldSpec) -> tuple:
+    """(add, mul, neg, inv) of fld as tuples: the ring's scalar lookups. Cached
+    by the field's equality, (p, k, q, modulus), so only for make_field's."""
+    add, mul = (tuple(map(tuple, table.tolist())) for table in (fld.add_table, fld.mul_table))
+    return add, mul, tuple(fld.neg_table.tolist()), tuple(fld.inv_table.tolist())
+
+
+def fmul(fld: FieldSpec, a: int, b: int) -> int:
+    return _rows(fld)[1][a][b]
+
+
+def finv(fld: FieldSpec, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse")
+    return _rows(fld)[3][a]
+
+
+def scalar_field_axioms(fld: FieldSpec) -> None:
+    """fields.verify_field_axioms by cubic loops over the codes, reading fld's
+    own tables: the same first violation and message."""
+    add, mul = fld.add_table.tolist(), fld.mul_table.tolist()
+    neg, inv = fld.neg_table.tolist(), fld.inv_table.tolist()
+    rng = range(fld.q)
+    for a in rng:
+        if add[a][0] != a or mul[a][1] != a:
+            raise AssertionError(f"identity fails at {a}")
+        if add[a][neg[a]] != 0:
+            raise AssertionError(f"negation fails at {a}")
+        if a and mul[a][inv[a]] != 1:
+            raise AssertionError(f"inverse fails at {a}")
+    for a in rng:
+        for b in rng:
+            if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                raise AssertionError(f"commutativity fails at ({a}, {b})")
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    raise AssertionError(f"additive associativity fails at ({a},{b},{c})")
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise AssertionError(f"multiplicative associativity fails at ({a},{b},{c})")
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    raise AssertionError(f"distributivity fails at ({a},{b},{c})")
+
+
+def zero(field: FieldSpec) -> Poly:
+    return Poly(field, ())
+
+
+def one(field: FieldSpec) -> Poly:
+    return Poly(field, (1,))
+
+
+def constant(field: FieldSpec, c: int) -> Poly:
+    if not 0 <= c < field.q:
+        raise PreconditionError(f"element code {c} out of range for {field}")
+    return Poly(field, (c,) if c else ())
+
+
+def coeff(f: Poly, j: int) -> int:
+    return f.coeffs[j] if 0 <= j < len(f.coeffs) else 0
+
+
+def _field_of(a: Poly, b: Poly) -> FieldSpec:
+    if a.field != b.field:
+        raise PreconditionError("mixed-field polynomial arithmetic")
+    return a.field
+
+
+def padd(a: Poly, b: Poly) -> Poly:
+    add = _rows(_field_of(a, b))[0]
+    x, y = a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] = add[out[i]][c]
+    return Poly(a.field, tuple(out))
+
+
+def pneg(a: Poly) -> Poly:
+    neg = _rows(a.field)[2]
+    return Poly(a.field, tuple(neg[c] for c in a.coeffs))
+
+
+def psub(a: Poly, b: Poly) -> Poly:
+    return padd(a, pneg(b))
+
+
+def pmul(a: Poly, *rest: Poly) -> Poly:
+    """a times each of rest in turn, schoolbook."""
+    for b in rest:
+        add, mul = _rows(_field_of(a, b))[:2]
+        x, y = a.coeffs, b.coeffs
+        out = [0] * max(len(x) + len(y) - 1, 0)
+        for i, xi in enumerate(x):
+            if xi:
+                row = mul[xi]
+                for j, yj in enumerate(y):
+                    if yj:
+                        out[i + j] = add[out[i + j]][row[yj]]
+        a = Poly(a.field, tuple(out))
+    return a
+
+
+def scale(f: Poly, c: int) -> Poly:
+    row = _rows(f.field)[1][c]
+    return Poly(f.field, tuple(row[x] for x in f.coeffs))
+
+
+def ppow(f: Poly, e: int) -> Poly:
+    if e < 0:
+        raise PreconditionError("negative polynomial powers are not defined")
+    result, base = one(f.field), f
+    while e:
+        if e & 1:
+            result = pmul(result, base)
+        base = pmul(base, base)
+        e >>= 1
+    return result
+
+
+def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    f = _field_of(a, b)
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    add, mul, neg, inv = _rows(f)
+    db = len(b.coeffs) - 1
+    rem = list(a.coeffs)
+    if len(rem) - 1 < db:
+        return zero(f), a
+    quot = [0] * (len(rem) - db)
+    inv_lead = inv[b.coeffs[-1]]
+    for shift in range(len(rem) - db - 1, -1, -1):
+        c = rem[shift + db]
+        if c == 0:
+            continue
+        quot[shift] = step = mul[c][inv_lead]
+        row = mul[step]
+        for i, bi in enumerate(b.coeffs):
+            if bi:
+                rem[shift + i] = add[rem[shift + i]][neg[row[bi]]]
+    return Poly(f, tuple(quot)), Poly(f, tuple(rem))
+
+
+def pdiv(a: Poly, b: Poly) -> Poly:
+    return pdivmod(a, b)[0]
+
+
+def pmod(a: Poly, b: Poly) -> Poly:
+    return pdivmod(a, b)[1]
+
+
+def monic(f: Poly) -> Poly:
+    """The monic associate."""
+    if f.is_zero:
+        raise PreconditionError("zero polynomial has no monic associate")
+    return f if f.coeffs[-1] == 1 else scale(f, finv(f.field, f.coeffs[-1]))
+
+
+def star(f: Poly) -> Poly:
+    """Coefficient reversal: star(f)(t) = t^deg(f) * f(1/t). Multiplicative
+    for all nonzero f; an involution exactly on f with f(0) != 0."""
+    if f.is_zero:
+        raise PreconditionError("star of the zero polynomial is undefined")
+    return Poly(f.field, tuple(reversed(f.coeffs)))
+
+
+def expand(fac: Factorization, field: FieldSpec) -> Poly:
+    """unit * prod(P^e) of a factorization, multiplied out."""
+    return pmul(constant(field, fac.unit), *(ppow(p, e) for p, e in fac.factors))
+
+
 # -- independent oracles, shared by the test modules ----------------------------
 #
 # Completely separate route from the sieve: a monic polynomial is divided by
@@ -81,7 +263,7 @@ def brute_factor(f: Poly) -> tuple[Poly, ...]:
     """Monic irreducible factors of monic f with multiplicity, ascending."""
     for d in range(1, f.degree // 2 + 1):
         for g in brute_irreducibles(f.field, d):
-            quo, rem = divmod(f, g)
+            quo, rem = pdivmod(f, g)
             if rem.is_zero:
                 return (g, *brute_factor(quo))
     return (f,) if f.degree >= 1 else ()
@@ -113,8 +295,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero and b.is_zero:
         raise PreconditionError("gcd(0, 0) is undefined")
     while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+        a, b = b, pmod(a, b)
+    return monic(a)
 
 
 @dataclass(frozen=True)
@@ -176,7 +358,7 @@ def transform_even_square_sum(
 def residue_code(f: Poly, modulus: Poly) -> int:
     """Code of f mod Q: the coefficients of the remainder as base-q digits."""
     q = f.field.q
-    return sum(c * q**j for j, c in enumerate((f % modulus).coeffs))
+    return sum(c * q**j for j, c in enumerate(pmod(f, modulus).coeffs))
 
 
 # -- the unit-group basis by one power per test --------------------------------
@@ -212,11 +394,11 @@ def oracle_generators(field: FieldSpec, modulus: Poly) -> Iterator[tuple[int, in
     else:
         factors = factor(modulus, sieve_irreducibles(field, max(1, m // 2)))
     for P, e in factors:
-        d, R = P.degree, modulus // P**e
+        d, R = P.degree, pdiv(modulus, ppow(P, e))
         if q**d > 2:
             order, primes = q**d - 1, prime_factors(q**d - 1)
             for z in range(q**d):
-                lift = one + R * from_coeffs(field, [z // q**j % q for j in range(d)])
+                lift = padd(one, pmul(R, from_coeffs(field, [z // q**j % q for j in range(d)])))
                 y = ring_pow(ring, residue_code(lift, modulus), q ** (d * (e - 1)))
                 if ring_pow(ring, y, order) == 1 and all(
                     ring_pow(ring, y, order // ell) != 1 for ell in primes
@@ -230,7 +412,7 @@ def oracle_generators(field: FieldSpec, modulus: Poly) -> Iterator[tuple[int, in
                 s = next(s for s in itertools.count() if j * p**s >= e)
                 for l, i in itertools.product(range(d), range(field.k)):
                     omega = from_coeffs(field, [0] * l + [p**i])
-                    yield residue_code(one + omega * P**j * R, modulus), p**s
+                    yield residue_code(padd(one, pmul(omega, ppow(P, j), R)), modulus), p**s
 
 
 def oracle_basis(field: FieldSpec, modulus: Poly) -> tuple[tuple, tuple, np.ndarray]:

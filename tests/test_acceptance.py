@@ -21,7 +21,15 @@ from ffvar.arith import (
     smooth_asymptotic_ratio,
 )
 from ffvar.bounds import mvt_trial, von_mangoldt_char_sum_ratio
-from conftest import characters_of, enumerate_monic, rotation_multiset_cancels
+from conftest import (
+    characters_of,
+    enumerate_monic,
+    monic,
+    pmul,
+    ppow,
+    rotation_multiset_cancels,
+    star,
+)
 from ffvar.characters import (
     character_rotation_matrix,
     count_even,
@@ -34,7 +42,6 @@ from ffvar.polys import (
     from_coeffs,
     monic_from_index,
     monic_index,
-    star,
     t_power,
 )
 from ffvar.tables import get_tables
@@ -126,7 +133,7 @@ def test_criterion_03_star_involution_and_liouville_symmetry():
                 f = monic_from_index(fld, n, u)
                 g = star(f)
                 assert star(g) == f, f"star is not an involution at {f}"
-                gm = g.monic()
+                gm = monic(g)
                 assert int(lam[gm.degree][monic_index(gm)]) == int(lam[n][u]), (
                     f"lambda changed under star at {f}"
                 )
@@ -145,7 +152,7 @@ def test_criterion_03_star_involution_and_liouville_symmetry():
                 cs[-1] = 1
             coeffs.append(from_coeffs(fld, cs))
         f, g = coeffs
-        assert star(f * g) == star(f) * star(g), f"star not multiplicative at ({f})*({g})"
+        assert star(pmul(f, g)) == pmul(star(f), star(g)), f"star not multiplicative at ({f})*({g})"
         pairs += 1
     return f"{total} exhaustive reversals (deg <= 10, q in {{2,3}}), {pairs} random product pairs"
 
@@ -186,9 +193,9 @@ def test_criterion_05_decomposition_defect_zero():
 def test_criterion_06_mvt_randomized_trials():
     moduli = {
         F2: [t_power(F2, 2), t_power(F2, 3), t_power(F2, 4), from_coeffs(F2, [1, 1, 1]),
-             from_coeffs(F2, [1, 1]) ** 2 * t_power(F2, 1)],
+             pmul(ppow(from_coeffs(F2, [1, 1]), 2), t_power(F2, 1))],
         F3: [t_power(F3, 2), t_power(F3, 3), t_power(F3, 4), from_coeffs(F3, [1, 1, 1]),
-             from_coeffs(F3, [1, 1]) ** 2 * t_power(F3, 1)],
+             pmul(ppow(from_coeffs(F3, [1, 1]), 2), t_power(F3, 1))],
     }
     trials = 0
     worst = 0.0

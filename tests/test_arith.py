@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 import ffvar.tables
-from conftest import brute_unit_count, enumerate_monic
+from conftest import brute_factor, brute_unit_count, enumerate_monic, expand, one, pmul, scale, zero
 from ffvar.arith import (
     FactorIndex,
     count_smooth_exact,
@@ -19,7 +19,7 @@ from ffvar.arith import (
 from ffvar.characters import unit_group_basis
 from ffvar.errors import BudgetError, PreconditionError
 from ffvar.fields import make_field
-from ffvar.polys import from_coeffs, monic_index, one, t_power, zero
+from ffvar.polys import from_coeffs, monic_index, t_power
 from ffvar.tables import get_tables
 
 # -- necklace counts -----------------------------------------------------------
@@ -81,7 +81,7 @@ def test_factor_reconstructs_product(cache2, cache3):
         for n in range(1, 7):
             for f in enumerate_monic(fld, n):
                 fac = factor(f, cache)
-                assert fac.product(fld) == f
+                assert expand(fac, fld) == f
                 assert all(e >= 1 for _, e in fac)
                 # trial order is (degree, mantissa) ascending
                 degs = [p.degree for p, _ in fac]
@@ -95,6 +95,20 @@ def test_factor_units_and_errors(f3, cache3):
     assert factor(one(f3), cache3).factors == ()
     with pytest.raises(PreconditionError):
         factor(zero(f3), cache3)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (3, 2)], ids=["4", "5", "9"])
+def test_factor_of_every_unit_multiple(p, k):
+    # factor(c F) reads the monic associate's mantissa off the field's tables:
+    # unit c and the factors of F, for every unit c and every monic F
+    fld = make_field(p, k)
+    for n in range(1, 4 if fld.q > 5 else 5):
+        for f in enumerate_monic(fld, n):
+            primes = brute_factor(f)
+            expected = [(P, primes.count(P)) for P in dict.fromkeys(primes)]
+            for c in range(1, fld.q):
+                fac = factor(scale(f, c), None)
+                assert fac.unit == c and list(fac.factors) == expected, (f, c)
 
 
 def test_factor_reads_no_cache(f2):
@@ -126,8 +140,8 @@ def test_factor_index_is_factor(f3):
     assert not hasattr(idx, "__dict__") and type(idx).__slots__ == ("field",)
     for f in enumerate_monic(f3, 4):
         for c in (1, 2):
-            assert idx.factor(f.scale(c)) == factor(f.scale(c), None)
-    assert idx.factor(f.scale(2)).unit == 2
+            assert idx.factor(scale(f, c)) == factor(scale(f, c), None)
+    assert idx.factor(scale(f, 2)).unit == 2
 
 
 # -- Omega, lambda and mu on the sieve tables ----------------------------------------
@@ -141,7 +155,7 @@ def test_function_values_on_hand_cases(f2, cache2):
     for g, big_omega, lam, mu in (
         (f, 3, -1, 0),
         (quad, 1, -1, -1),
-        (quad * quad, 2, 1, 0),
+        (pmul(quad, quad), 2, 1, 0),
         (t_power(f2, 3), 3, -1, 0),
         (from_coeffs(f2, [0, 1, 1]), 2, 1, 1),  # t (t + 1)
     ):

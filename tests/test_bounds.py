@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import enumerate_monic, traced_peak, transform_even_square_sum
+from conftest import enumerate_monic, pmul, ppow, traced_peak, transform_even_square_sum
 from ffvar.bounds import (
     BoundReport,
     large_factor_sum_ratio,
@@ -392,7 +392,7 @@ def _fields(rep):
 
 
 def test_von_mangoldt_reports_do_not_depend_on_call_order(f3):
-    a, b = from_coeffs(f3, [2, 1, 0, 1, 1]), from_coeffs(f3, [1, 0, 1]) ** 2
+    a, b = from_coeffs(f3, [2, 1, 0, 1, 1]), ppow(from_coeffs(f3, [1, 0, 1]), 2)
     ascending = {(str(Q), n): _fields(von_mangoldt_char_sum_ratio(f3, Q, n))
                  for Q in (a, b) for n in range(1, 10)}
     descending = {(str(Q), n): _fields(von_mangoldt_char_sum_ratio(f3, Q, n))
@@ -449,7 +449,7 @@ def test_von_mangoldt_reports_cost_one_transform_per_modulus(f3, monkeypatch):
     transform = characters_module.character_sums
     monkeypatch.setattr(characters_module, "character_sums",
                         lambda *args, **kwargs: calls.append(1) or transform(*args, **kwargs))
-    moduli = [from_coeffs(f3, [2, 1, 0, 1, 1]), from_coeffs(f3, [1, 0, 1]) ** 2, t_power(f3, 5)]
+    moduli = [from_coeffs(f3, [2, 1, 0, 1, 1]), ppow(from_coeffs(f3, [1, 0, 1]), 2), t_power(f3, 5)]
 
     def no_tables(*args, **kwargs):
         raise AssertionError("a report read the sieve tables")
@@ -476,7 +476,7 @@ def test_von_mangoldt_preconditions(f2):
     with pytest.raises(PreconditionError, match="need N >= 1"):
         von_mangoldt_char_sum_ratio(f2, t_power(f2, 2), 0)
     with pytest.raises(PreconditionError, match="admits no non-principal character"):
-        von_mangoldt_char_sum_ratio(f2, t_power(f2, 1) * from_coeffs(f2, [1, 1]), 3)
+        von_mangoldt_char_sum_ratio(f2, pmul(t_power(f2, 1), from_coeffs(f2, [1, 1])), 3)
 
 
 # -- proof-shaped partial sums ----------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import one, padd, pmul, ppow, star, traced_peak
 
 import ffvar.arith
 import ffvar.bounds
@@ -39,7 +39,7 @@ from ffvar.cli import (
 )
 from ffvar.errors import DEFAULT_BUDGET
 from ffvar.fields import FieldSpec, make_field
-from ffvar.polys import from_coeffs, star
+from ffvar.polys import from_coeffs, t_power
 from ffvar.tables import row_mul
 
 PINNED_VARIANCE = (
@@ -737,6 +737,19 @@ FIELD_IDS = [str(p**k) for p, k in ALL_FIELDS]
 DRAW_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 4))
 
 
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=FIELD_IDS)
+def test_verify_mvt_moduli_are_the_ring_products(p, k, monkeypatch):
+    # the fifth modulus is written by its coefficients (0, 1, 1 + 1, 1): it
+    # must be the oracle ring's t (t + 1)^2 over every field
+    fld, moduli = make_field(p, k), []
+    monkeypatch.setattr(ffvar.bounds, "mvt_trial",
+                        lambda _, modulus, *args, **kwargs: moduli.append(modulus) or [])
+    SUITES["mvt"](build_parser().parse_args(["verify"]), fld)
+    t, t1 = t_power(fld, 1), from_coeffs(fld, [1, 1])
+    assert moduli == [t_power(fld, 2), t_power(fld, 3), t_power(fld, 4),
+                      padd(pmul(t, t1), one(fld)), pmul(t, ppow(t1, 2))]
+
+
 class _RecordingRng:
     """A numpy Generator that keeps every array its integers() returns."""
 
@@ -804,7 +817,7 @@ def test_row_product_and_row_star_match_poly(p, k):
     assert product.shape == (300, 9) and product.dtype == np.uint8
     for i in range(300):
         x, y = from_coeffs(fld, a[i].tolist()), from_coeffs(fld, b[i].tolist())
-        assert from_coeffs(fld, product[i].tolist()) == x * y
+        assert from_coeffs(fld, product[i].tolist()) == pmul(x, y)
     nonzero = a[a.any(axis=1)]
     for rows in (nonzero, b, product[a.any(axis=1)]):
         starred = _row_star(rows)

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import finv, fmul, pmod, pmul, scalar_field_axioms
 from ffvar.errors import PreconditionError
-from ffvar.fields import MAX_FIELD_SIZE, make_field, prime_factors, verify_field_axioms
+from ffvar.fields import FieldSpec, MAX_FIELD_SIZE, make_field, prime_factors, verify_field_axioms
 from ffvar.polys import Poly, from_coeffs
+
+ALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
 
 def test_prime_field_shape(f2, f3):
@@ -34,9 +38,9 @@ def test_extension_products_are_poly_products_mod_the_modulus(p, k):
 
     for a in range(fld.q):
         for b in range(fld.q):
-            product = (element(a) * element(b)) % modulus
+            product = pmod(pmul(element(a), element(b)), modulus)
             code = sum(c * p**i for i, c in enumerate(product.coeffs))
-            assert fld.mul(a, b) == fld.mul_table[a, b] == code, (a, b)
+            assert fld.mul_table[a, b] == code, (a, b)
 
 
 def test_make_field_rejects_bad_parameters():
@@ -55,17 +59,68 @@ def test_make_field_is_cached(f2):
     assert make_field(2, 2) is make_field(2, 2)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (13, 1)])
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
 def test_axioms_exhaustively(p, k):
     verify_field_axioms(make_field(p, k))
+    scalar_field_axioms(make_field(p, k))
+
+
+def _corrupted(fld: FieldSpec, table: str, at: tuple, value: int) -> FieldSpec:
+    bad = getattr(fld, table).copy()
+    bad[at] = value
+    return FieldSpec(**{**{name: getattr(fld, name) for name in FieldSpec.__slots__}, table: bad})
+
+
+def _failure(check, fld: FieldSpec) -> str | None:
+    try:
+        check(fld)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+# one entry of F_5's tables per axiom class, and the first violation it makes
+CORRUPTIONS = [
+    ("add_table", (0, 0), 1, "identity fails at 0"),
+    ("neg_table", (2,), 2, "negation fails at 2"),
+    ("inv_table", (3,), 3, "inverse fails at 3"),
+    ("add_table", (0, 1), 0, "commutativity fails at (0, 1)"),
+    ("add_table", (1, 1), 0, "additive associativity fails at (1,1,2)"),
+    ("mul_table", (3, 3), 0, "multiplicative associativity fails at (2,3,3)"),
+    ("mul_table", (0, 0), 1, "distributivity fails at (0,0,0)"),
+]
+
+
+@pytest.mark.parametrize("table, at, value, message", CORRUPTIONS,
+                         ids=[message.split(" fails")[0] for *_, message in CORRUPTIONS])
+def test_axiom_check_names_the_first_violation(table, at, value, message):
+    fld = _corrupted(make_field(5), table, at, value)
+    assert _failure(scalar_field_axioms, fld) == message
+    with pytest.raises(AssertionError) as caught:
+        verify_field_axioms(fld)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1)], ids=["3", "4", "5"])
+def test_axiom_check_agrees_with_the_scalar_loops_on_every_one_entry_fault(p, k):
+    # every value at every entry of each table: the broadcasts raise exactly
+    # when the cubic loops do, on the same first violation
+    fld = make_field(p, k)
+    for table in ("add_table", "mul_table", "neg_table", "inv_table"):
+        for at in np.ndindex(getattr(fld, table).shape):
+            for value in range(fld.q):
+                bad = _corrupted(fld, table, at, value)
+                want = _failure(scalar_field_axioms, bad)
+                assert _failure(verify_field_axioms, bad) == want, (table, at, value)
 
 
 def test_inverse_and_division(f4):
     for fld in (make_field(2), make_field(5), f4, make_field(3, 2)):
         for a in range(1, fld.q):
-            assert fld.mul(a, fld.inv(a)) == 1
+            assert fld.mul_table[a, fld.inv_table[a]] == 1
+            assert fmul(fld, a, finv(fld, a)) == 1
         with pytest.raises(ZeroDivisionError):
-            fld.inv(0)
+            finv(fld, 0)
 
 
 def test_fermat_by_repeated_multiplication():
@@ -74,25 +129,25 @@ def test_fermat_by_repeated_multiplication():
     for a in range(1, fld.q):
         acc = 1
         for _ in range(fld.q - 1):
-            acc = fld.mul(acc, a)
+            acc = fld.mul_table[acc, a]
         assert acc == 1
 
 
 def test_f4_table_oracle(f4):
     # elements by code: 0, 1, t -> 2, t+1 -> 3, arithmetic mod t^2+t+1
-    assert f4.mul(2, 2) == 3
-    assert f4.mul(2, 3) == 1
-    assert f4.mul(3, 3) == 2
-    assert f4.add(2, 3) == 1
-    assert f4.add(2, 2) == 0  # characteristic 2
-    assert f4.inv(2) == 3
+    assert f4.mul_table[2, 2] == 3
+    assert f4.mul_table[2, 3] == 1
+    assert f4.mul_table[3, 3] == 2
+    assert f4.add_table[2, 3] == 1
+    assert f4.add_table[2, 2] == 0  # characteristic 2
+    assert f4.inv_table[2] == 3
 
 
 def test_neg_is_involution(f3):
     for fld in (f3, make_field(5), make_field(3, 2)):
         for a in range(fld.q):
-            assert fld.neg(fld.neg(a)) == a
-            assert fld.add(a, fld.neg(a)) == 0
+            assert fld.neg_table[fld.neg_table[a]] == a
+            assert fld.add_table[a, fld.neg_table[a]] == 0
 
 
 def test_size_limit_constant():
@@ -107,3 +162,11 @@ def test_prime_factors_multiply_back():
         factors = prime_factors(n)
         assert math.prod(p**e for p, e in factors.items()) == n
         assert all(all(p % d for d in range(2, p)) for p in factors)
+
+
+def test_a_field_is_its_tables():
+    # no scalar layer: every reader indexes the four numpy tables
+    tables = ("add_table", "mul_table", "neg_table", "inv_table")
+    assert FieldSpec.__slots__ == ("p", "k", "q", "modulus", *tables)
+    for name in ("add", "sub", "mul", "neg", "inv", "add_rows", "mul_rows"):
+        assert not hasattr(FieldSpec, name) and not hasattr(make_field(3, 2), name), name

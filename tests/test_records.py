@@ -30,7 +30,7 @@ def _rebuilt(fld: FieldSpec, **changes) -> FieldSpec:
 
 
 def test_field_equality_and_hash_read_p_k_q_and_modulus_only(f2, f4):
-    other_tables = _rebuilt(f4, mul_table=f4.mul_table.copy(), add_rows=())
+    other_tables = _rebuilt(f4, mul_table=f4.mul_table.copy(), add_table=f4.add_table.copy())
     assert other_tables == f4 and hash(other_tables) == hash(f4)
     assert {f4: "a"}[other_tables] == "a"
     assert _rebuilt(f4, modulus=(1, 0, 1)) != f4

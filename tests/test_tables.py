@@ -5,7 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_factor, enumerate_monic, traced_peak
+from conftest import (
+    brute_factor,
+    coeff,
+    enumerate_monic,
+    expand,
+    padd,
+    pmod,
+    pmul,
+    ppow,
+    scale,
+    traced_peak,
+)
 from ffvar import tables as tables_module
 
 from ffvar.arith import factor, pi_q, sieve_irreducibles
@@ -72,7 +83,7 @@ def test_window_pairs_match_poly_products(p, k):
                 for u in range(q ** (m - d))]
         assert list(zip(deg.tolist(), cof.tolist())) == [(d, u) for d, _, u in rows]
         assert prod.tolist() == [
-            monic_index(monic_from_index(fld, d, up) * monic_from_index(fld, m - d, u))
+            monic_index(pmul(monic_from_index(fld, d, up), monic_from_index(fld, m - d, u)))
             for d, up, u in rows
         ]
         distinct = [len(set(brute_factor(g))) for g in enumerate_monic(fld, m)]
@@ -141,7 +152,7 @@ def test_factor_matches_brute_factor():
                 primes = brute_factor(g)
                 expected = [(P, primes.count(P)) for P in dict.fromkeys(primes)]
                 for c in range(1, q if q <= 5 else 2):
-                    fac = factor(g.scale(c), cache)
+                    fac = factor(scale(g, c), cache)
                     assert fac.unit == c and list(fac.factors) == expected, (q, g, c)
                 keys = [(P.degree, monic_index(P)) for P, _ in fac]
                 assert keys == sorted(set(keys))
@@ -162,7 +173,7 @@ def _poly_squares(fld, d: int, ups) -> np.ndarray:
     """Oracle: mantissas of P^2 for the monic P of degree d with mantissas
     `ups`, from Poly products."""
     polys = (monic_from_index(fld, d, int(up)) for up in ups)
-    return np.array([monic_index(P * P) for P in polys], dtype=np.int64)
+    return np.array([monic_index(pmul(P, P)) for P in polys], dtype=np.int64)
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
@@ -209,7 +220,7 @@ def test_mul_monic_batch_matches_poly_product(p, k, monkeypatch):
                 for i in rng.permutation(len(ups))[:2]:
                     P = monic_from_index(fld, dp, int(ups[i]))
                     for u in rng.permutation(q**md)[:256]:
-                        expected_poly = P * monic_from_index(fld, md, int(u))
+                        expected_poly = pmul(P, monic_from_index(fld, md, int(u)))
                         assert int(expected[i, u]) == monic_index(expected_poly), (q, P, md, u)
     assert {"several P", "split P"} <= seen
 
@@ -269,7 +280,7 @@ def test_binary_shift_products_and_squares_match_poly_products(p, k):
             assert low.shape == (len(ups), q**a)
             for P, row in zip(polys, low.tolist()):
                 ls = [from_coeffs(fld, [u // q**j % q for j in range(a)]) for u in range(q**a)]
-                assert row == [_code(P * L) for L in ls], (q, P, a)
+                assert row == [_code(pmul(P, L)) for L in ls], (q, P, a)
 
 
 @pytest.mark.parametrize(
@@ -433,7 +444,7 @@ def test_reduce_monic_mod_t_power(q):
             got = reduce_monic_mod(fld, modulus, n, us)
             for u in us:
                 f = monic_from_index(fld, n, int(u))
-                assert int(got[u]) == _residue_code(f % modulus, q)
+                assert int(got[u]) == _residue_code(pmod(f, modulus), q)
 
 
 def test_reduce_monic_mod_general_modulus():
@@ -445,8 +456,8 @@ def test_reduce_monic_mod_general_modulus():
         q = fld.q
         moduli = [
             from_coeffs(fld, [1, 1]),
-            from_coeffs(fld, [q - 1, 1]) ** 2,
-            from_coeffs(fld, [0, 1]) * from_coeffs(fld, [1, 1]),
+            ppow(from_coeffs(fld, [q - 1, 1]), 2),
+            pmul(from_coeffs(fld, [0, 1]), from_coeffs(fld, [1, 1])),
             from_coeffs(fld, [*rng.integers(1, q, size=1), *rng.integers(0, q, size=2), 1]),
         ]
         if q <= 3:
@@ -459,12 +470,12 @@ def test_reduce_monic_mod_general_modulus():
                 got = reduce_monic_mod(fld, modulus, n, us)
                 for u in us:
                     f = monic_from_index(fld, n, int(u))
-                    assert int(got[u]) == _residue_code(f % modulus, q), (q, modulus, n, u)
+                    assert int(got[u]) == _residue_code(pmod(f, modulus), q), (q, modulus, n, u)
 
 
 def _coordinates(fld, f: Poly, m: int) -> list[int]:
     """F_p coordinates of a residue: digit j*k + i is the x^i part of t^j."""
-    return [(f.coeff(j) // fld.p**i) % fld.p for j in range(m) for i in range(fld.k)]
+    return [(coeff(f, j) // fld.p**i) % fld.p for j in range(m) for i in range(fld.k)]
 
 
 def test_residue_ring_table_grows_on_demand(f2, f3, f4):
@@ -485,7 +496,7 @@ def test_residue_ring_table_grows_on_demand(f2, f3, f4):
         for j in range(len(grown) // k):
             for i in range(k):
                 x_i = from_coeffs(fld, [fld.p**i])
-                expected = _coordinates(fld, (x_i * t_power(fld, j)) % modulus, m)
+                expected = _coordinates(fld, pmod(pmul(x_i, t_power(fld, j)), modulus), m)
                 assert grown[j * k + i].tolist() == expected
 
 
@@ -533,7 +544,7 @@ def test_residue_ring_powers_share_one_squaring_chain(f3, f4):
         q = fld.q
         moduli = [
             from_coeffs(fld, [*rng.integers(0, q, size=3), 1]),
-            from_coeffs(fld, [1, 1]) ** 2 * t_power(fld, 1),
+            pmul(ppow(from_coeffs(fld, [1, 1]), 2), t_power(fld, 1)),
         ]
         if (p, k) == (3, 1):
             moduli.append(from_coeffs(fld, [2, 1, 0, 1, 1]))
@@ -552,7 +563,7 @@ def test_residue_ring_powers_share_one_squaring_chain(f3, f4):
                 for e, code in zip(exponents, column.tolist()):
                     expected = from_coeffs(fld, [1])
                     for _ in range(e):
-                        expected = (expected * base) % modulus
+                        expected = pmod(pmul(expected, base), modulus)
                     assert code == _residue_code(expected, q), (q, modulus, a, e)
 
 
@@ -716,11 +727,11 @@ def test_factor_links_budget(f2, f3):
         assert m not in tab._links
         with budget(need):
             assert traced_peak(tab.factor_links, m) <= need
-    f, need = t_power(f3, 9) + from_coeffs(f3, [1]), links_bytes(f3, 9)
+    f, need = padd(t_power(f3, 9), from_coeffs(f3, [1])), links_bytes(f3, 9)
     with budget(need - 1), pytest.raises(BudgetError, match="^factor links of degree 9 needs"):
         factor(f, sieve_irreducibles(f3, 4))
     with budget(need):
-        assert factor(f, sieve_irreducibles(f3, 4)).product(f3) == f
+        assert expand(factor(f, sieve_irreducibles(f3, 4)), f3) == f
 
 
 def test_omega_and_max_factor_degree_share_one_packed_array():

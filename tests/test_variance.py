@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import ffvar.variance
-from conftest import brute_factor, characters_of, enumerate_monic, interval_key, traced_peak
+from conftest import (
+    brute_factor,
+    characters_of,
+    enumerate_monic,
+    interval_key,
+    pdiv,
+    pmul,
+    traced_peak,
+)
 from ffvar.arith import count_smooth_exact, factor
 from ffvar.errors import BudgetError, PreconditionError, SmoothWindowError, budget
 from ffvar.fields import make_field
@@ -292,7 +300,7 @@ def _oracle_ramare(g, h: int, n: int, cache) -> Fraction | None:
         return None
     total = Fraction(0)
     for p in window:
-        cfac = factor(g // p, cache).factors
+        cfac = factor(pdiv(g, p), cache).factors
         omega_full = _omega_w(cfac, h, n) + all(cp != p for cp, _ in cfac)
         total -= Fraction(_liouville(cfac), omega_full)
     return total - _liouville(fac)
@@ -306,13 +314,14 @@ def _oracle_decomposition(fld, n: int, h: int, cache) -> list[Fraction]:
         for p in (monic_from_index(fld, x, int(u)) for u in tables.irreducibles[x]):
             for m in enumerate_monic(fld, n - x):
                 mfac = factor(m, cache).factors
-                weights[monic_index(p * m)] -= Fraction(_liouville(mfac), _omega_w(mfac, h, n) + 1)
+                share = Fraction(_liouville(mfac), _omega_w(mfac, h, n) + 1)
+                weights[monic_index(pmul(p, m))] -= share
             if 2 * x <= n:
                 for m2 in enumerate_monic(fld, n - 2 * x):
-                    pm = p * m2
+                    pm = pmul(p, m2)
                     pmfac = factor(pm, cache).factors
                     w = _omega_w(pmfac, h, n)
-                    weights[monic_index(p * pm)] -= Fraction(_liouville(pmfac), w * (w + 1))
+                    weights[monic_index(pmul(p, pm))] -= Fraction(_liouville(pmfac), w * (w + 1))
     lam = tables.liouville_values(n)
     rough = tables.max_factor_degree[n] > h
     return [weights[u] - (int(lam[u]) if rough[u] else 0) for u in range(fld.q**n)]
@@ -419,7 +428,7 @@ def test_ramare_rejects_bad_inputs(f2, f3):
 
 
 def test_ramare_smooth_window_error(f2):
-    g = from_coeffs(f2, [0, 1]) * from_coeffs(f2, [1, 1])  # t(t+1): 1-smooth
+    g = pmul(from_coeffs(f2, [0, 1]), from_coeffs(f2, [1, 1]))  # t(t+1): 1-smooth
     with pytest.raises(SmoothWindowError):
         ramare_identity_check(f2, g, 1, 2)
 
