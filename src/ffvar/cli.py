@@ -582,6 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", default="both", choices=variance.MODES)
     sp.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     add_rows_args(sp)
+    sp.set_defaults(run=cmd_variance)
 
     sp = sub.add_parser("verify", help="run the exact-identity verification suites")
     add_field_args(sp)
@@ -595,35 +596,32 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="inject one flipped lambda value to prove the harness can fail",
     )
+    sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("sweep", help="theorem-ratio sweep over an (N, h) grid")
     add_field_args(sp)
     sp.add_argument("--N", required=True, help="degree range a:b")
     sp.add_argument("--h", required=True, help="interval range a:b (h >= 1)")
     add_rows_args(sp)
+    sp.set_defaults(run=cmd_sweep)
 
     sp = sub.add_parser("cache", help="count the sieve's irreducibles up to --maxdeg")
     add_field_args(sp)
     sp.add_argument("--maxdeg", dest="max_degree", type=int, default=8)
     sp.add_argument("--check", action="store_true", help="validate counts against pi_q")
     add_budget(sp)
+    sp.set_defaults(run=cmd_cache)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    commands = {
-        "variance": cmd_variance,
-        "verify": cmd_verify,
-        "sweep": cmd_sweep,
-        "cache": cmd_cache,
-    }
     # --budget holds for the whole command; verify runs at the one in force
     limit = budget(args.budget) if "budget" in args else nullcontext()
     try:
         with limit:
-            return commands[args.command](args)
+            return args.run(args)
     except Exception as exc:
         for kind, prefix, code in ERROR_EXITS:
             if isinstance(exc, kind):

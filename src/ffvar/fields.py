@@ -2,9 +2,9 @@
 
 Elements are encoded as integers in [0, q): the base-p digits of the code are
 the coordinates in the power basis 1, x, ..., x^(k-1) of F_p[x]/(P). For
-k = 1 the code is just the residue mod p. For k > 1, F_{p^k} is built on F_p:
-P is the first degree-k irreducible of the F_p sieve (tables.build_tables),
-and products come from the residue ring F_p[x]/(P) (tables.ResidueRing).
+k = 1 the code is just the residue mod p. Products are the digits' polynomial
+products folded mod P, P the first monic of degree k by ascending mantissa
+with no zero divisor in its table (x when k = 1): the first irreducible.
 Addition is digitwise mod p. A field is its four read-only numpy tables,
 add_table, mul_table, neg_table and inv_table; every reader indexes them,
 one element or whole arrays at a time.
@@ -51,8 +51,8 @@ class FieldSpec(Frozen):
 
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FieldSpec:
-    """Build F_{p^k}. For k > 1 the modulus is the lexicographically smallest
-    monic irreducible of degree k over F_p (constant term compared first)."""
+    """Build F_{p^k}. For k > 1 the modulus is the first monic irreducible of
+    degree k over F_p by ascending mantissa (constant term varying fastest)."""
     if prime_factors(p) != {p: 1}:
         raise PreconditionError(f"p = {p} is not prime")
     if k < 1:
@@ -61,23 +61,21 @@ def make_field(p: int, k: int = 1) -> FieldSpec:
     if q > MAX_FIELD_SIZE:
         raise PreconditionError(f"q = {q} exceeds the size limit {MAX_FIELD_SIZE}")
 
-    codes = np.arange(q)
-    digits = codes[:, None] // p ** np.arange(k) % p
-    add = (digits[:, None] + digits) % p @ p ** np.arange(k)
-    if k == 1:
-        modulus = None
-        mul = np.outer(codes, codes) % p
-    else:
-        # both modules build on FieldSpec, so they are imported here
-        from .polys import monic_from_index
-        from .tables import build_tables, residue_ring
-
-        prime_field = make_field(p)
-        # the sieve lists irreducibles by ascending mantissa, smallest first
-        P = monic_from_index(prime_field, k, int(build_tables(prime_field, k).irreducibles[k][0]))
-        ring = residue_ring(prime_field, P)
-        modulus = P.coeffs
-        mul = ring.mul(codes, codes)
+    place = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // place % p
+    add = (digits[:, None] + digits) % p @ place
+    prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)  # a's digits times b's, by degree
+    for i in range(k):
+        prod[:, :, i : i + k] += digits[:, None, i, None] * digits
+    # P = x^k + low for the first low, by ascending mantissa, with no zero divisor
+    for low in digits:
+        red = prod.copy()
+        for j in range(2 * k - 2, k - 1, -1):  # x^j = -low * x^(j-k), top first
+            red[:, :, j - k : j] -= red[:, :, j, None] * low
+        mul = red[:, :, :k] % p @ place
+        if mul[1:, 1:].all():
+            break
+    modulus = (*map(int, low), 1) if k > 1 else None
 
     # neg[a] is the b with a + b = 0 and inv[a] the b with a * b = 1; row 0
     # of mul holds no 1, so inv[0] is 0

@@ -450,14 +450,14 @@ def residue_ring(field: FieldSpec, modulus: Poly) -> ResidueRing:
 def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) -> np.ndarray:
     """Residue codes (mantissa-style integers in [0, q^deg(modulus))) of the
     monic degree-n polynomials with mantissas `us`, reduced mod `modulus`:
-    by the ring, or mod t^m from the mantissas."""
+    by the ring, or mod t^m from the codes q^n + u (q^n is 0 there once n >= m)."""
     if not modulus.is_monic or modulus.degree < 1:
         raise PreconditionError("modulus must be monic of degree >= 1")
     q, m = field.q, modulus.degree
-    us = np.asarray(us, dtype=np.int64)
+    codes = np.asarray(us, dtype=np.int64) + q**n
     if modulus != t_power(field, m):
-        return residue_ring(field, modulus).reduce(n, us + q**n)
-    return us % q**m if n >= m else us + q**n
+        return residue_ring(field, modulus).reduce(n, codes)
+    return codes % q**m
 
 
 def fold_monic_mod(field: FieldSpec, modulus: Poly, n: int, values, out: np.ndarray) -> None:

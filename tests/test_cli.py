@@ -1023,6 +1023,22 @@ def test_every_command_runs_on_its_required_arguments(argv, tmp_path, monkeypatc
         assert {ln.split()[1].split("[")[0].rstrip(":") for ln in lines} == set(SUITES)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["variance", "--N", "3", "--h", "1"], ["sweep", "--N", "3", "--h", "1"], ["verify"], ["cache"]],
+    ids=lambda argv: argv[0],
+)
+def test_each_subcommand_runs_its_handler(argv, monkeypatch):
+    # the parsed namespace carries the command's cmd_* function, read when the
+    # parser is built, so a rebinding of that name (as a tracer makes) runs
+    name = f"cmd_{argv[0]}"
+    assert build_parser().parse_args(argv).run is getattr(ffvar.cli, name)
+    ran = []
+    monkeypatch.setattr(ffvar.cli, name, lambda args: ran.append(args) or 17)
+    assert main(argv) == 17
+    assert [args.command for args in ran] == [argv[0]]
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import ast
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import finv, fmul, pmod, pmul, scalar_field_axioms
+import ffvar.fields
+import ffvar.tables
 from ffvar.errors import PreconditionError
 from ffvar.fields import FieldSpec, MAX_FIELD_SIZE, make_field, prime_factors, verify_field_axioms
 from ffvar.polys import Poly, from_coeffs
@@ -41,6 +46,58 @@ def test_extension_products_are_poly_products_mod_the_modulus(p, k):
             product = pmod(pmul(element(a), element(b)), modulus)
             code = sum(c * p**i for i, c in enumerate(product.coeffs))
             assert fld.mul_table[a, b] == code, (a, b)
+
+
+# sha256 of repr(modulus) and the four tables' bytes, first 16 hex digits,
+# written down from the build on the F_p sieve and the residue ring F_p[x]/(P)
+TABLE_DIGESTS = {
+    (2, 1): "dedfea9f5262520a",
+    (3, 1): "a6b2762c099e80bb",
+    (2, 2): "836f1bcb5fafc8ec",
+    (5, 1): "ac6aad74c2a1ae85",
+    (7, 1): "612b397be658fd87",
+    (2, 3): "2605787731767ea6",
+    (3, 2): "9f0e228f65c5610c",
+    (11, 1): "00619b46e516dd99",
+    (13, 1): "e1e058bc2f3eb6c4",
+    (2, 4): "f5b2d4876a2e53ec",
+}
+
+
+def _digest(fld: FieldSpec) -> str:
+    h = hashlib.sha256(repr(fld.modulus).encode())
+    for name in ("add_table", "mul_table", "neg_table", "inv_table"):
+        h.update(getattr(fld, name).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
+def test_tables_match_the_ring_built_digests(p, k):
+    fld = make_field(p, k)
+    assert all(getattr(fld, name).dtype == np.uint8 for name in FieldSpec.__slots__[4:])
+    assert _digest(fld) == TABLE_DIGESTS[p, k]
+
+
+def test_fields_build_with_no_sieve_and_no_residue_ring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field build reached the sieve or a residue ring")
+
+    monkeypatch.setattr(ffvar.tables, "build_tables", refuse)
+    monkeypatch.setattr(ffvar.tables.ResidueRing, "__init__", refuse)
+    # __wrapped__ builds each field anew and leaves the cached ones, which
+    # the session's fixtures hold, as they are
+    for p, k in ALL_FIELDS:
+        assert _digest(make_field.__wrapped__(p, k)) == TABLE_DIGESTS[p, k]
+
+
+def test_fields_import_no_ffvar_module_but_errors_and_records():
+    # the bottom layer: no import of a module built on FieldSpec, lazy or not
+    tree = ast.parse(Path(ffvar.fields.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    imported = {(n.level, n.module) for n in nodes if isinstance(n, ast.ImportFrom)}
+    imported |= {(0, a.name) for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    ours = {name for level, name in imported if level or name.split(".")[0] == "ffvar"}
+    assert ours == {"errors", "records"}
 
 
 def test_make_field_rejects_bad_parameters():

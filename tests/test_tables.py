@@ -447,6 +447,19 @@ def test_reduce_monic_mod_t_power(q):
                 assert int(got[u]) == _residue_code(pmod(f, modulus), q)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2)], ids=["2", "3", "4", "9"])
+def test_reduce_monic_mod_t_power_matches_the_ring(p, k):
+    # one expression for every degree: q^n + u mod t^m, below m and above it
+    fld = make_field(p, k)
+    q = fld.q
+    for m in (1, 2, 3):
+        ring = residue_ring(fld, t_power(fld, m))
+        for n in range(2 * m + 1):
+            us = np.arange(q**n, dtype=np.int64)
+            want = ring.reduce(n, us + q**n)
+            assert np.array_equal(reduce_monic_mod(fld, t_power(fld, m), n, us), want), (m, n)
+
+
 def test_reduce_monic_mod_general_modulus():
     # the ring path for every q <= 16: for k > 1 the F_p coordinates of each
     # coefficient must be carried correctly through the affine map
