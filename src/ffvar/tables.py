@@ -20,16 +20,14 @@ from row_mul, the one product of coefficient rows, once per degree of P.
 
 The products of all P of one degree come from one mul_monic_batch call. It
 splits M = L + t^a H at half its degree, so it needs P times at most
-2 q^ceil(md/2) halves instead of q^md cofactors, and joins P * L and
-t^a P * H by adding base-p digits mod p. In characteristic 2 no ring is
-used: P * L is F_2-linear in the bits of L, so the codes of all L come from
-shifted copies of P (scaled by x^i for q = 2^k) XORed in code order, and
-the join is one XOR.
-For odd p the halves come from one small ResidueRing product, the
-multiplication maps of the P side by side in one matmul, and the join is
-an integer sum less its carries at the k deg P overlapping digits, each
-digit carried by one compare and one masked subtract. Blocks of at most
-_CHUNK products bound memory.
+2 q^ceil(md/2) halves instead of q^md cofactors. Every step after that is a
+sum of polynomials taken on their codes: base-p digits added mod p, which
+is XOR for p = 2 and, for odd p, the integer sum less its carries at the
+k deg P digits where the two summands overlap, one compare and one masked
+subtract each. P * L is linear in L, so the codes of all L come in code
+order from the q - 1 multiples c P per coefficient of L; P * H is
+P * h + t^(md-a) P, and the join adds t^a P * H to P * L. No ring is
+built. Blocks of at most _CHUNK products bound memory.
 
 Write order: a block that holds several P holds every M of each of them, so
 the blocks run through the products in (deg P, P, M) order. Where several P
@@ -55,52 +53,46 @@ from .fields import FieldSpec
 from .polys import Poly, t_power
 
 _CHUNK = 1 << 15
-_SIEVE_SCRATCH = 2 << 20  # product blocks and rings: under 0.8 MiB measured, q <= 16
+_SIEVE_SCRATCH = 2 << 20  # product blocks: under 0.6 MiB measured, q <= 16
 
 
-def _binary_low_products(field: FieldSpec, dp: int, ups: np.ndarray, a: int) -> np.ndarray:
+def _digit_adder(p: int, y: np.ndarray, start: int, count: int):
+    """The map from codes x to the codes of the sums of the polynomials with
+    codes x and y, broadcast, where the base-p digits of x and y can both be
+    nonzero only at the count digits from start. For p = 2 the sum is XOR.
+    For odd p it is the integer sum less p^(s+1) at each of those digits s
+    where the two digits sum to p or more: one compare and one masked
+    subtract per digit, against y's digits taken once for every x."""
+    if p == 2:
+        return lambda x: x ^ y
+    places = [p**s for s in range(start, start + count)]
+    rooms = [(p - y // place % p).astype(np.int8) for place in places]
+
+    def add(x: np.ndarray) -> np.ndarray:
+        out = x + y
+        for place, room in zip(places, rooms):
+            digits = (x // place % p).astype(np.int8)
+            np.subtract(out, place * p, out=out, where=np.greater_equal(digits, room))
+        return out
+
+    return add
+
+
+def _low_products(field: FieldSpec, dp: int, ups: np.ndarray, a: int) -> np.ndarray:
     """Codes of P * L for every L of degree < a, in code order, one row per
-    monic P of degree dp with mantissa in `ups`, over a field of
-    characteristic 2. P * L is F_2-linear in the bits of L's code, so the
-    codes with top bit b are those below 2^b XOR P * e_b, e_b = x^i t^j for
-    b = j*k + i: P scaled by x^i (through mul_table) and shifted j places."""
-    q, k = field.q, field.k
+    monic P of degree dp with mantissa in `ups`. P * L is linear in L, so
+    the block of the L with top coefficient c at t^j is the block below q^j,
+    each plus c P t^j: the q - 1 multiples c P read from mul_table, one
+    _digit_adder sum per j for every c."""
+    p, k, q = field.p, field.k, field.q
     place = q ** np.arange(dp + 1)
     coeffs = (ups[:, None] + q**dp) // place % q
-    scaled = field.mul_table[coeffs[..., None], 1 << np.arange(k)].astype(np.int64)
-    basis = np.einsum("rli,l->ri", scaled, place)  # code of x^i P
+    multiples = (field.mul_table[1:, coeffs] @ place).T[..., None]
     low = np.zeros((len(ups), q**a), np.int64)
-    for b in range(k * a):
-        j, i = divmod(b, k)
-        np.bitwise_xor(low[:, : 1 << b], basis[:, i, None] << k * j, out=low[:, 1 << b : 2 << b])
+    for j in range(a):
+        out = low[:, q**j : q ** (j + 1)].reshape(len(ups), q - 1, q**j)
+        out[...] = _digit_adder(p, multiples * q**j, k * j, k * dp)(low[:, None, : q**j])
     return low
-
-
-def _digit_sums(p: int, lows: int, low: np.ndarray, high: np.ndarray, n_over: int,
-                p_rows: int, h_rows: int):
-    """Blocks (first row, first column, block) of the digitwise sums mod p of
-    low[P, L] and high[P, H] as (rows, H, L) arrays, high a multiple of lows
-    whose base-p digits meet low's at the n_over digits from lows.
-
-    The integer sum exceeds the digitwise one by p^(s+1) lows at each of
-    those digits s where the two digits sum to p or more, so each block is
-    the integer sum less that carry wherever digit s of high is at least p
-    less digit s of low: one compare and one masked subtract per digit."""
-
-    def digit(x, s):
-        return x // (lows * p**s) % p
-
-    for i in range(0, len(low), p_rows):
-        lo, hi = low[i : i + p_rows], high[i : i + p_rows]
-        carries = [(digit(hi, s).astype(np.int8), (p - digit(lo, s)).astype(np.int8),
-                    lows * p ** (s + 1)) for s in range(n_over)]
-        for j in range(0, high.shape[1], h_rows):
-            cols = slice(j, j + h_rows)
-            block = hi[:, cols, None] + lo[:, None, :]
-            for digits, room, carry in carries:
-                np.subtract(block, carry, out=block,
-                            where=np.greater_equal(digits[:, cols, None], room[:, None, :]))
-            yield i, j, block
 
 
 def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
@@ -110,13 +102,10 @@ def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
 
     Split M = L + t^a H at a = ceil(md/2), so deg L < a, H is monic of degree
     md - a and M's mantissa is l + q^a h. Then P * M = P * L + t^a P * H, and
-    the mantissa of P * M is code(P * L) (+) q^a mant(P * H), where (+) adds
-    base-p digits mod p. For p = 2, the q^a codes of P * L come from shifts
-    and XORs, P * H is P * h (+) t^(md-a) P, and (+) is XOR. For odd p, the
-    codes of P * L and P * H come, for every P at once, from one small
-    ResidueRing product, and (+) is an integer sum less its carries, which
-    only the k*dp digits from k*a can make, one carry step per digit
-    (_digit_sums).
+    the mantissa of P * M is code(P * L) (+) q^a mant(P * H), (+) the sum of
+    _digit_adder over the k*dp digits from k*a where the two overlap. The
+    codes of P * L come from _low_products, and so do those of P * h, h below
+    q^(md-a) <= q^a, for P * H = P * h (+) t^(md-a) P.
 
     A block holds at most _CHUNK products (but at least one row of H). When
     every M of one P fits, a block holds every M of each of its P; otherwise
@@ -124,25 +113,18 @@ def mul_monic_batch(field: FieldSpec, dp: int, ups: np.ndarray, md: int):
     the products in (P, M) order, so a caller that writes them in turn leaves
     the last P's entry wherever several P write the same G."""
     p, k, q = field.p, field.k, field.q
-    a, m = (md + 1) // 2, md + dp
+    a = (md + 1) // 2
     h0, lows = q ** (md - a), q**a
     h_rows = max(1, min(h0, _CHUNK // lows))
     p_rows = max(1, _CHUNK // q**md)
-    if p == 2:
-        low = _binary_low_products(field, dp, ups, a)
-        high = (low[:, :h0] ^ (ups * h0)[:, None]) * lows
-        blocks = ((i, j, high[i : i + p_rows, j : j + h_rows, None] ^ low[i : i + p_rows, None, :])
-                  for i in range(0, len(ups), p_rows) for j in range(0, h0, h_rows))
-    else:
-        # H's codes q^(md-a) + h lie below 2 q^a, so one product mod t^(a+dp+1)
-        # holds every P * L and P * H whole
-        ring = residue_ring(field, t_power(field, a + dp + 1))
-        codes = ring.mul(np.arange(max(lows, 2 * h0)), ups + q**dp)
-        low, high = codes[:, :lows], (codes[:, h0 : 2 * h0] - q ** (m - a)) * lows
-        blocks = _digit_sums(p, lows, low, high, k * dp if a else 0, p_rows, h_rows)
-    for i, j, block in blocks:
-        rows, size = len(block), block.shape[1] * lows
-        yield slice(i, i + rows), slice(j * lows, j * lows + size), block.reshape(rows, size)
+    low = _low_products(field, dp, ups, a)
+    high = _digit_adder(p, (ups * h0)[:, None], k * (md - a), k * dp)(low[:, :h0]) * lows
+    for i in range(0, len(ups), p_rows):
+        add_low = _digit_adder(p, low[i : i + p_rows, None, :], k * a, k * dp)
+        for j in range(0, h0, h_rows):
+            block = add_low(high[i : i + p_rows, j : j + h_rows, None])
+            rows, size = len(block), block.shape[1] * lows
+            yield slice(i, i + rows), slice(j * lows, j * lows + size), block.reshape(rows, size)
 
 
 def row_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

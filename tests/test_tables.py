@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -234,37 +235,34 @@ def _digitwise_sums(p: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13])
-def test_digit_sums_fold_and_carry_every_overlap_digit(p):
-    # random low (overlap digits from lows) and high (a multiple of lows),
-    # with every overlap from 1 to 8 digits (deg P up to 8 over F_p), and
-    # few or many rows of high, so each digit carries by its own masked
-    # subtract; small blocks split both the rows of P and those of H
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_digit_adder_folds_and_carries_every_overlap_digit(p):
+    # random y, and x a multiple of p^start, so the two overlap at the 1 to 8
+    # digits from start (deg P up to 8 over F_p), each carried by its own
+    # masked subtract, in the broadcast shapes of the sieve: the span's
+    # (rows, q - 1, 1) multiples against (rows, 1, q^j) codes, the join's
+    # (rows, 1, q^a) codes against (rows, H, 1), and P * H's (rows, 1)
+    # against (rows, h); one adder takes three x, as the join takes H chunks
     rng = np.random.default_rng(p)
-    seen = set()
-    for n_over in range(1, 9):
-        for lows, h0 in ((p, 1), (p, p**2), (p**2, p), (1, p**2)):
-            low = rng.integers(0, lows * p**n_over, (5, lows))
-            high = rng.integers(0, p ** (n_over + 2), (5, h0)) * lows
-            want = _digitwise_sums(p, high[:, :, None], low[:, None, :])
-            for p_rows, h_rows in ((5, h0), (2, max(1, h0 // 3))):
-                got = np.zeros_like(want)
-                blocks = tables_module._digit_sums(p, lows, low, high, n_over, p_rows, h_rows)
-                for i, j, block in blocks:
-                    got[i : i + len(block), j : j + block.shape[1]] = block
-                    seen.add(block.shape[1] < h0)
-                assert np.array_equal(got, want), (p, n_over, lows, h0, p_rows, h_rows)
-    assert seen == {False, True}
+    shapes = ((0, (5, 3, 1), (5, 1, 7)), (2, (5, 1, 6), (5, 4, 1)), (1, (5, 1), (5, 6)))
+    for count in range(1, 9):
+        for start, y_shape, x_shape in shapes:
+            y = rng.integers(0, p ** (start + count), y_shape)
+            add = tables_module._digit_adder(p, y, start, count)
+            for _ in range(3):
+                x = rng.integers(0, p ** (count + 2), x_shape) * p**start
+                assert np.array_equal(add(x), _digitwise_sums(p, x, y)), (p, count, start)
 
 
 def _code(f: Poly) -> int:
     return sum(c * f.field.q**j for j, c in enumerate(f.coeffs))
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4)], ids=["2", "4", "8", "16"])
-def test_binary_shift_products_and_squares_match_poly_products(p, k):
-    # over F_2^k: P * L for every L of degree < a from shifts and XORs, and
-    # P^2 as the flags pass builds it, against Poly products
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_low_products_and_squares_match_poly_products(p, k):
+    # P * L for every L of degree < a from the q - 1 multiples of P, one
+    # digit-wise sum per coefficient of L, and P^2 as the flags pass builds
+    # it, against Poly products
     fld = make_field(p, k)
     q = fld.q
     tab = build_tables(fld, 4)
@@ -276,10 +274,10 @@ def test_binary_shift_products_and_squares_match_poly_products(p, k):
         for a in range(4):
             if q**a > 1 << 12:
                 break
-            low = tables_module._binary_low_products(fld, d, ups, a)
+            low = tables_module._low_products(fld, d, ups, a)
             assert low.shape == (len(ups), q**a)
+            ls = [from_coeffs(fld, [u // q**j % q for j in range(a)]) for u in range(q**a)]
             for P, row in zip(polys, low.tolist()):
-                ls = [from_coeffs(fld, [u // q**j % q for j in range(a)]) for u in range(q**a)]
                 assert row == [_code(pmul(P, L)) for L in ls], (q, P, a)
 
 
@@ -425,6 +423,64 @@ def test_batched_sieve_matches_the_per_p_loop(p, k):
         assert _same_arrays(tab.factor_links(m), _per_p_links(fld, irr, m)), (q, m)
         if q**m <= 1 << 12:
             assert _same_arrays(tab.window_pairs(m), _per_p_pairs(fld, irr, m)), (q, m)
+
+
+# sha256 of each degree's arrays in turn, from degree 0 to the top one with
+# q^m <= 2^16, first 16 hex digits, as (Omega, max factor degree,
+# irreducibles, factor links, window pairs, mu): written down from the sieve
+# whose products came from a residue ring for odd p and from shifted bits
+# for p = 2
+SIEVE_DIGESTS = {
+    (2, 1): ('a18baa5d55bdc898', 'de2b1b76ab3d037e', '19cd335c330dfda2', '8f81edabaf8f0565', 'b0fc01cf7bd56cf9', '144565180dc1bf9b'),
+    (3, 1): ('6ff61e5c994d906f', '305d355078906ea5', 'b9fa0cc490237db4', '1507975afb392a64', '9a218658add48dec', 'a1affb7ef3a1ff1b'),
+    (2, 2): ('12687d3fc1c620cf', 'd01c21c61d27e474', '58256408e50a7e61', '97b3ebca3935c2dc', 'e853ea99dde44660', '538b568e8df9de60'),
+    (5, 1): ('d751f43e789dc87a', '819de4ffb6648ac8', 'f2be895fd9e0d51c', 'f880bb24bfe513fe', '78ef32cc290a77a5', '4409fc8491de24b7'),
+    (7, 1): ('d53df22583fc812c', '477e502d948ca30e', 'dda01184cef79073', '2abb699dd8099cd3', 'd0c844b2b32a76be', '57591372f574001e'),
+    (2, 3): ('26c769a3b3568c53', '686643ce716b4870', 'de12927afa8ea49a', '78b29277b0f32881', 'a75d196a6a3ae1e2', '70598e3a1f8ea9d9'),
+    (3, 2): ('d6450e0f89ca17d6', 'bda75d8ae13ef4c3', '06746c94c823722d', '65740212288fe2e6', '996b7c10d254c4ed', '889baec1570d57a1'),
+    (11, 1): ('4e154a9a1c182518', '499a6c0132f4e666', '78b7d3777c6c3964', '7aab2c49224733e8', '923fb01816ee84ce', 'ca89079211b73dcf'),
+    (13, 1): ('15f0dd8cf9293c48', '5a2cf21427b8f2ef', '30055b0f49e2432f', '2ae00211933000e0', 'c3769b3096e8c446', '643f795de4c546d4'),
+    (2, 4): ('d2ea69e74e40f4f5', '361f87cc448a2906', 'a5d83a4b6f33153f', 'c83e2e4b98b5af32', 'ffc4882fbb0552d7', 'b84516dabbe181d9'),
+}
+
+
+def _sieve_digests(fld) -> tuple[str, ...]:
+    top = max(n for n in range(1, 17) if fld.q**n <= 1 << 16)
+    tab = build_tables(fld, top)
+    reads = (lambda m: (tab.big_omega[m],), lambda m: (tab.max_factor_degree[m],),
+             lambda m: (tab.irreducibles[m],), tab.factor_links, tab.window_pairs,
+             lambda m: (tab.moebius_values(m),))
+    digests = []
+    for read in reads:
+        h = hashlib.sha256()
+        for m in range(top + 1):
+            for a in read(m):
+                h.update(a.dtype.str.encode() + a.tobytes())
+        digests.append(h.hexdigest()[:16])
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[str(p**k) for p, k in ALL_FIELDS])
+def test_sieve_tables_match_their_pinned_digests(p, k):
+    assert _sieve_digests(make_field(p, k)) == SIEVE_DIGESTS[p, k]
+
+
+def test_sieve_constructs_no_residue_ring(monkeypatch):
+    # tables and mu to degree 6 over every q <= 16, factor links and window
+    # pairs to the top degree with q^m <= 2^12
+    def refused(*args, **kwargs):
+        raise AssertionError("the sieve constructed a residue ring")
+
+    monkeypatch.setattr(tables_module, "residue_ring", refused)
+    monkeypatch.setattr(tables_module.ResidueRing, "__init__", refused)
+    for p, k in ALL_FIELDS:
+        fld = make_field(p, k)
+        tab = build_tables(fld, 6)
+        tab.moebius_values(6)
+        for m in range(7):
+            if fld.q**m <= 1 << 12:
+                tab.factor_links(m)
+                tab.window_pairs(m)
 
 
 # -- modular reduction ---------------------------------------------------------
