@@ -34,7 +34,7 @@ from .arith import factor_mantissas
 from .errors import PreconditionError, check_budget
 from .fields import FieldSpec, prime_factors
 from .polys import Poly, monic_index, t_power
-from .tables import ResidueRing, residue_ring
+from .tables import ResidueRing
 
 _SCRATCH = 1 << 20  # residue rings and small arrays of one basis or transform
 
@@ -83,10 +83,11 @@ def _phi_bound(field: FieldSpec, modulus: Poly) -> int:
 def basis_bytes(field: FieldSpec, modulus: Poly) -> int:
     """Peak bytes of building the basis mod Q: mod t^m, 16 per unit for the
     codes and a temporary, m more for the digit rows when q > 2 (12 and m + 8
-    to m + 13 measured); for any other Q, 40 for the ring's span as it
-    doubles, with its factor tables (33 measured)."""
-    m = modulus.degree
-    per_unit = 16 + m * (field.q > 2) if modulus == t_power(field, m) else 40
+    to m + 13 measured); for any other Q, 16 per unit and F_p digit (k m of
+    them) for the span's float rows as they double, and 40 for its codes and
+    factor tables (at most 16 k m + 8 measured, at 4 to 18 digits)."""
+    k, m = field.k, modulus.degree
+    per_unit = 16 + m * (field.q > 2) if modulus == t_power(field, m) else 16 * k * m + 40
     return per_unit * _phi_bound(field, modulus) + _SCRATCH
 
 
@@ -154,8 +155,8 @@ def _t_power_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
                 elif field.k == 1:  # digits below p: the sum, less p where it reaches p
                     np.add(old[j:], times, out=new[j:])
                     np.minimum(new[j:], new[j:] - p, out=new[j:])
-                else:
-                    new[j:] = field.add_table[old[j:], times]
+                else:  # x q + y <= 255: q <= 16
+                    new[j:] = field.add_table.ravel()[old[j:] * q + times]
             size, e, j = size * step, e // step, j * p
             w = int(functools.reduce(lambda x, y: field.mul_table[x, y], [w] * p))  # w^p
     codes = span if q == 2 else span[-1].astype(np.int64)
@@ -232,30 +233,22 @@ def _generators(field: FieldSpec, modulus: Poly, ring: ResidueRing) -> list[tupl
 
 
 def _structural_basis(field: FieldSpec, modulus: Poly) -> UnitGroupBasis:
-    ring = residue_ring(field, modulus)
+    ring = ResidueRing(field, modulus)
     gens = _generators(field, modulus, ring)  # none for q = 2, m = 1
-    # the span of the generators so far; extending by y of order e appends the
-    # blocks span * y^j, j < e, so the last generator taken varies slowest:
-    # taken last to first, the span is the C-order grid. It doubles: holding
-    # c blocks, it is multiplied by `step`, the map of y^c, squared after. It
-    # is held as digit rows while an eighth of the scratch holds them, then
-    # as codes, multiplied through ResidueRing.times
-    n = len(ring.place)
-    span = np.eye(n)[:1]
+    # the span of the generators so far, one row of digits per unit;
+    # extending by y of order e appends the blocks span * y^j, j < e, so the
+    # last generator taken varies slowest: taken last to first, the span is
+    # the C-order grid. It doubles: holding c blocks, it is multiplied by
+    # `step`, the map of y^c, squared after
+    span = np.eye(len(ring.place))[:1]
     for _, e, step in reversed(gens):
         size = e * len(span)
-        if span.ndim == 2 and 64 * n * size > _SCRATCH:
-            span = span.astype(np.int64) @ ring.place
         while len(span) < size:
-            more = span[: size - len(span)]
-            more = ring.mod(more @ step) if span.ndim == 2 else ring.times(more, step[None])[0]
-            span = np.concatenate((span, more))
+            span = np.concatenate((span, ring.mod(span[: size - len(span)] @ step)))
             if len(span) < size:
                 step = ring.mod(step @ step)
-    codes = span.astype(np.int64) @ ring.place if span.ndim == 2 else span
     generators, orders = tuple(y for y, *_ in gens), tuple(e for _, e, _ in gens)
-    return UnitGroupBasis(field, modulus, generators, orders, codes)
-
+    return UnitGroupBasis(field, modulus, generators, orders, span.astype(np.int64) @ ring.place)
 
 
 def enumerate_characters(basis: UnitGroupBasis) -> np.ndarray:

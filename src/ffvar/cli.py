@@ -31,7 +31,7 @@ from .errors import DEFAULT_BUDGET, BudgetError, PreconditionError
 from .errors import budget, check_budget
 from .fields import FieldSpec, make_field, verify_field_axioms
 from .polys import from_coeffs, monic_from_index, t_power
-from .tables import get_tables, residue_ring, row_mul, table_bytes
+from .tables import ResidueRing, get_tables, row_mul, table_bytes
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -412,7 +412,7 @@ def _suite_orthogonality(args: argparse.Namespace, fld: FieldSpec):
                 raise AssertionError(f"phi(t^{m}) wrong for q={q}")
             # the grid is the ring's: 1 at the origin, and a step along a
             # generator's axis is a product by that generator
-            grid, ring = basis.unit_codes.reshape(basis.orders), residue_ring(f, basis.modulus)
+            grid, ring = basis.unit_codes.reshape(basis.orders), ResidueRing(f, basis.modulus)
             products = (ring.mul(basis.unit_codes, g) for g in basis.generators)
             shifted = (np.roll(grid, -1, axis).ravel() for axis in range(grid.ndim))
             if grid.flat[0] != 1 or not all(map(np.array_equal, products, shifted)):

@@ -44,8 +44,6 @@ degree, for the identity checks of the variance module.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .errors import PreconditionError, check_budget
@@ -381,17 +379,6 @@ class ResidueRing:
         maps = self._digits(np.atleast_1d(codes), self.place) @ self.T.reshape(n, n * n)
         return self.mod(maps).reshape(-1, n, n)
 
-    def times(self, a: np.ndarray, maps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Codes of a*b for the codes `a` and each b given by its map, a row
-        of `out` per map: a's digits times the maps side by side, chunked."""
-        n = len(self.place)
-        side = maps.transpose(1, 0, 2).reshape(n, -1)
-        del maps  # only its side-by-side copy is read
-        if out is None:
-            out = np.empty((side.shape[1] // n, len(a)), np.int64)
-        self._batched(out.T, side.shape[1], lambda s: self._digits(a[s], self.place) @ side)
-        return out
-
     def powers(self, maps: np.ndarray, exponents) -> np.ndarray:
         """Maps of a^e for each exponent e (axis 0) and each a given by its
         map (axis 1), from one squaring chain: at bit b the chain holds the
@@ -412,21 +399,17 @@ class ResidueRing:
 
     def mul(self, a, b) -> np.ndarray:
         """Codes of a*b for the codes `a` and one code `b`, or, for an array
-        of codes `b`, a (len(b), len(a)) array with row i for b[i]: times
-        the maps of the b, a chunk at a time."""
+        of codes `b`, a (len(b), len(a)) array with row i for b[i]: a's
+        digits times the maps of a chunk of the b side by side."""
         a, bs = np.atleast_1d(a), np.atleast_1d(b)
         n = len(self.place)
         out = np.empty((len(bs), len(a)), np.int64)
         step = max(1, _SCRATCH_BYTES // (8 * n * n))
         for i in range(0, len(bs), step):
-            self.times(a, self.maps(bs[i : i + step]), out[i : i + step])
+            side = self.maps(bs[i : i + step]).transpose(1, 0, 2).reshape(n, -1)
+            self._batched(out[i : i + step].T, side.shape[1],
+                          lambda s: self._digits(a[s], self.place) @ side)
         return out[0] if np.ndim(b) == 0 else out
-
-
-@cache
-def residue_ring(field: FieldSpec, modulus: Poly) -> ResidueRing:
-    """The ResidueRing of (field, Q), one instance per pair."""
-    return ResidueRing(field, modulus)
 
 
 def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) -> np.ndarray:
@@ -438,7 +421,7 @@ def reduce_monic_mod(field: FieldSpec, modulus: Poly, n: int, us: np.ndarray) ->
     q, m = field.q, modulus.degree
     codes = np.asarray(us, dtype=np.int64) + q**n
     if modulus != t_power(field, m):
-        return residue_ring(field, modulus).reduce(n, codes)
+        return ResidueRing(field, modulus).reduce(n, codes)
     return codes % q**m
 
 

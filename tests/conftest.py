@@ -44,14 +44,12 @@ def cache3(f3) -> tables.ArithTables:
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty the caches of tables, residue rings and psi rows, so that a
-    measured peak includes building them; the fixture's value empties them
-    again."""
+    """Empty the caches of tables and psi rows, so that a measured peak
+    includes building them; the fixture's value empties them again."""
 
     def clear() -> None:
         monkeypatch.setattr(tables, "_TABLE_CACHE", {})
-        for cached in (tables.residue_ring, bounds._psi_rows):
-            cached.cache_clear()
+        bounds._psi_rows.cache_clear()
 
     clear()
     return clear
@@ -388,7 +386,7 @@ def oracle_generators(field: FieldSpec, modulus: Poly) -> Iterator[tuple[int, in
     1 + R z whose power q^(d(e-1)) has order q^d - 1, then each principal
     unit 1 + x^i t^l P^j R, j < e prime to p, of order p^s."""
     q, p, m = field.q, field.p, modulus.degree
-    ring, one = tables.residue_ring(field, modulus), constant(field, 1)
+    ring, one = tables.ResidueRing(field, modulus), constant(field, 1)
     if modulus == t_power(field, m):
         factors = [(t_power(field, 1), m)]
     else:
@@ -418,7 +416,7 @@ def oracle_generators(field: FieldSpec, modulus: Poly) -> Iterator[tuple[int, in
 def oracle_basis(field: FieldSpec, modulus: Poly) -> tuple[tuple, tuple, np.ndarray]:
     """(generators, orders, unit codes) mod Q: the span of oracle_generators,
     taken last to first, so that it is the C-order grid of their exponents."""
-    ring = tables.residue_ring(field, modulus)
+    ring = tables.ResidueRing(field, modulus)
     gens = list(oracle_generators(field, modulus))
     codes = np.ones(1, dtype=np.int64)
     for y, e in reversed(gens):

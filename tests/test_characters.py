@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -47,7 +48,7 @@ from ffvar.characters import (
 from ffvar.errors import BudgetError, PreconditionError, budget
 from ffvar.fields import make_field
 from ffvar.polys import Poly, from_coeffs, monic_from_index, t_power
-from ffvar.tables import get_tables, residue_ring
+from ffvar.tables import ResidueRing, get_tables
 
 
 def _code_poly(fld, m, code):
@@ -313,6 +314,53 @@ def test_bases_match_the_oracle_on_t_powers(q):
         _assert_oracle_basis(fld, t_power(fld, m))
 
 
+# the bases of small general moduli, pinned before the span was held as digit
+# rows alone: every monic of degree 4 and 5 over F_3 (the charsums pool) as
+# one sha256 per degree over each basis's generators, orders and unit codes,
+# and t^2 + t + 1 and t (t + 1)^2 over each q <= 16 as (generators, orders,
+# sha256 of the unit codes), first 16 hex digits
+POOL_DIGESTS = {4: "dff9a9eef7da1aad", 5: "9d8cc7a48137677a"}
+BASIS_PINS = {
+    2: (((3,), (3,), "13c7556171fc0143"), ((7,), (2,), "7848a3207302f67f")),
+    3: (((2, 3), (2, 3), "da557105e25fce9c"), ((17, 22, 13), (2, 2, 3), "4cd466d8b97abe35")),
+    4: (((8, 10), (3, 3), "279f825b3c2e9b7e"),
+        ((35, 33, 21, 41), (3, 3, 2, 2), "217c79dc5d5bdd65")),
+    5: (((7,), (24,), "465e2fe679009de4"), ((37, 81, 31), (4, 4, 5), "23a79ca0ae9586f9")),
+    7: (((13, 37), (6, 6), "0c9fd8c2a0e5a53c"), ((129, 190, 57), (6, 6, 7), "91078dfb3004a4b0")),
+    8: (((11,), (63,), "ae46c1aa62a6ad3c"),
+        ((131, 129, 73, 145, 289), (7, 7, 2, 2, 2), "2c3d47a1bfab7be4")),
+    9: (((4, 9, 34), (8, 3, 3), "cb61686d5d72593e"),
+        ((301, 298, 91, 271), (8, 8, 3, 3), "ccafa0f2148787d8")),
+    11: (((15,), (120,), "55dcb340672b1142"), ((145, 573, 133), (10, 10, 11), "35b97dd4ad7e2784")),
+    13: (((24, 35), (12, 12), "701f8caff39be9c2"), ((197, 586, 183), (12, 12, 13), "2cb14e5079c75124")),
+    16: (((47, 45), (15, 15), "931d8862cb1fa225"),
+         ((515, 513, 273, 545, 1089, 2177), (15, 15, 2, 2, 2, 2), "30f9e68e5b3436fc")),
+}
+
+
+def _codes_bytes(codes: np.ndarray) -> bytes:
+    return codes.dtype.str.encode() + codes.tobytes()
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_charsums_pool_bases_match_their_pinned_digest(m):
+    f3, h = make_field(3), hashlib.sha256()
+    for u in range(3**m):
+        basis = unit_group_basis(f3, monic_from_index(f3, m, u))
+        h.update(repr((basis.generators, basis.orders)).encode() + _codes_bytes(basis.unit_codes))
+    assert h.hexdigest()[:16] == POOL_DIGESTS[m]
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWERS))
+def test_small_general_bases_match_their_pins(q):
+    fld = make_field(*PRIME_POWERS[q])
+    moduli = (from_coeffs(fld, [1, 1, 1]), pmul(t_power(fld, 1), ppow(from_coeffs(fld, [1, 1]), 2)))
+    for modulus, pin in zip(moduli, BASIS_PINS[q]):
+        basis = unit_group_basis(fld, modulus)
+        digest = hashlib.sha256(_codes_bytes(basis.unit_codes)).hexdigest()[:16]
+        assert (basis.generators, basis.orders, digest) == pin, modulus
+
+
 @pytest.mark.parametrize("q", sorted(PRIME_POWERS))
 def test_closed_form_bases_match_the_oracle_and_the_ring(cold_caches, q):
     # mod t^m, the written-down generators and their shift-and-add span give
@@ -335,8 +383,6 @@ def test_t_power_bases_construct_no_residue_ring(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a t^m basis constructed a residue ring")
 
-    for owner in (characters_module, tables_module):
-        monkeypatch.setattr(owner, "residue_ring", refused)
     monkeypatch.setattr(tables_module.ResidueRing, "__init__", refused)
     for fld in fields:
         for m in range(1, 5):
@@ -566,7 +612,7 @@ def test_character_sums_stack_rows_with_their_own_powers(p, k):
     rng = np.random.default_rng(fld.q)
     for modulus in _moduli(fld):
         basis = unit_group_basis(fld, modulus)
-        ring, size = residue_ring(fld, modulus), fld.q**modulus.degree
+        ring, size = ResidueRing(fld, modulus), fld.q**modulus.degree
         weights = rng.integers(-3, 4, size=(3, size))
         for even_only in (False, True)[: 1 + _even_defined(basis)]:
             rows = character_sums(basis, weights, even_only=even_only)
@@ -676,6 +722,7 @@ GATE_MODULI = (
     ((3, 1), (2, 0, 1, 1, 0, 1, 2, 2)),
     ((5, 1), (2, 3, 0, 1, 4)),
     ((2, 2), (1, 2, 3, 0, 1)),
+    ((2, 4), (0, 1, 0)),  # t (t + 1)^2: the widest digit rows any command spans
 )
 
 

@@ -38,7 +38,6 @@ from ffvar.tables import (
     mul_monic_batch,
     ResidueRing,
     reduce_monic_mod,
-    residue_ring,
     table_bytes,
 )
 
@@ -166,7 +165,7 @@ def _one_shot_products(fld, dp: int, up: int, md: int) -> np.ndarray:
     """Oracle: P * M for every monic M of degree md as one ring product mod
     t^m, m = dp + md, with no split."""
     q, m = fld.q, dp + md
-    ring = residue_ring(fld, t_power(fld, m))
+    ring = ResidueRing(fld, t_power(fld, m))
     return ring.mul(np.arange(q**md) + q**md, (up + q**dp) % q**m)
 
 
@@ -331,7 +330,7 @@ def _per_p_products(fld, dp: int, up: int, md: int):
     p, k, q = fld.p, fld.k, fld.q
     a, m = (md + 1) // 2, md + dp
     h0 = q ** (md - a)
-    ring = residue_ring(fld, t_power(fld, a + dp + 1))
+    ring = ResidueRing(fld, t_power(fld, a + dp + 1))
     codes = ring.mul(np.arange(max(q**a, 2 * h0)), up + q**dp)
     low, high = codes[: q**a], codes[h0 : 2 * h0] - q ** (m - a)
     place = p ** np.arange(k * dp)
@@ -471,7 +470,6 @@ def test_sieve_constructs_no_residue_ring(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the sieve constructed a residue ring")
 
-    monkeypatch.setattr(tables_module, "residue_ring", refused)
     monkeypatch.setattr(tables_module.ResidueRing, "__init__", refused)
     for p, k in ALL_FIELDS:
         fld = make_field(p, k)
@@ -509,7 +507,7 @@ def test_reduce_monic_mod_t_power_matches_the_ring(p, k):
     fld = make_field(p, k)
     q = fld.q
     for m in (1, 2, 3):
-        ring = residue_ring(fld, t_power(fld, m))
+        ring = ResidueRing(fld, t_power(fld, m))
         for n in range(2 * m + 1):
             us = np.arange(q**n, dtype=np.int64)
             want = ring.reduce(n, us + q**n)
@@ -552,7 +550,6 @@ def test_residue_ring_table_grows_on_demand(f2, f3, f4):
     cases = ((f2, [1, 1, 0, 1]), (f3, [2, 0, 1]), (f4, [3, 1, 2, 1]), (f2, [0, 0, 1]), (f9, [5, 0, 1]))
     for fld, coeffs in cases:
         modulus = from_coeffs(fld, coeffs)
-        assert residue_ring(fld, modulus) is residue_ring(fld, modulus)
         ring, k, m = ResidueRing(fld, modulus), fld.k, modulus.degree
         built = ring.rows(len(ring.table)).copy()
         grown = ring.rows(len(built) + 4 * k)
@@ -604,9 +601,9 @@ def test_residue_ring_powers_share_one_squaring_chain(f3, f4):
             ring.powers(ring.maps(5).view(_CountedMaps), exponents)
             assert _CountedMaps.products == count, exponents
         assert ring.codes(ring.powers(ring.maps([5, 7]), [0])).tolist() == [[1, 1]]
-    # against repeated Poly products mod Q, for every q <= 16: a batch of
-    # elements and of exponents at once; an element's map holds its code in
-    # row 0, and times is mul
+    # against Poly products mod Q, for every q <= 16: mul on every pair of a
+    # batch of elements, powers on the batch and a batch of exponents at
+    # once; an element's map holds its code in row 0
     rng = np.random.default_rng(3)
     for p, k in ALL_FIELDS:
         fld = make_field(p, k)
@@ -625,10 +622,11 @@ def test_residue_ring_powers_share_one_squaring_chain(f3, f4):
             exponents = rng.integers(0, 40, size=4).tolist()
             maps = ring.maps(elements)
             assert np.array_equal(ring.codes(maps), elements)
-            assert np.array_equal(ring.times(elements, maps), ring.mul(elements, elements))
+            polys = [from_coeffs(fld, [a // q**j % q for j in range(m)]) for a in elements.tolist()]
+            for row, b in zip(ring.mul(elements, elements).tolist(), polys):
+                assert row == [_residue_code(pmod(pmul(a, b), modulus), q) for a in polys], (q, modulus)
             got = ring.codes(ring.powers(maps, exponents))
-            for a, column in zip(elements.tolist(), got.T):
-                base = from_coeffs(fld, [a // q**j % q for j in range(m)])
+            for a, base, column in zip(elements.tolist(), polys, got.T):
                 for e, code in zip(exponents, column.tolist()):
                     expected = from_coeffs(fld, [1])
                     for _ in range(e):
